@@ -33,7 +33,7 @@ from .medium import (
     representative_stack,
     save_stack,
 )
-from .tmatrix import Amplitudes, TransferMatrix, amplitudes, cell_matrix, stack_matrix, sweep
+from .tmatrix import Amplitudes, TransferMatrix, amplitudes, cell_matrix, stack_matrix
 from .kard import (
     Band,
     KardDerivatives,
@@ -97,7 +97,6 @@ __all__ = [
     "cell_matrix",
     "stack_matrix",
     "amplitudes",
-    "sweep",
     "KardParams",
     "KardDerivatives",
     "Band",

@@ -27,7 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import NumericError, ValidationError
 from .kard import Band, PotentialCell, decompose, energy_at_phase
@@ -68,9 +67,9 @@ class ArcDesign:
 
 
 def compose_with_arc(
-    stack: StackSpec, E: float, consts: PhysConstants = CONSTANTS
+    stack: StackSpec, E: float | np.ndarray, consts: PhysConstants = CONSTANTS
 ) -> TransferMatrix:
-    """Total matrix M_arcL (M_core)^N M_arcR at energy E.
+    """Total matrix M_arcL (M_core)^N M_arcR at energy E (scalar or array).
 
     The core block is raised to its power by squaring rather than cell by
     cell; with no end cells this is just the bare array matrix.
@@ -101,15 +100,12 @@ def band_average_transmission(
         raise ValidationError(
             f"band average needs >= 2000 samples, got {grid.count}"
         )
-    total = 0.0
-    for E in grid.samples:
-        total += amplitudes(compose_with_arc(stack, float(E), consts)).T
-    return total / grid.count
+    return float(np.mean(amplitudes(compose_with_arc(stack, grid.samples, consts)).T))
 
 
 def stack_phase_time(
-    stack: StackSpec, E: float, h: float = 1e-3, consts: PhysConstants = CONSTANTS
-) -> float:
+    stack: StackSpec, E: float | np.ndarray, h: float = 1e-3, consts: PhysConstants = CONSTANTS
+):
     """Stationary-phase crossing time hbar d(arg t)/dE of the whole stack, fs.
 
     Works for any stack (end cells included), unlike the single-band
@@ -118,7 +114,7 @@ def stack_phase_time(
     delay over free propagation.
     """
 
-    def t_of(e: float) -> complex:
+    def t_of(e):
         return amplitudes(stack_matrix(e, stack, consts)).t
 
     t = t_of(E)
@@ -158,6 +154,8 @@ def design_rule_of_thumb(
     cells drawn from the core's own family it comes out aligned, and the
     end-to-end transmission checks would catch it if it did not.
     """
+    from scipy.optimize import minimize  # only the designer needs scipy
+
     model = PotentialCell(core, outside, consts)
     e_c = energy_at_phase(model, band, _QUARTER)
     core_kard = decompose(model.matrix(e_c))

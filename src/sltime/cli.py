@@ -146,13 +146,9 @@ def _cmd_kard(args) -> None:
         args.emin = lo + 0.05 if args.emin is None else args.emin
         args.emax = hi - 0.05 if args.emax is None else args.emax
     grid = EnergyGrid.linear(args.emin, args.emax, args.count or 1200)
-    rows = []
-    prev = None
-    for E in grid.samples:
-        E = float(E)
-        p = decompose(model.matrix(E), prev=prev)
-        prev = p
-        rows.append((E, 0.5 * model.trace(E), p.phi, p.mu, p.chi, p.band))
+    M = model.matrix(grid.samples)
+    p = decompose(M, continuous=True)
+    rows = zip(grid.samples, 0.5 * model.trace(grid.samples), p.phi, p.mu, p.chi, p.band)
     _write_csv(args.output, _config_header(args),
                ["E_meV", "cos_phi", "phi", "mu", "chi", "band"], rows)
 
@@ -227,8 +223,7 @@ def _play_band() -> Band:
 
 def _eta_n(grid: np.ndarray, n: int) -> np.ndarray:
     """Unwrapped N-cell transmission phase, anchored to N pi/2 at band center."""
-    amps = [amplitudes(play_matrix(float(E)).power(n)).t for E in grid]
-    eta = np.unwrap(np.angle(amps))
+    eta = np.unwrap(np.angle(amplitudes(play_matrix(grid).power(n)).t))
     i0 = int(np.argmin(np.abs(grid - PLAY_MODEL.e_bragg)))
     eta += 2.0 * math.pi * round((0.5 * n * math.pi - eta[i0]) / (2.0 * math.pi))
     return eta
@@ -241,12 +236,10 @@ def _play_figure(figure: int, count: int):
     n = 9
     if figure == 1:
         grid = np.linspace(lo, hi, count)
-        rows = []
-        for E in grid:
-            p = play_kard(float(E))
-            rows.append((E, math.cos(p.phi), p.phi / (0.5 * math.pi),
-                         play_eta(float(E)) / (0.5 * math.pi)))
-        return ["E_meV", "cos_phi", "phi_halfpi", "eta_halfpi"], rows
+        p = play_kard(grid)
+        return (["E_meV", "cos_phi", "phi_halfpi", "eta_halfpi"],
+                zip(grid, np.cos(p.phi), p.phi / (0.5 * math.pi),
+                    play_eta(grid) / (0.5 * math.pi)))
     if figure == 2:
         grid = EnergyGrid.linear(lo, hi, count)
         one = transmission_sweep(PLAY_MODEL, None, 1, grid)
@@ -261,12 +254,9 @@ def _play_figure(figure: int, count: int):
                     curve.t2))
     if figure == 4:
         grid = np.linspace(lo, PLAY_MODEL.e_bragg, count)
-        eta = _eta_n(grid, n)
-        rows = []
-        for E, e9 in zip(grid, eta):
-            p = play_kard(float(E))
-            rows.append((E, n * p.phi / math.pi, e9 / math.pi))
-        return ["E_meV", "Nphi_over_pi", "eta9_over_pi"], rows
+        p = play_kard(grid)
+        return (["E_meV", "Nphi_over_pi", "eta9_over_pi"],
+                zip(grid, n * p.phi / math.pi, _eta_n(grid, n) / math.pi))
     if figure == 5:
         grid = EnergyGrid.linear(lo, hi, count)
         nine = transmission_sweep(PLAY_MODEL, None, n, grid)
@@ -320,13 +310,10 @@ def _cmd_arc_evaluate(args) -> None:
     }
     _write_json(args.output, summary)
     if args.csv:
-        rows = []
-        for E in grid.samples:
-            E = float(E)
-            t_bare = abs(amplitudes(compose_with_arc(bare, E)).t) ** 2
-            t_full = abs(amplitudes(compose_with_arc(stack, E)).t) ** 2
-            rows.append((E, t_bare, t_full))
-        _write_csv(args.csv, _config_header(args), ["E_meV", "T_core", "T_stack"], rows)
+        t_bare = abs(amplitudes(compose_with_arc(bare, grid.samples)).t) ** 2
+        t_full = abs(amplitudes(compose_with_arc(stack, grid.samples)).t) ** 2
+        _write_csv(args.csv, _config_header(args), ["E_meV", "T_core", "T_stack"],
+                   zip(grid.samples, t_bare, t_full))
 
 
 # --- tdse ----------------------------------------------------------------------
@@ -388,17 +375,6 @@ def _cmd_tdse(args) -> None:
 
 # --- reproduce ------------------------------------------------------------------
 
-def _rep5_refined_grid(band: Band, peaks) -> EnergyGrid:
-    lo, hi = band.interior(5e-3)
-    base = np.linspace(lo, hi, 1600)
-    pieces = [base]
-    for pk in peaks:
-        local = np.arange(pk.E_m - 3 * pk.Gamma_m, pk.E_m + 3 * pk.Gamma_m,
-                          pk.Gamma_m / 40.0)
-        pieces.append(local[(local > lo) & (local < hi)])
-    return EnergyGrid(np.unique(np.concatenate(pieces)))
-
-
 def _cmd_reproduce(args) -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -415,8 +391,8 @@ def _cmd_reproduce(args) -> None:
     n = stack.replicas
     if k in (7, 8):
         peaks = [fit_peak(model, None, n, m, band=band) for m in range(1, n)]
-        grid = _rep5_refined_grid(band, peaks)
-        curve = timing_curve(model, None, n, grid, band=band)
+        curve = timing_curve(model, None, n, EnergyGrid.linear(*band.interior(5e-3), 1600),
+                             band=band, refine=[(pk.E_m, pk.Gamma_m) for pk in peaks])
         if k == 7:
             _write_csv(str(outdir / "fig7.csv"), header,
                        ["E_meV", "T_N", "tau_ph_fs", "env_max_fs", "env_min_fs",
@@ -424,7 +400,7 @@ def _cmd_reproduce(args) -> None:
                        zip(curve.energies, curve.t2, curve.tau_ph, curve.env_max,
                            curve.env_min, curve.tau_bloch_total))
         else:
-            ap = approx_curves(model, None, n, band, grid)
+            ap = approx_curves(model, None, n, band, EnergyGrid(curve.energies))
             _write_csv(str(outdir / "fig8.csv"), header,
                        ["E_meV", "tau_ph_fs", "tau_approx_fs", "T_N", "T_approx"],
                        zip(curve.energies, curve.tau_ph, ap.tau_ph, curve.t2, ap.t2))
@@ -434,18 +410,12 @@ def _cmd_reproduce(args) -> None:
     design = design_rule_of_thumb(stack.core, stack.outside, band)
     dressed = dataclasses.replace(stack, left_arc=design.arc_cell,
                                   right_arc=design.arc_cell)
-    curve_grid = EnergyGrid.linear(*band.interior(5e-3), 400)
-    curve_rows = []
-    for E in curve_grid.samples:
-        E = float(E)
-        t_full = abs(amplitudes(compose_with_arc(dressed, E)).t) ** 2
-        curve_rows.append((
-            E, t_full, stack_phase_time(dressed, E),
-            n * bloch_time(model, None, E, band=band),
-            free_time(dressed.width, E, dressed.outside),
-        ))
+    E = EnergyGrid.linear(*band.interior(5e-3), 400).samples
     _write_csv(str(outdir / "fig9_curve.csv"), header,
-               ["E_meV", "T_stack", "tau_ph_fs", "bloch_fs", "free_fs"], curve_rows)
+               ["E_meV", "T_stack", "tau_ph_fs", "bloch_fs", "free_fs"],
+               zip(E, abs(amplitudes(compose_with_arc(dressed, E)).t) ** 2,
+                   stack_phase_time(dressed, E), n * bloch_time(model, None, E, band=band),
+                   free_time(dressed.width, E, dressed.outside)))
 
     point_rows = []
     for e0 in (57.0, 58.5, 60.0):

@@ -20,22 +20,23 @@ allowed classification.
 Energy derivatives are taken through the two smooth real functions
 c = Tr M / 2 and g = |M21|^2 rather than through phi and mu directly,
 which avoids branch cuts and |.| kinks entirely.
+
+Matrices, angles and derivatives may hold one energy or an array of them;
+array inputs give array fields, scalar inputs plain floats.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Protocol, Union
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import NearBandEdgeError, NumericError
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants
-from .numerics import derivative, second_derivative
-from .tmatrix import TransferMatrix, cell_matrix
+from .numerics import STENCIL, bisect, stencil_derivatives
+from .tmatrix import TransferMatrix, _complex, cell_matrix
 
 __all__ = [
     "KardParams",
@@ -45,7 +46,6 @@ __all__ = [
     "as_model",
     "decompose",
     "reconstruct",
-    "bloch_eigen",
     "Band",
     "band_structure",
     "band_phase",
@@ -56,6 +56,9 @@ __all__ = [
 #: |Tr M|/2 within this distance of 1 is classified as a band edge.
 EDGE_TOL = 1e-9
 
+#: band labels, indexed by allowed + 2 * edge
+_LABELS = np.array(["forbidden", "allowed", "edge"])
+
 
 @dataclass(frozen=True)
 class KardParams:
@@ -65,79 +68,104 @@ class KardParams:
     (phi, mu, chi) are as in the module docstring and theta = 0.  In a
     forbidden band phi is the real part p*pi of the complex Bloch phase and
     theta > 0 its imaginary part; mu and chi are meaningless there (nan).
+    For a matrix array every field is an array, band an array of labels.
     """
 
-    phi: float
-    mu: float
-    chi: float
-    band: str = "allowed"
-    theta: float = 0.0
+    phi: float | np.ndarray
+    mu: float | np.ndarray
+    chi: float | np.ndarray
+    band: str | np.ndarray = "allowed"
+    theta: float | np.ndarray = 0.0
 
     def scaled(self, n: int) -> "KardParams":
         """Angles of the n-cell matrix M^n (allowed band only)."""
-        if self.band != "allowed":
-            raise NearBandEdgeError(f"no n-cell angle scaling in a {self.band} region")
+        _require_allowed(self.band, "no n-cell angle scaling in a {} region")
         return KardParams(n * self.phi, self.mu, self.chi)
 
 
-def decompose(M: TransferMatrix, prev: KardParams | None = None) -> KardParams:
-    """Angles and band classification of a cell matrix.
+def _require_allowed(band, message: str) -> None:
+    if isinstance(band, str) and band == "allowed":
+        return  # the common case, without numpy's overhead
+    bad = np.asarray(band) != "allowed"
+    if bad.any():
+        raise NearBandEdgeError(message.format(np.asarray(band)[bad].flat[0]))
+
+
+def decompose(M: TransferMatrix, *, continuous: bool = False) -> KardParams:
+    """Angles and band classification of a cell matrix (or matrix array).
 
     In an allowed band phi is placed in (0, 2*pi): arccos of the half-trace
     gives (0, pi) and the sign of Im M11 = -sin(phi) cosh(mu) selects the
-    half-plane.  When ``prev`` (the decomposition at a neighboring energy)
-    is supplied, phi is additionally lifted by a multiple of 2*pi to the
-    branch nearest prev.phi, so a sweep across many bands stays continuous.
+    half-plane.  With ``continuous``, for a matrix array ordered in energy,
+    each allowed phi whose predecessor is allowed too is additionally
+    lifted by a multiple of 2*pi to the branch nearest the (lifted)
+    predecessor, so a sweep across many bands stays continuous.
     """
-    c = 0.5 * M.trace
+    if np.ndim(M.m11) == 0:
+        return _decompose_one(complex(M.m11), complex(M.m21))
+    m11, m21 = M.m11, M.m21
+    c = m11.real
+    size = np.abs(c)
+    edge = np.abs(size - 1.0) <= EDGE_TOL
+    allowed = (size < 1.0) & ~edge
+    with np.errstate(divide="ignore", invalid="ignore"):
+        phi = np.arccos(c)
+        phi = np.where(m11.imag > 0.0, 2.0 * math.pi - phi, phi)
+        if continuous and phi.ndim == 1 and phi.size > 1:
+            linked = allowed[1:] & allowed[:-1]
+            steps = np.where(linked, np.round((phi[:-1] - phi[1:]) / (2.0 * math.pi)), 0.0)
+            turns = np.concatenate([[0.0], np.cumsum(steps)])
+            # the lift restarts wherever the predecessor is not allowed
+            start = np.maximum.accumulate(
+                np.where(np.concatenate([[True], ~linked]), np.arange(phi.size), 0)
+            )
+            phi = phi + 2.0 * math.pi * (turns - turns[start])
+        s = np.sin(phi)
+        r = np.abs(m21)
+        mu = np.arcsinh(r / np.abs(s))
+        z = np.where(s > 0.0, 1j, -1j) * m21
+        chi = np.where(r == 0.0, 0.0, np.arctan2(z.imag, z.real))
+        theta = np.where(allowed | edge, 0.0, np.arccosh(size))
+    return KardParams(
+        phi=np.where(allowed, phi, np.where(c > 0, 0.0, math.pi)),
+        mu=np.where(allowed, mu, math.nan),
+        chi=np.where(allowed, chi, math.nan),
+        band=_LABELS[allowed + 2 * edge],
+        theta=theta,
+    )
+
+
+def _decompose_one(m11: complex, m21: complex) -> KardParams:
+    """``decompose`` for one matrix: Python branches instead of array masks,
+    numpy's elementary functions as on arrays, so both agree bit for bit."""
+    c = m11.real
     if abs(abs(c) - 1.0) <= EDGE_TOL:
         p = 0.0 if c > 0 else math.pi
         return KardParams(phi=p, mu=math.nan, chi=math.nan, band="edge")
     if abs(c) > 1.0:
         p = 0.0 if c > 0 else math.pi
-        return KardParams(phi=p, mu=math.nan, chi=math.nan, band="forbidden", theta=math.acosh(abs(c)))
-    phi = math.acos(c)
-    if M.m11.imag > 0.0:
+        return KardParams(phi=p, mu=math.nan, chi=math.nan, band="forbidden", theta=np.arccosh(abs(c)))
+    phi = np.arccos(c)
+    if m11.imag > 0.0:
         phi = 2.0 * math.pi - phi
-    if prev is not None and prev.band == "allowed":
-        phi += 2.0 * math.pi * round((prev.phi - phi) / (2.0 * math.pi))
-    s = math.sin(phi)
-    mu = math.asinh(abs(M.m21) / abs(s))
-    if abs(M.m21) == 0.0:
-        chi = 0.0
-    elif s > 0.0:
-        chi = cmath.phase(1j * M.m21)
-    else:
-        chi = cmath.phase(-1j * M.m21)
-    return KardParams(phi, mu, chi)
+    s = np.sin(phi)
+    r = np.abs(m21)
+    mu = np.arcsinh(r / abs(s))
+    z = (1j if s > 0.0 else -1j) * m21
+    chi = 0.0 if r == 0.0 else np.arctan2(z.imag, z.real)
+    return KardParams(float(phi), float(mu), float(chi))
 
 
 def reconstruct(params: KardParams) -> TransferMatrix:
     """Cell matrix with the given allowed-band angles (inverse of decompose
     up to the 2*pi branch of phi)."""
-    if params.band != "allowed":
-        raise NearBandEdgeError(f"cannot reconstruct a matrix from {params.band} parameters")
+    _require_allowed(params.band, "cannot reconstruct a matrix from {} parameters")
     phi, mu, chi = params.phi, params.mu, params.chi
-    m11 = complex(math.cos(phi), -math.sin(phi) * math.cosh(mu))
-    m21 = -1j * cmath.exp(1j * chi) * math.sin(phi) * math.sinh(mu)
+    sin_phi = np.sin(phi)
+    m11 = _complex(np.cos(phi), -(sin_phi * np.cosh(mu)))
+    off = sin_phi * np.sinh(mu)
+    m21 = _complex(np.sin(chi) * off, -np.cos(chi) * off)  # -i e^{i chi} = sin chi - i cos chi
     return TransferMatrix(m11, m21)
-
-
-def bloch_eigen(params: KardParams) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (e^{-i phi}, e^{+i phi}) and eigenvector matrix U.
-
-    U diagonalizes the cell matrix, M U = U diag(e^{-i phi}, e^{+i phi}),
-    and factorizes as a chi rotation times a mu boost; det U = 1.
-    """
-    if params.band != "allowed":
-        raise NearBandEdgeError(f"no Bloch eigenbasis in a {params.band} region")
-    phi, mu, chi = params.phi, params.mu, params.chi
-    values = np.array([cmath.exp(-1j * phi), cmath.exp(1j * phi)])
-    ch, sh = math.cosh(0.5 * mu), math.sinh(0.5 * mu)
-    zm = cmath.exp(-0.5j * chi)
-    zp = cmath.exp(0.5j * chi)
-    U = np.array([[zm * ch, zm * sh], [zp * sh, zp * ch]], dtype=complex)
-    return values, U
 
 
 class CellModel(Protocol):
@@ -146,12 +174,13 @@ class CellModel(Protocol):
     Band structure, timing curves, and resonance analysis are written
     against this interface, so a potential cell and a closed-form model cell
     are interchangeable.  ``trace`` must be smooth across band edges (the
-    matrix itself need not exist there).
+    matrix itself need not exist there).  Both take a scalar energy or an
+    array of energies, and answer in kind.
     """
 
-    def trace(self, E: float) -> float: ...
+    def trace(self, E: float | np.ndarray) -> float | np.ndarray: ...
 
-    def matrix(self, E: float) -> TransferMatrix: ...
+    def matrix(self, E: float | np.ndarray) -> TransferMatrix: ...
 
 
 @dataclass(frozen=True)
@@ -162,14 +191,11 @@ class PotentialCell:
     outside: Layer
     consts: PhysConstants = CONSTANTS
 
-    def matrix(self, E: float) -> TransferMatrix:
+    def matrix(self, E: float | np.ndarray) -> TransferMatrix:
         return cell_matrix(E, self.cell, self.outside, self.consts)
 
-    def trace(self, E: float) -> float:
+    def trace(self, E: float | np.ndarray) -> float | np.ndarray:
         return self.matrix(E).trace
-
-    def kard(self, E: float) -> KardParams:
-        return decompose(self.matrix(E))
 
 
 def as_model(
@@ -220,52 +246,87 @@ def band_structure(
 ) -> list[Band]:
     """Allowed bands of the periodic crystal built from this cell.
 
-    Scans the half-trace on the grid samples, brackets every crossing of
-    +-1, and polishes each edge with a root finder.  Bands cut by the scan
-    window are included with the corresponding ``*_is_edge`` flag cleared.
+    Scans the half-trace on the grid samples in one array call, brackets
+    every crossing of +-1, and polishes all edges together by bisection.
+    A band narrower than the sample spacing can hide between two forbidden
+    samples: it is looked for at every sampled local minimum of |Tr M / 2|
+    above 1 and wherever Tr M changes sign between forbidden samples.
+    Bands cut by the scan window are included with the corresponding
+    ``*_is_edge`` flag cleared.
     """
     model = as_model(cell, outside)
     if grid is None:
         raise NumericError("band_structure needs an energy grid to scan")
     samples = grid.samples
-    half = np.array([0.5 * model.trace(float(E)) for E in samples])
-
-    f = lambda E: abs(0.5 * model.trace(E)) - 1.0
+    half = 0.5 * model.trace(samples)
+    f = lambda E: np.abs(0.5 * model.trace(E)) - 1.0
     vals = np.abs(half) - 1.0
-    edges: list[float] = []
-    for i in range(len(samples) - 1):
-        if vals[i] == 0.0:
-            edges.append(float(samples[i]))
-        elif vals[i] * vals[i + 1] < 0.0:
-            edges.append(float(brentq(f, samples[i], samples[i + 1], xtol=edge_tol, rtol=8.9e-16)))
-    if vals[-1] == 0.0:
-        edges.append(float(samples[-1]))
+
+    crossing = vals[:-1] * vals[1:] < 0.0
+    lo, hi = samples[:-1][crossing], samples[1:][crossing]
+    inside, a, b = _hidden_bands(model, samples, half, edge_tol)
+    edges = bisect(f, np.concatenate([lo, a, inside]), np.concatenate([hi, inside, b]), edge_tol)
+    edges = np.sort(np.concatenate([edges, samples[vals == 0.0]]))
 
     e_lo, e_hi = float(samples[0]), float(samples[-1])
-    bounds = [e_lo] + edges + [e_hi]
+    bounds = np.concatenate([[e_lo], edges, [e_hi]])
+    lower, upper = bounds[:-1], bounds[1:]
+    keep = upper - lower >= 10 * edge_tol
+    lower, upper = lower[keep], upper[keep]
+    # The half-trace is monotone across a band (parity * cos(phi_local)
+    # with phi_local increasing), so its direction fixes the parity even
+    # when the window truncates the band.
+    delta = 1e-6 * (upper - lower)
+    mid, first, last = np.split(
+        model.trace(np.concatenate([0.5 * (lower + upper), lower + delta, upper - delta])), 3
+    )
     bands: list[Band] = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]):
-        if hi - lo < 10 * edge_tol:
+    for lo_, hi_, m, t_lo, t_hi in zip(lower, upper, mid, first, last):
+        if abs(0.5 * m) >= 1.0:
             continue
-        mid = 0.5 * (lo + hi)
-        if abs(0.5 * model.trace(mid)) >= 1.0:
-            continue
-        # The half-trace is monotone across a band (parity * cos(phi_local)
-        # with phi_local increasing), so its direction fixes the parity even
-        # when the window truncates the band.
-        delta = 1e-6 * (hi - lo)
-        parity = 1 if model.trace(lo + delta) > model.trace(hi - delta) else -1
         bands.append(
             Band(
                 index=len(bands) + 1,
-                lower=lo,
-                upper=hi,
-                parity=parity,
-                lower_is_edge=lo != e_lo,
-                upper_is_edge=hi != e_hi,
+                lower=float(lo_),
+                upper=float(hi_),
+                parity=1 if t_lo > t_hi else -1,
+                lower_is_edge=bool(lo_ != e_lo),
+                upper_is_edge=bool(hi_ != e_hi),
             )
         )
     return bands
+
+
+def _hidden_bands(
+    model: CellModel, samples: np.ndarray, half: np.ndarray, tol: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bands between two forbidden samples of a scan: (an energy inside
+    each, its bracket's lower and upper ends).  In each bracket the minimum
+    of |half-trace| is hunted by bisection on its slope, stopping at the
+    first energy inside a band."""
+    size = np.abs(half)
+    forbidden = size > 1.0
+    flip = forbidden[:-1] & forbidden[1:] & (half[:-1] * half[1:] < 0.0)
+    dip = np.flatnonzero(forbidden[1:-1] & (size[1:-1] < size[:-2]) & (size[1:-1] <= size[2:]))
+    dip = dip[~flip[dip] & ~flip[dip + 1]]  # a sign change already brackets its band
+    ends = (np.concatenate([samples[:-1][flip], samples[dip]]),
+            np.concatenate([samples[1:][flip], samples[dip + 2]]))
+    lo, hi = ends
+    found = np.full(lo.size, np.nan)
+    live = hi - lo > tol
+    while live.any():
+        mid = 0.5 * (lo + hi)
+        step = 1e-3 * (hi - lo)
+        probes = np.concatenate([mid - step, mid + step])
+        left, right = np.split(np.abs(0.5 * model.trace(probes)), 2)
+        found = np.where(live & (left < 1.0), mid - step, found)
+        found = np.where(live & np.isnan(found) & (right < 1.0), mid + step, found)
+        downhill_left = left < right
+        hi = np.where(live & downhill_left, mid + step, hi)
+        lo = np.where(live & ~downhill_left, mid - step, lo)
+        live &= np.isnan(found) & (hi - lo > tol)
+    hit = ~np.isnan(found)
+    return found[hit], ends[0][hit], ends[1][hit]
 
 
 def band_phase(model: CellModel, band: Band, E: float) -> float:
@@ -276,23 +337,30 @@ def band_phase(model: CellModel, band: Band, E: float) -> float:
     return math.acos(max(-1.0, min(1.0, c)))
 
 
-def energy_at_phase(model: CellModel, band: Band, phi_local: float) -> float:
-    """Energy where the local Bloch phase reaches phi_local (root of the trace)."""
-    if not 0.0 < phi_local < math.pi:
+def energy_at_phase(model: CellModel, band: Band, phi_local):
+    """Energy where the local Bloch phase reaches phi_local (root of the trace).
+
+    ``phi_local`` may be an array; its targets are bisected together.
+    """
+    phi = np.asarray(phi_local, dtype=float)
+    if not np.all((0.0 < phi) & (phi < math.pi)):
         raise NumericError(f"phi_local must be in (0, pi), got {phi_local}")
-    target = math.cos(phi_local) * band.parity
+    target = np.cos(phi) * band.parity
     f = lambda E: 0.5 * model.trace(E) - target
-    return float(brentq(f, band.lower, band.upper, xtol=1e-13, rtol=8.9e-16))
+    lo = np.full(phi.shape, band.lower)
+    hi = np.full(phi.shape, band.upper)
+    roots = bisect(f, lo, hi, 1e-13)
+    return float(roots) if roots.ndim == 0 else roots
 
 
 @dataclass(frozen=True)
 class KardDerivatives:
-    """Energy derivatives of the angles at one in-band energy (per meV)."""
+    """Energy derivatives of the angles at in-band energies (per meV)."""
 
     params: KardParams
-    phi_p: float
-    phi_pp: float
-    mu_p: float
+    phi_p: float | np.ndarray
+    phi_pp: float | np.ndarray
+    mu_p: float | np.ndarray
 
 
 def default_step(band: Band | None = None) -> float:
@@ -304,7 +372,7 @@ def default_step(band: Band | None = None) -> float:
 def kard_derivatives(
     cell: Union[CellModel, CellSpec],
     outside: Layer | None = None,
-    E: float = 0.0,
+    E: float | np.ndarray = 0.0,
     h: float | None = None,
     *,
     band: Band | None = None,
@@ -320,37 +388,46 @@ def kard_derivatives(
         phi'' = -(c'' + cos(phi) phi'^2) / sin(phi)
         mu'   = [g' (1 - c^2) + 2 c c' g] / [(1 - c^2)^2 sinh(2 mu)]
 
-    The stencil must stay inside the band: E +- 2h is checked first.
+    E may be an array: the stencils of all its energies are evaluated in
+    one call of the cell model.  Every stencil must stay inside the band:
+    E +- 2h is checked first.
     """
     model = as_model(cell, outside, consts)
     if h is None:
         h = default_step(band)
-    for probe in (E - 2 * h, E + 2 * h):
-        if abs(model.trace(probe)) >= 2.0:
-            raise NearBandEdgeError(
-                f"derivative stencil at E = {E} +- {2 * h} meV leaves the band"
-            )
-    params = decompose(model.matrix(E))
-    if params.band != "allowed":
-        raise NearBandEdgeError(f"E = {E} meV is in a {params.band} region")
-    c = math.cos(params.phi)
-    s = math.sin(params.phi)
-    cfun = lambda x: 0.5 * model.trace(x)
-    gfun = lambda x: abs(model.matrix(x).m21) ** 2
-    c_p = derivative(cfun, E, h).real
-    c_pp = second_derivative(cfun, E, h)
-    g = gfun(E)
-    g_p = derivative(gfun, E, h).real
+    energies = np.atleast_1d(np.asarray(E, dtype=float))
+    stencil = energies[..., None] + h * STENCIL
+    M = model.matrix(stencil)
+    half = M.m11.real  # c = Tr M / 2
+    probes = np.abs(half[..., [0, -1]]) >= 1.0
+    if probes.any():
+        at = energies[probes.any(axis=-1)].flat[0]
+        raise NearBandEdgeError(f"derivative stencil at E = {at} +- {2 * h} meV leaves the band")
+    params = decompose(TransferMatrix(M.m11[..., 2], M.m21[..., 2]))
+    bad = params.band != "allowed"
+    if bad.any():
+        raise NearBandEdgeError(
+            f"E = {energies[bad].flat[0]} meV is in a {params.band[bad].flat[0]} region")
+    phi, mu = params.phi, params.mu
+    c = np.cos(phi)
+    s = np.sin(phi)
+    c_p, c_pp = stencil_derivatives(half, h)
+    g_all = np.abs(M.m21) ** 2
+    g = g_all[..., 2]
+    g_p, _ = stencil_derivatives(g_all, h)
     phi_p = -c_p / s
     phi_pp = -(c_pp + c * phi_p * phi_p) / s
-    sinh2mu = math.sinh(2.0 * params.mu)
+    sinh2mu = np.sinh(2.0 * mu)
     one_m_c2 = 1.0 - c * c
-    if sinh2mu == 0.0:
-        # mu = 0 means |M21| = 0 exactly.  For a cell with no reflection at
-        # any energy (a free cell) mu' = 0; for a cell transparent at an
-        # isolated energy, mu has a kink and only the combination
-        # tanh(mu) mu' -> 0 is meaningful, so 0 is the right limit either way.
-        mu_p = 0.0
-    else:
+    # mu = 0 means |M21| = 0 exactly.  For a cell with no reflection at any
+    # energy (a free cell) mu' = 0; for a cell transparent at an isolated
+    # energy, mu has a kink and only the combination tanh(mu) mu' -> 0 is
+    # meaningful, so 0 is the right limit either way.
+    with np.errstate(divide="ignore", invalid="ignore"):
         mu_p = (g_p * one_m_c2 + 2.0 * c * c_p * g) / (one_m_c2 * one_m_c2 * sinh2mu)
-    return KardDerivatives(params=params, phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p)
+    mu_p = np.where(sinh2mu == 0.0, 0.0, mu_p)
+    out = (phi, mu, params.chi, phi_p, phi_pp, mu_p)
+    if np.ndim(E) == 0:
+        out = tuple(float(x[0]) for x in out)
+    phi, mu, chi, phi_p, phi_pp, mu_p = out
+    return KardDerivatives(KardParams(phi, mu, chi), phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p)

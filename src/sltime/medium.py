@@ -31,7 +31,6 @@ __all__ = [
     "StackSpec",
     "EnergyGrid",
     "local_wavenumber",
-    "validate_stack",
     "stack_to_dict",
     "stack_from_dict",
     "load_stack",
@@ -159,36 +158,6 @@ class StackSpec:
         return out
 
 
-def validate_stack(stack: StackSpec, consts: PhysConstants = CONSTANTS) -> StackSpec:
-    """Check every invariant of a stack and return it unchanged.
-
-    Dataclass constructors already reject most malformed input; this gathers
-    all violations (useful when a stack comes from a file) and raises one
-    ValidationError listing them.  Idempotent.
-    """
-    problems: list[str] = []
-    try:
-        if stack.replicas < 1:
-            problems.append(f"replicas must be >= 1, got {stack.replicas}")
-    except TypeError:
-        problems.append("replicas is not an integer")
-    for name, cell in (("core", stack.core), ("left_arc", stack.left_arc), ("right_arc", stack.right_arc)):
-        if cell is None:
-            continue
-        for i, layer in enumerate(cell.layers):
-            if not layer.width > 0:
-                problems.append(f"{name} layer {i}: nonpositive width")
-            if not layer.mass_ratio > 0:
-                problems.append(f"{name} layer {i}: nonpositive mass_ratio")
-        if cell.symmetric and not _layers_mirror_equal(cell.layers):
-            problems.append(f"{name}: symmetry flag contradicts layers")
-    if not stack.outside.mass_ratio > 0:
-        problems.append("outside: nonpositive mass_ratio")
-    if problems:
-        raise ValidationError("; ".join(problems))
-    return stack
-
-
 def local_wavenumber(E: float, layer: Layer, consts: PhysConstants = CONSTANTS) -> complex:
     """Complex wavenumber in a uniform layer at energy E.
 
@@ -278,14 +247,13 @@ def stack_from_dict(d: dict) -> StackSpec:
     for key in ("outside", "core", "replicas"):
         if key not in d:
             raise ValidationError(f"stack file missing key '{key}'")
-    stack = StackSpec(
+    return StackSpec(
         core=_cell_from_dict(d["core"]),
         replicas=int(d["replicas"]),
         outside=_layer_from_dict(d["outside"]),
         left_arc=None if d.get("left_arc") is None else _cell_from_dict(d["left_arc"]),
         right_arc=None if d.get("right_arc") is None else _cell_from_dict(d["right_arc"]),
     )
-    return validate_stack(stack)
 
 
 def load_stack(path: str | Path) -> StackSpec:

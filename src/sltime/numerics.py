@@ -1,4 +1,4 @@
-"""Shared numerical helpers: differentiation, quadrature, phase unwrapping.
+"""Shared numerical helpers: differentiation and quadrature.
 
 Energy derivatives use central differences with one Richardson step (the
 five-point stencil), which keeps the truncation error at O(h^4) without
@@ -10,8 +10,6 @@ kink.
 
 from __future__ import annotations
 
-import cmath
-import math
 from typing import Callable, Sequence
 
 import numpy as np
@@ -19,11 +17,15 @@ import numpy as np
 from .errors import NumericError
 
 __all__ = [
+    "STENCIL",
     "derivative",
-    "second_derivative",
+    "stencil_derivatives",
+    "bisect",
     "adaptive_simpson",
-    "unwrap_phases",
 ]
+
+#: Offsets of the five-point stencil, in units of the step h.
+STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
 
 
 def derivative(f: Callable[[float], complex], x: float, h: float) -> complex:
@@ -36,13 +38,40 @@ def derivative(f: Callable[[float], complex], x: float, h: float) -> complex:
     return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2 * h) - f(x - 2 * h))) / (12.0 * h)
 
 
-def second_derivative(f: Callable[[float], float], x: float, h: float) -> float:
-    """d^2 f / d x^2, central five-point stencil, error O(h^4)."""
+def stencil_derivatives(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """First and second derivatives, error O(h^4), from samples of f at
+    x + STENCIL * h along the last axis of ``values``."""
     if h <= 0:
         raise NumericError(f"step must be positive, got {h}")
-    return (
-        -f(x + 2 * h) + 16.0 * f(x + h) - 30.0 * f(x) + 16.0 * f(x - h) - f(x - 2 * h)
-    ) / (12.0 * h * h)
+    fm2, fm1, f0, fp1, fp2 = (values[..., i] for i in range(5))
+    first = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
+    second = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
+    return first, second
+
+
+def bisect(
+    f: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, xtol: float
+) -> np.ndarray:
+    """Roots of f in the brackets [lo, hi], bisected together.
+
+    f maps an array of abscissae to an array of values, element by element;
+    f(lo) and f(hi) must not share a sign.  Every step halves every open
+    bracket with one call to f, until no bracket is wider than ``xtol`` or
+    can still be split in floating point.  Returns the bracket midpoints.
+    """
+    lo = np.array(lo, dtype=float)
+    hi = np.array(hi, dtype=float)
+    f_lo = f(lo)
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (hi - lo > xtol) & (lo < mid) & (mid < hi)
+        if not live.any():
+            return mid
+        f_mid = f(mid)
+        right = live & (np.sign(f_mid) == np.sign(f_lo))
+        lo = np.where(right, mid, lo)
+        f_lo = np.where(right, f_mid, f_lo)
+        hi = np.where(live & ~right, mid, hi)
 
 
 def _simpson(fa: complex, fm: complex, fb: complex, width: float) -> complex:
@@ -92,21 +121,3 @@ def adaptive_simpson(
         panel_tol = tol * (hi - lo) / (b - a)
         total += _adaptive(f, lo, hi, fa, fm, fb, whole, panel_tol, max_depth)
     return total
-
-
-def unwrap_phases(phases: np.ndarray, *, max_jump: float = 0.5 * math.pi) -> np.ndarray:
-    """Continuous phase from principal values sampled on a fine grid.
-
-    After 2*pi unwrapping, any remaining step larger than ``max_jump``
-    means the sampling was too coarse to track the phase; that is reported
-    rather than silently smoothed over.
-    """
-    out = np.unwrap(np.asarray(phases, dtype=float))
-    jumps = np.abs(np.diff(out))
-    if jumps.size and float(jumps.max()) > max_jump:
-        i = int(np.argmax(jumps))
-        raise NumericError(
-            f"phase jump {jumps[i]:.3f} rad between samples {i} and {i + 1} "
-            f"exceeds {max_jump:.3f}; refine the energy grid"
-        )
-    return out

@@ -13,7 +13,8 @@ which makes this model the gold standard for validating the
 finite-difference derivative machinery in kard.kard_derivatives.
 
 The model satisfies the CellModel protocol (trace is the linear law above,
-defined at every energy; matrix exists only on the open band interior), so
+defined at every energy; matrix exists only on the open band interior;
+both take a scalar energy or an array), so
 band structure, timing curves, and resonance analysis all run on it
 unchanged.  It has no spatial profile, so nothing that needs V(x)
 (dwell-time integrals, wave-packet runs) can consume it: those operations
@@ -24,6 +25,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import NearBandEdgeError
 from .kard import KardDerivatives, KardParams, reconstruct
@@ -52,46 +55,47 @@ class PlayModelSpec:
         """Band edges, where cos(phi) reaches +-1."""
         return (self.e_bragg - 1.0 / self.lam, self.e_bragg + 1.0 / self.lam)
 
-    def _require_interior(self, E: float) -> None:
+    def _require_interior(self, E) -> None:
         lo, hi = self.band
-        if not lo < E < hi:
+        E = np.asarray(E)
+        outside = ~((lo < E) & (E < hi))
+        if outside.any():
             raise NearBandEdgeError(
-                f"E = {E} meV is not inside the open band ({lo}, {hi}) meV"
+                f"E = {E[outside].flat[0]} meV is not inside the open band ({lo}, {hi}) meV"
             )
-        if E <= 0.0:
-            raise NearBandEdgeError(f"E = {E} meV must be positive")
+        if (E <= 0.0).any():
+            raise NearBandEdgeError(f"E = {E[E <= 0.0].flat[0]} meV must be positive")
 
     # -- CellModel protocol ------------------------------------------------
 
-    def trace(self, E: float) -> float:
+    def trace(self, E):
         """2 cos(phi), extended by the same linear law at every energy."""
-        return 2.0 * self.lam * (self.e_bragg - E)
+        return 2.0 * self.lam * (self.e_bragg - np.asarray(E, dtype=float))
 
-    def matrix(self, E: float) -> TransferMatrix:
+    def matrix(self, E) -> TransferMatrix:
         return play_matrix(E, self)
-
-    def kard(self, E: float) -> KardParams:
-        return play_kard(E, self)
 
 
 PLAY_MODEL = PlayModelSpec()
 
 
-def play_kard(E: float, spec: PlayModelSpec = PLAY_MODEL) -> KardParams:
-    """Cell angles at energy E, from the two closed-form laws.
+def play_kard(E, spec: PlayModelSpec = PLAY_MODEL) -> KardParams:
+    """Cell angles at energy E (scalar or array), from the two closed-form laws.
 
     The transmission law fixes the cell reflectivity through
     sinh(mu) = sqrt(t2_strength/E) / sin(phi); mu diverges at both band
     edges, where sin(phi) -> 0 while the numerator stays finite.
     """
     spec._require_interior(E)
-    cos_phi = spec.lam * (spec.e_bragg - E)
-    phi = math.acos(cos_phi)
-    sinh_mu = math.sqrt(spec.t2_strength / E) / math.sin(phi)
-    return KardParams(phi=phi, mu=math.asinh(sinh_mu), chi=0.0)
+    E = np.asarray(E, dtype=float)
+    phi = np.arccos(spec.lam * (spec.e_bragg - E))
+    mu = np.arcsinh(np.sqrt(spec.t2_strength / E) / np.sin(phi))
+    if E.ndim == 0:
+        phi, mu = float(phi), float(mu)
+    return KardParams(phi=phi, mu=mu, chi=0.0)
 
 
-def play_matrix(E: float, spec: PlayModelSpec = PLAY_MODEL) -> TransferMatrix:
+def play_matrix(E, spec: PlayModelSpec = PLAY_MODEL) -> TransferMatrix:
     """Cell transfer matrix carrying the model's angles.
 
     Feeds every downstream consumer identically to a potential-derived
@@ -100,7 +104,7 @@ def play_matrix(E: float, spec: PlayModelSpec = PLAY_MODEL) -> TransferMatrix:
     return replace(reconstruct(play_kard(E, spec)), ref_energy=E)
 
 
-def play_eta(E: float, spec: PlayModelSpec = PLAY_MODEL) -> float:
+def play_eta(E, spec: PlayModelSpec = PLAY_MODEL):
     """Single-cell transmission phase, on the branch with eta(E_bragg) = pi/2.
 
     cos(eta) = |t| cos(phi) leaves a quadrant choice; taking eta in (0, pi)
@@ -108,9 +112,11 @@ def play_eta(E: float, spec: PlayModelSpec = PLAY_MODEL) -> float:
     the band center, where both pass through pi/2.
     """
     spec._require_interior(E)
+    E = np.asarray(E, dtype=float)
     cos_phi = spec.lam * (spec.e_bragg - E)
-    t_abs = 1.0 / math.sqrt(1.0 + spec.t2_strength / E)
-    return math.acos(t_abs * cos_phi)
+    t_abs = 1.0 / np.sqrt(1.0 + spec.t2_strength / E)
+    eta = np.arccos(t_abs * cos_phi)
+    return float(eta) if eta.ndim == 0 else eta
 
 
 def play_derivatives(E: float, spec: PlayModelSpec = PLAY_MODEL) -> KardDerivatives:

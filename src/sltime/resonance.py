@@ -111,9 +111,9 @@ def locate_extrema(
     if band is None:
         raise ValidationError("locate_extrema needs the band (run band_structure first)")
     model = as_model(cell, outside, consts)
-    peaks = [energy_at_phase(model, band, m * math.pi / N) for m in range(1, N)]
-    valleys = [energy_at_phase(model, band, (p + 0.5) * math.pi / N) for p in range(N)]
-    return peaks, valleys
+    phases = np.concatenate([np.arange(1, N), np.arange(N) + 0.5]) * math.pi / N
+    energies = energy_at_phase(model, band, phases).tolist()
+    return energies[: N - 1], energies[N - 1 :]
 
 
 def fit_peak(

@@ -36,8 +36,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import diags
-from scipy.sparse.linalg import splu
 
 from .errors import NoTransmissionError, NumericError, ValidationError
 from .medium import CONSTANTS, CellSpec, Layer, PhysConstants, StackSpec
@@ -251,6 +249,11 @@ def evolve(
     the wall check off for closed-box problems whose states legitimately
     live against the walls.
     """
+    # scipy is imported here, not at module level, so that the stationary
+    # commands never pay for loading it
+    from scipy.sparse import diags
+    from scipy.sparse.linalg import splu
+
     x = grid.x
     half_w = 0.5 * stack.width
     if x_sep is None:

@@ -21,7 +21,8 @@ to a transmission valley escapes cosh(mu) times faster.
 Everything here is closed-form in the angles; numerical differentiation of
 the N-cell transmission phase is relegated to the test suite (phase
 unwrapping across sharp resonances is exactly the fragility this module
-exists to avoid).
+exists to avoid).  Energies may be scalars or arrays throughout; sweeps and
+curves evaluate their whole grid in one call of the cell model.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from .kard import (
     decompose,
     kard_derivatives,
 )
-from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants, local_wavenumber
+from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants
 from .tmatrix import amplitudes
 
 __all__ = [
@@ -57,23 +58,15 @@ __all__ = [
 ]
 
 
-def free_time(width: float, E: float, outside: Layer, consts: PhysConstants = CONSTANTS) -> float:
+def free_time(width: float, E, outside: Layer, consts: PhysConstants = CONSTANTS):
     """Classical crossing time (fs) of a free slab of lead material."""
-    k = local_wavenumber(E, outside, consts)
-    if k.real <= 0.0:
+    e_kin = np.asarray(E, dtype=float) - outside.potential
+    if not np.all(np.isfinite(e_kin)):
+        raise ValidationError(f"non-finite energy in {E}")
+    if np.any(e_kin <= 0.0):
         raise NumericError(f"no propagating lead wave at E = {E} meV")
-    return width / consts.velocity(k.real, outside.mass_ratio)
-
-
-def _derivs(
-    cell: Union[CellModel, CellSpec],
-    outside: Layer | None,
-    E: float,
-    h: float | None,
-    band: Band | None,
-    consts: PhysConstants,
-) -> KardDerivatives:
-    return kard_derivatives(cell, outside, E, h, band=band, consts=consts)
+    k = np.sqrt(e_kin * outside.mass_ratio / consts.hbar2_over_2m0)
+    return width / consts.velocity(k, outside.mass_ratio)
 
 
 def bloch_time(
@@ -84,22 +77,22 @@ def bloch_time(
     *,
     band: Band | None = None,
     consts: PhysConstants = CONSTANTS,
-) -> float:
+):
     """Per-cell traversal time hbar phi' (fs) at band-interior energy E."""
-    d = _derivs(cell, outside, E, h, band, consts)
+    d = kard_derivatives(cell, outside, E, h, band=band, consts=consts)
     tau = consts.hbar * d.phi_p
-    if tau <= 0.0:
+    if np.any(tau <= 0.0):
         raise NumericError(f"nonpositive Bloch time at E = {E} meV: phi' = {d.phi_p}")
     return tau
 
 
-def _phase_time_from(d: KardDerivatives, N: int) -> float:
+def _phase_time_from(d: KardDerivatives, N: int, consts: PhysConstants):
     phi, mu = d.params.phi, d.params.mu
-    n_bloch = N * CONSTANTS.hbar * d.phi_p
-    sin_n = math.sin(N * phi)
+    n_bloch = N * consts.hbar * d.phi_p
+    sin_n = np.sin(N * phi)
     # tanh(mu) mu' -> 0 whenever mu -> 0, so a transparent cell is safe here.
-    ripple = math.sin(2.0 * N * phi) * math.tanh(mu) * d.mu_p / (2.0 * N * d.phi_p)
-    return n_bloch * math.cosh(mu) * (1.0 + ripple) / (1.0 + math.sinh(mu) ** 2 * sin_n**2)
+    ripple = np.sin(2.0 * N * phi) * np.tanh(mu) * d.mu_p / (2.0 * N * d.phi_p)
+    return n_bloch * np.cosh(mu) * (1.0 + ripple) / (1.0 + np.sinh(mu) ** 2 * sin_n**2)
 
 
 def phase_time(
@@ -111,11 +104,12 @@ def phase_time(
     *,
     band: Band | None = None,
     consts: PhysConstants = CONSTANTS,
-) -> float:
+):
     """Stationary-phase time hbar d(arg t_N)/dE (fs) for the N-cell array."""
     if N < 1:
         raise ValidationError(f"need at least one cell, got N = {N}")
-    return _phase_time_from(_derivs(cell, outside, E, h, band, consts), N)
+    d = kard_derivatives(cell, outside, E, h, band=band, consts=consts)
+    return _phase_time_from(d, N, consts)
 
 
 def envelopes(
@@ -127,7 +121,7 @@ def envelopes(
     *,
     band: Band | None = None,
     consts: PhysConstants = CONSTANTS,
-) -> tuple[float, float, float]:
+):
     """(env_max, env_min, N tau_Bl) at energy E, all in fs.
 
     env_min is cross-evaluated through the matrix-element identity
@@ -136,14 +130,14 @@ def envelopes(
     means the decomposition and the matrix have drifted apart.
     """
     model = as_model(cell, outside, consts)
-    d = _derivs(model, None, E, h, band, consts)
-    ch = math.cosh(d.params.mu)
+    d = kard_derivatives(model, None, E, h, band=band, consts=consts)
+    ch = np.cosh(d.params.mu)
     bloch_total = N * consts.hbar * d.phi_p
     env_max = bloch_total * ch
     env_min = bloch_total / ch
-    c_p = -d.phi_p * math.sin(d.params.phi)
+    c_p = -d.phi_p * np.sin(d.params.phi)
     m_form = N * consts.hbar * c_p / model.matrix(E).m11.imag
-    if abs(m_form - env_min) > 1e-8 * abs(env_min):
+    if np.any(np.abs(m_form - env_min) > 1e-8 * np.abs(env_min)):
         raise NumericError(
             f"envelope cross-check failed at E = {E} meV: "
             f"{m_form} (matrix form) vs {env_min} (cosh form)"
@@ -182,25 +176,25 @@ def transmission_sweep(
     if N < 1:
         raise ValidationError(f"need at least one cell, got N = {N}")
     model = as_model(cell, outside, consts)
-    n = grid.count
-    t2 = np.empty(n)
-    env = np.full(n, math.nan)
-    for i, E in enumerate(grid.samples):
-        M = model.matrix(float(E))
-        direct = amplitudes(M.power(N)).T
-        p = decompose(M)
-        if p.band == "allowed":
-            closed = 1.0 / (1.0 + math.sinh(p.mu) ** 2 * math.sin(N * p.phi) ** 2)
-            if abs(closed - direct) > 1e-10 * max(closed, direct):
-                raise NumericError(
-                    f"closed-form |t_N|^2 = {closed} disagrees with the "
-                    f"matrix product {direct} at E = {E} meV"
-                )
-            t2[i] = closed
-            env[i] = 1.0 / math.cosh(p.mu) ** 2
-        else:
-            t2[i] = direct
-    return TransmissionSweep(energies=grid.samples.copy(), t2=t2, envelope=env)
+    E = grid.samples
+    M = model.matrix(E)
+    direct = amplitudes(M.power(N)).T
+    p = decompose(M)
+    allowed = p.band == "allowed"
+    with np.errstate(invalid="ignore"):
+        closed = 1.0 / (1.0 + np.sinh(p.mu) ** 2 * np.sin(N * p.phi) ** 2)
+    off = allowed & (np.abs(closed - direct) > 1e-10 * np.maximum(closed, direct))
+    if off.any():
+        i = int(np.flatnonzero(off)[0])
+        raise NumericError(
+            f"closed-form |t_N|^2 = {closed[i]} disagrees with the "
+            f"matrix product {direct[i]} at E = {E[i]} meV"
+        )
+    return TransmissionSweep(
+        energies=E.copy(),
+        t2=np.where(allowed, closed, direct),
+        envelope=np.where(allowed, 1.0 / np.cosh(p.mu) ** 2, math.nan),
+    )
 
 
 @dataclass(frozen=True)
@@ -265,38 +259,21 @@ def timing_curve(
     hi = band.upper if band is not None else float(grid.samples[-1])
     samples = _refined_samples(grid, refine, lo, hi)
 
+    d = kard_derivatives(model, None, samples, h, band=band, consts=consts)
+    phi, mu = d.params.phi, d.params.mu
+    ch = np.cosh(mu)
+    bloch = N * consts.hbar * d.phi_p
+    tau_ph = _phase_time_from(d, N, consts)
     if isinstance(model, PotentialCell):
-        width_total = N * model.cell.width
-        lead = model.outside
+        tau_delay = tau_ph - free_time(N * model.cell.width, samples, model.outside, consts)
     else:
-        width_total = None
-        lead = None
-
-    n = len(samples)
-    t2 = np.empty(n)
-    tau_ph = np.empty(n)
-    tau_delay = np.full(n, math.nan)
-    bloch = np.empty(n)
-    env_hi = np.empty(n)
-    env_lo = np.empty(n)
-    for i, E in enumerate(samples):
-        E = float(E)
-        d = _derivs(model, None, E, h, band, consts)
-        phi, mu = d.params.phi, d.params.mu
-        ch = math.cosh(mu)
-        bloch[i] = N * consts.hbar * d.phi_p
-        env_hi[i] = bloch[i] * ch
-        env_lo[i] = bloch[i] / ch
-        tau_ph[i] = _phase_time_from(d, N)
-        t2[i] = 1.0 / (1.0 + math.sinh(mu) ** 2 * math.sin(N * phi) ** 2)
-        if width_total is not None:
-            tau_delay[i] = tau_ph[i] - free_time(width_total, E, lead, consts)
+        tau_delay = np.full(len(samples), math.nan)
     return TimingCurve(
         energies=samples,
-        t2=t2,
+        t2=1.0 / (1.0 + np.sinh(mu) ** 2 * np.sin(N * phi) ** 2),
         tau_ph=tau_ph,
         tau_ph_delay=tau_delay,
         tau_bloch_total=bloch,
-        env_max=env_hi,
-        env_min=env_lo,
+        env_max=bloch * ch,
+        env_min=bloch / ch,
     )

@@ -152,3 +152,60 @@ def test_derivative_stencil_guard_near_edge(play_band):
 def test_band_structure_requires_grid():
     with pytest.raises(NumericError):
         band_structure(representative_cell(), OUT)
+
+
+#: The first two bands of the representative cell in the CLI's scan window,
+#: as the scan reported them before it looked between its samples.
+REP_BANDS = [(51.7085428790002, 65.36148366986207, 1), (197.23859734858505, 263.6064817167307, -1)]
+
+
+def test_band_scan_splits_out_a_band_narrower_than_its_spacing():
+    """2.5 nm wells around a 12 nm barrier: band 1 is 0.038 meV wide and lies
+    between two forbidden samples of the CLI's 0.05 meV scan."""
+    well, barrier = Layer(2.5, 0.0, 0.067), Layer(12.0, 290.0, 0.0919)
+    cell = CellSpec((well, barrier, well), symmetric=True)
+    bands = band_structure(cell, OUT, grid=EnergyGrid.linear(1.0, 300.0, 6000))
+    assert bands[0].index == 1
+    assert bands[0].lower == pytest.approx(80.705, abs=5e-4)
+    assert bands[0].upper == pytest.approx(80.743, abs=5e-4)
+    assert bands[1].lower == pytest.approx(274.4031432346906, abs=1e-9)
+    model = as_model(cell, OUT)
+    for E in (bands[0].lower, bands[0].upper):
+        assert abs(model.trace(E)) == pytest.approx(2.0, abs=1e-9)
+
+
+def test_band_scan_keeps_the_representative_bands():
+    bands = band_structure(representative_cell(), OUT, grid=EnergyGrid.linear(1.0, 300.0, 6000))
+    assert len(bands) == len(REP_BANDS)
+    for band, (lower, upper, parity) in zip(bands, REP_BANDS):
+        assert band.lower == pytest.approx(lower, abs=1e-9)
+        assert band.upper == pytest.approx(upper, abs=1e-9)
+        assert band.parity == parity
+
+
+class _Dip:
+    """Half-trace floor + 400 (E - E0)^2 / meV^2: below 1 only within
+    sqrt((1 - floor) / 400) of E0, and never changing sign."""
+
+    def __init__(self, E0: float, floor: float):
+        self.E0, self.floor = E0, floor
+
+    def trace(self, E):
+        return 2.0 * (self.floor + 400.0 * (np.asarray(E) - self.E0) ** 2)
+
+    def matrix(self, E):
+        raise NotImplementedError
+
+
+@pytest.mark.parametrize("floor, found", [(0.9, True), (1.05, False)])
+def test_band_scan_looks_inside_a_local_minimum_of_the_trace(floor, found):
+    grid = EnergyGrid.linear(1.0, 300.0, 6000)
+    E0 = 0.5 * (grid.samples[1980] + grid.samples[1981])  # midway between samples
+    bands = band_structure(_Dip(E0, floor), grid=grid)
+    if not found:
+        assert bands == []
+        return
+    half_width = math.sqrt((1.0 - floor) / 400.0)
+    assert len(bands) == 1
+    assert bands[0].lower == pytest.approx(E0 - half_width, abs=1e-9)
+    assert bands[0].upper == pytest.approx(E0 + half_width, abs=1e-9)

@@ -14,8 +14,15 @@ from hypothesis import given, strategies as st
 
 from conftest import play_energies
 from sltime.errors import NearBandEdgeError, NumericError, ValidationError
-from sltime.kard import as_model, energy_at_phase
-from sltime.medium import CONSTANTS, EnergyGrid, Layer, CellSpec, representative_cell
+from sltime.kard import PotentialCell, as_model, band_structure, energy_at_phase
+from sltime.medium import (
+    CONSTANTS,
+    CellSpec,
+    EnergyGrid,
+    Layer,
+    PhysConstants,
+    representative_cell,
+)
 from sltime.playmodel import PLAY_MODEL
 from sltime.timing import (
     bloch_time,
@@ -151,3 +158,17 @@ def test_argument_validation():
     with pytest.raises(ValidationError):
         timing_curve(PLAY_MODEL, None, 9, EnergyGrid.linear(55.0, 70.0, 10),
                      refine=[(62.5, -1.0)])
+
+
+@given(st.floats(300.0, 1500.0), st.floats(20.0, 80.0), st.integers(2, 9))
+def test_timing_follows_the_callers_constants(hbar, c2, N):
+    """tau_ph touches env_max at a transmission maximum, and env_max env_min =
+    (N tau_Bl)^2, whatever the constants: every time scales with their hbar."""
+    consts = PhysConstants(hbar=hbar, hbar2_over_2m0=c2)
+    model = PotentialCell(representative_cell(), OUT, consts)
+    band = band_structure(model, grid=EnergyGrid.linear(1.0, 300.0, 3000))[0]
+    E = energy_at_phase(model, band, math.pi / N)
+    env_max, env_min, n_bloch = envelopes(model, None, N, E, band=band, consts=consts)
+    tau = phase_time(model, None, N, E, band=band, consts=consts)
+    assert tau == pytest.approx(env_max, rel=1e-9)
+    assert env_max * env_min == pytest.approx(n_bloch**2, rel=1e-12)
