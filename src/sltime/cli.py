@@ -53,7 +53,8 @@ from .timing import bloch_time, free_time, timing_curve, transmission_sweep
 from .tmatrix import amplitudes
 
 #: Scan window wide enough to catch the first few minibands of any stack
-#: this tool targets; band edges inside it are polished to 1e-12 meV.
+#: this tool targets; band edges inside it are polished to 1e-12 meV.  Its
+#: start is counted from the lead band bottom (``_lead_bottom``).
 _SCAN = (1.0, 300.0, 6000)
 
 
@@ -115,37 +116,45 @@ def _load_model(args) -> tuple[object, StackSpec | None, int]:
     return as_model(stack.core, stack.outside), stack, n
 
 
+def _lead_bottom(model) -> float:
+    """Lead band bottom (meV): no state propagates in the leads at or below it."""
+    lead = getattr(model, "outside", None)  # the play model has no lead layer
+    return 0.0 if lead is None else lead.potential
+
+
 def _pick_band(model, index: int) -> Band:
-    bands = band_structure(model, grid=EnergyGrid.linear(*_SCAN))
+    lo = _SCAN[0] + _lead_bottom(model)
+    bands = band_structure(model, grid=EnergyGrid.linear(lo, *_SCAN[1:]))
     if len(bands) < index:
         raise NumericError(
-            f"only {len(bands)} allowed band(s) in the {_SCAN[0]}-{_SCAN[1]} meV window, "
+            f"only {len(bands)} allowed band(s) in the {lo}-{_SCAN[1]} meV window, "
             f"band {index} requested"
         )
     return bands[index - 1]
 
 
-def _grid_from_args(args, band: Band | None, default_count: int, margin: float = 5e-3) -> EnergyGrid:
-    e_min, e_max = args.emin, args.emax
-    if e_min is None or e_max is None:
-        if band is None:
-            raise ValidationError("--emin/--emax required when no band is available")
-        lo, hi = band.interior(margin)
-        e_min = lo if e_min is None else e_min
-        e_max = hi if e_max is None else e_max
-    count = args.count if args.count else default_count
-    return EnergyGrid.linear(e_min, e_max, count)
+def _grid_from_args(args, model, band: Band, default_count: int) -> EnergyGrid:
+    lo, hi = band.interior(5e-3)
+    e_min = lo if args.emin is None else args.emin
+    e_max = hi if args.emax is None else args.emax
+    return EnergyGrid.linear(e_min, e_max, args.count or default_count, _lead_bottom(model))
+
+
+def _sweep_grid(args, model, default_count: int) -> EnergyGrid:
+    """`kard`/`transmission` grid; by default the play band or scan window less 0.05 meV."""
+    if args.emin is None or args.emax is None:
+        lo, hi = PLAY_MODEL.band if args.play else (_SCAN[0] + _lead_bottom(model), _SCAN[1])
+        args.emin = lo + 0.05 if args.emin is None else args.emin
+        args.emax = hi - 0.05 if args.emax is None else args.emax
+    return EnergyGrid.linear(args.emin, args.emax, args.count or default_count,
+                             _lead_bottom(model))
 
 
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_kard(args) -> None:
     model, _, _ = _load_model(args)
-    if args.emin is None or args.emax is None:
-        lo, hi = (PLAY_MODEL.band if args.play else (_SCAN[0], _SCAN[1]))
-        args.emin = lo + 0.05 if args.emin is None else args.emin
-        args.emax = hi - 0.05 if args.emax is None else args.emax
-    grid = EnergyGrid.linear(args.emin, args.emax, args.count or 1200)
+    grid = _sweep_grid(args, model, 1200)
     M = model.matrix(grid.samples)
     p = decompose(M, continuous=True)
     rows = zip(grid.samples, 0.5 * model.trace(grid.samples), p.phi, p.mu, p.chi, p.band)
@@ -155,11 +164,7 @@ def _cmd_kard(args) -> None:
 
 def _cmd_transmission(args) -> None:
     model, _, n = _load_model(args)
-    if args.emin is None or args.emax is None:
-        lo, hi = (PLAY_MODEL.band if args.play else (_SCAN[0], _SCAN[1]))
-        args.emin = lo + 0.05 if args.emin is None else args.emin
-        args.emax = hi - 0.05 if args.emax is None else args.emax
-    grid = EnergyGrid.linear(args.emin, args.emax, args.count or 2400)
+    grid = _sweep_grid(args, model, 2400)
     sw = transmission_sweep(model, None, n, grid)
     rows = zip(sw.energies, sw.t2, sw.envelope)
     _write_csv(args.output, _config_header(args), ["E_meV", "T_N", "env_min"], rows)
@@ -168,7 +173,7 @@ def _cmd_transmission(args) -> None:
 def _cmd_phasetime(args) -> None:
     model, _, n = _load_model(args)
     band = _pick_band(model, args.band)
-    grid = _grid_from_args(args, band, default_count=800)
+    grid = _grid_from_args(args, model, band, default_count=800)
     curve = timing_curve(model, None, n, grid, band=band, h=args.h)
     rows = zip(curve.energies, curve.t2, curve.tau_ph, curve.env_max,
                curve.env_min, curve.tau_bloch_total)
@@ -181,7 +186,7 @@ def _cmd_dwell(args) -> None:
     stack = load_stack(args.stack)
     model = as_model(stack.core, stack.outside)
     band = _pick_band(model, args.band)
-    grid = _grid_from_args(args, band, default_count=160)
+    grid = _grid_from_args(args, model, band, default_count=160)
     rows = []
     for E in grid.samples:
         E = float(E)
@@ -208,7 +213,7 @@ def _cmd_resonances(args) -> None:
                ["kind", "index", "E_meV", "Gamma_meV", "b_or_C", "D", "tau_fs",
                 "edge_degraded"], rows)
     if args.curves:
-        grid = _grid_from_args(args, band, default_count=1600)
+        grid = _grid_from_args(args, model, band, default_count=1600)
         ap = approx_curves(model, None, n, band, grid, h=args.h)
         _write_csv(args.curves, _config_header(args),
                    ["E_meV", "T_approx", "tau_approx_fs"],

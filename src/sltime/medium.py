@@ -175,9 +175,11 @@ def local_wavenumber(E: float, layer: Layer, consts: PhysConstants = CONSTANTS) 
 
 @dataclass(frozen=True)
 class EnergyGrid:
-    """Strictly increasing energy samples, all above the lead band bottom."""
+    """Strictly increasing energy samples, all above the lead band bottom
+    ``band_bottom`` (meV; 0 for the usual unbiased leads)."""
 
     samples: np.ndarray
+    band_bottom: float = 0.0
 
     def __post_init__(self) -> None:
         samples = np.asarray(self.samples, dtype=float)
@@ -186,16 +188,18 @@ class EnergyGrid:
             raise ValidationError("grid needs at least 2 samples")
         if not np.all(np.diff(samples) > 0):
             raise ValidationError("grid samples must be strictly increasing")
-        if samples[0] <= 0:
-            raise ValidationError("grid samples must be positive (above lead band bottom)")
+        if samples[0] <= self.band_bottom:
+            raise ValidationError(f"grid starts at {samples[0]} meV, at or below the lead "
+                                  f"band bottom ({self.band_bottom} meV)")
 
     @classmethod
-    def linear(cls, e_min: float, e_max: float, count: int) -> "EnergyGrid":
+    def linear(cls, e_min: float, e_max: float, count: int,
+               band_bottom: float = 0.0) -> "EnergyGrid":
         if not e_min < e_max:
             raise ValidationError(f"need e_min < e_max, got [{e_min}, {e_max}]")
         if count < 2:
             raise ValidationError(f"count must be >= 2, got {count}")
-        return cls(np.linspace(e_min, e_max, count))
+        return cls(np.linspace(e_min, e_max, count), band_bottom)
 
     @property
     def e_min(self) -> float:

@@ -220,14 +220,15 @@ def _refined_samples(
 ) -> np.ndarray:
     """Merge the base grid with dense windows around sharp features.
 
-    Each (center, width) pair contributes a local grid of 40 samples per
-    width over +-3 widths, clipped to (lo, hi); duplicates are dropped.
+    Each (center, width) pair contributes 240 samples, center + width k/40
+    for k in [-120, 120), so center +- width are exact samples; they are
+    clipped to (lo, hi) and duplicates are dropped.
     """
     pieces = [np.asarray(grid.samples, dtype=float)]
     for center, width in refine:
         if width <= 0.0:
             raise ValidationError(f"nonpositive refinement width {width}")
-        local = np.arange(center - 3.0 * width, center + 3.0 * width, width / 40.0)
+        local = center + width * (np.arange(-120, 120) / 40.0)
         pieces.append(local[(local > lo) & (local < hi)])
     merged = np.unique(np.concatenate(pieces))
     return merged[(merged >= lo) & (merged <= hi)]

@@ -173,3 +173,20 @@ def test_arc_design_then_evaluate(tmp_path, capsys):
     assert ev["has_arcs"] is True
     assert ev["avg_T"] == pytest.approx(0.7940166790988143, rel=1e-9)
     assert ev["avg_T_core_only"] == pytest.approx(0.14476127374975292, rel=1e-9)
+
+
+@pytest.mark.parametrize("command", ["kard", "transmission"])
+def test_grid_below_raised_lead_band_bottom_exits_3(command, capsys, tmp_path):
+    """--emin at or below a non-zero lead band bottom is an input error."""
+    data = json.loads(open(STACK).read())
+    data["outside"]["V_meV"] = 10.0
+    raised = tmp_path / "raised.json"
+    raised.write_text(json.dumps(data))
+    code = main([command, "--stack", str(raised), "--emin", "5", "--emax", "80",
+                 "-o", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert "lead band bottom (10.0 meV)" in capsys.readouterr().err
+    # the default window starts above the raised band bottom
+    assert main([command, "--stack", str(raised), "--count", "40",
+                 "-o", str(tmp_path / "out.csv")]) == 0
+    assert _read_csv(tmp_path / "out.csv")["E_meV"][0] > 10.0

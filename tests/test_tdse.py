@@ -8,6 +8,10 @@ discretization.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,6 +26,8 @@ from sltime.tdse import (
     Grid1D,
     PacketRecord,
     WavePacket,
+    _hamiltonian_diagonals,
+    _material_arrays,
     evolve,
     free_reference,
     initial_state,
@@ -31,6 +37,7 @@ from sltime.tdse import (
     stationary_packet_delay,
 )
 
+ROOT = Path(__file__).resolve().parent.parent
 LEAD = Layer(9.5, 0.0, 0.067)
 
 
@@ -102,6 +109,97 @@ def test_plan_run_geometry():
     longer, *_ = plan_run(stack, 58.5, sigma_x=40.0, extra_time=3000.0)
     assert longer.n_steps > grid.n_steps
     assert longer.t_final >= grid.t_final + 3000.0 - 1.0
+
+
+def test_step_matches_dense_crank_nicolson():
+    """Each step against numpy's dense solve of (1 + i lam H) psi' = (1 - i lam H) psi.
+
+    Mass steps make the off-diagonal non-uniform, and the -4 eV well makes
+    the factorization pivot (checked below), so a mis-wired factor or
+    pivot, a shifted band, or a step other than 2 A^-1 psi - psi all show
+    up in psi_final.
+    """
+    from scipy.linalg.lapack import zgttrf
+
+    well = CellSpec((Layer(2.0, 250.0, 0.092), Layer(1.5, -4000.0, 0.05),
+                     Layer(2.0, 250.0, 0.092)), symmetric=True)
+    stack = StackSpec(core=well, replicas=2, outside=LEAD)
+    grid = Grid1D(x_min=-100.0, x_max=100.0, dx=0.5, dt=1.0, n_steps=50)
+    packet = WavePacket(x0=-35.0, E0=100.0, sigma_x=6.0)
+    rec = evolve(stack, grid, packet)
+
+    diag, off = _hamiltonian_diagonals(stack, grid, CONSTANTS)
+    lam = 0.5 * grid.dt / CONSTANTS.hbar
+    *_, du2, ipiv, _ = zgttrf(1j * lam * off, 1.0 + 1j * lam * diag, 1j * lam * off)
+    assert np.any(du2 != 0.0) and np.any(ipiv != np.arange(1, grid.n_points + 1))
+    lam_h = 1j * lam * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    one = np.eye(grid.n_points)
+    x = grid.x
+    beyond = x > rec.x_sep
+    psi = initial_state(grid, packet, LEAD)
+    probs, centroids = [], []
+    for i in range(grid.n_steps + 1):
+        if i:
+            psi = np.linalg.solve(one + lam_h, (one - lam_h) @ psi)
+        dens = np.abs(psi[beyond]) ** 2
+        probs.append(grid.dx * dens.sum())
+        centroids.append(np.sum(x[beyond] * dens) / dens.sum())
+    assert np.abs(rec.psi_final - psi).max() <= 1e-12
+    assert rec.transmitted_fraction > 1e-5  # the transmitted portion is really there
+    np.testing.assert_allclose(rec.beyond_prob, probs, rtol=1e-10, atol=1e-16)
+    np.testing.assert_allclose(rec.centroid, centroids, rtol=0.0, atol=1e-9)
+    assert rec.norm_drift < 1e-12
+
+
+def test_evolve_loads_no_sparse_module():
+    """The stepping needs LAPACK only: no scipy.sparse module is imported."""
+    script = (
+        "import sys\n"
+        "from sltime.medium import representative_stack\n"
+        "from sltime.tdse import evolve, plan_run\n"
+        "stack = representative_stack()\n"
+        "grid, packet, x_sep, _ = plan_run(stack, 58.5, sigma_x=10.0, dx=1.0, dt=4.0)\n"
+        "evolve(stack, grid, packet, x_sep)\n"
+        "print(' '.join(sorted(sys.modules)))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True,
+        timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    loaded = proc.stdout.split()
+    assert "scipy.linalg.lapack" in loaded  # the listing really covers the solver
+    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+
+
+def test_plan_run_left_wall_follows_the_reflected_packet():
+    """The left wall moves right by whole cells, from where it sat when it
+    was sized for a reflection starting at x0 (mirror image of the right
+    wall about x0), and keeps the lattice aligned with the interfaces."""
+    stack = representative_stack()
+    for sigma_x, dx in ((40.0, 0.25), (90.0, 0.5), (25.0, 0.3)):
+        grid, packet, *_ = plan_run(stack, 58.5, sigma_x=sigma_x, dx=dx)
+        untrimmed = Grid1D(2.0 * packet.x0 - grid.x_max, grid.x_max, dx, grid.dt, grid.n_steps)
+        cells = (grid.x_min - untrimmed.x_min) / dx
+        assert cells == pytest.approx(round(cells), abs=1e-9)
+        cells = round(cells)
+        assert cells == math.floor(2.0 * (-0.5 * stack.width - packet.x0) / dx)
+        assert untrimmed.n_points - grid.n_points == cells
+        V, m = _material_arrays(stack, grid.x, CONSTANTS)
+        V_old, m_old = _material_arrays(stack, untrimmed.x[cells:], CONSTANTS)
+        assert np.array_equal(V, V_old) and np.array_equal(m, m_old)
+        assert grid.x_min < packet.x0 - 5.0 * packet.sigma_x
+
+
+def test_trimmed_domain_holds_a_trapped_reflection():
+    """A run lengthened for resonance trapping keeps its reflected packet off
+    the left wall: the 1e-10 wall monitor stays quiet for the whole run."""
+    stack = representative_stack()
+    grid, packet, x_sep, _ = plan_run(stack, 52.81, sigma_x=25.0, dx=0.5, dt=2.0,
+                                      extra_time=1000.0)
+    rec = evolve(stack, grid, packet, x_sep)
+    assert 0.0 < rec.transmitted_fraction < 1.0
+    assert rec.norm_drift < 1e-9
 
 
 def test_wall_monitor_trips_on_undersized_domain():

@@ -25,6 +25,7 @@ from sltime.medium import (
 )
 from sltime.playmodel import PLAY_MODEL
 from sltime.timing import (
+    _refined_samples,
     bloch_time,
     envelopes,
     free_time,
@@ -140,6 +141,14 @@ def test_timing_curve_identities_and_refinement(rep_band):
     E = float(curve.energies[i])
     expect = curve.tau_ph[i] - free_time(5 * 9.5, E, OUT)
     assert curve.tau_ph_delay[i] == pytest.approx(expect, rel=1e-12)
+
+
+def test_refinement_window_count_ignores_the_last_bit_of_the_width():
+    """Every window holds 240 samples; a width one ulp larger must not add one."""
+    base = EnergyGrid.linear(40.0, 70.0, 3)
+    for width in np.linspace(0.01, 0.3, 400):
+        for w in (width, np.nextafter(width, np.inf)):
+            assert len(_refined_samples(base, [(52.81, w)], 40.0, 70.0)) == 3 + 240
 
 
 def test_timing_curve_model_cell_has_nan_delay(play_band):
