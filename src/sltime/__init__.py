@@ -52,7 +52,8 @@ from .timing import (
     timing_curve,
     transmission_sweep,
 )
-from .resonance import PeakFit, ValleyFit, approx_curves, fit_peak, fit_valley, locate_extrema
+from .resonance import (PeakFit, ValleyFit, approx_curves, fit_extrema, fit_peak, fit_valley,
+                        locate_extrema)
 from .scattering import (
     DwellResult,
     SmithMatrix,
@@ -116,6 +117,7 @@ __all__ = [
     "locate_extrema",
     "fit_peak",
     "fit_valley",
+    "fit_extrema",
     "approx_curves",
     "DwellResult",
     "SmithMatrix",

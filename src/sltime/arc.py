@@ -31,8 +31,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .kard import Band, PotentialCell, decompose, energy_at_phase
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants, StackSpec
-from .numerics import derivative
-from .tmatrix import TransferMatrix, amplitudes, cell_matrix, compose, stack_matrix
+from .tmatrix import TransferMatrix, amplitudes, cell_matrix, compose, energy_jet, stack_matrix
 
 __all__ = [
     "ArcDesign",
@@ -104,22 +103,18 @@ def band_average_transmission(
 
 
 def stack_phase_time(
-    stack: StackSpec, E: float | np.ndarray, h: float = 1e-3, consts: PhysConstants = CONSTANTS
+    stack: StackSpec, E: float | np.ndarray, consts: PhysConstants = CONSTANTS
 ):
     """Stationary-phase crossing time hbar d(arg t)/dE of the whole stack, fs.
 
     Works for any stack (end cells included), unlike the single-band
     formulas in ``timing`` which exploit the periodicity of the bare core.
-    The phase is cell-referenced, so this is the crossing time, not the
-    delay over free propagation.
+    dt/dE is exact, from the stack matrix at a jet energy.  The phase is
+    cell-referenced, so this is the crossing time, not the delay over free
+    propagation.
     """
-
-    def t_of(e):
-        return amplitudes(stack_matrix(e, stack, consts)).t
-
-    t = t_of(E)
-    dt = derivative(t_of, E, h)
-    return consts.hbar * (t.conjugate() * dt).imag / abs(t) ** 2
+    t = amplitudes(stack_matrix(energy_jet(E), stack, consts)).t
+    return consts.hbar * (t.v.conjugate() * t.d1).imag / abs(t.v) ** 2
 
 
 def _scaled_cell(core: CellSpec, width_scale: float, barrier_scale: float) -> CellSpec:

@@ -39,7 +39,7 @@ from .medium import (
     stack_to_dict,
 )
 from .playmodel import PLAY_MODEL, play_eta, play_kard, play_matrix
-from .resonance import approx_curves, fit_peak, fit_valley
+from .resonance import approx_curves, fit_extrema
 from .scattering import dwell_time, smith_matrix
 from .tdse import (
     evolve,
@@ -174,7 +174,7 @@ def _cmd_phasetime(args) -> None:
     model, _, n = _load_model(args)
     band = _pick_band(model, args.band)
     grid = _grid_from_args(args, model, band, default_count=800)
-    curve = timing_curve(model, None, n, grid, band=band, h=args.h)
+    curve = timing_curve(model, None, n, grid, band=band)
     rows = zip(curve.energies, curve.t2, curve.tau_ph, curve.env_max,
                curve.env_min, curve.tau_bloch_total)
     _write_csv(args.output, _config_header(args),
@@ -190,8 +190,8 @@ def _cmd_dwell(args) -> None:
     rows = []
     for E in grid.samples:
         E = float(E)
-        r = dwell_time(stack, E, x_left=args.xl, x_right=args.xr, h=args.h or 1e-3)
-        q = smith_matrix(stack, E, h=args.h or 1e-3)
+        r = dwell_time(stack, E, x_left=args.xl, x_right=args.xr)
+        q = smith_matrix(stack, E)
         rows.append((E, r.dwell_time, r.oscillatory_term, r.tau_numeric, q.tau11))
     _write_csv(args.output, _config_header(args),
                ["E_meV", "tau_dwell_fs", "tau_osc_fs", "tau_numeric_fs", "tau11_fs"],
@@ -201,8 +201,7 @@ def _cmd_dwell(args) -> None:
 def _cmd_resonances(args) -> None:
     model, _, n = _load_model(args)
     band = _pick_band(model, args.band)
-    peaks = [fit_peak(model, None, n, m, band=band, h=args.h) for m in range(1, n)]
-    valleys = [fit_valley(model, None, n, p, band=band, h=args.h) for p in range(n)]
+    peaks, valleys = fit_extrema(model, None, n, band)
     rows = []
     for pk in peaks:
         rows.append(("peak", pk.m, pk.E_m, pk.Gamma_m, pk.b_m, math.nan, pk.tau_peak, False))
@@ -214,7 +213,7 @@ def _cmd_resonances(args) -> None:
                 "edge_degraded"], rows)
     if args.curves:
         grid = _grid_from_args(args, model, band, default_count=1600)
-        ap = approx_curves(model, None, n, band, grid, h=args.h)
+        ap = approx_curves(model, None, n, band, grid)
         _write_csv(args.curves, _config_header(args),
                    ["E_meV", "T_approx", "tau_approx_fs"],
                    zip(ap.energies, ap.t2, ap.tau_ph))
@@ -236,7 +235,8 @@ def _eta_n(grid: np.ndarray, n: int) -> np.ndarray:
 
 def _play_figure(figure: int, count: int):
     band = _play_band()
-    # Margin clears the 5-point derivative stencil (2h = 0.05 meV) at both ends.
+    # Samples keep 5e-3 of the band width (0.125 meV) clear of each edge,
+    # where mu and the phase time diverge.
     lo, hi = band.interior(5e-3)
     n = 9
     if figure == 1:
@@ -395,7 +395,7 @@ def _cmd_reproduce(args) -> None:
     band = _pick_band(model, 1)
     n = stack.replicas
     if k in (7, 8):
-        peaks = [fit_peak(model, None, n, m, band=band) for m in range(1, n)]
+        peaks, _ = fit_extrema(model, None, n, band)
         curve = timing_curve(model, None, n, EnergyGrid.linear(*band.interior(5e-3), 1600),
                              band=band, refine=[(pk.E_m, pk.Gamma_m) for pk in peaks])
         if k == 7:
@@ -455,8 +455,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emax", type=float, default=None, help="sweep end (meV)")
     p.add_argument("--count", type=int, default=None, help="number of samples")
     p.add_argument("--band", type=int, default=1, help="allowed-band index (1-based)")
-    p.add_argument("--h", type=float, default=None,
-                   help="finite-difference step override (meV)")
     p.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
 
 

@@ -2,7 +2,7 @@
 
 Validation errors cover malformed inputs (bad layer widths, contradictory
 symmetry flags, broken stack files).  Numeric errors cover runtime failures
-of the numerical machinery (derivative stencils straddling a band edge,
+of the numerical machinery (cell angles asked for outside an allowed band,
 quadrature that refuses to converge, unstable time stepping).  The CLI maps
 the two families to distinct exit codes.
 """
@@ -21,7 +21,8 @@ class NumericError(SltimeError):
 
 
 class NearBandEdgeError(NumericError):
-    """A finite-difference stencil would cross an allowed-band edge."""
+    """An energy at or beyond the edges of its allowed band, where the cell
+    angles (phi, mu) and their energy derivatives do not exist."""
 
 
 class NoTransmissionError(NumericError):

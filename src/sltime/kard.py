@@ -19,7 +19,9 @@ allowed classification.
 
 Energy derivatives are taken through the two smooth real functions
 c = Tr M / 2 and g = |M21|^2 rather than through phi and mu directly,
-which avoids branch cuts and |.| kinks entirely.
+which avoids branch cuts and |.| kinks entirely.  Their derivatives are
+exact: a potential cell propagates them through its layer product
+(``tmatrix.Jet``), the closed-form model differentiates its two laws.
 
 Matrices, angles and derivatives may hold one energy or an array of them;
 array inputs give array fields, scalar inputs plain floats.
@@ -35,8 +37,8 @@ import numpy as np
 
 from .errors import NearBandEdgeError, NumericError
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants
-from .numerics import STENCIL, bisect, stencil_derivatives
-from .tmatrix import TransferMatrix, _complex, cell_matrix
+from .numerics import bisect
+from .tmatrix import TransferMatrix, _complex, cell_matrix, energy_jet
 
 __all__ = [
     "KardParams",
@@ -174,13 +176,17 @@ class CellModel(Protocol):
     Band structure, timing curves, and resonance analysis are written
     against this interface, so a potential cell and a closed-form model cell
     are interchangeable.  ``trace`` must be smooth across band edges (the
-    matrix itself need not exist there).  Both take a scalar energy or an
-    array of energies, and answer in kind.
+    matrix itself need not exist there).  ``derivatives`` returns the
+    matrix together with the exact energy derivatives c', c'' of
+    c = Tr M / 2 and g' of g = |M21|^2; without ``second`` c'' may be nan.
+    All take a scalar energy or an array of energies, and answer in kind.
     """
 
     def trace(self, E: float | np.ndarray) -> float | np.ndarray: ...
 
     def matrix(self, E: float | np.ndarray) -> TransferMatrix: ...
+
+    def derivatives(self, E: float | np.ndarray, second: bool) -> tuple: ...
 
 
 @dataclass(frozen=True)
@@ -196,6 +202,13 @@ class PotentialCell:
 
     def trace(self, E: float | np.ndarray) -> float | np.ndarray:
         return self.matrix(E).trace
+
+    def derivatives(self, E: float | np.ndarray, second: bool) -> tuple:
+        J = cell_matrix(energy_jet(E, second), self.cell, self.outside, self.consts)
+        m11, m21 = J.m11, J.m21
+        g_p = 2.0 * (m21.v.real * m21.d1.real + m21.v.imag * m21.d1.imag)
+        c_pp = m11.d2.real if second else math.nan
+        return TransferMatrix(m11.v, m21.v, E, self.cell.width), m11.d1.real, c_pp, g_p
 
 
 def as_model(
@@ -363,17 +376,15 @@ class KardDerivatives:
     mu_p: float | np.ndarray
 
 
-def default_step(band: Band | None = None) -> float:
-    """Derivative step: 1e-3 of the band width, clamped to [1e-4, 1e-1] meV."""
-    width = band.width if band is not None else 25.0
-    return min(1e-1, max(1e-4, 1e-3 * width))
+def _reject(E, bad, what: str) -> None:
+    if np.any(bad):
+        raise NearBandEdgeError(f"E = {np.asarray(E)[bad].flat[0]} meV is {what}")
 
 
 def kard_derivatives(
     cell: Union[CellModel, CellSpec],
     outside: Layer | None = None,
     E: float | np.ndarray = 0.0,
-    h: float | None = None,
     *,
     band: Band | None = None,
     consts: PhysConstants = CONSTANTS,
@@ -381,40 +392,34 @@ def kard_derivatives(
     """phi', phi'', mu' at energy E, via the smooth functions c(E) and g(E).
 
     c = Tr M / 2 = cos(phi) and g = |M21|^2 = sin^2(phi) sinh^2(mu) are
-    smooth across the whole band, so five-point stencils on them give clean
-    derivatives even where phi or |M21| would have branch issues:
+    smooth across the whole band, so their exact derivatives from one call
+    of the cell model give clean angle derivatives even where phi or |M21|
+    would have branch issues:
 
         phi'  = -c' / sin(phi)
         phi'' = -(c'' + cos(phi) phi'^2) / sin(phi)
         mu'   = [g' (1 - c^2) + 2 c c' g] / [(1 - c^2)^2 sinh(2 mu)]
 
-    E may be an array: the stencils of all its energies are evaluated in
-    one call of the cell model.  Every stencil must stay inside the band:
-    E +- 2h is checked first.
+    E may be an array, evaluated in one call; a scalar stays a Python
+    scalar throughout.  Every E must be inside an allowed band, and inside
+    ``band`` when one is given.
     """
-    model = as_model(cell, outside, consts)
-    if h is None:
-        h = default_step(band)
-    energies = np.atleast_1d(np.asarray(E, dtype=float))
-    stencil = energies[..., None] + h * STENCIL
-    M = model.matrix(stencil)
-    half = M.m11.real  # c = Tr M / 2
-    probes = np.abs(half[..., [0, -1]]) >= 1.0
-    if probes.any():
-        at = energies[probes.any(axis=-1)].flat[0]
-        raise NearBandEdgeError(f"derivative stencil at E = {at} +- {2 * h} meV leaves the band")
-    params = decompose(TransferMatrix(M.m11[..., 2], M.m21[..., 2]))
-    bad = params.band != "allowed"
-    if bad.any():
-        raise NearBandEdgeError(
-            f"E = {energies[bad].flat[0]} meV is in a {params.band[bad].flat[0]} region")
+    return _kard_derivatives(as_model(cell, outside, consts), E, band, second=True)
+
+
+def _kard_derivatives(model: CellModel, E, band: Band | None, second: bool) -> KardDerivatives:
+    """``kard_derivatives``; without ``second`` the kernel carries first
+    derivatives only and phi'' is nan (the timing closed forms need none)."""
+    if band is not None:
+        _reject(E, np.less(E, band.lower) | np.greater(E, band.upper),
+                f"outside band {band.index} [{band.lower}, {band.upper}]")
+    M, c_p, c_pp, g_p = model.derivatives(E, second)
+    params = decompose(M)
+    _reject(E, np.not_equal(params.band, "allowed"), "not inside an allowed band")
     phi, mu = params.phi, params.mu
     c = np.cos(phi)
     s = np.sin(phi)
-    c_p, c_pp = stencil_derivatives(half, h)
-    g_all = np.abs(M.m21) ** 2
-    g = g_all[..., 2]
-    g_p, _ = stencil_derivatives(g_all, h)
+    g = np.abs(M.m21) ** 2
     phi_p = -c_p / s
     phi_pp = -(c_pp + c * phi_p * phi_p) / s
     sinh2mu = np.sinh(2.0 * mu)
@@ -428,6 +433,6 @@ def kard_derivatives(
     mu_p = np.where(sinh2mu == 0.0, 0.0, mu_p)
     out = (phi, mu, params.chi, phi_p, phi_pp, mu_p)
     if np.ndim(E) == 0:
-        out = tuple(float(x[0]) for x in out)
+        out = tuple(float(x) for x in out)
     phi, mu, chi, phi_p, phi_pp, mu_p = out
     return KardDerivatives(KardParams(phi, mu, chi), phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p)

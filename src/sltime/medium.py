@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Sequence
@@ -72,10 +73,10 @@ class Layer:
     mass_ratio: float
 
     def __post_init__(self) -> None:
-        if not (self.width > 0):
-            raise ValidationError(f"nonpositive width {self.width}")
-        if not (self.mass_ratio > 0):
-            raise ValidationError(f"nonpositive mass_ratio {self.mass_ratio}")
+        if not (0 < self.width < math.inf):
+            raise ValidationError(f"width must be finite and positive, got {self.width}")
+        if not (0 < self.mass_ratio < math.inf):
+            raise ValidationError(f"mass_ratio must be finite and positive, got {self.mass_ratio}")
         if not math.isfinite(self.potential):
             raise ValidationError(f"non-finite potential {self.potential}")
 
@@ -128,6 +129,8 @@ class StackSpec:
     right_arc: CellSpec | None = None
 
     def __post_init__(self) -> None:
+        if isinstance(self.replicas, bool) or not isinstance(self.replicas, numbers.Integral):
+            raise ValidationError(f"replicas must be an integer, got {self.replicas!r}")
         if self.replicas < 1:
             raise ValidationError(f"replicas must be >= 1, got {self.replicas}")
 
@@ -220,9 +223,27 @@ def _layer_to_dict(layer: Layer) -> dict:
     return {"width_nm": layer.width, "V_meV": layer.potential, "mass_ratio": layer.mass_ratio}
 
 
+def _entry(d, what: str, keys: tuple[str, ...]) -> dict:
+    """d, checked to be a JSON object with no key outside ``keys``."""
+    if not isinstance(d, dict):
+        raise ValidationError(f"{what} must be a JSON object, got {d!r}")
+    unknown = sorted(set(d) - set(keys))
+    if unknown:
+        raise ValidationError(f"{what} has unknown key(s) {unknown}; allowed: {list(keys)}")
+    return d
+
+
+def _number(d: dict, key: str) -> float:
+    value = d[key]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValidationError(f"layer '{key}' must be a number, got {value!r}")
+    return float(value)
+
+
 def _layer_from_dict(d: dict) -> Layer:
+    d = _entry(d, "layer entry", ("width_nm", "V_meV", "mass_ratio"))
     try:
-        return Layer(float(d["width_nm"]), float(d["V_meV"]), float(d["mass_ratio"]))
+        return Layer(_number(d, "width_nm"), _number(d, "V_meV"), _number(d, "mass_ratio"))
     except KeyError as exc:
         raise ValidationError(f"layer entry missing key {exc}") from exc
 
@@ -232,6 +253,7 @@ def _cell_to_dict(cell: CellSpec) -> dict:
 
 
 def _cell_from_dict(d: dict) -> CellSpec:
+    d = _entry(d, "cell entry", ("layers", "symmetric"))
     if "layers" not in d:
         raise ValidationError("cell entry missing 'layers'")
     return CellSpec(tuple(_layer_from_dict(l) for l in d["layers"]), symmetric=bool(d.get("symmetric", False)))
@@ -248,12 +270,13 @@ def stack_to_dict(stack: StackSpec) -> dict:
 
 
 def stack_from_dict(d: dict) -> StackSpec:
+    d = _entry(d, "stack file", ("outside", "core", "replicas", "left_arc", "right_arc"))
     for key in ("outside", "core", "replicas"):
         if key not in d:
             raise ValidationError(f"stack file missing key '{key}'")
     return StackSpec(
         core=_cell_from_dict(d["core"]),
-        replicas=int(d["replicas"]),
+        replicas=d["replicas"],
         outside=_layer_from_dict(d["outside"]),
         left_arc=None if d.get("left_arc") is None else _cell_from_dict(d["left_arc"]),
         right_arc=None if d.get("right_arc") is None else _cell_from_dict(d["right_arc"]),

@@ -1,11 +1,11 @@
-"""Shared numerical helpers: differentiation and quadrature.
+"""Shared numerical helpers: bracketed bisection and quadrature.
 
-Energy derivatives use central differences with one Richardson step (the
-five-point stencil), which keeps the truncation error at O(h^4) without
-requiring analytic derivatives.  Quadrature is adaptive Simpson with
-explicit subdivision at caller-supplied breakpoints, so piecewise-smooth
-integrands (wavefunction density across layer interfaces) never straddle a
-kink.
+Bisection halves many brackets together, one call of a vectorised function
+per step.  Quadrature is adaptive Simpson with explicit subdivision at
+caller-supplied breakpoints, so piecewise-smooth integrands (wavefunction
+density across layer interfaces) never straddle a kink.  Energy
+derivatives are not taken here: the transfer-matrix kernel carries them
+exactly (``tmatrix.Jet``).
 """
 
 from __future__ import annotations
@@ -17,36 +17,9 @@ import numpy as np
 from .errors import NumericError
 
 __all__ = [
-    "STENCIL",
-    "derivative",
-    "stencil_derivatives",
     "bisect",
     "adaptive_simpson",
 ]
-
-#: Offsets of the five-point stencil, in units of the step h.
-STENCIL = np.array([-2.0, -1.0, 0.0, 1.0, 2.0])
-
-
-def derivative(f: Callable[[float], complex], x: float, h: float) -> complex:
-    """d f / d x via the 5-point Richardson-extrapolated central difference.
-
-    Works for real- or complex-valued f; error O(h^4) for smooth f.
-    """
-    if h <= 0:
-        raise NumericError(f"step must be positive, got {h}")
-    return (8.0 * (f(x + h) - f(x - h)) - (f(x + 2 * h) - f(x - 2 * h))) / (12.0 * h)
-
-
-def stencil_derivatives(values: np.ndarray, h: float) -> tuple[np.ndarray, np.ndarray]:
-    """First and second derivatives, error O(h^4), from samples of f at
-    x + STENCIL * h along the last axis of ``values``."""
-    if h <= 0:
-        raise NumericError(f"step must be positive, got {h}")
-    fm2, fm1, f0, fp1, fp2 = (values[..., i] for i in range(5))
-    first = (8.0 * (fp1 - fm1) - (fp2 - fm2)) / (12.0 * h)
-    second = (-fp2 + 16.0 * fp1 - 30.0 * f0 + 16.0 * fm1 - fm2) / (12.0 * h * h)
-    return first, second
 
 
 def bisect(

@@ -8,13 +8,14 @@ elementary laws on its band [50, 75] meV:
 
 Everything else follows: sin(phi) sinh(mu) = |m21| = sqrt(t2_strength / E),
 so mu comes for free, and chi = 0 by symmetry.  Because phi(E) and mu(E)
-are elementary, their energy derivatives are available in closed form,
-which makes this model the gold standard for validating the
-finite-difference derivative machinery in kard.kard_derivatives.
+are elementary, their energy derivatives are available in closed form in
+angle space (``play_derivatives``), the gold standard for validating
+kard.kard_derivatives, which is fed c' = -lam, c'' = 0 and
+|m21|^2' = -t2_strength / E^2 straight from the two laws.
 
 The model satisfies the CellModel protocol (trace is the linear law above,
-defined at every energy; matrix exists only on the open band interior;
-both take a scalar energy or an array), so
+defined at every energy; matrix and derivatives exist only on the open
+band interior; all take a scalar energy or an array), so
 band structure, timing curves, and resonance analysis all run on it
 unchanged.  It has no spatial profile, so nothing that needs V(x)
 (dwell-time integrals, wave-packet runs) can consume it: those operations
@@ -74,6 +75,10 @@ class PlayModelSpec:
 
     def matrix(self, E) -> TransferMatrix:
         return play_matrix(E, self)
+
+    def derivatives(self, E, second: bool) -> tuple:
+        """(M, c', c'', g') from the two laws: c = lam (E_bragg - E), g = t2_strength / E."""
+        return play_matrix(E, self), -self.lam, 0.0, -self.t2_strength / (E * E)
 
 
 PLAY_MODEL = PlayModelSpec()

@@ -43,6 +43,7 @@ __all__ = [
     "locate_extrema",
     "fit_peak",
     "fit_valley",
+    "fit_extrema",
     "ApproxCurves",
     "approx_curves",
 ]
@@ -116,6 +117,29 @@ def locate_extrema(
     return energies[: N - 1], energies[N - 1 :]
 
 
+def _fit(model: CellModel, N: int, band: Band, consts: PhysConstants,
+         peaks: dict[int, float], valleys: dict[int, float]):
+    """PeakFits and ValleyFits at the {index: energy} extrema given, from
+    one array kard_derivatives call over all of them."""
+    E = np.array([*peaks.values(), *valleys.values()])
+    d = kard_derivatives(model, None, E, band=band, consts=consts)
+    mu, phi_p, phi_pp, mu_p = d.params.mu, d.phi_p, d.phi_pp, d.mu_p
+    if np.any(mu <= 0.0):
+        raise NumericError(f"transparent cell at E = {E[mu <= 0.0][0]} meV: "
+                           f"no resonance width or valley contrast")
+    ch, th = np.cosh(mu), np.tanh(mu)
+    bloch = N * consts.hbar * phi_p
+    gamma_p = 2.0 / (N * phi_p * th)
+    peak = zip(peaks.items(), 2.0 / (N * np.sinh(mu) * phi_p),
+               0.5 * (2.0 * mu_p + phi_pp / (th * phi_p)) / (N * phi_p * ch), bloch * ch)
+    v = slice(len(peaks), None)
+    valley = zip(valleys.items(), gamma_p[v], (0.5 * gamma_p * phi_pp / phi_p)[v],
+                 (mu_p / (N * phi_p))[v], (bloch / ch)[v])
+    return (tuple(PeakFit(m, e, *map(float, rest)) for (m, e), *rest in peak),
+            tuple(ValleyFit(p, e, *map(float, rest), edge_degraded=p in (0, N - 1))
+                  for (p, e), *rest in valley))
+
+
 def fit_peak(
     cell: Union[CellModel, CellSpec],
     outside: Layer | None = None,
@@ -123,7 +147,6 @@ def fit_peak(
     m: int = 1,
     *,
     band: Band | None = None,
-    h: float | None = None,
     consts: PhysConstants = CONSTANTS,
 ) -> PeakFit:
     """Analytic lineshape parameters at the m-th peak (m = 1 .. N-1)."""
@@ -133,14 +156,7 @@ def fit_peak(
         raise ValidationError("fit_peak needs the band")
     model = as_model(cell, outside, consts)
     E_m = energy_at_phase(model, band, m * math.pi / N)
-    d = kard_derivatives(model, None, E_m, h, band=band, consts=consts)
-    mu = d.params.mu
-    if mu <= 0.0:
-        raise NumericError(f"transparent cell at E = {E_m} meV: no resonance width")
-    gamma = 2.0 / (N * math.sinh(mu) * d.phi_p)
-    b = 0.5 * (2.0 * d.mu_p + d.phi_pp / (math.tanh(mu) * d.phi_p)) / (N * d.phi_p * math.cosh(mu))
-    tau_peak = N * consts.hbar * d.phi_p * math.cosh(mu)
-    return PeakFit(m=m, E_m=E_m, Gamma_m=gamma, b_m=b, tau_peak=tau_peak)
+    return _fit(model, N, band, consts, {m: E_m}, {})[0][0]
 
 
 def fit_valley(
@@ -150,7 +166,6 @@ def fit_valley(
     p: int = 0,
     *,
     band: Band | None = None,
-    h: float | None = None,
     consts: PhysConstants = CONSTANTS,
 ) -> ValleyFit:
     """Analytic lineshape parameters at the p-th minimum (p = 0 .. N-1)."""
@@ -160,23 +175,21 @@ def fit_valley(
         raise ValidationError("fit_valley needs the band")
     model = as_model(cell, outside, consts)
     E_p = energy_at_phase(model, band, (p + 0.5) * math.pi / N)
-    d = kard_derivatives(model, None, E_p, h, band=band, consts=consts)
-    mu = d.params.mu
-    if mu <= 0.0:
-        raise NumericError(f"transparent cell at E = {E_p} meV: no contrast at minimum")
-    gamma = 2.0 / (N * d.phi_p * math.tanh(mu))
-    C = 0.5 * gamma * d.phi_pp / d.phi_p
-    D = d.mu_p / (N * d.phi_p)
-    tau_valley = N * consts.hbar * d.phi_p / math.cosh(mu)
-    return ValleyFit(
-        p=p,
-        E_p=E_p,
-        Gamma_p=gamma,
-        C_p=C,
-        D_p=D,
-        tau_valley=tau_valley,
-        edge_degraded=(p == 0 or p == N - 1),
-    )
+    return _fit(model, N, band, consts, {}, {p: E_p})[1][0]
+
+
+def fit_extrema(
+    cell: Union[CellModel, CellSpec],
+    outside: Layer | None = None,
+    N: int = 2,
+    band: Band | None = None,
+    consts: PhysConstants = CONSTANTS,
+) -> tuple[tuple[PeakFit, ...], tuple[ValleyFit, ...]]:
+    """``fit_peak`` at every m = 1 .. N-1 and ``fit_valley`` at every
+    p = 0 .. N-1, all roots from one ``locate_extrema`` call."""
+    model = as_model(cell, outside, consts)
+    peaks, valleys = locate_extrema(model, None, N, band, consts)
+    return _fit(model, N, band, consts, dict(enumerate(peaks, 1)), dict(enumerate(valleys)))
 
 
 @dataclass(frozen=True)
@@ -206,19 +219,12 @@ def approx_curves(
     band: Band | None = None,
     grid: EnergyGrid | None = None,
     *,
-    h: float | None = None,
     consts: PhysConstants = CONSTANTS,
 ) -> ApproxCurves:
     """Build the piecewise peak/valley approximation over a grid."""
     if band is None or grid is None:
         raise ValidationError("approx_curves needs the band and an energy grid")
-    model = as_model(cell, outside, consts)
-    peaks = tuple(
-        fit_peak(model, None, N, m, band=band, h=h, consts=consts) for m in range(1, N)
-    )
-    valleys = tuple(
-        fit_valley(model, None, N, p, band=band, h=h, consts=consts) for p in range(N)
-    )
+    peaks, valleys = fit_extrema(cell, outside, N, band, consts)
 
     # Window table: (lo, hi, kind, fit), peaks first so they win overlaps.
     windows: list[tuple[float, float, str, object]] = []

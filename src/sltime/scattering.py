@@ -54,14 +54,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .medium import CONSTANTS, Layer, PhysConstants, StackSpec, _layers_mirror_equal
-from .numerics import adaptive_simpson, derivative
+from .medium import CONSTANTS, PhysConstants, StackSpec, _layers_mirror_equal
+from .numerics import adaptive_simpson
 from .tmatrix import (
     CELL_REFERENCED,
     ORIGIN_REFERENCED,
     Amplitudes,
-    _cos_and_sinc,
+    _layer_entries,
     amplitudes,
+    energy_jet,
     stack_matrix,
 )
 
@@ -178,10 +179,22 @@ def _origin_amplitudes(
     return shift_convention(amp, k, -0.5 * w, w), k, v
 
 
-def _s_entries(stack: StackSpec, E: float, consts: PhysConstants) -> np.ndarray:
-    amp, _, _ = _origin_amplitudes(stack, E, consts)
-    s = s_matrix(amp)
-    return s.matrix
+def _origin_derivatives(
+    stack: StackSpec, E: float, consts: PhysConstants
+) -> tuple[Amplitudes, complex, complex, float, float]:
+    """``_origin_amplitudes`` and the energy derivatives dt/dE and dr/dE.
+
+    The cell-referenced derivatives are exact, from the stack matrix at a
+    jet energy.  With the stack centred on the origin both shifts are
+    e^{-ikw}, whose phase moves with dk/dE = k / (2 (E - V_out)).
+    """
+    amp, k, v = _origin_amplitudes(stack, E, consts)
+    jet = amplitudes(stack_matrix(energy_jet(E), stack, consts))
+    shift = cmath.exp(-1j * k * stack.width)
+    dk_w = 0.5 * k * stack.width / (E - stack.outside.potential)
+    dt = jet.t.d1 * shift - 1j * dk_w * amp.t
+    dr = jet.r.d1 * shift - 1j * dk_w * amp.r
+    return amp, dt, dr, k, v
 
 
 @dataclass(frozen=True)
@@ -201,17 +214,17 @@ class SmithMatrix:
 def smith_matrix(
     stack: StackSpec,
     E: float,
-    h: float = 1e-3,
     consts: PhysConstants = CONSTANTS,
 ) -> SmithMatrix:
     """Smith lifetime matrix of a stack at energy E.
 
-    dS/dE is taken entrywise with the five-point stencil (step ``h`` in
-    meV), which sidesteps phase unwrapping entirely: the entries of S are
-    smooth complex functions of energy even where the reflection phase is
-    undefined.  All five stencil energies must lie above the lead band
-    bottom.  For a mirror-symmetric stack tau11 = tau22 and tau12 is real
-    up to stencil error; asymmetric stacks go through the same algebra but
+    dS/dE is taken entrywise and exactly, from dt/dE and dr/dE of the stack
+    matrix at a jet energy, with r_bar = -conj(r) t / conj(t) differentiated
+    by the product and quotient rules.  This sidesteps phase unwrapping
+    entirely: the entries of S are smooth complex functions of energy even
+    where the reflection phase is undefined.  E must lie above the lead
+    band bottom.  For a mirror-symmetric stack tau11 = tau22 and tau12 is
+    real up to roundoff; asymmetric stacks go through the same algebra but
     are outside the validated regime, so they are flagged with a warning.
     """
     if not _layers_mirror_equal(stack.segments()):
@@ -220,15 +233,18 @@ def smith_matrix(
             "is used but this regime has no independent cross-check here",
             stacklevel=2,
         )
-    s = _s_entries(stack, E, consts)
-    ds = derivative(lambda e: _s_entries(stack, e, consts), E, h)
-    q = -1j * consts.hbar * (s.conj().T @ ds)
+    amp, dt, dr, _, _ = _origin_derivatives(stack, E, consts)
+    s = s_matrix(amp)
+    phase = amp.t / amp.t.conjugate()
+    d_phase = (dt - phase * dt.conjugate()) / amp.t.conjugate()
+    dr_bar = -(dr.conjugate() * phase + amp.r.conjugate() * d_phase)
+    ds = np.array([[dr, dt], [dt, dr_bar]])
+    q = -1j * consts.hbar * (s.matrix.conj().T @ ds)
     defect = float(np.abs(q - q.conj().T).max())
     scale = max(1.0, float(np.abs(q).max()))
     if defect > 1e-3 * scale:
         raise NumericError(
-            f"lifetime matrix is not Hermitian (defect {defect:.3e} fs); "
-            f"the stencil step {h} meV is too coarse for this feature"
+            f"lifetime matrix is not Hermitian (defect {defect:.3e} fs) at E = {E} meV"
         )
     q = 0.5 * (q + q.conj().T)
     return SmithMatrix(tau11=q[0, 0].real, tau22=q[1, 1].real, tau12=q[0, 1])
@@ -267,19 +283,13 @@ class _WaveField:
         u = np.array([t, 1j * self.k * t / self.mass_out])
         us = [u]
         for layer in reversed(self.layers):
-            p = self._propagator(layer, layer.width)
+            p = np.array(_layer_entries(E, layer, layer.width, consts), dtype=float)
             u = np.array(
                 [p[1, 1] * u[0] - p[0, 1] * u[1], -p[1, 0] * u[0] + p[0, 0] * u[1]]
             )
             us.append(u)
         us.reverse()
         self.us = us  # u at every interface, left to right
-
-    def _propagator(self, layer: Layer, dx: float) -> np.ndarray:
-        ksq = (self.E - layer.potential) * layer.mass_ratio / self.consts.hbar2_over_2m0
-        c, s = _cos_and_sinc(ksq, dx)
-        m = layer.mass_ratio
-        return np.array([[c, m * s], [-ksq * s / m, c]], dtype=float)
 
     def u(self, x: float) -> np.ndarray:
         """(psi, psi'/m*) at x, any region."""
@@ -298,7 +308,8 @@ class _WaveField:
         dx = x - self.edges[j]
         if dx == 0.0:
             return self.us[j]
-        return self._propagator(self.layers[j], dx) @ self.us[j]
+        p = _layer_entries(self.E, self.layers[j], dx, self.consts)
+        return np.array(p, dtype=float) @ self.us[j]
 
     def psi(self, x: float) -> complex:
         return complex(self.u(x)[0])
@@ -388,7 +399,6 @@ def dwell_time(
     E: float,
     x_left: float | None = None,
     x_right: float | None = None,
-    h: float = 1e-3,
     consts: PhysConstants = CONSTANTS,
 ) -> DwellResult:
     """Dwell time of the left-incident state over [x_left, x_right].
@@ -397,8 +407,8 @@ def dwell_time(
     put each end one core-cell width outside the corresponding face.  The
     phase derivatives are taken as Im(conj(t) t') and Im(conj(r) r'), which
     stay finite at perfect transmission where the reflection phase itself
-    is undefined.  ``h`` is the stencil step in meV; all five stencil
-    energies must be above the lead band bottom.
+    is undefined; t' and r' are exact (see ``smith_matrix``).  E must be
+    above the lead band bottom.
 
     The quadrature cross-check integrates the reconstructed density with
     interface positions as forced panel boundaries and is returned in
@@ -416,13 +426,7 @@ def dwell_time(
             f"[{-half_w}, {half_w}]"
         )
 
-    amp, k, v = _origin_amplitudes(stack, E, consts)
-
-    def t_and_r(e: float) -> np.ndarray:
-        a, _, _ = _origin_amplitudes(stack, e, consts)
-        return np.array([a.t, a.r])
-
-    dt, dr = derivative(t_and_r, E, h)
+    amp, dt, dr, k, v = _origin_derivatives(stack, E, consts)
     smooth = consts.hbar * ((amp.t.conjugate() * dt).imag + (amp.r.conjugate() * dr).imag)
 
     e_kin = E - stack.outside.potential

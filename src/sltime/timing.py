@@ -39,9 +39,9 @@ from .kard import (
     CellModel,
     KardDerivatives,
     PotentialCell,
+    _kard_derivatives,
     as_model,
     decompose,
-    kard_derivatives,
 )
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants
 from .tmatrix import amplitudes
@@ -73,13 +73,12 @@ def bloch_time(
     cell: Union[CellModel, CellSpec],
     outside: Layer | None = None,
     E: float = 0.0,
-    h: float | None = None,
     *,
     band: Band | None = None,
     consts: PhysConstants = CONSTANTS,
 ):
     """Per-cell traversal time hbar phi' (fs) at band-interior energy E."""
-    d = kard_derivatives(cell, outside, E, h, band=band, consts=consts)
+    d = _kard_derivatives(as_model(cell, outside, consts), E, band, second=False)
     tau = consts.hbar * d.phi_p
     if np.any(tau <= 0.0):
         raise NumericError(f"nonpositive Bloch time at E = {E} meV: phi' = {d.phi_p}")
@@ -100,7 +99,6 @@ def phase_time(
     outside: Layer | None = None,
     N: int = 1,
     E: float = 0.0,
-    h: float | None = None,
     *,
     band: Band | None = None,
     consts: PhysConstants = CONSTANTS,
@@ -108,7 +106,7 @@ def phase_time(
     """Stationary-phase time hbar d(arg t_N)/dE (fs) for the N-cell array."""
     if N < 1:
         raise ValidationError(f"need at least one cell, got N = {N}")
-    d = kard_derivatives(cell, outside, E, h, band=band, consts=consts)
+    d = _kard_derivatives(as_model(cell, outside, consts), E, band, second=False)
     return _phase_time_from(d, N, consts)
 
 
@@ -117,7 +115,6 @@ def envelopes(
     outside: Layer | None = None,
     N: int = 1,
     E: float = 0.0,
-    h: float | None = None,
     *,
     band: Band | None = None,
     consts: PhysConstants = CONSTANTS,
@@ -130,7 +127,7 @@ def envelopes(
     means the decomposition and the matrix have drifted apart.
     """
     model = as_model(cell, outside, consts)
-    d = kard_derivatives(model, None, E, h, band=band, consts=consts)
+    d = _kard_derivatives(model, E, band, second=False)
     ch = np.cosh(d.params.mu)
     bloch_total = N * consts.hbar * d.phi_p
     env_max = bloch_total * ch
@@ -242,7 +239,6 @@ def timing_curve(
     *,
     band: Band | None = None,
     refine: Sequence[tuple[float, float]] = (),
-    h: float | None = None,
     consts: PhysConstants = CONSTANTS,
 ) -> TimingCurve:
     """Evaluate the timing quantities across a band-interior grid.
@@ -260,7 +256,7 @@ def timing_curve(
     hi = band.upper if band is not None else float(grid.samples[-1])
     samples = _refined_samples(grid, refine, lo, hi)
 
-    d = kard_derivatives(model, None, samples, h, band=band, consts=consts)
+    d = _kard_derivatives(model, samples, band, second=False)
     phi, mu = d.params.phi, d.params.mu
     ch = np.cosh(mu)
     bloch = N * consts.hbar * d.phi_p

@@ -23,6 +23,9 @@ r = M21/M11; |t|^2 + |r|^2 = 1 follows from det M = 1.
 
 Every function takes a scalar energy or an energy array, evaluated in one
 pass of numpy arithmetic; a scalar energy gives plain complex entries.
+Handed the energy as a ``Jet`` (``energy_jet``), the same layer loop and
+products return every entry together with its exact first, and on request
+second, energy derivatives (forward-mode differentiation).
 """
 
 from __future__ import annotations
@@ -40,7 +43,8 @@ __all__ = [
     "ORIGIN_REFERENCED",
     "TransferMatrix",
     "Amplitudes",
-    "layer_matrix",
+    "Jet",
+    "energy_jet",
     "cell_matrix",
     "stack_matrix",
     "compose",
@@ -51,14 +55,86 @@ CELL_REFERENCED = "cell-referenced"
 ORIGIN_REFERENCED = "origin-referenced"
 
 
+class Jet:
+    """A quantity with its energy derivatives: (v, dv/dE, d2v/dE2), where
+    d2 is None for a first-order jet.
+
+    Sums, products and quotients follow the Leibniz and quotient rules, so
+    code written for plain numbers -- the layer product, ``compose``,
+    ``amplitudes`` -- carries exact derivatives when handed jets, and
+    computes the value part by the very operations it does on numbers.
+    Parts are scalars or arrays alike.
+    """
+
+    __slots__ = ("v", "d1", "d2")
+    __array_ufunc__ = None  # numpy operands defer to the reflected methods
+
+    def __init__(self, v, d1, d2=None):
+        self.v, self.d1, self.d2 = v, d1, d2
+
+    def chain(self, f, f1, f2) -> "Jet":
+        """F(self), given F, F' and F'' at the value part."""
+        d1, d2 = self.d1, self.d2
+        return Jet(f, f1 * d1, None if d2 is None else f2 * (d1 * d1) + f1 * d2)
+
+    def __add__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.v + o, self.d1, self.d2)
+        return Jet(self.v + o.v, self.d1 + o.d1, None if self.d2 is None else self.d2 + o.d2)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.v, -self.d1, None if self.d2 is None else -self.d2)
+
+    def __sub__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.v - o, self.d1, self.d2)
+        return Jet(self.v - o.v, self.d1 - o.d1, None if self.d2 is None else self.d2 - o.d2)
+
+    def __mul__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.v * o, self.d1 * o, None if self.d2 is None else self.d2 * o)
+        return Jet(self.v * o.v, self.d1 * o.v + self.v * o.d1, None if self.d2 is None
+                   else self.d2 * o.v + 2.0 * self.d1 * o.d1 + self.v * o.d2)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, o):
+        if not isinstance(o, Jet):
+            return Jet(self.v / o, self.d1 / o, None if self.d2 is None else self.d2 / o)
+        q = self.v / o.v
+        q1 = (self.d1 - q * o.d1) / o.v
+        return Jet(q, q1, None if self.d2 is None
+                   else (self.d2 - 2.0 * q1 * o.d1 - q * o.d2) / o.v)
+
+    def __rtruediv__(self, o):
+        return Jet(o, 0.0, None if self.d2 is None else 0.0) / self
+
+    def conjugate(self) -> "Jet":
+        return Jet(self.v.conjugate(), self.d1.conjugate(),
+                   None if self.d2 is None else self.d2.conjugate())
+
+    def sqrt(self) -> "Jet":
+        r = np.sqrt(self.v)
+        return self.chain(r, 0.5 / r, -0.25 / (r * self.v))
+
+
+def energy_jet(E, second: bool = False) -> Jet:
+    """The energy as the jet (E, 1, 0), or (E, 1) without ``second``: pass
+    it for E to differentiate once or twice."""
+    E = np.asarray(E, dtype=float)
+    return Jet(float(E) if E.ndim == 0 else E, 1.0, 0.0 if second else None)
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """2x2 coefficient transfer matrix in its time-reversal-symmetric form.
 
     m11 and m21 are complex scalars, or complex arrays holding one matrix
-    per energy.  ref_energy and cell_width tag where the matrix came from;
-    matrices made by abstract reconstruction (no underlying potential) leave
-    them None.
+    per energy, or jets of either.  ref_energy and cell_width tag where the
+    matrix came from; matrices made by abstract reconstruction (no
+    underlying potential) leave them None.
     """
 
     m11: complex | np.ndarray
@@ -144,7 +220,13 @@ def _cos_and_sinc(ksq, w: float):
     A scalar k^2 branches in Python rather than masking arrays, which is
     several times faster for one number; it calls numpy's elementary
     functions all the same, since the math module's round differently.
+    A jet k^2 gives jets.
     """
+    if isinstance(ksq, Jet):
+        c, s = _cos_and_sinc(ksq.v, w)
+        s1, s2 = _sinc_slopes(ksq.v, w, c, s)
+        # d cos(kw)/d(k^2) = -w sin(kw)/(2k)
+        return ksq.chain(c, -0.5 * w * s, -0.5 * w * s1), ksq.chain(s, s1, s2)
     if not isinstance(ksq, np.ndarray):
         x = ksq * w * w
         if abs(x) < 1e-6:
@@ -167,35 +249,76 @@ def _cos_and_sinc(ksq, w: float):
     return c, s
 
 
-def _layer_entries(E, layer: Layer, consts: PhysConstants) -> tuple:
-    """((P11, P12), (P21, P22)) of the layer propagator, each shaped like E."""
+#: Taylor coefficients in x = k^2 w^2 of d/dx and d2/dx2 of sin(sqrt x)/sqrt x,
+#: whose series is sum_n (-x)^n / (2n + 1)!.  For |x| < 1, where the closed
+#: forms below lose digits to cancellation (all of them as x -> 0), ten terms
+#: reach 1 ulp; from |x| = 1 on, the closed forms hold 1e-15 and 1e-14 relative.
+_SINC_SERIES = tuple(((-1.0) ** (n + 1) * (n + 1) / math.factorial(2 * n + 3),
+                      (-1.0) ** n * (n + 1) * (n + 2) / math.factorial(2 * n + 5))
+                     for n in reversed(range(10)))
+_SINC_COLUMNS = np.array(_SINC_SERIES)[:, :, None]
+
+
+def _sinc_series(x):
+    """The two series at x, by Horner; an array runs both in one pass."""
+    if isinstance(x, np.ndarray):
+        total = 0.0
+        for pair in _SINC_COLUMNS:
+            total = total * x + pair
+        return total[0], total[1]
+    s1 = s2 = 0.0
+    for a1, a2 in _SINC_SERIES:
+        s1, s2 = s1 * x + a1, s2 * x + a2
+    return s1, s2
+
+
+def _sinc_slopes(ksq, w: float, c, s):
+    """First and second derivatives of s = sin(kw)/k with respect to k^2,
+    given c = cos(kw) and s: (w c - s)/(2k^2), and (-w^2 s/2 - 3 s')/(2k^2)."""
+    x = ksq * w * w
+    series = np.abs(x) < 1.0
+    if series.all():
+        s1, s2 = _sinc_series(x)
+        return w**3 * s1, w**5 * s2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s1 = (w * c - s) / (2.0 * ksq)
+        s2 = (-0.5 * w * w * s - 3.0 * s1) / (2.0 * ksq)
+    if series.any():
+        near = _sinc_series(x[series])
+        s1[series], s2[series] = w**3 * near[0], w**5 * near[1]
+    return s1, s2
+
+
+def _layer_entries(E, layer: Layer, width: float, consts: PhysConstants) -> tuple:
+    """((P11, P12), (P21, P22)) of the propagator across ``width`` of the
+    layer's material, each shaped like E (jets for a jet E)."""
     ksq = (E - layer.potential) * layer.mass_ratio / consts.hbar2_over_2m0
-    c, s = _cos_and_sinc(ksq, layer.width)
+    c, s = _cos_and_sinc(ksq, width)
     m = layer.mass_ratio
     return (c, m * s), (-ksq * s / m, c)
 
 
-def layer_matrix(E, layer: Layer, consts: PhysConstants = CONSTANTS) -> np.ndarray:
-    """Propagator for u = (psi, psi'/m*) across one uniform layer; real, det 1.
-
-    Shape (2, 2) + shape(E): one 2x2 matrix per energy.
-    """
-    return np.array(_layer_entries(E, layer, consts))
-
-
 def _interior_propagator(E, cell: CellSpec, consts: PhysConstants) -> tuple:
-    """Entries (T11, T12, T21, T22) of the layer product, last layer leftmost."""
+    """Entries (T11, T12, T21, T22) of the layer product, last layer leftmost.
+
+    Each distinct layer is evaluated once (a symmetric cell repeats its
+    outer layers)."""
+    entries = {layer: _layer_entries(E, layer, layer.width, consts) for layer in set(cell.layers)}
     first, *rest = cell.layers
-    (t11, t12), (t21, t22) = _layer_entries(E, first, consts)
+    (t11, t12), (t21, t22) = entries[first]
     for layer in rest:
-        (a, b), (c, d) = _layer_entries(E, layer, consts)
+        (a, b), (c, d) = entries[layer]
         t11, t12, t21, t22 = (a * t11 + b * t21, a * t12 + b * t22,
                               c * t11 + d * t21, c * t12 + d * t22)
     return t11, t12, t21, t22
 
 
 def _complex(re, im):
-    """re + i im without rounding: a complex array, or a Python complex."""
+    """re + i im without rounding: a complex array, or a Python complex
+    (or a jet of either)."""
+    if isinstance(re, Jet):
+        return Jet(_complex(re.v, im.v), _complex(re.d1, im.d1),
+                   None if re.d2 is None else _complex(re.d2, im.d2))
     if np.ndim(re) == 0:
         return complex(re, im)
     z = np.empty(np.shape(re), dtype=complex)
@@ -209,21 +332,26 @@ def cell_matrix(
     """Coefficient transfer matrix of one cell between identical leads.
 
     Requires a propagating lead channel (every E above the lead band bottom).
+    A jet energy gives jet entries.
     """
-    energies = np.asarray(E, dtype=float)
+    jet = isinstance(E, Jet)
+    energies = np.asarray(E.v if jet else E, dtype=float)
     below = energies <= outside.potential
     if below.any():
         raise NoTransmissionError(f"E = {energies[below].flat[0]} meV is at or below the "
                                   f"lead band bottom ({outside.potential} meV)")
-    if energies.ndim == 0:
+    if jet:
+        energies = E
+    elif energies.ndim == 0:
         energies = float(energies)
-    k0 = np.sqrt((energies - outside.potential) * outside.mass_ratio / consts.hbar2_over_2m0)
-    q = k0 / outside.mass_ratio
+    ksq = (energies - outside.potential) * outside.mass_ratio / consts.hbar2_over_2m0
+    q = (ksq.sqrt() if jet else np.sqrt(ksq)) / outside.mass_ratio
     t11, t12, t21, t22 = _interior_propagator(energies, cell, consts)
     # M = W^{-1} T^{-1} W with W = [[1, 1], [iq, -iq]]; written out, with
     # T^{-1} = [[T22, -T12], [-T21, T11]] (det T = 1), this is:
-    m11 = _complex(0.5 * (t11 + t22), 0.5 * (t21 / q - q * t12))
-    m21 = _complex(0.5 * (t22 - t11), -0.5 * (t21 / q + q * t12))
+    a, b = t21 / q, q * t12
+    m11 = _complex(0.5 * (t11 + t22), 0.5 * (a - b))
+    m21 = _complex(0.5 * (t22 - t11), -0.5 * (a + b))
     return TransferMatrix(m11, m21, ref_energy=E, cell_width=cell.width)
 
 

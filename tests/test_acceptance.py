@@ -138,7 +138,7 @@ def test_c01_power_of_cell_equals_scaled_angles(rep_stack, rep_band, play_band):
     worst = 0.0
     t0 = time.perf_counter()
     for model, band in cases:
-        # the usual stencil-clearance margin; closer to the edge mu diverges,
+        # the CLI grids' 5e-3 band margin; closer to the edge mu diverges,
         # entries reach ~1e2, and plain roundoff exceeds the absolute gate
         lo, hi = band.interior(5e-3)
         for E in np.linspace(lo, hi, 1000):

@@ -7,6 +7,7 @@ the acceptance suite instead.
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -190,3 +191,41 @@ def test_grid_below_raised_lead_band_bottom_exits_3(command, capsys, tmp_path):
     assert main([command, "--stack", str(raised), "--count", "40",
                  "-o", str(tmp_path / "out.csv")]) == 0
     assert _read_csv(tmp_path / "out.csv")["E_meV"][0] > 10.0
+
+
+def _edit_rep5(path, edit):
+    data = json.loads(open(STACK).read())
+    edit(data)
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda d: d.update(replicas=2.7), "replicas must be an integer"),
+    (lambda d: d.update(replicas=True), "replicas must be an integer"),
+    (lambda d: d.update(left_arcs=d.pop("left_arc")), "unknown key"),
+    (lambda d: d["core"].update(symmetrical=True), "unknown key"),
+    (lambda d: d["core"]["layers"][1].update(V_mev=290.0), "unknown key"),
+    (lambda d: d["core"]["layers"][0].update(width_nm=math.inf), "width must be finite"),
+    (lambda d: d["outside"].update(mass_ratio=math.inf), "mass_ratio must be finite"),
+    (lambda d: d["core"]["layers"][0].update(width_nm="3nm"), "must be a number"),
+], ids=["fractional-replicas", "boolean-replicas", "unknown-stack-key", "unknown-cell-key",
+        "unknown-layer-key", "infinite-width", "infinite-mass", "non-numeric-width"])
+def test_malformed_stack_file_exits_3(edit, message, capsys, tmp_path):
+    stack = _edit_rep5(tmp_path / "bad.json", edit)
+    code = main(["transmission", "--stack", stack, "--count", "20",
+                 "-o", str(tmp_path / "out.csv")])
+    assert code == 3
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("k", range(1, 9))
+def test_reproduce_matches_committed_figures(k, tmp_path):
+    """figures/fig<k>.csv is what the code writes today, byte for byte in
+    every data row (the header lines echo --outdir)."""
+    assert main(["reproduce", "--figure", str(k), "--outdir", str(tmp_path)]) == 0
+
+    def rows(path):
+        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+    assert rows(tmp_path / f"fig{k}.csv") == rows(Path("figures") / f"fig{k}.csv")

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import play_energies
-from sltime.errors import NumericError
+from sltime.errors import NearBandEdgeError, NumericError
 from sltime.kard import (
     EDGE_TOL,
     KardParams,
@@ -20,7 +20,6 @@ from sltime.kard import (
     band_phase,
     band_structure,
     decompose,
-    default_step,
     energy_at_phase,
     kard_derivatives,
     reconstruct,
@@ -128,25 +127,37 @@ def test_energy_at_phase_inverts_band_phase(rep_band, phi_local):
     assert band_phase(model, rep_band, E) == pytest.approx(phi_local, abs=1e-9)
 
 
-def test_default_step_clamps(rep_band):
-    assert default_step(rep_band) == pytest.approx(1e-3 * rep_band.width)
-    assert default_step(None) == pytest.approx(0.025)  # 25 meV fallback width
-
-
 def test_derivatives_match_play_closed_forms(play_band):
+    """The angle algebra of kard_derivatives, fed the model's c', c'' and
+    g', against the model's own derivatives in angle space: to roundoff."""
     from sltime.playmodel import play_derivatives
 
     for E in np.linspace(52.0, 73.0, 41):
-        fd = kard_derivatives(PLAY_MODEL, None, float(E), band=play_band)
+        d = kard_derivatives(PLAY_MODEL, None, float(E), band=play_band)
         an = play_derivatives(float(E))
-        assert fd.phi_p == pytest.approx(an.phi_p, rel=1e-8)
-        assert fd.mu_p == pytest.approx(an.mu_p, rel=1e-6, abs=1e-9)
-        assert fd.phi_pp == pytest.approx(an.phi_pp, rel=1e-5, abs=1e-8)
+        assert d.phi_p == pytest.approx(an.phi_p, rel=1e-12)
+        assert d.mu_p == pytest.approx(an.mu_p, rel=1e-12)
+        assert d.phi_pp == pytest.approx(an.phi_pp, rel=1e-12)
 
 
-def test_derivative_stencil_guard_near_edge(play_band):
-    with pytest.raises(NumericError):
-        kard_derivatives(PLAY_MODEL, None, play_band.lower + 1e-4, band=play_band)
+def test_derivatives_next_to_a_band_edge_and_outside_the_band(play_band, rep_band):
+    """No stencil to fit in: 1e-4 meV inside an edge is as good as the
+    middle, and an energy outside the band named is refused."""
+    from sltime.playmodel import play_derivatives
+
+    E = play_band.lower + 1e-4
+    d = kard_derivatives(PLAY_MODEL, None, E, band=play_band)
+    an = play_derivatives(E)
+    assert np.isfinite([d.phi_p, d.phi_pp, d.mu_p]).all()
+    assert d.phi_p == pytest.approx(an.phi_p, rel=1e-9)
+    cell = representative_cell()
+    d = kard_derivatives(cell, OUT, rep_band.lower + 1e-4, band=rep_band)
+    assert np.isfinite([d.phi_p, d.phi_pp, d.mu_p]).all() and d.phi_p > 0.0
+    for E in (play_band.lower - 1e-4, play_band.upper + 1e-4, 40.0):
+        with pytest.raises(NearBandEdgeError):
+            kard_derivatives(PLAY_MODEL, None, E, band=play_band)
+    with pytest.raises(NearBandEdgeError):
+        kard_derivatives(cell, OUT, np.array([58.0, rep_band.upper + 1e-9]), band=rep_band)
 
 
 def test_band_structure_requires_grid():

@@ -23,23 +23,23 @@ OUT = Layer(9.5, 0.0, 0.067)
 
 # Full-precision lineshape table for the 5-cell reference stack (band 1),
 # frozen from a validated run; guards every derivative code path at once.
-# b_m rests on a five-point second derivative whose roundoff is ~1e-9
-# relative: moving a band edge by 2e-13 meV moves it by 4e-9.  The table
-# therefore pins one evaluation order bit for bit, and is refrozen whenever
-# the kernel's arithmetic changes (last: array-valued energies, bisected
-# roots).
+# The derivatives are exact up to roundoff (forward-mode through the layer
+# product).  The table was last refrozen when they replaced five-point
+# stencils, which left every E in place and moved the peak Gamma and tau by
+# <= 9.3e-13 relative, the valley Gamma by <= 6.1e-13, and b (built on a
+# second derivative) by <= 1.4e-9.
 REP5_PEAKS = {
-    1: (52.8099405105902, 0.14313538003870657, -0.04438448067996652, 9246.68511594688),
-    2: (55.857914341103616, 0.4206266359249568, -0.021675436960533753, 3176.669012273599),
-    3: (60.019899820397974, 0.4937023291640984, 0.011366836184956168, 2710.0030936180387),
-    4: (63.79712863819773, 0.21881552419169478, 0.04493594314744743, 6056.731236895592),
+    1: (52.8099405105902, 0.14313538003871712, -0.04438448067881223, 9246.6851159462),
+    2: (55.857914341103616, 0.42062663592485827, -0.021675436979459013, 3176.6690122743435),
+    3: (60.019899820397974, 0.4937023291636372, 0.011366836169137081, 2710.0030936205712),
+    4: (63.79712863819773, 0.21881552419178377, 0.0449359431358458, 6056.731236893132),
 }
 REP5_VALLEYS = {
-    0: (51.98775191532396, 0.7087876514953116),
-    1: (54.12762074818233, 1.9826236528489418),
-    2: (57.87779074845337, 2.736466769271197),
-    3: (62.07338910128096, 2.4877099974485546),
-    4: (64.95334400969924, 1.026226711960392),
+    0: (51.98775191532396, 0.7087876514953128),
+    1: (54.12762074818233, 1.9826236528489862),
+    2: (57.87779074845337, 2.7364667692695397),
+    3: (62.07338910128096, 2.487709997448756),
+    4: (64.95334400969924, 1.0262267119603343),
 }
 
 

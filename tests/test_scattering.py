@@ -166,6 +166,30 @@ def test_smith_off_diagonal_is_reflectivity_slope():
         assert q.tau12.real == pytest.approx(want, rel=1e-5)
 
 
+#: A six-cell stack with a 0.082 meV wide first band: 3.005 nm half wells
+#: around a 10.147 nm, 290 meV barrier, between rep5's leads, and two
+#: energies on its sharpest resonances (a 45 ps delay at the first).  A
+#: fixed 1e-3 meV stencil step was too coarse here: Q failed its
+#: Hermiticity check and dwell's closed form read -1372 fs against its
+#: own quadrature's 44831 fs.
+_HALF_WELL = Layer(3.005172100438002, 0.0, 0.067)
+NARROW_BAND = StackSpec(
+    core=CellSpec((_HALF_WELL, Layer(10.147490367949276, 290.0, 0.0919), _HALF_WELL),
+                  symmetric=True),
+    replicas=6,
+    outside=Layer(9.5, 0.0, 0.067),
+)
+
+
+@pytest.mark.parametrize("E", [64.4633365217519, 64.43085692583227])
+def test_narrow_band_smith_and_dwell_agree_with_their_checks(E):
+    q = smith_matrix(NARROW_BAND, E)
+    assert q.tau11 == pytest.approx(q.tau22, rel=1e-7)
+    d = dwell_time(NARROW_BAND, E)
+    assert d.dwell_time == pytest.approx(d.tau_numeric, rel=1e-5)
+    assert d.tau_dwell_delay == pytest.approx(q.tau11, rel=1e-7)
+
+
 def test_smith_asymmetric_stack_warns():
     lopsided = StackSpec(
         core=CellSpec((Layer(2.0, 150.0, 0.09), Layer(4.0, 0.0, 0.067))),
@@ -191,7 +215,7 @@ def test_free_stack_is_featureless():
     assert probability_current(free, E, xs) == pytest.approx(np.ones(len(xs)), rel=1e-12)
     d = dwell_time(free, E)
     assert d.oscillatory_term == pytest.approx(0.0, abs=1e-12)
-    # the residual here is stencil roundoff: hbar * eps / h ~ 1e-10 fs
+    # the residual here is the roundoff of the exact derivatives
     assert d.tau_dwell_delay == pytest.approx(0.0, abs=1e-8)
     assert d.dwell_time == pytest.approx(d.uniform_passage, rel=1e-10)
     assert d.delay == pytest.approx(0.0, abs=1e-8)
