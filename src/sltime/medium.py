@@ -31,7 +31,6 @@ __all__ = [
     "CellSpec",
     "StackSpec",
     "EnergyGrid",
-    "local_wavenumber",
     "stack_to_dict",
     "stack_from_dict",
     "load_stack",
@@ -159,21 +158,6 @@ class StackSpec:
         for cell in self.cells():
             out.extend(cell.layers)
         return out
-
-
-def local_wavenumber(E: float, layer: Layer, consts: PhysConstants = CONSTANTS) -> complex:
-    """Complex wavenumber in a uniform layer at energy E.
-
-    Branch convention: positive real part for a propagating wave (E > V),
-    positive imaginary part for an evanescent one (E < V).  E exactly at the
-    layer band bottom returns 0.
-    """
-    if not math.isfinite(E):
-        raise ValidationError(f"non-finite energy {E}")
-    ksq = (E - layer.potential) * layer.mass_ratio / consts.hbar2_over_2m0
-    if ksq >= 0.0:
-        return complex(math.sqrt(ksq), 0.0)
-    return complex(0.0, math.sqrt(-ksq))
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,10 @@
 """Shared numerical helpers: bracketed bisection and quadrature.
 
-Bisection halves many brackets together, one call of a vectorised function
-per step.  Quadrature is adaptive Simpson with explicit subdivision at
-caller-supplied breakpoints, so piecewise-smooth integrands (wavefunction
-density across layer interfaces) never straddle a kink.  Energy
+Both take a vectorised function and call it once per step on every open
+bracket or panel together.  Bisection halves many brackets at a time.
+Quadrature is adaptive Simpson, refined level by level, with explicit
+subdivision at caller-supplied breakpoints, so piecewise-smooth integrands
+(wavefunction density across layer interfaces) never straddle a kink.  Energy
 derivatives are not taken here: the transfer-matrix kernel carries them
 exactly (``tmatrix.Jet``).
 """
@@ -47,30 +48,8 @@ def bisect(
         hi = np.where(live & ~right, mid, hi)
 
 
-def _simpson(fa: complex, fm: complex, fb: complex, width: float) -> complex:
-    return width / 6.0 * (fa + 4.0 * fm + fb)
-
-
-def _adaptive(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm = 0.5 * (a + m)
-    rm = 0.5 * (m + b)
-    flm = f(lm)
-    frm = f(rm)
-    left = _simpson(fa, flm, fm, m - a)
-    right = _simpson(fm, frm, fb, b - m)
-    if depth <= 0:
-        raise NumericError(f"quadrature failed to converge on [{a}, {b}]")
-    delta = left + right - whole
-    if abs(delta) <= 15.0 * tol:
-        return left + right + delta / 15.0
-    return _adaptive(f, a, m, fa, flm, fm, left, tol / 2.0, depth - 1) + _adaptive(
-        f, m, b, fm, frm, fb, right, tol / 2.0, depth - 1
-    )
-
-
 def adaptive_simpson(
-    f: Callable[[float], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     a: float,
     b: float,
     *,
@@ -80,17 +59,41 @@ def adaptive_simpson(
 ) -> complex:
     """Integral of f over [a, b] to absolute tolerance tol.
 
+    f maps an array of abscissae to an array of values, element by element.
     ``breakpoints`` inside (a, b) force panel boundaries there; pass layer
     interface positions so the integrand is smooth within every panel.
+
+    The panels are refined level by level: each level calls f once, on the
+    two new quarter points of every open panel.  A panel whose two halves
+    change its Simpson estimate by at most 15 tol is accepted (with the
+    Richardson correction); the others split, each half with tol halved.
+    A panel still open after ``max_depth`` levels raises, so f is called at
+    most ``max_depth + 1`` times.
     """
     if not b > a:
         raise NumericError(f"need b > a, got [{a}, {b}]")
-    knots = [a] + sorted(x for x in set(breakpoints) if a < x < b) + [b]
+
+    def simpson(x, fx):  # the rule on panels given as rows (lo, mid, hi)
+        return (x[:, 2] - x[:, 0]) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
+
+    knots = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b])
+    x = np.stack([knots[:-1], 0.5 * (knots[:-1] + knots[1:]), knots[1:]], axis=1)
+    fx = f(x.ravel()).reshape(x.shape)
+    tols = tol * (x[:, 2] - x[:, 0]) / (b - a)
     total = 0.0 + 0.0j
-    for lo, hi in zip(knots[:-1], knots[1:]):
-        fa, fb = f(lo), f(hi)
-        fm = f(0.5 * (lo + hi))
-        whole = _simpson(fa, fm, fb, hi - lo)
-        panel_tol = tol * (hi - lo) / (b - a)
-        total += _adaptive(f, lo, hi, fa, fm, fb, whole, panel_tol, max_depth)
-    return total
+    for _ in range(max_depth):
+        whole, n = simpson(x, fx), len(x)
+        quarters = 0.5 * (x[:, :2] + x[:, 1:])
+        x5 = np.insert(x, [1, 2], quarters, axis=1)  # lo, lq, mid, rq, hi
+        f5 = np.insert(fx, [1, 2], f(quarters.ravel()).reshape(quarters.shape), axis=1)
+        # every left half, then every right half
+        x, fx = np.concatenate([x5[:, :3], x5[:, 2:]]), np.concatenate([f5[:, :3], f5[:, 2:]])
+        halves = simpson(x, fx)
+        delta = halves[:n] + halves[n:] - whole
+        done = np.abs(delta) <= 15.0 * tols
+        total += np.sum((halves[:n] + halves[n:] + delta / 15.0)[done])
+        if done.all():
+            return complex(total)
+        split = np.tile(~done, 2)
+        x, fx, tols = x[split], fx[split], np.tile(0.5 * tols[~done], 2)
+    raise NumericError(f"quadrature failed to converge on [{x[0, 0]}, {x[0, 2]}]")

@@ -199,10 +199,13 @@ class ApproxCurves:
     Around each peak the Breit-Wigner/Fano shapes are used for
     |E - E_m| <= Gamma_m; around each valley (peak windows taking
     precedence where they overlap) the valley shape is used for
-    |E - E_p| <= Gamma_p/2; gaps in between are bridged by horizontal
-    connectors.  For the transmission the connector level is the common
-    window-edge value 1/5; for the phase time the flanking edge values
-    differ slightly and the bridge takes their mean.
+    |E - E_p| <= Gamma_p/2.  Both bounds are closed: a sample exactly on a
+    window edge takes the window's shape.  Each run of samples in between
+    is bridged by a horizontal connector, the mean of the edge values of
+    the nearest windows on either side.  For the transmission that level is
+    the common window-edge value 1/5.  For the phase time the two flanking
+    edge values differ, so the connector jumps at each window edge by
+    design, by half their difference.
     """
 
     energies: np.ndarray
@@ -226,92 +229,49 @@ def approx_curves(
         raise ValidationError("approx_curves needs the band and an energy grid")
     peaks, valleys = fit_extrema(cell, outside, N, band, consts)
 
-    # Window table: (lo, hi, kind, fit), peaks first so they win overlaps.
-    windows: list[tuple[float, float, str, object]] = []
-    for pk in peaks:
-        windows.append((pk.E_m - pk.Gamma_m, pk.E_m + pk.Gamma_m, "peak", pk))
-    for vl in valleys:
-        windows.append((vl.E_p - 0.5 * vl.Gamma_p, vl.E_p + 0.5 * vl.Gamma_p, "valley", vl))
-
-    def shapes_at(E: float) -> tuple[float | None, float | None]:
-        for lo, hi, kind, fit in windows:
-            if lo <= E <= hi:
-                if kind == "peak":
-                    return fit.t2(E), fit.tau(E)
-                return None, fit.tau(E)
-        return None, None
-
+    # Windows [lo, hi], peaks first: a sample takes the first that holds it.
+    fits = (*peaks, *valleys)
+    centre = np.array([pk.E_m for pk in peaks] + [vl.E_p for vl in valleys])
+    half = np.array([pk.Gamma_m for pk in peaks] + [0.5 * vl.Gamma_p for vl in valleys])
+    lo, hi = centre - half, centre + half
     energies = np.asarray(grid.samples, dtype=float)
+    inside = (lo[:, None] <= energies) & (energies <= hi[:, None])
+    owner = np.where(inside.any(axis=0), inside.argmax(axis=0), -1)
+
     t2 = np.empty(len(energies))
     tau = np.empty(len(energies))
-    covered_t2 = np.zeros(len(energies), dtype=bool)
-    covered_tau = np.zeros(len(energies), dtype=bool)
-    for i, E in enumerate(energies):
-        s_t2, s_tau = shapes_at(float(E))
-        if s_t2 is not None:
-            t2[i] = s_t2
-            covered_t2[i] = True
-        if s_tau is not None:
-            tau[i] = s_tau
-            covered_tau[i] = True
+    for w, fit in enumerate(fits):
+        at = owner == w
+        tau[at] = fit.tau(energies[at])
+        if w < len(peaks):
+            t2[at] = fit.t2(energies[at])
 
-    _bridge(energies, t2, covered_t2, windows, "t2")
-    _bridge(energies, tau, covered_tau, windows, "tau")
+    # Valley windows never define t2; the BW value at |x| = 2 is 1/5 for
+    # every peak, so that is the universal connector level.
+    t2_edges = [[pk.t2(e) for pk, e in zip(peaks, ends)] + [0.2] * len(valleys)
+                for ends in (lo, hi)]
+    tau_edges = [[fit.tau(e) for fit, e in zip(fits, ends)] for ends in (lo, hi)]
+    _connect(energies, t2, (owner >= 0) & (owner < len(peaks)), lo, hi, *t2_edges)
+    _connect(energies, tau, owner >= 0, lo, hi, *tau_edges)
     return ApproxCurves(energies=energies, t2=t2, tau_ph=tau, peaks=peaks, valleys=valleys)
 
 
-def _bridge(
-    energies: np.ndarray,
-    values: np.ndarray,
-    covered: np.ndarray,
-    windows: list,
-    which: str,
-) -> None:
-    """Fill uncovered stretches with horizontal connectors (in place)."""
-
-    def edge_value(fit, kind: str, E: float) -> float:
-        if which == "t2":
-            # Valley windows never define t2; the BW value at |x| = 2 is 1/5
-            # for every peak, so that is the universal connector level.
-            return fit.t2(E) if kind == "peak" else 0.2
-        return fit.tau(E)
-
-    n = len(energies)
-    i = 0
-    while i < n:
-        if covered[i]:
-            i += 1
-            continue
-        j = i
-        while j < n and not covered[j]:
-            j += 1
-        # nearest covering windows on each side of the gap [i, j)
-        left = _nearest_window(windows, energies[i], side="left")
-        right = _nearest_window(windows, energies[j - 1], side="right")
-        vals = []
-        if left is not None:
-            lo, hi, kind, fit = left
-            vals.append(edge_value(fit, kind, hi))
-        if right is not None:
-            lo, hi, kind, fit = right
-            vals.append(edge_value(fit, kind, lo))
-        if not vals:
-            raise NumericError("no fitted windows to bridge from")
-        values[i:j] = sum(vals) / len(vals)
-        i = j
-
-
-def _nearest_window(windows: list, E: float, side: str):
-    best = None
-    best_gap = math.inf
-    for lo, hi, kind, fit in windows:
-        if side == "left" and hi <= E:
-            gap = E - hi
-        elif side == "right" and lo >= E:
-            gap = lo - E
-        else:
-            continue
-        if gap < best_gap:
-            best_gap = gap
-            best = (lo, hi, kind, fit)
-    return best
+def _connect(energies, values, covered, lo, hi, at_lo, at_hi) -> None:
+    """Fill each run of uncovered samples (in place) with the mean of the hi
+    edge value of the window ending nearest below the run's first sample and
+    the lo edge value of the window starting nearest above its last; ties go
+    to the earlier window, and a run with a window on one side only takes
+    that one edge value."""
+    gap = ~covered
+    i = np.arange(len(energies))
+    first = energies[np.maximum.accumulate(np.where(covered, i + 1, 0))[gap]]
+    last = energies[np.minimum.accumulate(np.where(covered, i - 1, i[-1])[::-1])[::-1][gap]]
+    below = hi[:, None] <= first
+    above = lo[:, None] >= last
+    has_left, has_right = below.any(axis=0), above.any(axis=0)
+    if not (has_left | has_right).all():
+        raise NumericError("no fitted windows to bridge from")
+    left = np.asarray(at_hi)[np.where(below, first - hi[:, None], np.inf).argmin(axis=0)]
+    right = np.asarray(at_lo)[np.where(above, lo[:, None] - last, np.inf).argmin(axis=0)]
+    values[gap] = np.where(has_left & has_right, (left + right) / 2,
+                           np.where(has_left, left, right))

@@ -14,14 +14,17 @@ conventions coexist:
   of these phases are the ones with a time interpretation, because moving
   the stack moves the arrival events.
 
-``shift_convention`` converts between the two.  The S-matrix, the Smith
-lifetime matrix Q = -i hbar S^dagger dS/dE, and the dwell-time formula all
-require origin-referenced input and raise otherwise instead of silently
-producing phases with the wrong reference.
+``shift_convention`` converts the first into the second.  The S-matrix,
+the Smith lifetime matrix Q = -i hbar S^dagger dS/dE, and the dwell-time
+formula all require origin-referenced input and raise otherwise instead of
+silently producing phases with the wrong reference.
 
 The interior wavefunction is reconstructed by back-propagating the
 transmitted plane wave through the layer sequence with the same
-(psi, psi'/m*) propagators used for the transfer matrix.  Backward
+(psi, psi'/m*) propagators used for the transfer matrix.  A position array
+is evaluated in one pass: each point's layer comes from one
+``searchsorted`` over the interfaces, and each layer that holds points
+propagates all of them from its left interface in one array call.  Backward
 propagation through a barrier grows the evanescent component, which is the
 numerically stable direction (the forward problem would difference two
 growing exponentials); for the layer thicknesses and barrier heights this
@@ -41,7 +44,8 @@ three named pieces:
 
 Their sum is the integral of |psi|^2 over the window for the
 flux-normalized stationary state, which ``dwell_time`` also evaluates by
-adaptive quadrature of the reconstructed density as an independent check.
+adaptive quadrature of the reconstructed density as an independent check;
+the quadrature hands the density one position array per refinement level.
 """
 
 from __future__ import annotations
@@ -57,7 +61,6 @@ from .errors import NumericError, ValidationError
 from .medium import CONSTANTS, PhysConstants, StackSpec, _layers_mirror_equal
 from .numerics import adaptive_simpson
 from .tmatrix import (
-    CELL_REFERENCED,
     ORIGIN_REFERENCED,
     Amplitudes,
     _layer_entries,
@@ -68,7 +71,6 @@ from .tmatrix import (
 
 __all__ = [
     "shift_convention",
-    "unshift_convention",
     "SMatrix",
     "s_matrix",
     "SmithMatrix",
@@ -107,18 +109,6 @@ def shift_convention(amp: Amplitudes, k: float, a: float, w: float) -> Amplitude
         t=amp.t * cmath.exp(-1j * k * w),
         r=amp.r * cmath.exp(2j * k * a),
         convention=ORIGIN_REFERENCED,
-    )
-
-
-def unshift_convention(amp: Amplitudes, k: float, a: float, w: float) -> Amplitudes:
-    """Inverse of :func:`shift_convention` (same k, a, w)."""
-    if amp.convention == CELL_REFERENCED:
-        raise ValidationError("amplitudes are already cell-referenced")
-    _check_shift_args(k, a, w)
-    return Amplitudes(
-        t=amp.t * cmath.exp(1j * k * w),
-        r=amp.r * cmath.exp(-2j * k * a),
-        convention=CELL_REFERENCED,
     )
 
 
@@ -167,10 +157,14 @@ def s_matrix(amp: Amplitudes) -> SMatrix:
 
 
 def _origin_amplitudes(
-    stack: StackSpec, E: float, consts: PhysConstants
+    stack: StackSpec, E: float, consts: PhysConstants, amp: Amplitudes | None = None
 ) -> tuple[Amplitudes, float, float]:
-    """Origin-referenced amplitudes plus lead wavenumber and velocity."""
-    amp = amplitudes(stack_matrix(E, stack, consts))
+    """Origin-referenced amplitudes plus lead wavenumber and velocity.
+
+    ``amp`` passes the cell-referenced amplitudes at E when they are known.
+    """
+    if amp is None:
+        amp = amplitudes(stack_matrix(E, stack, consts))
     k = math.sqrt(
         (E - stack.outside.potential) * stack.outside.mass_ratio / consts.hbar2_over_2m0
     )
@@ -184,12 +178,14 @@ def _origin_derivatives(
 ) -> tuple[Amplitudes, complex, complex, float, float]:
     """``_origin_amplitudes`` and the energy derivatives dt/dE and dr/dE.
 
-    The cell-referenced derivatives are exact, from the stack matrix at a
-    jet energy.  With the stack centred on the origin both shifts are
-    e^{-ikw}, whose phase moves with dk/dE = k / (2 (E - V_out)).
+    The cell-referenced amplitudes and their exact derivatives come from one
+    stack matrix at a jet energy; its value parts are the amplitudes, by the
+    same operations as a plain evaluation.  With the stack centred on the
+    origin both shifts are e^{-ikw}, whose phase moves with
+    dk/dE = k / (2 (E - V_out)).
     """
-    amp, k, v = _origin_amplitudes(stack, E, consts)
     jet = amplitudes(stack_matrix(energy_jet(E), stack, consts))
+    amp, k, v = _origin_amplitudes(stack, E, consts, Amplitudes(jet.t.v, jet.r.v))
     shift = cmath.exp(-1j * k * stack.width)
     dk_w = 0.5 * k * stack.width / (E - stack.outside.potential)
     dt = jet.t.d1 * shift - 1j * dk_w * amp.t
@@ -257,8 +253,9 @@ def smith_matrix(
 class _WaveField:
     """Flux-normalized stationary state for a unit wave incident from the left.
 
-    Built once per (stack, E); evaluating psi at a point costs one partial
-    layer propagation from the nearest interface to its left.
+    Built once per (stack, E).  ``u`` evaluates it on a position array with
+    one partial propagation per layer that holds points, each from the
+    layer's left interface.
     """
 
     def __init__(self, stack: StackSpec, E: float, consts: PhysConstants = CONSTANTS):
@@ -291,38 +288,32 @@ class _WaveField:
         us.reverse()
         self.us = us  # u at every interface, left to right
 
-    def u(self, x: float) -> np.ndarray:
-        """(psi, psi'/m*) at x, any region."""
+    def u(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, psi'/m*) at every position of the array x, any region."""
+        x = np.asarray(x, dtype=float)
+        psi = np.empty(x.shape, dtype=complex)
+        slope = np.empty(x.shape, dtype=complex)
         norm = 1.0 / math.sqrt(self.v)
-        if x <= self.a:
-            fwd = cmath.exp(1j * self.k * (x - self.a))
-            bwd = self.amp.r / fwd
-            psi = (fwd + bwd) * norm
-            slope = 1j * self.k * (fwd - bwd) * norm / self.mass_out
-            return np.array([psi, slope])
-        if x >= self.b:
-            psi = self.amp.t * cmath.exp(1j * self.k * (x - self.b)) * norm
-            return np.array([psi, 1j * self.k * psi / self.mass_out])
-        j = int(np.searchsorted(self.edges, x, side="right")) - 1
-        j = min(max(j, 0), len(self.layers) - 1)
-        dx = x - self.edges[j]
-        if dx == 0.0:
-            return self.us[j]
-        p = _layer_entries(self.E, self.layers[j], dx, self.consts)
-        return np.array(p, dtype=float) @ self.us[j]
-
-    def psi(self, x: float) -> complex:
-        return complex(self.u(x)[0])
-
-    def density(self, x: float) -> float:
-        return abs(self.psi(x)) ** 2
-
-    def current(self, x: float) -> float:
-        """Probability current normalized so the incident wave carries 1."""
-        u = self.u(x)
-        raw = (u[0].conjugate() * u[1]).imag
-        # incident current of e^{ikx}/sqrt(v): k/(m v) in these units
-        return float(raw * self.v * self.mass_out / self.k)
+        ik = 1j * self.k
+        left, right = x <= self.a, x >= self.b
+        fwd = np.exp(ik * (x[left] - self.a))
+        bwd = self.amp.r / fwd
+        psi[left] = (fwd + bwd) * norm
+        slope[left] = ik * (fwd - bwd) * norm / self.mass_out
+        psi[right] = self.amp.t * np.exp(ik * (x[right] - self.b)) * norm
+        slope[right] = ik * psi[right] / self.mass_out
+        layer = np.searchsorted(self.edges, x, side="right") - 1
+        layer[left | right] = -1
+        for j in np.unique(layer[layer >= 0]):
+            at = layer == j
+            dx = x[at] - self.edges[j]
+            (p11, p12), (p21, p22) = _layer_entries(
+                np.full(dx.shape, self.E), self.layers[j], dx, self.consts
+            )
+            u0, u1 = self.us[j]
+            psi[at] = p11 * u0 + p12 * u1
+            slope[at] = p21 * u0 + p22 * u1
+        return psi, slope
 
 
 def interior_wavefunction(
@@ -338,8 +329,7 @@ def interior_wavefunction(
     |psi|^2 = 1/v everywhere and resonant states show up as interior
     density exceeding the lead value.
     """
-    field = _WaveField(stack, E, consts)
-    return np.array([field.psi(x) for x in np.asarray(x_grid, dtype=float)])
+    return _WaveField(stack, E, consts).u(x_grid)[0]
 
 
 def probability_current(
@@ -354,7 +344,9 @@ def probability_current(
     probability; deviations measure reconstruction error.
     """
     field = _WaveField(stack, E, consts)
-    return np.array([field.current(x) for x in np.asarray(x_grid, dtype=float)])
+    psi, slope = field.u(x_grid)
+    # incident current of e^{ikx}/sqrt(v): k/(m v) in these units
+    return (psi.conjugate() * slope).imag * field.v * field.mass_out / field.k
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +438,7 @@ def dwell_time(
     field = _WaveField(stack, E, consts)
     interior = [x for x in field.edges if x_left < x < x_right]
     numeric = adaptive_simpson(
-        lambda x: field.density(x), x_left, x_right, tol=1e-6, breakpoints=interior
+        lambda x: np.abs(field.u(x)[0]) ** 2, x_left, x_right, tol=1e-6, breakpoints=interior
     ).real
 
     closed = smooth + oscillatory + free_passage

@@ -16,7 +16,6 @@ from sltime.medium import (
     Layer,
     StackSpec,
     load_stack,
-    local_wavenumber,
     representative_cell,
     representative_stack,
     save_stack,
@@ -76,17 +75,6 @@ def test_representative_stack_geometry():
     assert stack.core.width == pytest.approx(9.5)
     assert stack.width == pytest.approx(47.5)
     assert stack.core.symmetric
-
-
-def test_local_wavenumber_propagating_and_evanescent():
-    lead = Layer(9.5, 0.0, 0.067)
-    barrier = Layer(3.0, 290.0, 0.0919)
-    k = local_wavenumber(100.0, lead)
-    assert k.imag == 0.0 and k.real > 0.0
-    kappa = local_wavenumber(100.0, barrier)
-    assert kappa.real == 0.0 and kappa.imag > 0.0
-    # continuity across the band bottom
-    assert abs(local_wavenumber(1e-12, lead)) < 1e-5
 
 
 def test_energy_grid_validation():

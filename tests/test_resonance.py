@@ -189,6 +189,26 @@ def test_approx_curves_hit_extrema_values(rep_band):
     assert len(curves.peaks) == 4 and len(curves.valleys) == 5
 
 
+def test_window_edges_take_the_window_shape(rep_band):
+    # Windows are closed: E_m +- Gamma_m takes the peak shapes and
+    # E_p +- Gamma_p/2 the valley shape; one ulp outside a window the
+    # connector takes over, the mean of the flanking edge values, so tau
+    # jumps there by design.  For N = 5 no rep5 windows overlap.
+    cell = representative_cell()
+    pk = fit_peak(cell, OUT, 5, 2, band=rep_band)
+    vl = fit_valley(cell, OUT, 5, 2, band=rep_band)
+    pk_lo, pk_hi = pk.E_m - pk.Gamma_m, pk.E_m + pk.Gamma_m
+    vl_lo, vl_hi = vl.E_p - 0.5 * vl.Gamma_p, vl.E_p + 0.5 * vl.Gamma_p
+    assert pk_hi < vl_lo
+    grid = EnergyGrid(np.array([pk_lo, pk_hi, np.nextafter(pk_hi, math.inf), vl_lo, vl_hi]))
+    curves = approx_curves(cell, OUT, 5, rep_band, grid)
+    assert curves.t2[:2].tolist() == [pk.t2(pk_lo), pk.t2(pk_hi)]
+    assert curves.tau_ph[:2].tolist() == [pk.tau(pk_lo), pk.tau(pk_hi)]
+    assert curves.tau_ph[3:].tolist() == [vl.tau(vl_lo), vl.tau(vl_hi)]
+    assert curves.tau_ph[2] == (pk.tau(pk_hi) + vl.tau(vl_lo)) / 2
+    assert curves.t2[2:] == pytest.approx(0.2, rel=1e-12)
+
+
 def test_argument_validation(rep_band, play_band):
     cell = representative_cell()
     with pytest.raises(ValidationError):

@@ -23,7 +23,6 @@ from sltime.scattering import (
     s_matrix,
     shift_convention,
     smith_matrix,
-    unshift_convention,
 )
 from sltime.tmatrix import ORIGIN_REFERENCED, amplitudes, stack_matrix
 
@@ -110,13 +109,8 @@ def test_shift_round_trip_and_guards():
     assert shifted.convention == ORIGIN_REFERENCED
     assert abs(shifted.t) == pytest.approx(abs(amp.t), rel=1e-15)
     assert abs(shifted.r) == pytest.approx(abs(amp.r), rel=1e-15)
-    back = unshift_convention(shifted, k, a, w)
-    assert back.t == pytest.approx(amp.t, abs=1e-15)
-    assert back.r == pytest.approx(amp.r, abs=1e-15)
     with pytest.raises(ValidationError):
         shift_convention(shifted, k, a, w)  # already shifted
-    with pytest.raises(ValidationError):
-        unshift_convention(back, k, a, w)  # already cell-referenced
     with pytest.raises(ValidationError):
         shift_convention(amp, 0.0, a, w)
     with pytest.raises(ValidationError):
