@@ -12,13 +12,10 @@ rotation by a quarter-turn boost of half strength removes the hyperbolic
 factor from the total matrix, provided the two cells share the boost
 direction chi.
 
-``design_rule_of_thumb`` searches a two-parameter family made from the core
-itself -- all layer widths scaled by one factor, all potentials by another
--- for the cell that best satisfies the two matching conditions at the
-band-center energy.  That family always contains enough freedom to meet
-two scalar conditions, so the search is expected to converge to residuals
-near machine level; anything above 1e-2 is reported as no viable design
-rather than returned.
+``design_rule_of_thumb`` scales the core's widths and potentials and meets
+the two matching conditions at the band-center energy as two nested
+bisections; a design it cannot bracket, or whose residual exceeds 1e-2, is
+reported as no viable design rather than returned.
 """
 
 from __future__ import annotations
@@ -31,6 +28,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .kard import Band, PotentialCell, decompose, energy_at_phase
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants, StackSpec
+from .numerics import bisect
 from .tmatrix import TransferMatrix, amplitudes, cell_matrix, compose, energy_jet, stack_matrix
 
 __all__ = [
@@ -129,6 +127,17 @@ def _scaled_cell(core: CellSpec, width_scale: float, barrier_scale: float) -> Ce
     return CellSpec(layers=layers, symmetric=core.symmetric)
 
 
+def _highest_rise(f, samples: np.ndarray, what: str) -> float:
+    """Largest root at which f rises, below samples[0] where f > 0: the first
+    lower sample where f < 0 closes the bracket that ``bisect`` narrows."""
+    if not f(samples[0]) > 0.0:
+        raise NumericError(f"no viable design: {what} is not positive at {samples[0]:g}")
+    for above, below in zip(samples, samples[1:]):
+        if f(below) < 0.0:
+            return float(bisect(lambda x: f(float(x)), below, above, 1e-13))
+    raise NumericError(f"no viable design: {what} has no sign change down to {samples[-1]:g}")
+
+
 def design_rule_of_thumb(
     core: CellSpec,
     outside: Layer,
@@ -137,60 +146,44 @@ def design_rule_of_thumb(
 ) -> ArcDesign:
     """Quarter-wave/half-mu matching cell for ``core``, from a scaled family.
 
-    The matching energy is where the core's phase crosses pi/2.  The family
-    is the core with all widths scaled by s_w and all potentials by s_V;
-    a coarse grid over (s_w, s_V) seeds a Nelder-Mead refinement of
+    The family is the core with all widths scaled by s_w and all potentials
+    by s_V.  At the matching energy e_c, where the core's phase crosses
+    pi/2, the two conditions are two nested sign changes, each found by
+    stepping down 0.05 at a time and bisecting:
 
-        (phi_A - pi/2)^2 + (mu_A - mu_core/2)^2
+    * phi_A = pi/2 is Tr M_A = 0.  s_V(s_w) is the largest s_V in (0, 2] at
+      which Tr M_A rises through zero.  Only the largest is sure to be the
+      core's branch: on a narrow-band core Tr M_A also falls through zero
+      just above s_V = 0, so [0, 2] brackets no sign change.
+    * mu_A(s_w, s_V(s_w)) - mu/2 is +mu/2 at s_w = 1, the core itself; s_w
+      is its largest rising root below 1.
 
-    evaluated at the matching energy.  Candidates whose own dispersion is
-    forbidden there are pushed away with a penalty proportional to their
-    gap depth.  The boost direction chi is not part of the objective; for
-    cells drawn from the core's own family it comes out aligned, and the
-    end-to-end transmission checks would catch it if it did not.
+    No sign change at either level, a forbidden cell or a residual above
+    1e-2 raises NumericError.  chi is not matched: for cells of the core's
+    own family it comes out aligned, and the end-to-end transmission checks
+    would catch it if it did not.
     """
-    from scipy.optimize import minimize  # only the designer needs scipy
-
     model = PotentialCell(core, outside, consts)
     e_c = energy_at_phase(model, band, _QUARTER)
-    core_kard = decompose(model.matrix(e_c))
-    mu_target = 0.5 * core_kard.mu
+    mu_target = 0.5 * decompose(model.matrix(e_c)).mu
+    matrix = lambda s_w, s_V: cell_matrix(e_c, _scaled_cell(core, s_w, s_V), outside, consts)
 
-    def angles(s_w: float, s_V: float):
-        cell = _scaled_cell(core, s_w, s_V)
-        return decompose(cell_matrix(e_c, cell, outside, consts)), cell
+    def barrier_scale(s_w: float) -> float:
+        return _highest_rise(lambda s_V: matrix(s_w, s_V).m11.real,
+                             np.linspace(2.0, 0.0, 41), "Tr M_A(s_V)")
 
-    def objective(x: np.ndarray) -> float:
-        s_w, s_V = float(x[0]), float(x[1])
-        if not (0.05 <= s_w <= 3.0 and 0.0 <= s_V <= 2.0):
-            return 1e6
-        params, _ = angles(s_w, s_V)
-        if params.band != "allowed":
-            return 10.0 + params.theta**2
-        dphi = math.remainder(params.phi - _QUARTER, 2.0 * math.pi)
-        return dphi * dphi + (params.mu - mu_target) ** 2
-
-    best_x, best_f = None, math.inf
-    for s_w in np.linspace(0.25, 1.25, 21):
-        for s_V in np.linspace(0.02, 1.0, 21):
-            f = objective(np.array([s_w, s_V]))
-            if f < best_f:
-                best_x, best_f = np.array([s_w, s_V]), f
-    result = minimize(
-        objective,
-        best_x,
-        method="Nelder-Mead",
-        options={"xatol": 1e-12, "fatol": 1e-24, "maxiter": 4000},
-    )
-    params, cell = angles(float(result.x[0]), float(result.x[1]))
-    residual = math.sqrt(objective(result.x))
+    s_w = _highest_rise(lambda s_w: decompose(matrix(s_w, barrier_scale(s_w))).mu - mu_target,
+                        np.linspace(1.0, 0.05, 20), "mu_A(s_w) - mu/2")
+    s_V = barrier_scale(s_w)
+    params = decompose(matrix(s_w, s_V))
+    residual = math.hypot(params.phi - _QUARTER, params.mu - mu_target)
     if params.band != "allowed" or residual > 1e-2:
         raise NumericError(
-            f"no viable design: best residual {residual:.3e} at scales "
-            f"(width {result.x[0]:.4f}, barrier {result.x[1]:.4f})"
+            f"no viable design: residual {residual:.3e} at scales "
+            f"(width {s_w:.4f}, barrier {s_V:.4f})"
         )
     return ArcDesign(
-        arc_cell=cell,
+        arc_cell=_scaled_cell(core, s_w, s_V),
         target_energy=e_c,
         achieved_mu_a=params.mu,
         achieved_phi_a=params.phi,

@@ -42,6 +42,7 @@ import numpy as np
 
 from .errors import NoTransmissionError, NumericError, ValidationError
 from .medium import CONSTANTS, CellSpec, Layer, PhysConstants, StackSpec
+from .tmatrix import amplitudes, stack_matrix
 
 __all__ = [
     "Grid1D",
@@ -441,8 +442,6 @@ def stationary_packet_delay(
     the naive spectrum-averaged phase-time delay because density that is
     still trapped when the centroid passes the detector cannot contribute.
     """
-    from .scattering import _origin_amplitudes
-
     k0 = packet.k0(stack.outside, consts)
     sigma_k = 0.5 / packet.sigma_x
     k = np.linspace(k0 - 6.5 * sigma_k, k0 + 6.5 * sigma_k, n_k)
@@ -452,9 +451,7 @@ def stationary_packet_delay(
     alpha = consts.hbar2_over_2m0 / stack.outside.mass_ratio
     E = alpha * k**2 + stack.outside.potential
     omega = E / consts.hbar
-    t_amp = np.array(
-        [_origin_amplitudes(stack, float(e), consts)[0].t for e in E]
-    )
+    t_amp = amplitudes(stack_matrix(E, stack, consts)).t * np.exp(-1j * k * stack.width)
 
     v0 = consts.velocity(k0, stack.outside.mass_ratio)
     x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)

@@ -69,14 +69,7 @@ def dressed_stack(rep_stack, rep_band):
 def _bloch_curve(rep_stack, band):
     lo, hi = band.interior(5e-3)
     E = np.linspace(lo, hi, 481)
-    vals = np.array(
-        [
-            rep_stack.replicas
-            * bloch_time(rep_stack.core, rep_stack.outside, float(e), band=band)
-            for e in E
-        ]
-    )
-    return E, vals
+    return E, rep_stack.replicas * bloch_time(rep_stack.core, rep_stack.outside, E, band=band)
 
 
 def _run_pair(spec, E0, extra_time, curve, outside):

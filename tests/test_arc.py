@@ -20,7 +20,7 @@ from sltime.arc import (
     stack_phase_time,
 )
 from sltime.errors import ValidationError
-from sltime.kard import KardParams, decompose, reconstruct
+from sltime.kard import KardParams, band_structure, decompose, reconstruct
 from sltime.medium import (
     CellSpec,
     EnergyGrid,
@@ -86,6 +86,25 @@ def test_design_regression(design):
     assert design.achieved_mu_a == pytest.approx(ARC_MU_A, rel=1e-9)
     got = [(l.width, l.potential, l.mass_ratio) for l in design.arc_cell.layers]
     for got_layer, want_layer in zip(got, ARC_LAYERS):
+        assert got_layer == pytest.approx(want_layer, rel=1e-9)
+
+
+def test_design_takes_largest_quarter_wave_root_on_narrow_band_core():
+    """A nine-cell core whose 0.8 meV band sits deep in a wide gap: at the
+    core's own width, Tr M_A falls through zero just above zero barrier and
+    rises back through it at the core's barrier.  Only the largest root is
+    the core's branch.  The values are frozen from an independent
+    two-dimensional (Nelder-Mead) search."""
+    half = Layer(2.863583088353968, 0.0, 0.067)
+    core = CellSpec((half, Layer(7.180225799104908, 290.0, 0.0919), half), symmetric=True)
+    band = band_structure(core, OUT, grid=EnergyGrid.linear(1.0, 300.0, 6000))[0]
+    design = design_rule_of_thumb(core, OUT, band)
+    assert design.target_energy == pytest.approx(68.46786885072582, rel=1e-9)
+    assert design.achieved_mu_a == pytest.approx(2.669038771602875, rel=1e-9)
+    got = [(l.width, l.potential) for l in design.arc_cell.layers]
+    want = [(2.252959963096814, 0.0), (5.649132835421527, 161.0111030210386),
+            (2.252959963096814, 0.0)]
+    for got_layer, want_layer in zip(got, want):
         assert got_layer == pytest.approx(want_layer, rel=1e-9)
 
 

@@ -14,7 +14,9 @@ import pytest
 
 from sltime.cli import main
 from sltime.kard import as_model, decompose
-from sltime.medium import EnergyGrid, Layer, load_stack, representative_cell
+from sltime.medium import (
+    CellSpec, EnergyGrid, Layer, StackSpec, load_stack, representative_cell, save_stack,
+)
 from sltime.resonance import fit_peak
 from sltime.timing import transmission_sweep
 
@@ -174,6 +176,20 @@ def test_arc_design_then_evaluate(tmp_path, capsys):
     assert ev["has_arcs"] is True
     assert ev["avg_T"] == pytest.approx(0.7940166790988143, rel=1e-9)
     assert ev["avg_T_core_only"] == pytest.approx(0.14476127374975292, rel=1e-9)
+
+
+def test_arc_design_without_barrier_exits_4(tmp_path, capsys):
+    """With every potential zero the barrier scale changes nothing, so
+    Tr M_A has no sign change to bracket: the designer must refuse, not
+    return a cell."""
+    well, other = Layer(3.0, 0.0, 0.067), Layer(3.0, 0.0, 0.0919)
+    flat = StackSpec(core=CellSpec((well, other, well), symmetric=True), replicas=5,
+                     outside=OUT)
+    save_stack(flat, tmp_path / "flat.json")
+    assert main(["arc", "design", "--stack", str(tmp_path / "flat.json"),
+                 "-o", str(tmp_path / "x.json")]) == 4
+    assert "no viable design" in capsys.readouterr().err
+    assert not (tmp_path / "x.json").exists()
 
 
 @pytest.mark.parametrize("command", ["kard", "transmission"])

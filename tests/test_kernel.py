@@ -97,6 +97,7 @@ def test_stationary_commands_never_load_scipy(tmp_path):
         ["kard", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "kard.csv")],
         ["transmission", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "t.csv")],
         ["phasetime", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "pt.csv")],
+        ["arc", "design", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "arc.json")],
     ]
     for argv in commands:
         proc = subprocess.run(
