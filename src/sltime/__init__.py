@@ -8,7 +8,7 @@ angle parameterization:
 - ``kard``       angle parameterization of a cell matrix; band structure
 - ``timing``     transmission and phase-time curves for N-cell arrays
 - ``resonance``  band-interior extrema and resonance lineshape fits
-- ``scattering`` S-matrix, time-delay matrix, interior states, dwell times
+- ``scattering`` Smith lifetime matrix, interior states, dwell times
 - ``playmodel``  closed-form single-band toy cell
 - ``arc``        antireflection end cells and band-averaged transmission
 - ``tdse``       time-dependent wave-packet propagation cross-check
@@ -59,7 +59,6 @@ from .scattering import (
     SmithMatrix,
     dwell_time,
     interior_wavefunction,
-    s_matrix,
     smith_matrix,
 )
 from .playmodel import PLAY_MODEL, PlayModelSpec, play_derivatives, play_kard, play_matrix
@@ -121,7 +120,6 @@ __all__ = [
     "approx_curves",
     "DwellResult",
     "SmithMatrix",
-    "s_matrix",
     "smith_matrix",
     "interior_wavefunction",
     "dwell_time",

@@ -187,15 +187,12 @@ def _cmd_dwell(args) -> None:
     model = as_model(stack.core, stack.outside)
     band = _pick_band(model, args.band)
     grid = _grid_from_args(args, model, band, default_count=160)
-    rows = []
-    for E in grid.samples:
-        E = float(E)
-        r = dwell_time(stack, E, x_left=args.xl, x_right=args.xr)
-        q = smith_matrix(stack, E)
-        rows.append((E, r.dwell_time, r.oscillatory_term, r.tau_numeric, q.tau11))
+    E = grid.samples
+    d = dwell_time(stack, E, x_left=args.xl, x_right=args.xr)
+    q = smith_matrix(stack, E)
     _write_csv(args.output, _config_header(args),
                ["E_meV", "tau_dwell_fs", "tau_osc_fs", "tau_numeric_fs", "tau11_fs"],
-               rows)
+               zip(E, d.dwell_time, d.oscillatory_term, d.tau_numeric, q.tau11))
 
 
 def _cmd_resonances(args) -> None:

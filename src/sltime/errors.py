@@ -26,4 +26,7 @@ class NearBandEdgeError(NumericError):
 
 
 class NoTransmissionError(NumericError):
-    """Transmitted weight too small to define an arrival time."""
+    """No transmitted wave to work with: the transmitted weight of a wave
+    packet is too small to define an arrival time, or an energy handed to
+    the transfer-matrix kernel lies at or below the lead band bottom, where
+    no lead channel propagates."""

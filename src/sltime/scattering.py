@@ -2,22 +2,21 @@
 
 Everything here works in a fixed coordinate frame with the stack centered
 on the origin: the scattering region occupies [-W/2, +W/2] where W is the
-total stack width, and the uniform leads extend to either side.  Two phase
-conventions coexist:
+total stack width, and the uniform leads extend to either side.  The
+left-incident scattering state is psi = e^{ikx} + r e^{-ikx} (left lead),
+t e^{ikx} (right lead), so t and r are *origin-referenced*: energy
+derivatives of their phases are the ones with a time interpretation,
+because moving the stack moves the arrival events.
 
-- *cell-referenced* amplitudes (what ``tmatrix.amplitudes`` returns) take
-  the incident wave to have zero phase at the left face and the transmitted
-  wave zero phase at the right face.  Convenient for matrix algebra, but
-  the phases carry no information about where the stack sits.
-- *origin-referenced* amplitudes describe the actual solution
-  psi = e^{ikx} + r e^{-ikx} (left), t e^{ikx} (right).  Energy derivatives
-  of these phases are the ones with a time interpretation, because moving
-  the stack moves the arrival events.
-
-``shift_convention`` converts the first into the second.  The S-matrix,
-the Smith lifetime matrix Q = -i hbar S^dagger dS/dE, and the dwell-time
-formula all require origin-referenced input and raise otherwise instead of
-silently producing phases with the wrong reference.
+One private helper, ``_origin_jet``, produces them.  It evaluates the
+stack matrix once at a jet energy, for a scalar energy or a whole array,
+and re-references the kernel's cell-edge amplitudes (``tmatrix.amplitudes``)
+to the origin: with the stack centred, t and r both pick up e^{-ikw}.
+Every observable below starts from that call, and none accepts amplitudes
+from outside, so phases with the wrong reference cannot be handed in.  The
+S-matrix ((r, t), (t, r_bar)) and the Smith lifetime matrix
+Q = -i hbar S^dagger dS/dE are written out entry by entry, elementwise over
+an energy array.
 
 The interior wavefunction is reconstructed by back-propagating the
 transmitted plane wave through the layer sequence with the same
@@ -45,12 +44,12 @@ three named pieces:
 Their sum is the integral of |psi|^2 over the window for the
 flux-normalized stationary state, which ``dwell_time`` also evaluates by
 adaptive quadrature of the reconstructed density as an independent check;
-the quadrature hands the density one position array per refinement level.
+the quadrature runs one energy at a time and hands the density one
+position array per refinement level.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -60,19 +59,9 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .medium import CONSTANTS, PhysConstants, StackSpec, _layers_mirror_equal
 from .numerics import adaptive_simpson
-from .tmatrix import (
-    ORIGIN_REFERENCED,
-    Amplitudes,
-    _layer_entries,
-    amplitudes,
-    energy_jet,
-    stack_matrix,
-)
+from .tmatrix import _layer_entries, amplitudes, energy_jet, stack_matrix
 
 __all__ = [
-    "shift_convention",
-    "SMatrix",
-    "s_matrix",
     "SmithMatrix",
     "smith_matrix",
     "interior_wavefunction",
@@ -83,114 +72,29 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# phase conventions
+# origin-referenced amplitudes and the Smith lifetime matrix
 
 
-def _check_shift_args(k: float, a: float, w: float) -> None:
-    if not (math.isfinite(k) and k > 0.0):
-        raise ValidationError(f"lead wavenumber must be positive and finite, got {k}")
-    if not (math.isfinite(a) and math.isfinite(w)) or w < 0.0:
-        raise ValidationError(f"bad geometry: left face {a}, width {w}")
+def _origin_jet(stack: StackSpec, E, consts: PhysConstants) -> tuple:
+    """Amplitudes of the stack at E (a scalar or an array) from one
+    stack-matrix call at a jet energy.
 
-
-def shift_convention(amp: Amplitudes, k: float, a: float, w: float) -> Amplitudes:
-    """Re-reference cell-edge amplitudes to the coordinate origin.
-
-    ``a`` is the position of the left face of the scattering region and
-    ``w`` its width, so the right face sits at a + w.  The transmitted
-    amplitude picks up the propagation phase across the region,
-    t -> t e^{-ikw}, and the reflected amplitude the round trip to the left
-    face, r -> r e^{2ika}.  Moduli are untouched.
-    """
-    if amp.convention == ORIGIN_REFERENCED:
-        raise ValidationError("amplitudes are already origin-referenced")
-    _check_shift_args(k, a, w)
-    return Amplitudes(
-        t=amp.t * cmath.exp(-1j * k * w),
-        r=amp.r * cmath.exp(2j * k * a),
-        convention=ORIGIN_REFERENCED,
-    )
-
-
-# ---------------------------------------------------------------------------
-# S-matrix and Smith lifetime matrix
-
-
-@dataclass(frozen=True)
-class SMatrix:
-    """2x2 unitary scattering matrix ((r, t), (t, r_bar)) for identical leads.
-
-    ``r_bar`` is the reflection amplitude for incidence from the right; for
-    a spatially asymmetric stack it differs from r in phase (never in
-    modulus, since transmission is reciprocal).
-    """
-
-    r: complex
-    t: complex
-    r_bar: complex
-
-    @property
-    def matrix(self) -> np.ndarray:
-        return np.array([[self.r, self.t], [self.t, self.r_bar]], dtype=complex)
-
-    @property
-    def unitarity_defect(self) -> float:
-        s = self.matrix
-        return float(np.abs(s.conj().T @ s - np.eye(2)).max())
-
-
-def s_matrix(amp: Amplitudes) -> SMatrix:
-    """S-matrix from origin-referenced amplitudes.
-
-    The right-incidence reflection follows from unitarity and reciprocity:
-    r_bar = -conj(r) t / conj(t).  Cell-referenced input is rejected
-    because its phases would put the stack in the wrong place.
-    """
-    if amp.convention != ORIGIN_REFERENCED:
-        raise ValidationError(
-            "S-matrix entries need origin-referenced phases; apply shift_convention first"
-        )
-    if amp.t == 0:
-        raise NumericError("transmission amplitude underflowed to zero; cannot form S")
-    r_bar = -amp.r.conjugate() * amp.t / amp.t.conjugate()
-    return SMatrix(r=amp.r, t=amp.t, r_bar=r_bar)
-
-
-def _origin_amplitudes(
-    stack: StackSpec, E: float, consts: PhysConstants, amp: Amplitudes | None = None
-) -> tuple[Amplitudes, float, float]:
-    """Origin-referenced amplitudes plus lead wavenumber and velocity.
-
-    ``amp`` passes the cell-referenced amplitudes at E when they are known.
-    """
-    if amp is None:
-        amp = amplitudes(stack_matrix(E, stack, consts))
-    k = math.sqrt(
-        (E - stack.outside.potential) * stack.outside.mass_ratio / consts.hbar2_over_2m0
-    )
-    v = consts.velocity(k, stack.outside.mass_ratio)
-    w = stack.width
-    return shift_convention(amp, k, -0.5 * w, w), k, v
-
-
-def _origin_derivatives(
-    stack: StackSpec, E: float, consts: PhysConstants
-) -> tuple[Amplitudes, complex, complex, float, float]:
-    """``_origin_amplitudes`` and the energy derivatives dt/dE and dr/dE.
-
-    The cell-referenced amplitudes and their exact derivatives come from one
-    stack matrix at a jet energy; its value parts are the amplitudes, by the
-    same operations as a plain evaluation.  With the stack centred on the
-    origin both shifts are e^{-ikw}, whose phase moves with
-    dk/dE = k / (2 (E - V_out)).
+    Returns (jet, t, r, dt, dr, k, v): the cell-referenced amplitude jets,
+    whose value parts equal a plain evaluation; the origin-referenced t and
+    r with their exact energy derivatives; the lead wavenumber and velocity.
+    With the stack centred on the origin both shifts are e^{-ikw}, whose
+    phase moves with dk/dE = k / (2 (E - V_out)).
     """
     jet = amplitudes(stack_matrix(energy_jet(E), stack, consts))
-    amp, k, v = _origin_amplitudes(stack, E, consts, Amplitudes(jet.t.v, jet.r.v))
-    shift = cmath.exp(-1j * k * stack.width)
-    dk_w = 0.5 * k * stack.width / (E - stack.outside.potential)
-    dt = jet.t.d1 * shift - 1j * dk_w * amp.t
-    dr = jet.r.d1 * shift - 1j * dk_w * amp.r
-    return amp, dt, dr, k, v
+    e_kin = E - stack.outside.potential
+    k = np.sqrt(e_kin * stack.outside.mass_ratio / consts.hbar2_over_2m0)
+    v = consts.velocity(k, stack.outside.mass_ratio)
+    shift = np.exp(-1j * k * stack.width)
+    dk_w = 0.5 * k * stack.width / e_kin
+    t, r = jet.t.v * shift, jet.r.v * shift
+    dt = jet.t.d1 * shift - 1j * dk_w * t
+    dr = jet.r.d1 * shift - 1j * dk_w * r
+    return jet, t, r, dt, dr, k, v
 
 
 @dataclass(frozen=True)
@@ -199,29 +103,33 @@ class SmithMatrix:
 
     Q is Hermitian for a unitary S, so the diagonal entries are real delay
     times (tau11 for left incidence, tau22 for right) and the channel
-    coupling is carried by the single complex off-diagonal tau12.
+    coupling is carried by the single complex off-diagonal tau12.  Each
+    field is a number, or an array shaped like the energies.
     """
 
-    tau11: float
-    tau22: float
-    tau12: complex
+    tau11: float | np.ndarray
+    tau22: float | np.ndarray
+    tau12: complex | np.ndarray
 
 
 def smith_matrix(
     stack: StackSpec,
-    E: float,
+    E,
     consts: PhysConstants = CONSTANTS,
 ) -> SmithMatrix:
-    """Smith lifetime matrix of a stack at energy E.
+    """Smith lifetime matrix of a stack at energy E, a scalar or an array.
 
-    dS/dE is taken entrywise and exactly, from dt/dE and dr/dE of the stack
-    matrix at a jet energy, with r_bar = -conj(r) t / conj(t) differentiated
-    by the product and quotient rules.  This sidesteps phase unwrapping
-    entirely: the entries of S are smooth complex functions of energy even
-    where the reflection phase is undefined.  E must lie above the lead
-    band bottom.  For a mirror-symmetric stack tau11 = tau22 and tau12 is
-    real up to roundoff; asymmetric stacks go through the same algebra but
-    are outside the validated regime, so they are flagged with a warning.
+    S = ((r, t), (t, r_bar)) with the right-incidence reflection
+    r_bar = -conj(r) t / conj(t) from unitarity and reciprocity.  dS/dE is
+    taken entrywise and exactly, from dt/dE and dr/dE of the stack matrix
+    at a jet energy, with r_bar differentiated by the product and quotient
+    rules.  This sidesteps phase unwrapping entirely: the entries of S are
+    smooth complex functions of energy even where the reflection phase is
+    undefined.  E must lie above the lead band bottom.  Q must be Hermitian
+    at every energy to 1e-3 of its largest entry there (or of 1 fs).  For a
+    mirror-symmetric stack tau11 = tau22 and tau12 is real up to roundoff;
+    asymmetric stacks go through the same algebra but are outside the
+    validated regime, so they are flagged with a warning.
     """
     if not _layers_mirror_equal(stack.segments()):
         warnings.warn(
@@ -229,21 +137,34 @@ def smith_matrix(
             "is used but this regime has no independent cross-check here",
             stacklevel=2,
         )
-    amp, dt, dr, _, _ = _origin_derivatives(stack, E, consts)
-    s = s_matrix(amp)
-    phase = amp.t / amp.t.conjugate()
-    d_phase = (dt - phase * dt.conjugate()) / amp.t.conjugate()
-    dr_bar = -(dr.conjugate() * phase + amp.r.conjugate() * d_phase)
-    ds = np.array([[dr, dt], [dt, dr_bar]])
-    q = -1j * consts.hbar * (s.matrix.conj().T @ ds)
-    defect = float(np.abs(q - q.conj().T).max())
-    scale = max(1.0, float(np.abs(q).max()))
-    if defect > 1e-3 * scale:
-        raise NumericError(
-            f"lifetime matrix is not Hermitian (defect {defect:.3e} fs) at E = {E} meV"
-        )
-    q = 0.5 * (q + q.conj().T)
-    return SmithMatrix(tau11=q[0, 0].real, tau22=q[1, 1].real, tau12=q[0, 1])
+    _, t, r, dt, dr, _, _ = _origin_jet(stack, E, consts)
+    if np.any(t == 0):
+        i = np.flatnonzero(t == 0)[0]
+        raise NumericError(f"transmission amplitude underflowed to zero at "
+                           f"E = {np.ravel(E)[i]} meV; cannot form S")
+    t_c, r_c = t.conjugate(), r.conjugate()
+    phase = t / t_c
+    r_bar = -r_c * phase
+    dr_bar = -(dr.conjugate() * phase + r_c * (dt - phase * dt.conjugate()) / t_c)
+    rb_c = r_bar.conjugate()
+    h = -1j * consts.hbar
+    q11 = h * (r_c * dr + t_c * dt)
+    q12 = h * (r_c * dt + t_c * dr_bar)
+    q21 = h * (t_c * dr + rb_c * dt)
+    q22 = h * (t_c * dt + rb_c * dr_bar)
+    defect = np.maximum.reduce([2.0 * np.abs(q11.imag), 2.0 * np.abs(q22.imag),
+                                np.abs(q12 - q21.conjugate())])
+    scale = np.maximum.reduce([np.ones(np.shape(E)), np.abs(q11), np.abs(q12),
+                               np.abs(q21), np.abs(q22)])
+    failed = defect > 1e-3 * scale
+    if failed.any():
+        i = np.flatnonzero(failed)[0]
+        raise NumericError(f"lifetime matrix is not Hermitian (defect "
+                           f"{np.ravel(defect)[i]:.3e} fs) at E = {np.ravel(E)[i]} meV")
+    tau12 = 0.5 * (q12 + q21.conjugate())
+    if np.ndim(E) == 0:
+        return SmithMatrix(tau11=float(q11.real), tau22=float(q22.real), tau12=complex(tau12))
+    return SmithMatrix(tau11=q11.real, tau22=q22.real, tau12=tau12)
 
 
 # ---------------------------------------------------------------------------
@@ -253,20 +174,18 @@ def smith_matrix(
 class _WaveField:
     """Flux-normalized stationary state for a unit wave incident from the left.
 
-    Built once per (stack, E).  ``u`` evaluates it on a position array with
-    one partial propagation per layer that holds points, each from the
-    layer's left interface.
+    Built once per (stack, E) from the cell-referenced amplitudes t, r and
+    the lead wavenumber k and velocity v at E.  ``u`` evaluates it on a
+    position array with one partial propagation per layer that holds
+    points, each from the layer's left interface.
     """
 
-    def __init__(self, stack: StackSpec, E: float, consts: PhysConstants = CONSTANTS):
+    def __init__(self, stack: StackSpec, E: float, t: complex, r: complex, k: float,
+                 v: float, consts: PhysConstants = CONSTANTS):
         self.E = E
         self.consts = consts
-        self.amp = amplitudes(stack_matrix(E, stack, consts))
+        self.t, self.r, self.k, self.v = t, r, k, v
         self.mass_out = stack.outside.mass_ratio
-        self.k = math.sqrt(
-            (E - stack.outside.potential) * self.mass_out / consts.hbar2_over_2m0
-        )
-        self.v = consts.velocity(self.k, self.mass_out)
         self.layers = stack.segments()
         widths = np.array([layer.width for layer in self.layers])
         edges = -0.5 * stack.width + np.concatenate([[0.0], np.cumsum(widths)])
@@ -275,9 +194,8 @@ class _WaveField:
         self.b = float(edges[-1])
         # u = (psi, psi'/m*) at the right face, then backward through every
         # layer; det-1 inverses are written out to avoid a solve per layer.
-        norm = 1.0 / math.sqrt(self.v)
-        t = self.amp.t * norm
-        u = np.array([t, 1j * self.k * t / self.mass_out])
+        t = t * (1.0 / math.sqrt(v))
+        u = np.array([t, 1j * k * t / self.mass_out])
         us = [u]
         for layer in reversed(self.layers):
             p = np.array(_layer_entries(E, layer, layer.width, consts), dtype=float)
@@ -288,6 +206,12 @@ class _WaveField:
         us.reverse()
         self.us = us  # u at every interface, left to right
 
+    @classmethod
+    def at(cls, stack: StackSpec, E: float, consts: PhysConstants) -> "_WaveField":
+        """The field at one energy, from its own ``_origin_jet`` call."""
+        jet,_, _, _, _, k, v = _origin_jet(stack, E, consts)
+        return cls(stack, E, jet.t.v, jet.r.v, k, v, consts)
+
     def u(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(psi, psi'/m*) at every position of the array x, any region."""
         x = np.asarray(x, dtype=float)
@@ -297,10 +221,10 @@ class _WaveField:
         ik = 1j * self.k
         left, right = x <= self.a, x >= self.b
         fwd = np.exp(ik * (x[left] - self.a))
-        bwd = self.amp.r / fwd
+        bwd = self.r / fwd
         psi[left] = (fwd + bwd) * norm
         slope[left] = ik * (fwd - bwd) * norm / self.mass_out
-        psi[right] = self.amp.t * np.exp(ik * (x[right] - self.b)) * norm
+        psi[right] = self.t * np.exp(ik * (x[right] - self.b)) * norm
         slope[right] = ik * psi[right] / self.mass_out
         layer = np.searchsorted(self.edges, x, side="right") - 1
         layer[left | right] = -1
@@ -329,7 +253,7 @@ def interior_wavefunction(
     |psi|^2 = 1/v everywhere and resonant states show up as interior
     density exceeding the lead value.
     """
-    return _WaveField(stack, E, consts).u(x_grid)[0]
+    return _WaveField.at(stack, E, consts).u(x_grid)[0]
 
 
 def probability_current(
@@ -343,7 +267,7 @@ def probability_current(
     Stationarity makes this x-independent and equal to the transmission
     probability; deviations measure reconstruction error.
     """
-    field = _WaveField(stack, E, consts)
+    field = _WaveField.at(stack, E, consts)
     psi, slope = field.u(x_grid)
     # incident current of e^{ikx}/sqrt(v): k/(m v) in these units
     return (psi.conjugate() * slope).imag * field.v * field.mass_out / field.k
@@ -364,38 +288,39 @@ class DwellResult:
     the left window edge and ``free_passage`` the classical crossing times.
     The three sum to the density integral over the window, which
     ``tau_numeric`` re-derives by adaptive quadrature of |psi|^2.
-    All times in fs.
+    All times in fs; each is a number, or an array shaped like the energies.
     """
 
-    tau_dwell_delay: float
-    oscillatory_term: float
-    free_passage: float
-    uniform_passage: float
-    tau_numeric: float
+    tau_dwell_delay: float | np.ndarray
+    oscillatory_term: float | np.ndarray
+    free_passage: float | np.ndarray
+    uniform_passage: float | np.ndarray
+    tau_numeric: float | np.ndarray
     x_left: float
     x_right: float
 
     @property
-    def dwell_time(self) -> float:
+    def dwell_time(self) -> float | np.ndarray:
         """Closed-form integral of |psi|^2 over the window."""
         return self.tau_dwell_delay + self.oscillatory_term + self.free_passage
 
     @property
-    def delay(self) -> float:
+    def delay(self) -> float | np.ndarray:
         """Excess of the dwell time over uniform free passage of the window."""
         return self.dwell_time - self.uniform_passage
 
 
 def dwell_time(
     stack: StackSpec,
-    E: float,
+    E,
     x_left: float | None = None,
     x_right: float | None = None,
     consts: PhysConstants = CONSTANTS,
 ) -> DwellResult:
     """Dwell time of the left-incident state over [x_left, x_right].
 
-    The window must strictly enclose the stack ([-W/2, +W/2]); the defaults
+    E is a scalar or an array; an array gives fields shaped like it.  The
+    window must strictly enclose the stack ([-W/2, +W/2]); the defaults
     put each end one core-cell width outside the corresponding face.  The
     phase derivatives are taken as Im(conj(t) t') and Im(conj(r) r'), which
     stay finite at perfect transmission where the reflection phase itself
@@ -403,9 +328,9 @@ def dwell_time(
     above the lead band bottom.
 
     The quadrature cross-check integrates the reconstructed density with
-    interface positions as forced panel boundaries and is returned in
-    ``tau_numeric``; a gross mismatch with the closed form raises, finer
-    comparisons are left to the caller.
+    interface positions as forced panel boundaries, one energy at a time,
+    and is returned in ``tau_numeric``; a gross mismatch with the closed
+    form at any energy raises, finer comparisons are left to the caller.
     """
     half_w = 0.5 * stack.width
     if x_left is None:
@@ -418,41 +343,34 @@ def dwell_time(
             f"[{-half_w}, {half_w}]"
         )
 
-    amp, dt, dr, k, v = _origin_derivatives(stack, E, consts)
-    smooth = consts.hbar * ((amp.t.conjugate() * dt).imag + (amp.r.conjugate() * dr).imag)
+    jet, t, r, dt, dr, k, v = _origin_jet(stack, E, consts)
+    smooth = consts.hbar * ((t.conjugate() * dt).imag + (r.conjugate() * dr).imag)
 
-    e_kin = E - stack.outside.potential
-    r_abs = abs(amp.r)
-    if r_abs == 0.0:
-        oscillatory = 0.0
-    else:
-        delta = cmath.phase(amp.r)
-        oscillatory = -(consts.hbar * r_abs / (2.0 * e_kin)) * math.sin(
-            2.0 * k * x_left - delta
-        )
+    r_abs = np.abs(r)
+    fringe = -(consts.hbar * r_abs / (2.0 * (E - stack.outside.potential))) * np.sin(
+        2.0 * k * x_left - np.angle(r)
+    )
+    oscillatory = np.where(r_abs == 0.0, 0.0, fringe)
 
-    T, R = amp.T, amp.R
-    free_passage = (x_right - x_left) * T / v - 2.0 * x_left * R / v
+    free_passage = (x_right - x_left) * np.abs(t) ** 2 / v - 2.0 * x_left * r_abs**2 / v
     uniform = (x_right - x_left) / v
 
-    field = _WaveField(stack, E, consts)
-    interior = [x for x in field.edges if x_left < x < x_right]
-    numeric = adaptive_simpson(
-        lambda x: np.abs(field.u(x)[0]) ** 2, x_left, x_right, tol=1e-6, breakpoints=interior
-    ).real
-
     closed = smooth + oscillatory + free_passage
-    if abs(numeric - closed) > max(1e-2 * abs(closed), 0.1):
-        raise NumericError(
-            f"dwell-time closed form ({closed:.6f} fs) and density integral "
-            f"({numeric:.6f} fs) disagree at E = {E} meV"
-        )
-    return DwellResult(
-        tau_dwell_delay=smooth,
-        oscillatory_term=oscillatory,
-        free_passage=free_passage,
-        uniform_passage=uniform,
-        tau_numeric=numeric,
-        x_left=x_left,
-        x_right=x_right,
-    )
+    numeric = np.empty(np.shape(E))
+    lead = zip(*(np.ravel(a) for a in (E, jet.t.v, jet.r.v, k, v, closed)))
+    for i, (e, t_cell, r_cell, k_e, v_e, closed_e) in enumerate(lead):
+        field = _WaveField(stack, e, t_cell, r_cell, k_e, v_e, consts)
+        interior = [x for x in field.edges if x_left < x < x_right]
+        numeric.flat[i] = adaptive_simpson(
+            lambda x: np.abs(field.u(x)[0]) ** 2, x_left, x_right, tol=1e-6,
+            breakpoints=interior,
+        ).real
+        if abs(numeric.flat[i] - closed_e) > max(1e-2 * abs(closed_e), 0.1):
+            raise NumericError(
+                f"dwell-time closed form ({closed_e:.6f} fs) and density integral "
+                f"({numeric.flat[i]:.6f} fs) disagree at E = {e} meV"
+            )
+    parts = (smooth, oscillatory, free_passage, uniform, numeric)
+    if np.ndim(E) == 0:
+        parts = tuple(float(p) for p in parts)
+    return DwellResult(*parts, x_left=x_left, x_right=x_right)

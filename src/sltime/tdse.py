@@ -42,7 +42,7 @@ import numpy as np
 
 from .errors import NoTransmissionError, NumericError, ValidationError
 from .medium import CONSTANTS, CellSpec, Layer, PhysConstants, StackSpec
-from .tmatrix import amplitudes, stack_matrix
+from .scattering import _origin_jet
 
 __all__ = [
     "Grid1D",
@@ -451,7 +451,7 @@ def stationary_packet_delay(
     alpha = consts.hbar2_over_2m0 / stack.outside.mass_ratio
     E = alpha * k**2 + stack.outside.potential
     omega = E / consts.hbar
-    t_amp = amplitudes(stack_matrix(E, stack, consts)).t * np.exp(-1j * k * stack.width)
+    _, t_amp, *_ = _origin_jet(stack, E, consts)
 
     v0 = consts.velocity(k0, stack.outside.mass_ratio)
     x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)

@@ -39,8 +39,6 @@ from .errors import NoTransmissionError, NumericError, ValidationError
 from .medium import CONSTANTS, CellSpec, Layer, PhysConstants, StackSpec
 
 __all__ = [
-    "CELL_REFERENCED",
-    "ORIGIN_REFERENCED",
     "TransferMatrix",
     "Amplitudes",
     "Jet",
@@ -50,10 +48,6 @@ __all__ = [
     "compose",
     "amplitudes",
 ]
-
-CELL_REFERENCED = "cell-referenced"
-ORIGIN_REFERENCED = "origin-referenced"
-
 
 class Jet:
     """A quantity with its energy derivatives: (v, dv/dE, d2v/dE2), where
@@ -186,18 +180,13 @@ def compose(left: TransferMatrix, right: TransferMatrix) -> TransferMatrix:
 class Amplitudes:
     """Transmission/reflection amplitudes for left incidence.
 
-    The convention flag records whether their phases are referenced to the
-    cell edges or to the coordinate origin (the two differ by propagation
-    phases; see scattering.shift_convention).
+    Their phases are cell-referenced: the incident wave has zero phase at
+    the left face of the structure and the transmitted wave at its right
+    face.  ``scattering`` re-references them to the coordinate origin.
     """
 
     t: complex
     r: complex
-    convention: str = CELL_REFERENCED
-
-    def __post_init__(self) -> None:
-        if self.convention not in (CELL_REFERENCED, ORIGIN_REFERENCED):
-            raise ValidationError(f"unknown convention {self.convention!r}")
 
     @property
     def T(self) -> float:
@@ -206,10 +195,6 @@ class Amplitudes:
     @property
     def R(self) -> float:
         return abs(self.r) ** 2
-
-    @property
-    def unitarity_defect(self) -> float:
-        return abs(self.T + self.R - 1.0)
 
 
 def _cos_and_sinc(ksq, w: float):
@@ -371,4 +356,4 @@ def stack_matrix(E, stack: StackSpec, consts: PhysConstants = CONSTANTS) -> Tran
 
 def amplitudes(M: TransferMatrix) -> Amplitudes:
     """Cell-referenced t, r for left incidence."""
-    return Amplitudes(t=1.0 / M.m11, r=M.m21 / M.m11, convention=CELL_REFERENCED)
+    return Amplitudes(t=1.0 / M.m11, r=M.m21 / M.m11)

@@ -5,14 +5,17 @@ tests stay fast; the slow wave-packet subcommand is exercised end to end by
 the acceptance suite instead.
 """
 
+import importlib
+import importlib.util
 import json
 import math
+import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sltime.cli import main
+from sltime.cli import build_parser, main
 from sltime.kard import as_model, decompose
 from sltime.medium import (
     CellSpec, EnergyGrid, Layer, StackSpec, load_stack, representative_cell, save_stack,
@@ -245,3 +248,28 @@ def test_reproduce_matches_committed_figures(k, tmp_path):
         return [line for line in path.read_text().splitlines() if not line.startswith("#")]
 
     assert rows(tmp_path / f"fig{k}.csv") == rows(Path("figures") / f"fig{k}.csv")
+
+
+def test_readme_commands_parse():
+    """Every ``sltime …`` line of README.md's code blocks is a valid command
+    line; parsing only, nothing runs."""
+    lines = [line.split("#")[0] for line in Path("README.md").read_text().splitlines()
+             if line.startswith("sltime ")]
+    assert len(lines) >= 10
+    for line in lines:
+        argv = shlex.split(line)[1:]
+        args = build_parser().parse_args(argv)
+        assert callable(args.func), line
+
+
+def test_tracer_targets_resolve():
+    """Every function the benchmark tracer wraps still exists in its module,
+    so ``perfbench/run.py --trace 1`` can install it."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", "perfbench/tracer.py")
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for table in (tracer.SPANNED, tracer.AGGREGATED):
+        for layer, names in table.items():
+            module = importlib.import_module(f"sltime.{layer}")
+            for name in names:
+                assert callable(getattr(module, name, None)), f"sltime.{layer}.{name}"

@@ -1,4 +1,4 @@
-"""Stationary scattering: conventions, lifetime matrix, dwell decomposition.
+"""Stationary scattering: origin reference, lifetime matrix, dwell decomposition.
 
 The wavefunction oracle solves the full interface-matching problem as one
 dense linear system (2L + 2 coefficient unknowns), sharing no code with the
@@ -13,18 +13,21 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
+import sltime.scattering
 from conftest import stacks
-from sltime.errors import ValidationError
-from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, representative_stack
+from sltime.cli import main
+from sltime.errors import NumericError, ValidationError
+from sltime.medium import (
+    CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec, load_stack, representative_stack,
+)
 from sltime.scattering import (
+    _origin_jet,
     dwell_time,
     interior_wavefunction,
     probability_current,
-    s_matrix,
-    shift_convention,
     smith_matrix,
 )
-from sltime.tmatrix import ORIGIN_REFERENCED, amplitudes, stack_matrix
+from sltime.tmatrix import Jet, amplitudes, stack_matrix
 
 
 def brute_scattering_state(stack, E, consts=CONSTANTS):
@@ -101,36 +104,82 @@ def test_wavefunction_against_global_solve(E):
     assert np.abs(got - want).max() < 1e-9 * scale
 
 
-def test_shift_round_trip_and_guards():
+def test_origin_shift_keeps_moduli():
     stack = representative_stack()
     amp = amplitudes(stack_matrix(58.5, stack))
-    k, a, w = 0.32, -23.75, 47.5
-    shifted = shift_convention(amp, k, a, w)
-    assert shifted.convention == ORIGIN_REFERENCED
-    assert abs(shifted.t) == pytest.approx(abs(amp.t), rel=1e-15)
-    assert abs(shifted.r) == pytest.approx(abs(amp.r), rel=1e-15)
-    with pytest.raises(ValidationError):
-        shift_convention(shifted, k, a, w)  # already shifted
-    with pytest.raises(ValidationError):
-        shift_convention(amp, 0.0, a, w)
-    with pytest.raises(ValidationError):
-        shift_convention(amp, k, a, -1.0)
-
-
-def test_s_matrix_rejects_cell_referenced():
-    amp = amplitudes(stack_matrix(58.5, representative_stack()))
-    with pytest.raises(ValidationError):
-        s_matrix(amp)
+    _, t, r, _, _, _, _ = _origin_jet(stack, 58.5, CONSTANTS)
+    assert abs(t) == pytest.approx(abs(amp.t), rel=1e-15)
+    assert abs(r) == pytest.approx(abs(amp.r), rel=1e-15)
 
 
 @given(stacks(), st.floats(20.0, 250.0))
-def test_s_matrix_unitary_and_reciprocal(stack, E):
-    amp = amplitudes(stack_matrix(E, stack))
-    assume(abs(amp.t) > 1e-120)  # opaque stacks underflow the channel
-    k = math.sqrt(E * stack.outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
-    s = s_matrix(shift_convention(amp, k, -0.5 * stack.width, stack.width))
-    assert s.unitarity_defect < 1e-10
-    assert abs(s.r_bar) == pytest.approx(abs(s.r), rel=1e-12, abs=1e-13)
+def test_scattering_matrix_unitary_and_reciprocal(stack, E):
+    _, t, r, _, _, _, _ = _origin_jet(stack, E, CONSTANTS)
+    assume(abs(t) > 1e-120)  # opaque stacks underflow the channel
+    r_bar = -r.conjugate() * t / t.conjugate()
+    s = np.array([[r, t], [t, r_bar]])
+    assert np.abs(s.conj().T @ s - np.eye(2)).max() < 1e-10
+    assert abs(r_bar) == pytest.approx(abs(r), rel=1e-12, abs=1e-13)
+
+
+def _assert_array_matches_scalars(stack, E):
+    """Element i of the array calls equals the scalar calls at E[i], to
+    1e-11 of max(1 fs, max |Q_ij|) there; where a per-energy check fails
+    at one energy, the array call fails too."""
+    try:
+        scalars = [(smith_matrix(stack, float(e)), dwell_time(stack, float(e))) for e in E]
+    except NumericError:
+        with pytest.raises(NumericError):
+            smith_matrix(stack, E)
+            dwell_time(stack, E)
+        return
+    q = smith_matrix(stack, E)
+    d = dwell_time(stack, E)
+    for i, (qs, ds) in enumerate(scalars):
+        assert type(qs.tau11) is float and type(qs.tau12) is complex
+        assert type(ds.tau_numeric) is float and type(ds.dwell_time) is float
+        tol = 1e-11 * max(1.0, abs(qs.tau11), abs(qs.tau22), abs(qs.tau12))
+        for got, want in [(q.tau11[i], qs.tau11), (q.tau22[i], qs.tau22),
+                          (q.tau12[i], qs.tau12),
+                          (d.tau_dwell_delay[i], ds.tau_dwell_delay),
+                          (d.oscillatory_term[i], ds.oscillatory_term),
+                          (d.free_passage[i], ds.free_passage),
+                          (d.uniform_passage[i], ds.uniform_passage),
+                          (d.tau_numeric[i], ds.tau_numeric)]:
+            assert abs(got - want) <= tol
+
+
+@pytest.mark.filterwarnings("ignore:Smith matrix for a spatially asymmetric")
+@given(stacks(), st.lists(st.floats(20.0, 250.0), min_size=1, max_size=3))
+def test_scattering_array_calls_equal_scalar_calls(stack, energies):
+    E = np.array(energies)
+    _, t, _, _, _, _, _ = _origin_jet(stack, E, CONSTANTS)
+    assume(np.abs(t).min() > 1e-6)  # an opaque stack leaves nothing to compare
+    _assert_array_matches_scalars(stack, E)
+
+
+def test_scattering_array_calls_equal_scalar_calls_on_rep5(rep_band):
+    stack = load_stack("stacks/rep5.json")
+    E = EnergyGrid.linear(*rep_band.interior(1e-3), 24).samples
+    _assert_array_matches_scalars(stack, E)
+    with pytest.raises(ValidationError):
+        dwell_time(stack, E, -10.0, 40.0)
+
+
+def test_scattering_dwell_command_makes_two_stack_matrix_calls(monkeypatch, tmp_path):
+    """One grid, one kernel call each for the dwell time and the Smith matrix."""
+    calls = []
+    real = sltime.scattering.stack_matrix
+
+    def counting(E, *args, **kwargs):
+        calls.append(isinstance(E, Jet) and np.ndim(E.v) == 1)
+        return real(E, *args, **kwargs)
+
+    monkeypatch.setattr(sltime.scattering, "stack_matrix", counting)
+    out = tmp_path / "dwell.csv"
+    assert main(["dwell", "--stack", "stacks/rep5.json", "--count", "40", "-o", str(out)]) == 0
+    assert calls == [True, True]
+    assert len(out.read_text().splitlines()) == 3 + 40
 
 
 def test_smith_matrix_symmetric_stack_structure():
