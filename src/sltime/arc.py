@@ -14,8 +14,8 @@ direction chi.
 
 ``design_rule_of_thumb`` scales the core's widths and potentials and meets
 the two matching conditions at the band-center energy as two nested
-bisections; a design it cannot bracket, or whose residual exceeds 1e-2, is
-reported as no viable design rather than returned.
+bracketed root solves; a design it cannot bracket, or whose residual
+exceeds 1e-2, is reported as no viable design rather than returned.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import NumericError, ValidationError
 from .kard import Band, PotentialCell, decompose, energy_at_phase
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants, StackSpec
-from .numerics import bisect
+from .numerics import bracket_roots
 from .tmatrix import TransferMatrix, amplitudes, cell_matrix, compose, energy_jet, stack_matrix
 
 __all__ = [
@@ -129,12 +129,17 @@ def _scaled_cell(core: CellSpec, width_scale: float, barrier_scale: float) -> Ce
 
 def _highest_rise(f, samples: np.ndarray, what: str) -> float:
     """Largest root at which f rises, below samples[0] where f > 0: the first
-    lower sample where f < 0 closes the bracket that ``bisect`` narrows."""
-    if not f(samples[0]) > 0.0:
+    lower sample where f < 0 closes the bracket that ``bracket_roots``
+    narrows, from the two values already in hand."""
+    f_above = f(samples[0])
+    if not f_above > 0.0:
         raise NumericError(f"no viable design: {what} is not positive at {samples[0]:g}")
     for above, below in zip(samples, samples[1:]):
-        if f(below) < 0.0:
-            return float(bisect(lambda x: f(float(x)), below, above, 1e-13))
+        f_below = f(below)
+        if f_below < 0.0:
+            return float(bracket_roots(lambda x: f(float(x)), below, above,
+                                       f_below, f_above, 1e-13))
+        f_above = f_below
     raise NumericError(f"no viable design: {what} has no sign change down to {samples[-1]:g}")
 
 
@@ -149,7 +154,8 @@ def design_rule_of_thumb(
     The family is the core with all widths scaled by s_w and all potentials
     by s_V.  At the matching energy e_c, where the core's phase crosses
     pi/2, the two conditions are two nested sign changes, each found by
-    stepping down 0.05 at a time and bisecting:
+    stepping down 0.05 at a time and narrowing the first bracket with
+    ``numerics.bracket_roots``:
 
     * phi_A = pi/2 is Tr M_A = 0.  s_V(s_w) is the largest s_V in (0, 2] at
       which Tr M_A rises through zero.  Only the largest is sure to be the

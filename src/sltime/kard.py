@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import NearBandEdgeError, NumericError
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants
-from .numerics import bisect
+from .numerics import bracket_roots
 from .tmatrix import TransferMatrix, _complex, cell_matrix, energy_jet
 
 __all__ = [
@@ -260,7 +260,8 @@ def band_structure(
     """Allowed bands of the periodic crystal built from this cell.
 
     Scans the half-trace on the grid samples in one array call, brackets
-    every crossing of +-1, and polishes all edges together by bisection.
+    every crossing of +-1, and polishes all edges together with
+    ``numerics.bracket_roots``, starting from the scanned values.
     A band narrower than the sample spacing can hide between two forbidden
     samples: it is looked for at every sampled local minimum of |Tr M / 2|
     above 1 and wherever Tr M changes sign between forbidden samples.
@@ -275,10 +276,14 @@ def band_structure(
     f = lambda E: np.abs(0.5 * model.trace(E)) - 1.0
     vals = np.abs(half) - 1.0
 
-    crossing = vals[:-1] * vals[1:] < 0.0
-    lo, hi = samples[:-1][crossing], samples[1:][crossing]
-    inside, a, b = _hidden_bands(model, samples, half, edge_tol)
-    edges = bisect(f, np.concatenate([lo, a, inside]), np.concatenate([hi, inside, b]), edge_tol)
+    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
+    inside, f_inside, i_a, i_b = _hidden_bands(model, samples, half, edge_tol)
+    # the scan's sign changes, then the two edges of each hidden band
+    lo = np.concatenate([samples[i], samples[i_a], inside])
+    hi = np.concatenate([samples[i + 1], inside, samples[i_b]])
+    f_lo = np.concatenate([vals[i], vals[i_a], f_inside])
+    f_hi = np.concatenate([vals[i + 1], f_inside, vals[i_b]])
+    edges = bracket_roots(f, lo, hi, f_lo, f_hi, edge_tol)
     edges = np.sort(np.concatenate([edges, samples[vals == 0.0]]))
 
     e_lo, e_hi = float(samples[0]), float(samples[-1])
@@ -312,34 +317,38 @@ def band_structure(
 
 def _hidden_bands(
     model: CellModel, samples: np.ndarray, half: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Bands between two forbidden samples of a scan: (an energy inside
-    each, its bracket's lower and upper ends).  In each bracket the minimum
-    of |half-trace| is hunted by bisection on its slope, stopping at the
-    first energy inside a band."""
+    each, |half-trace| - 1 there, and the sample indices of its bracket's
+    lower and upper ends).  In each bracket the minimum of |half-trace| is
+    hunted by bisection on its slope, stopping at the first energy inside a
+    band."""
     size = np.abs(half)
     forbidden = size > 1.0
     flip = forbidden[:-1] & forbidden[1:] & (half[:-1] * half[1:] < 0.0)
     dip = np.flatnonzero(forbidden[1:-1] & (size[1:-1] < size[:-2]) & (size[1:-1] <= size[2:]))
     dip = dip[~flip[dip] & ~flip[dip + 1]]  # a sign change already brackets its band
-    ends = (np.concatenate([samples[:-1][flip], samples[dip]]),
-            np.concatenate([samples[1:][flip], samples[dip + 2]]))
-    lo, hi = ends
+    first = np.concatenate([np.flatnonzero(flip), dip])
+    last = np.concatenate([np.flatnonzero(flip) + 1, dip + 2])
+    lo, hi = samples[first], samples[last]
     found = np.full(lo.size, np.nan)
+    depth = np.full(lo.size, np.nan)
     live = hi - lo > tol
     while live.any():
         mid = 0.5 * (lo + hi)
         step = 1e-3 * (hi - lo)
         probes = np.concatenate([mid - step, mid + step])
         left, right = np.split(np.abs(0.5 * model.trace(probes)), 2)
-        found = np.where(live & (left < 1.0), mid - step, found)
-        found = np.where(live & np.isnan(found) & (right < 1.0), mid + step, found)
+        take_left = live & (left < 1.0)
+        take_right = live & ~take_left & (right < 1.0)
+        found = np.where(take_left, mid - step, np.where(take_right, mid + step, found))
+        depth = np.where(take_left, left - 1.0, np.where(take_right, right - 1.0, depth))
         downhill_left = left < right
         hi = np.where(live & downhill_left, mid + step, hi)
         lo = np.where(live & ~downhill_left, mid - step, lo)
         live &= np.isnan(found) & (hi - lo > tol)
     hit = ~np.isnan(found)
-    return found[hit], ends[0][hit], ends[1][hit]
+    return found[hit], depth[hit], first[hit], last[hit]
 
 
 def band_phase(model: CellModel, band: Band, E: float) -> float:
@@ -353,16 +362,19 @@ def band_phase(model: CellModel, band: Band, E: float) -> float:
 def energy_at_phase(model: CellModel, band: Band, phi_local):
     """Energy where the local Bloch phase reaches phi_local (root of the trace).
 
-    ``phi_local`` may be an array; its targets are bisected together.
+    ``phi_local`` may be an array; its roots are found together by
+    ``numerics.bracket_roots`` on the band, after one trace call at the two
+    band ends.
     """
     phi = np.asarray(phi_local, dtype=float)
     if not np.all((0.0 < phi) & (phi < math.pi)):
         raise NumericError(f"phi_local must be in (0, pi), got {phi_local}")
     target = np.cos(phi) * band.parity
     f = lambda E: 0.5 * model.trace(E) - target
-    lo = np.full(phi.shape, band.lower)
-    hi = np.full(phi.shape, band.upper)
-    roots = bisect(f, lo, hi, 1e-13)
+    ends = np.array([band.lower, band.upper])
+    half_lo, half_hi = 0.5 * model.trace(ends)
+    roots = bracket_roots(f, np.full(phi.shape, band.lower), np.full(phi.shape, band.upper),
+                          half_lo - target, half_hi - target, 1e-13)
     return float(roots) if roots.ndim == 0 else roots
 
 

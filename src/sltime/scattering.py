@@ -328,7 +328,8 @@ def dwell_time(
     above the lead band bottom.
 
     The quadrature cross-check integrates the reconstructed density with
-    interface positions as forced panel boundaries, one energy at a time,
+    interface positions as forced panel boundaries, and lead panels no wider
+    than a quarter of the lead wavelength, one energy at a time,
     and is returned in ``tau_numeric``; a gross mismatch with the closed
     form at any energy raises, finer comparisons are left to the caller.
     """
@@ -360,10 +361,14 @@ def dwell_time(
     lead = zip(*(np.ravel(a) for a in (E, jet.t.v, jet.r.v, k, v, closed)))
     for i, (e, t_cell, r_cell, k_e, v_e, closed_e) in enumerate(lead):
         field = _WaveField(stack, e, t_cell, r_cell, k_e, v_e, consts)
-        interior = [x for x in field.edges if x_left < x < x_right]
+        # no lead panel wider than pi/(2k), half the period of the standing
+        # wave's fringe, so that its samples cannot alias the fringe
+        quarter = 0.5 * math.pi / k_e
+        leads = [np.linspace(lo, hi, math.ceil((hi - lo) / quarter) + 1)
+                 for lo, hi in ((x_left, field.a), (field.b, x_right))]
         numeric.flat[i] = adaptive_simpson(
             lambda x: np.abs(field.u(x)[0]) ** 2, x_left, x_right, tol=1e-6,
-            breakpoints=interior,
+            breakpoints=np.concatenate([field.edges, *leads]),
         ).real
         if abs(numeric.flat[i] - closed_e) > max(1e-2 * abs(closed_e), 0.1):
             raise NumericError(

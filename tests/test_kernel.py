@@ -91,7 +91,10 @@ def test_kard_derivatives_array_equals_scalar_calls(stack, fractions):
 
 
 def test_stationary_commands_never_load_scipy(tmp_path):
-    """`python -X importtime` lists every module the process imported."""
+    """`python -X importtime` lists every module the process imported.
+
+    ``decimal`` is not loaded either: only a sample that the |t_N|^2 check
+    flags asks for its 40-digit reference, and none is flagged here."""
     commands = [
         ["--version"],
         ["kard", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "kard.csv")],
@@ -110,6 +113,7 @@ def test_stationary_commands_never_load_scipy(tmp_path):
                     if line.startswith("import time:")]
         assert "sltime.cli" in imported  # the listing really covers the run
         assert not [m for m in imported if m.split(".")[0] == "scipy"], argv
+        assert not {"decimal", "_decimal", "_pydecimal"} & set(imported), argv
 
 
 def _five_point(f, E: float, h: float):

@@ -285,6 +285,18 @@ def test_dwell_closed_form_matches_density_integral():
         assert d.tau_numeric == pytest.approx(d.dwell_time, rel=1e-6, abs=1e-4)
 
 
+def test_dwell_quadrature_resolves_a_fast_lead_fringe():
+    """At 229 meV the 0.14-mass leads have a fringe period pi/k = 3.42 nm;
+    a lead panel 13.5 nm wide, sampled every 3.375 nm, used to alias it and
+    return 51.0878 fs against the closed form's 52.4615 fs (a 400001-point
+    trapezoid of the same density gives 52.46145413 fs)."""
+    stack = StackSpec(core=CellSpec((Layer(6.0, 0.0, 0.125), Layer(7.5, 0.0, 0.125))),
+                      replicas=1, outside=Layer(2.0, 0.0, 0.140625))
+    d = dwell_time(stack, 229.0)
+    assert d.dwell_time == pytest.approx(52.46145413, rel=1e-8)
+    assert d.tau_numeric == pytest.approx(d.dwell_time, rel=1e-8)
+
+
 def test_dwell_smooth_term_equals_smith_delay():
     stack = representative_stack()
     for E in (55.0, 58.5, 62.0):

@@ -6,6 +6,7 @@ tangency is checked at root-polished resonance and antiresonance energies,
 where the closed form predicts exact contact.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -13,6 +14,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import play_energies
+from sltime import precise, timing
+from sltime.cli import main
 from sltime.errors import NearBandEdgeError, NumericError, ValidationError
 from sltime.kard import PotentialCell, as_model, band_structure, energy_at_phase
 from sltime.medium import (
@@ -21,7 +24,9 @@ from sltime.medium import (
     EnergyGrid,
     Layer,
     PhysConstants,
+    StackSpec,
     representative_cell,
+    save_stack,
 )
 from sltime.playmodel import PLAY_MODEL
 from sltime.timing import (
@@ -33,6 +38,7 @@ from sltime.timing import (
     timing_curve,
     transmission_sweep,
 )
+from sltime.tmatrix import amplitudes, cell_matrix
 
 OUT = Layer(9.5, 0.0, 0.067)
 
@@ -122,6 +128,48 @@ def test_transmission_sweep_envelope_nan_pattern(rep_band):
     assert np.all(sweep.t2 > 0.0) and np.all(sweep.t2 <= 1.0 + 1e-12)
     # in-band transmission never dips below the envelope of minima
     assert np.all(sweep.t2[inside] >= sweep.envelope[inside] - 1e-12)
+
+
+#: rep5's materials with a 6.43 nm barrier, N = 4: cosh(mu) reaches 1e2-7e3
+#: in band 1, and the float64 product of its cell matrices misses |t_N|^2 by
+#: more than 1e-10 at some samples of this grid (56.81829 meV among them).
+OPAQUE = CellSpec((Layer(3.294841400416981, 0.0, 0.067), Layer(6.426939544999727, 290.0, 0.0919),
+                   Layer(3.294841400416981, 0.0, 0.067)), symmetric=True)
+OPAQUE_GRID = EnergyGrid.linear(56.81, 56.83, 2001)
+
+
+def test_transmission_sweep_accepts_an_opaque_cell_its_product_misses(tmp_path):
+    sweep = transmission_sweep(OPAQUE, OUT, 4, grid=OPAQUE_GRID)
+    E = sweep.energies[np.argmin(np.abs(sweep.energies - 56.81829))]
+    t2 = sweep.t2[sweep.energies == E][0]
+    assert abs(t2 - precise.transmission(OPAQUE, OUT, 4, E)) <= 1e-11 * t2
+    direct = amplitudes(cell_matrix(E, OPAQUE, OUT).power(4)).T
+    assert abs(direct - t2) > 1e-10 * t2  # the float64 product alone fails the gate
+    save_stack(StackSpec(core=OPAQUE, replicas=4, outside=OUT), tmp_path / "S.json")
+    code = main(["transmission", "--stack", str(tmp_path / "S.json"), "--emin", "56.81",
+                 "--emax", "56.83", "--count", "2001", "-o", str(tmp_path / "t.csv")])
+    assert code == 0
+
+
+def test_transmission_sweep_rejects_a_closed_form_off_by_1e_9(monkeypatch):
+    real = timing.decompose
+
+    def off_by_1e_9(M):  # mu such that the closed form reads |t_N|^2 (1 - 1e-9)
+        p = real(M)
+        s2 = np.sin(4 * p.phi) ** 2
+        x = np.sinh(p.mu) ** 2 * s2
+        return dataclasses.replace(p, mu=np.arcsinh(np.sqrt(((1 + x) / (1 - 1e-9) - 1) / s2)))
+
+    monkeypatch.setattr(timing, "decompose", off_by_1e_9)
+    with pytest.raises(NumericError, match="disagrees"):
+        transmission_sweep(OPAQUE, OUT, 4, grid=OPAQUE_GRID)
+
+
+def test_decimal_reference_matches_the_product_of_a_transparent_cell(rep_band):
+    E = np.linspace(rep_band.lower, rep_band.upper, 7)[1:-1]
+    direct = amplitudes(cell_matrix(E, representative_cell(), OUT).power(5)).T
+    exact = [precise.transmission(representative_cell(), OUT, 5, e) for e in E]
+    assert np.all(np.abs(direct - exact) <= 1e-12 * direct)
 
 
 def test_timing_curve_identities_and_refinement(rep_band):
