@@ -20,6 +20,15 @@ class NumericError(SltimeError):
     """A numerical procedure failed or was used outside its safe domain."""
 
 
+class QuadratureError(NumericError):
+    """An adaptive quadrature left a panel unconverged at its depth limit;
+    ``integral`` is the index of the integral that panel belongs to."""
+
+    def __init__(self, message: str, integral: int):
+        super().__init__(message)
+        self.integral = integral
+
+
 class NearBandEdgeError(NumericError):
     """An energy at or beyond the edges of its allowed band, where the cell
     angles (phi, mu) and their energy derivatives do not exist."""

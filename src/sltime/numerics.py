@@ -3,11 +3,12 @@
 Both take a vectorised function and call it once per step on every open
 bracket or panel together.  The root finder narrows many brackets at a time
 by the ITP method, which keeps bisection's worst case and converges
-superlinearly on smooth roots.  Quadrature is adaptive Simpson, refined
-level by level, with explicit subdivision at caller-supplied breakpoints, so
-piecewise-smooth integrands (wavefunction density across layer interfaces)
-never straddle a kink.  Energy derivatives are not taken here: the
-transfer-matrix kernel carries them exactly (``tmatrix.Jet``).
+superlinearly on smooth roots.  Quadrature is adaptive Simpson on many
+integrals at once, refined level by level, with explicit subdivision at
+caller-supplied breakpoints, so piecewise-smooth integrands (wavefunction
+density across layer interfaces) never straddle a kink.  Energy
+derivatives are not taken here: the transfer-matrix kernel carries them
+exactly (``tmatrix.Jet``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, QuadratureError
 
 __all__ = [
     "bracket_roots",
@@ -94,51 +95,70 @@ def bracket_roots(
 
 
 def adaptive_simpson(
-    f: Callable[[np.ndarray], np.ndarray],
-    a: float,
-    b: float,
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    a: Sequence[float],
+    b: Sequence[float],
     *,
     tol: float = 1e-6,
-    breakpoints: Sequence[float] = (),
+    breakpoints: Sequence[Sequence[float]] | None = None,
     max_depth: int = 40,
-) -> complex:
-    """Integral of f over [a, b] to absolute tolerance tol.
+) -> np.ndarray:
+    """Integrals of f over [a[i], b[i]] for every i, each to absolute tolerance tol.
 
-    f maps an array of abscissae to an array of values, element by element.
-    ``breakpoints`` inside (a, b) force panel boundaries there; pass layer
-    interface positions so the integrand is smooth within every panel.
+    f(x, i) maps an array of abscissae and a same-shaped array of integral
+    indices to the integrand values there, element by element.
+    ``breakpoints[i]`` inside (a[i], b[i]) force panel boundaries of
+    integral i; pass layer interface positions so the integrand is smooth
+    within every panel.  Returns a complex array, one value an integral.
 
-    The panels are refined level by level: each level calls f once, on the
-    two new quarter points of every open panel.  A panel whose two halves
-    change its Simpson estimate by at most 15 tol is accepted (with the
-    Richardson correction); the others split, each half with tol halved.
-    A panel still open after ``max_depth`` levels raises, so f is called at
-    most ``max_depth + 1`` times.
+    The panels of all integrals are refined together, level by level: each
+    level calls f once, on the two new quarter points of every open panel.
+    A panel whose two halves change its Simpson estimate by at most 15 tol
+    (tol scaled by the panel's share of its interval) is accepted, with the
+    Richardson correction; the others split, each half with its tol halved.
+    The accepted panels of one integral are summed in the same order
+    whether it is refined alone or with others, so its value does not
+    depend on its company.  A panel still open after ``max_depth`` levels
+    raises QuadratureError naming the first such integral, so f is called
+    at most ``max_depth + 1`` times.
     """
-    if not b > a:
-        raise NumericError(f"need b > a, got [{a}, {b}]")
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.size
+    if breakpoints is None:
+        breakpoints = [()] * n
+    if not (b > a).all():
+        i = np.flatnonzero(~(b > a))[0]
+        raise NumericError(f"need b > a, got [{a[i]}, {b[i]}]")
 
     def simpson(x, fx):  # the rule on panels given as rows (lo, mid, hi)
         return (x[:, 2] - x[:, 0]) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
 
-    knots = np.array([a] + sorted(p for p in set(breakpoints) if a < p < b) + [b])
-    x = np.stack([knots[:-1], 0.5 * (knots[:-1] + knots[1:]), knots[1:]], axis=1)
-    fx = f(x.ravel()).reshape(x.shape)
-    tols = tol * (x[:, 2] - x[:, 0]) / (b - a)
-    total = 0.0 + 0.0j
+    knots = [np.concatenate([[lo], inner[(lo < inner) & (inner < hi)], [hi]])
+             for lo, hi, inner in zip(a, b, map(np.unique, breakpoints), strict=True)]
+    owner = np.repeat(np.arange(n), [len(k) - 1 for k in knots])
+    lo, hi = np.concatenate([k[:-1] for k in knots]), np.concatenate([k[1:] for k in knots])
+    x = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)
+    fx = f(x.ravel(), np.repeat(owner, 3)).reshape(x.shape)
+    tols = tol * (hi - lo) / (b - a)[owner]
+    total = np.zeros(n, dtype=complex)
     for _ in range(max_depth):
-        whole, n = simpson(x, fx), len(x)
         quarters = 0.5 * (x[:, :2] + x[:, 1:])
+        f_quarters = f(quarters.ravel(), np.repeat(owner, 2)).reshape(quarters.shape)
         x5 = np.insert(x, [1, 2], quarters, axis=1)  # lo, lq, mid, rq, hi
-        f5 = np.insert(fx, [1, 2], f(quarters.ravel()).reshape(quarters.shape), axis=1)
+        f5 = np.insert(fx, [1, 2], f_quarters, axis=1)
+        halves = simpson(x5[:, :3], f5[:, :3]) + simpson(x5[:, 2:], f5[:, 2:])
+        delta = halves - simpson(x, fx)
+        done = np.abs(delta) <= 15.0 * tols
+        # per integral, in panel order (bincount adds its weights one by one)
+        accepted = (halves + delta / 15.0)[done]
+        total += (np.bincount(owner[done], accepted.real, n)
+                  + 1j * np.bincount(owner[done], accepted.imag, n))
+        if done.all():
+            return total
+        x5, f5 = x5[~done], f5[~done]
         # every left half, then every right half
         x, fx = np.concatenate([x5[:, :3], x5[:, 2:]]), np.concatenate([f5[:, :3], f5[:, 2:]])
-        halves = simpson(x, fx)
-        delta = halves[:n] + halves[n:] - whole
-        done = np.abs(delta) <= 15.0 * tols
-        total += np.sum((halves[:n] + halves[n:] + delta / 15.0)[done])
-        if done.all():
-            return complex(total)
-        split = np.tile(~done, 2)
-        x, fx, tols = x[split], fx[split], np.tile(0.5 * tols[~done], 2)
-    raise NumericError(f"quadrature failed to converge on [{x[0, 0]}, {x[0, 2]}]")
+        tols, owner = np.tile(0.5 * tols[~done], 2), np.tile(owner[~done], 2)
+    i = owner.min()
+    x0, _, x2 = x[np.argmax(owner == i)]
+    raise QuadratureError(f"quadrature of integral {i} failed to converge on [{x0}, {x2}]", i)

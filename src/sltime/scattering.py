@@ -43,9 +43,11 @@ three named pieces:
 
 Their sum is the integral of |psi|^2 over the window for the
 flux-normalized stationary state, which ``dwell_time`` also evaluates by
-adaptive quadrature of the reconstructed density as an independent check;
-the quadrature runs one energy at a time and hands the density one
-position array per refinement level.
+adaptive quadrature of the reconstructed density as an independent check.
+The quadrature refines the integrals of all energies together: the
+backward pass through the interfaces runs once, on the energy array, and
+each refinement level hands the density one position array holding the
+open panels of every energy, each point tagged with its energy.
 """
 
 from __future__ import annotations
@@ -56,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, QuadratureError, ValidationError
 from .medium import CONSTANTS, PhysConstants, StackSpec, _layers_mirror_equal
 from .numerics import adaptive_simpson
 from .tmatrix import _layer_entries, amplitudes, energy_jet, stack_matrix
@@ -172,19 +174,24 @@ def smith_matrix(
 
 
 class _WaveField:
-    """Flux-normalized stationary state for a unit wave incident from the left.
+    """Flux-normalized stationary states for a unit wave incident from the
+    left, one for every energy of a 1-d array.
 
-    Built once per (stack, E) from the cell-referenced amplitudes t, r and
-    the lead wavenumber k and velocity v at E.  ``u`` evaluates it on a
-    position array with one partial propagation per layer that holds
-    points, each from the layer's left interface.
+    Built once per (stack, energies) from the cell-referenced amplitudes
+    t, r and the lead wavenumber k and velocity v, each an array over the
+    energies: one backward pass through the interfaces, on arrays, gives
+    (psi, psi'/m*) at every interface for every energy.  ``u`` evaluates a
+    position array, each point at the energy its index names, with one
+    partial propagation per layer that holds points, each from the layer's
+    left interface.
     """
 
-    def __init__(self, stack: StackSpec, E: float, t: complex, r: complex, k: float,
-                 v: float, consts: PhysConstants = CONSTANTS):
+    def __init__(self, stack: StackSpec, E: np.ndarray, t: np.ndarray, r: np.ndarray,
+                 k: np.ndarray, v: np.ndarray, consts: PhysConstants = CONSTANTS):
         self.E = E
         self.consts = consts
         self.t, self.r, self.k, self.v = t, r, k, v
+        self.norm = 1.0 / np.sqrt(v)
         self.mass_out = stack.outside.mass_ratio
         self.layers = stack.segments()
         widths = np.array([layer.width for layer in self.layers])
@@ -194,47 +201,51 @@ class _WaveField:
         self.b = float(edges[-1])
         # u = (psi, psi'/m*) at the right face, then backward through every
         # layer; det-1 inverses are written out to avoid a solve per layer.
-        t = t * (1.0 / math.sqrt(v))
+        t = t * self.norm
         u = np.array([t, 1j * k * t / self.mass_out])
         us = [u]
         for layer in reversed(self.layers):
-            p = np.array(_layer_entries(E, layer, layer.width, consts), dtype=float)
-            u = np.array(
-                [p[1, 1] * u[0] - p[0, 1] * u[1], -p[1, 0] * u[0] + p[0, 0] * u[1]]
-            )
+            (p11, p12), (p21, p22) = _layer_entries(E, layer, layer.width, consts)
+            u = np.array([p22 * u[0] - p12 * u[1], -p21 * u[0] + p11 * u[1]])
             us.append(u)
         us.reverse()
-        self.us = us  # u at every interface, left to right
+        self.us = us  # u at every interface, left to right, shape (2, energies)
 
     @classmethod
-    def at(cls, stack: StackSpec, E: float, consts: PhysConstants) -> "_WaveField":
-        """The field at one energy, from its own ``_origin_jet`` call."""
-        jet,_, _, _, _, k, v = _origin_jet(stack, E, consts)
+    def at(cls, stack: StackSpec, E, consts: PhysConstants) -> "_WaveField":
+        """The fields at the energies of E, a scalar or an array, flattened,
+        from one ``_origin_jet`` call."""
+        E = np.ravel(np.asarray(E, dtype=float))
+        jet, _, _, _, _, k, v = _origin_jet(stack, E, consts)
         return cls(stack, E, jet.t.v, jet.r.v, k, v, consts)
 
-    def u(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, psi'/m*) at every position of the array x, any region."""
+    def u(self, x: np.ndarray, i) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, psi'/m*) at every position of the array x, any region, each
+        at the energy E[i] of the matching element of the index array i (a
+        single index serves every point)."""
         x = np.asarray(x, dtype=float)
+        i = np.broadcast_to(i, x.shape)
         psi = np.empty(x.shape, dtype=complex)
         slope = np.empty(x.shape, dtype=complex)
-        norm = 1.0 / math.sqrt(self.v)
-        ik = 1j * self.k
         left, right = x <= self.a, x >= self.b
+        il, ir = i[left], i[right]
+        ik = 1j * self.k[il]
         fwd = np.exp(ik * (x[left] - self.a))
-        bwd = self.r / fwd
-        psi[left] = (fwd + bwd) * norm
-        slope[left] = ik * (fwd - bwd) * norm / self.mass_out
-        psi[right] = self.t * np.exp(ik * (x[right] - self.b)) * norm
+        bwd = self.r[il] / fwd
+        psi[left] = (fwd + bwd) * self.norm[il]
+        slope[left] = ik * (fwd - bwd) * self.norm[il] / self.mass_out
+        ik = 1j * self.k[ir]
+        psi[right] = self.t[ir] * np.exp(ik * (x[right] - self.b)) * self.norm[ir]
         slope[right] = ik * psi[right] / self.mass_out
         layer = np.searchsorted(self.edges, x, side="right") - 1
         layer[left | right] = -1
         for j in np.unique(layer[layer >= 0]):
             at = layer == j
-            dx = x[at] - self.edges[j]
+            ia = i[at]
             (p11, p12), (p21, p22) = _layer_entries(
-                np.full(dx.shape, self.E), self.layers[j], dx, self.consts
+                self.E[ia], self.layers[j], x[at] - self.edges[j], self.consts
             )
-            u0, u1 = self.us[j]
+            u0, u1 = self.us[j][:, ia]
             psi[at] = p11 * u0 + p12 * u1
             slope[at] = p21 * u0 + p22 * u1
         return psi, slope
@@ -253,7 +264,7 @@ def interior_wavefunction(
     |psi|^2 = 1/v everywhere and resonant states show up as interior
     density exceeding the lead value.
     """
-    return _WaveField.at(stack, E, consts).u(x_grid)[0]
+    return _WaveField.at(stack, E, consts).u(x_grid, 0)[0]
 
 
 def probability_current(
@@ -268,9 +279,9 @@ def probability_current(
     probability; deviations measure reconstruction error.
     """
     field = _WaveField.at(stack, E, consts)
-    psi, slope = field.u(x_grid)
+    psi, slope = field.u(x_grid, 0)
     # incident current of e^{ikx}/sqrt(v): k/(m v) in these units
-    return (psi.conjugate() * slope).imag * field.v * field.mass_out / field.k
+    return (psi.conjugate() * slope).imag * field.v[0] * field.mass_out / field.k[0]
 
 
 # ---------------------------------------------------------------------------
@@ -329,9 +340,12 @@ def dwell_time(
 
     The quadrature cross-check integrates the reconstructed density with
     interface positions as forced panel boundaries, and lead panels no wider
-    than a quarter of the lead wavelength, one energy at a time,
-    and is returned in ``tau_numeric``; a gross mismatch with the closed
-    form at any energy raises, finer comparisons are left to the caller.
+    than a quarter of the lead wavelength, for all energies together (one
+    density call per refinement level), and is returned in ``tau_numeric``;
+    a scalar E goes through the same arrays with one energy.  A gross
+    mismatch with the closed form raises at the first such energy, and a
+    quadrature that cannot converge names its energy; finer comparisons are
+    left to the caller.
     """
     half_w = 0.5 * stack.width
     if x_left is None:
@@ -344,11 +358,12 @@ def dwell_time(
             f"[{-half_w}, {half_w}]"
         )
 
-    jet, t, r, dt, dr, k, v = _origin_jet(stack, E, consts)
+    e = np.ravel(np.asarray(E, dtype=float))
+    jet, t, r, dt, dr, k, v = _origin_jet(stack, e, consts)
     smooth = consts.hbar * ((t.conjugate() * dt).imag + (r.conjugate() * dr).imag)
 
     r_abs = np.abs(r)
-    fringe = -(consts.hbar * r_abs / (2.0 * (E - stack.outside.potential))) * np.sin(
+    fringe = -(consts.hbar * r_abs / (2.0 * (e - stack.outside.potential))) * np.sin(
         2.0 * k * x_left - np.angle(r)
     )
     oscillatory = np.where(r_abs == 0.0, 0.0, fringe)
@@ -357,25 +372,30 @@ def dwell_time(
     uniform = (x_right - x_left) / v
 
     closed = smooth + oscillatory + free_passage
-    numeric = np.empty(np.shape(E))
-    lead = zip(*(np.ravel(a) for a in (E, jet.t.v, jet.r.v, k, v, closed)))
-    for i, (e, t_cell, r_cell, k_e, v_e, closed_e) in enumerate(lead):
-        field = _WaveField(stack, e, t_cell, r_cell, k_e, v_e, consts)
-        # no lead panel wider than pi/(2k), half the period of the standing
-        # wave's fringe, so that its samples cannot alias the fringe
-        quarter = 0.5 * math.pi / k_e
-        leads = [np.linspace(lo, hi, math.ceil((hi - lo) / quarter) + 1)
-                 for lo, hi in ((x_left, field.a), (field.b, x_right))]
-        numeric.flat[i] = adaptive_simpson(
-            lambda x: np.abs(field.u(x)[0]) ** 2, x_left, x_right, tol=1e-6,
-            breakpoints=np.concatenate([field.edges, *leads]),
+    field = _WaveField(stack, e, jet.t.v, jet.r.v, k, v, consts)
+    # no lead panel wider than pi/(2k), half the period of the standing
+    # wave's fringe, so that its samples cannot alias the fringe
+    leads = [[np.linspace(lo, hi, math.ceil((hi - lo) / quarter) + 1)
+              for lo, hi in ((x_left, field.a), (field.b, x_right))]
+             for quarter in 0.5 * math.pi / k]
+    try:
+        numeric = adaptive_simpson(
+            lambda x, i: np.abs(field.u(x, i)[0]) ** 2,
+            np.full(e.shape, x_left), np.full(e.shape, x_right), tol=1e-6,
+            breakpoints=[np.concatenate([field.edges, *lead]) for lead in leads],
         ).real
-        if abs(numeric.flat[i] - closed_e) > max(1e-2 * abs(closed_e), 0.1):
-            raise NumericError(
-                f"dwell-time closed form ({closed_e:.6f} fs) and density integral "
-                f"({numeric.flat[i]:.6f} fs) disagree at E = {e} meV"
-            )
+    except QuadratureError as exc:
+        raise NumericError(f"density integral at E = {e[exc.integral]} meV: {exc}") from exc
+    failed = np.abs(numeric - closed) > np.maximum(1e-2 * np.abs(closed), 0.1)
+    if failed.any():
+        i = np.flatnonzero(failed)[0]
+        raise NumericError(
+            f"dwell-time closed form ({closed[i]:.6f} fs) and density integral "
+            f"({numeric[i]:.6f} fs) disagree at E = {e[i]} meV"
+        )
     parts = (smooth, oscillatory, free_passage, uniform, numeric)
     if np.ndim(E) == 0:
-        parts = tuple(float(p) for p in parts)
+        parts = tuple(float(p[0]) for p in parts)
+    else:
+        parts = tuple(p.reshape(np.shape(E)) for p in parts)
     return DwellResult(*parts, x_left=x_left, x_right=x_right)

@@ -457,19 +457,24 @@ def stationary_packet_delay(
     x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)
     phase_x = np.exp(1j * np.outer(k, x))  # (n_k, n_x)
     times = np.arange(0.0, t_max, dt_sample)
+    phase_t = -1j * omega
 
     def crossing(weights: np.ndarray) -> float:
+        # the samples in blocks of 32, one (32, n_k) @ (n_k, n_x) product a
+        # block, up to the block in which the centroid crosses x_d
         prev_c, prev_t = None, None
-        for t in times:
-            psi = (weights * np.exp(-1j * omega * t)) @ phase_x
-            dens = np.abs(psi) ** 2
-            p = float(dens.sum())
-            c = float((x * dens).sum() / p) if p > 1e-30 else math.nan
-            if prev_c is not None and math.isfinite(prev_c) and math.isfinite(c):
-                if prev_c <= x_d < c:
-                    frac = (x_d - prev_c) / (c - prev_c)
-                    return prev_t + frac * (t - prev_t)
-            prev_c, prev_t = c, t
+        for start in range(0, len(times), 32):
+            block = times[start:start + 32]
+            dens = np.abs((weights * np.exp(phase_t * block[:, None])) @ phase_x) ** 2
+            p = dens.sum(axis=1)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                centroid = np.where(p > 1e-30, (x * dens).sum(axis=1) / p, math.nan)
+            for t, c in zip(block, centroid):
+                if prev_c is not None and math.isfinite(prev_c) and math.isfinite(c):
+                    if prev_c <= x_d < c:
+                        frac = (x_d - prev_c) / (c - prev_c)
+                        return prev_t + frac * (t - prev_t)
+                prev_c, prev_t = c, t
         raise NumericError(
             f"stationary-theory centroid never crossed {x_d} nm within {t_max} fs"
         )

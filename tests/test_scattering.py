@@ -182,6 +182,60 @@ def test_scattering_dwell_command_makes_two_stack_matrix_calls(monkeypatch, tmp_
     assert len(out.read_text().splitlines()) == 3 + 40
 
 
+def test_dwell_grid_refined_together_matches_scalar_calls(monkeypatch, tmp_path):
+    """README's dwell command refines the densities of all 40 energies
+    together (317 density calls one energy at a time), and each energy's
+    tau_numeric is exactly what a scalar call gives."""
+    calls = []
+    real = sltime.scattering.adaptive_simpson
+
+    def counting(f, *args, **kwargs):
+        return real(lambda x, i: calls.append(x.size) or f(x, i), *args, **kwargs)
+
+    monkeypatch.setattr(sltime.scattering, "adaptive_simpson", counting)
+    out = tmp_path / "dwell.csv"
+    assert main(["dwell", "--stack", "stacks/rep5.json", "--emin", "56", "--emax", "60",
+                 "--count", "40", "-o", str(out)]) == 0
+    assert 1 < len(calls) <= 41
+    monkeypatch.undo()
+    rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
+    stack = load_stack("stacks/rep5.json")
+    assert len(rows) == 40
+    for row in rows:
+        assert dwell_time(stack, float(row[0])).tau_numeric == float(row[3])
+
+
+def test_dwell_failure_together_names_the_energy(monkeypatch, tmp_path, capsys):
+    """Only the second energy's density jumps inside a panel, so only its
+    quadrature cannot converge; the error names that energy."""
+    real = sltime.scattering.adaptive_simpson
+
+    def jump_at_second(f, *args, **kwargs):
+        return real(lambda x, i: f(x, i) + (i == 1) * (x > 0.123), *args, **kwargs)
+
+    monkeypatch.setattr(sltime.scattering, "adaptive_simpson", jump_at_second)
+    stack = load_stack("stacks/rep5.json")
+    with pytest.raises(NumericError, match=r"at E = 58\.5 meV: .*integral 1 failed"):
+        dwell_time(stack, np.array([57.0, 58.5]))
+    code = main(["dwell", "--stack", "stacks/rep5.json", "--emin", "57", "--emax", "58.5",
+                 "--count", "2", "-o", str(tmp_path / "dwell.csv")])
+    assert code == 4
+    assert "at E = 58.5 meV" in capsys.readouterr().err
+
+
+def test_dwell_gate_refined_together_names_the_first_failing_energy(monkeypatch):
+    """The closed-form vs quadrature gate fires at the first energy of the
+    grid whose density integral is off, not at a later one."""
+    real = sltime.scattering.adaptive_simpson
+
+    def off_from_second(f, *args, **kwargs):
+        return real(f, *args, **kwargs) * np.array([1.0, 1.0, 2.0, 2.0])
+
+    monkeypatch.setattr(sltime.scattering, "adaptive_simpson", off_from_second)
+    with pytest.raises(NumericError, match=r"disagree at E = 58\.0 meV"):
+        dwell_time(load_stack("stacks/rep5.json"), np.array([57.0, 57.5, 58.0, 58.5]))
+
+
 def test_smith_matrix_symmetric_stack_structure():
     stack = representative_stack()
     for E in (57.0, 58.5, 61.5):
