@@ -26,7 +26,6 @@ from .medium import (
     CellSpec,
     EnergyGrid,
     Layer,
-    PhysConstants,
     StackSpec,
     load_stack,
     representative_cell,
@@ -82,7 +81,6 @@ __all__ = [
     "NumericError",
     "NearBandEdgeError",
     "NoTransmissionError",
-    "PhysConstants",
     "CONSTANTS",
     "Layer",
     "CellSpec",

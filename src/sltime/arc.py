@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .kard import Band, PotentialCell, decompose, energy_at_phase
-from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants, StackSpec
+from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec
 from .numerics import bracket_roots
 from .tmatrix import TransferMatrix, amplitudes, cell_matrix, compose, energy_jet, stack_matrix
 
@@ -63,27 +63,22 @@ class ArcDesign:
             )
 
 
-def compose_with_arc(
-    stack: StackSpec, E: float | np.ndarray, consts: PhysConstants = CONSTANTS
-) -> TransferMatrix:
+def compose_with_arc(stack: StackSpec, E: float | np.ndarray) -> TransferMatrix:
     """Total matrix M_arcL (M_core)^N M_arcR at energy E (scalar or array).
 
     The core block is raised to its power by squaring rather than cell by
     cell; with no end cells this is just the bare array matrix.
     """
-    total = cell_matrix(E, stack.core, stack.outside, consts).power(stack.replicas)
+    total = cell_matrix(E, stack.core, stack.outside).power(stack.replicas)
     if stack.left_arc is not None:
-        total = compose(cell_matrix(E, stack.left_arc, stack.outside, consts), total)
+        total = compose(cell_matrix(E, stack.left_arc, stack.outside), total)
     if stack.right_arc is not None:
-        total = compose(total, cell_matrix(E, stack.right_arc, stack.outside, consts))
+        total = compose(total, cell_matrix(E, stack.right_arc, stack.outside))
     return total
 
 
 def band_average_transmission(
-    stack: StackSpec,
-    band: Band,
-    grid: EnergyGrid | None = None,
-    consts: PhysConstants = CONSTANTS,
+    stack: StackSpec, band: Band, grid: EnergyGrid | None = None
 ) -> float:
     """Mean transmission probability over a uniform grid spanning the band.
 
@@ -97,12 +92,10 @@ def band_average_transmission(
         raise ValidationError(
             f"band average needs >= 2000 samples, got {grid.count}"
         )
-    return float(np.mean(amplitudes(compose_with_arc(stack, grid.samples, consts)).T))
+    return float(np.mean(amplitudes(compose_with_arc(stack, grid.samples)).T))
 
 
-def stack_phase_time(
-    stack: StackSpec, E: float | np.ndarray, consts: PhysConstants = CONSTANTS
-):
+def stack_phase_time(stack: StackSpec, E: float | np.ndarray):
     """Stationary-phase crossing time hbar d(arg t)/dE of the whole stack, fs.
 
     Works for any stack (end cells included), unlike the single-band
@@ -111,8 +104,8 @@ def stack_phase_time(
     cell-referenced, so this is the crossing time, not the delay over free
     propagation.
     """
-    t = amplitudes(stack_matrix(energy_jet(E), stack, consts)).t
-    return consts.hbar * (t.v.conjugate() * t.d1).imag / abs(t.v) ** 2
+    t = amplitudes(stack_matrix(energy_jet(E), stack)).t
+    return CONSTANTS.hbar * (t.v.conjugate() * t.d1).imag / abs(t.v) ** 2
 
 
 def _scaled_cell(core: CellSpec, width_scale: float, barrier_scale: float) -> CellSpec:
@@ -143,12 +136,7 @@ def _highest_rise(f, samples: np.ndarray, what: str) -> float:
     raise NumericError(f"no viable design: {what} has no sign change down to {samples[-1]:g}")
 
 
-def design_rule_of_thumb(
-    core: CellSpec,
-    outside: Layer,
-    band: Band,
-    consts: PhysConstants = CONSTANTS,
-) -> ArcDesign:
+def design_rule_of_thumb(core: CellSpec, outside: Layer, band: Band) -> ArcDesign:
     """Quarter-wave/half-mu matching cell for ``core``, from a scaled family.
 
     The family is the core with all widths scaled by s_w and all potentials
@@ -169,10 +157,10 @@ def design_rule_of_thumb(
     own family it comes out aligned, and the end-to-end transmission checks
     would catch it if it did not.
     """
-    model = PotentialCell(core, outside, consts)
+    model = PotentialCell(core, outside)
     e_c = energy_at_phase(model, band, _QUARTER)
     mu_target = 0.5 * decompose(model.matrix(e_c)).mu
-    matrix = lambda s_w, s_V: cell_matrix(e_c, _scaled_cell(core, s_w, s_V), outside, consts)
+    matrix = lambda s_w, s_V: cell_matrix(e_c, _scaled_cell(core, s_w, s_V), outside)
 
     def barrier_scale(s_w: float) -> float:
         return _highest_rise(lambda s_V: matrix(s_w, s_V).m11.real,

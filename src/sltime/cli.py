@@ -108,11 +108,10 @@ def _write_json(out: str | None, payload: dict) -> None:
 
 def _load_model(args) -> tuple[object, StackSpec | None, int]:
     """Resolve (cell model, stack or None, N) from --stack/--play flags."""
-    if getattr(args, "play", False):
-        n = args.N if getattr(args, "N", None) else 9
-        return PLAY_MODEL, None, n
+    if args.play:
+        return PLAY_MODEL, None, 9 if args.N is None else args.N
     stack = load_stack(args.stack)
-    n = args.N if getattr(args, "N", None) else stack.replicas
+    n = stack.replicas if args.N is None else args.N
     return as_model(stack.core, stack.outside), stack, n
 
 
@@ -123,6 +122,8 @@ def _lead_bottom(model) -> float:
 
 
 def _pick_band(model, index: int) -> Band:
+    if index < 1:
+        raise ValidationError(f"--band counts from 1, got {index}")
     lo = _SCAN[0] + _lead_bottom(model)
     bands = band_structure(model, grid=EnergyGrid.linear(lo, *_SCAN[1:]))
     if len(bands) < index:
@@ -133,11 +134,17 @@ def _pick_band(model, index: int) -> Band:
     return bands[index - 1]
 
 
+def _count(args, default: int) -> int:
+    """--count, or ``default`` when the flag is absent; an explicit 0 is kept,
+    for the grid to reject."""
+    return default if args.count is None else args.count
+
+
 def _grid_from_args(args, model, band: Band, default_count: int) -> EnergyGrid:
     lo, hi = band.interior(5e-3)
     e_min = lo if args.emin is None else args.emin
     e_max = hi if args.emax is None else args.emax
-    return EnergyGrid.linear(e_min, e_max, args.count or default_count, _lead_bottom(model))
+    return EnergyGrid.linear(e_min, e_max, _count(args, default_count), _lead_bottom(model))
 
 
 def _sweep_grid(args, model, default_count: int) -> EnergyGrid:
@@ -146,7 +153,7 @@ def _sweep_grid(args, model, default_count: int) -> EnergyGrid:
         lo, hi = PLAY_MODEL.band if args.play else (_SCAN[0] + _lead_bottom(model), _SCAN[1])
         args.emin = lo + 0.05 if args.emin is None else args.emin
         args.emax = hi - 0.05 if args.emax is None else args.emax
-    return EnergyGrid.linear(args.emin, args.emax, args.count or default_count,
+    return EnergyGrid.linear(args.emin, args.emax, _count(args, default_count),
                              _lead_bottom(model))
 
 
@@ -198,7 +205,11 @@ def _cmd_dwell(args) -> None:
 def _cmd_resonances(args) -> None:
     model, _, n = _load_model(args)
     band = _pick_band(model, args.band)
-    peaks, valleys = fit_extrema(model, None, n, band)
+    if args.curves:  # before anything is written, so that a bad grid leaves no file
+        ap = approx_curves(model, None, n, band, _grid_from_args(args, model, band, 1600))
+        peaks, valleys = ap.peaks, ap.valleys
+    else:
+        peaks, valleys = fit_extrema(model, None, n, band)
     rows = []
     for pk in peaks:
         rows.append(("peak", pk.m, pk.E_m, pk.Gamma_m, pk.b_m, math.nan, pk.tau_peak, False))
@@ -209,8 +220,6 @@ def _cmd_resonances(args) -> None:
                ["kind", "index", "E_meV", "Gamma_meV", "b_or_C", "D", "tau_fs",
                 "edge_degraded"], rows)
     if args.curves:
-        grid = _grid_from_args(args, model, band, default_count=1600)
-        ap = approx_curves(model, None, n, band, grid)
         _write_csv(args.curves, _config_header(args),
                    ["E_meV", "T_approx", "tau_approx_fs"],
                    zip(ap.energies, ap.t2, ap.tau_ph))
@@ -237,7 +246,7 @@ def _play_figure(figure: int, count: int):
     lo, hi = band.interior(5e-3)
     n = 9
     if figure == 1:
-        grid = np.linspace(lo, hi, count)
+        grid = EnergyGrid.linear(lo, hi, count).samples
         p = play_kard(grid)
         return (["E_meV", "cos_phi", "phi_halfpi", "eta_halfpi"],
                 zip(grid, np.cos(p.phi), p.phi / (0.5 * math.pi),
@@ -255,7 +264,7 @@ def _play_figure(figure: int, count: int):
                 zip(curve.energies, curve.tau_ph, curve.env_max, curve.env_min,
                     curve.t2))
     if figure == 4:
-        grid = np.linspace(lo, PLAY_MODEL.e_bragg, count)
+        grid = EnergyGrid.linear(lo, PLAY_MODEL.e_bragg, count).samples
         p = play_kard(grid)
         return (["E_meV", "Nphi_over_pi", "eta9_over_pi"],
                 zip(grid, n * p.phi / math.pi, _eta_n(grid, n) / math.pi))
@@ -275,7 +284,7 @@ def _play_figure(figure: int, count: int):
 
 
 def _cmd_playmodel(args) -> None:
-    columns, rows = _play_figure(args.figure, args.count or 1200)
+    columns, rows = _play_figure(args.figure, _count(args, 1200))
     _write_csv(args.output, _config_header(args), columns, rows)
 
 
@@ -302,7 +311,7 @@ def _cmd_arc_evaluate(args) -> None:
     stack = load_stack(args.stack)
     band = _pick_band(as_model(stack.core, stack.outside), args.band)
     bare = dataclasses.replace(stack, left_arc=None, right_arc=None)
-    grid = EnergyGrid.linear(*band.interior(1e-6), args.count or 2048)
+    grid = EnergyGrid.linear(*band.interior(1e-6), _count(args, 2048))
     summary = {
         "band_lower_meV": band.lower,
         "band_upper_meV": band.upper,
@@ -383,7 +392,7 @@ def _cmd_reproduce(args) -> None:
     k = args.figure
     header = _config_header(args)
     if k <= 6:
-        columns, rows = _play_figure(k, args.count or 1200)
+        columns, rows = _play_figure(k, _count(args, 1200))
         _write_csv(str(outdir / f"fig{k}.csv"), header, columns, rows)
         return
 
@@ -437,12 +446,10 @@ def _cmd_reproduce(args) -> None:
 
 # --- parser --------------------------------------------------------------------
 
-def _add_model_flags(p: argparse.ArgumentParser, play_ok: bool = True) -> None:
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--stack", help="stack JSON file")
-    if play_ok:
-        src.add_argument("--play", action="store_true",
-                         help="use the closed-form single-band model")
+    src.add_argument("--play", action="store_true", help="use the closed-form single-band model")
     p.add_argument("--N", type=int, default=None,
                    help="number of cells (default: stack replicas, or 9 for --play)")
 

@@ -36,7 +36,7 @@ from typing import Protocol, Union
 import numpy as np
 
 from .errors import NearBandEdgeError, NumericError
-from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants
+from .medium import CellSpec, EnergyGrid, Layer
 from .numerics import bracket_roots
 from .tmatrix import TransferMatrix, _complex, cell_matrix, energy_jet
 
@@ -195,32 +195,27 @@ class PotentialCell:
 
     cell: CellSpec
     outside: Layer
-    consts: PhysConstants = CONSTANTS
 
     def matrix(self, E: float | np.ndarray) -> TransferMatrix:
-        return cell_matrix(E, self.cell, self.outside, self.consts)
+        return cell_matrix(E, self.cell, self.outside)
 
     def trace(self, E: float | np.ndarray) -> float | np.ndarray:
         return self.matrix(E).trace
 
     def derivatives(self, E: float | np.ndarray, second: bool) -> tuple:
-        J = cell_matrix(energy_jet(E, second), self.cell, self.outside, self.consts)
+        J = cell_matrix(energy_jet(E, second), self.cell, self.outside)
         m11, m21 = J.m11, J.m21
         g_p = 2.0 * (m21.v.real * m21.d1.real + m21.v.imag * m21.d1.imag)
         c_pp = m11.d2.real if second else math.nan
-        return TransferMatrix(m11.v, m21.v, E, self.cell.width), m11.d1.real, c_pp, g_p
+        return TransferMatrix(m11.v, m21.v, E), m11.d1.real, c_pp, g_p
 
 
-def as_model(
-    cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    consts: PhysConstants = CONSTANTS,
-) -> CellModel:
+def as_model(cell: Union[CellModel, CellSpec], outside: Layer | None = None) -> CellModel:
     """Accept either a CellModel or a raw (CellSpec, outside) pair."""
     if isinstance(cell, CellSpec):
         if outside is None:
             raise NumericError("a CellSpec needs its lead layer ('outside')")
-        return PotentialCell(cell, outside, consts)
+        return PotentialCell(cell, outside)
     return cell
 
 
@@ -399,7 +394,6 @@ def kard_derivatives(
     E: float | np.ndarray = 0.0,
     *,
     band: Band | None = None,
-    consts: PhysConstants = CONSTANTS,
 ) -> KardDerivatives:
     """phi', phi'', mu' at energy E, via the smooth functions c(E) and g(E).
 
@@ -416,7 +410,7 @@ def kard_derivatives(
     scalar throughout.  Every E must be inside an allowed band, and inside
     ``band`` when one is given.
     """
-    return _kard_derivatives(as_model(cell, outside, consts), E, band, second=True)
+    return _kard_derivatives(as_model(cell, outside), E, band, second=True)
 
 
 def _kard_derivatives(model: CellModel, E, band: Band | None, second: bool) -> KardDerivatives:

@@ -3,7 +3,10 @@
 Unit conventions, fixed project-wide: energy in meV, length in nm, time in
 fs, effective mass as a ratio to the bare electron mass.  The energy zero is
 the conduction-band bottom of the (identical) semi-infinite leads, so any
-E > 0 is a propagating lead channel.
+E > 0 is a propagating lead channel.  In these units hbar and hbar^2/2m_e
+are fixed numbers, not parameters: every module reads them from the one
+``CONSTANTS``, and a material enters only through its layers' mass ratio
+and band offset.
 
 A superlattice is described bottom-up: a ``Layer`` is a piecewise-constant
 slab, a ``CellSpec`` is one unit cell (an ordered stack of layers), and a
@@ -16,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -25,7 +28,6 @@ import numpy as np
 from .errors import ValidationError
 
 __all__ = [
-    "PhysConstants",
     "CONSTANTS",
     "Layer",
     "CellSpec",
@@ -42,7 +44,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class PhysConstants:
-    """Fundamental constants in the package units (meV, nm, fs).
+    """The fixed constants of the package units (meV, nm, fs); the one
+    instance is ``CONSTANTS``.
 
     hbar            : reduced Planck constant, meV*fs
     hbar2_over_2m0  : hbar^2 / (2 m_e), meV*nm^2
@@ -50,10 +53,6 @@ class PhysConstants:
 
     hbar: float = 658.2119569
     hbar2_over_2m0: float = 38.0998
-
-    def __post_init__(self) -> None:
-        if self.hbar <= 0 or self.hbar2_over_2m0 <= 0:
-            raise ValidationError("physical constants must be positive")
 
     def velocity(self, k: float, mass_ratio: float) -> float:
         """Group velocity hbar*k/m* in nm/fs for a plane wave in a uniform layer."""
@@ -108,10 +107,6 @@ class CellSpec:
     def width(self) -> float:
         return sum(l.width for l in self.layers)
 
-    def mirrored(self) -> "CellSpec":
-        """The cell traversed in the opposite direction."""
-        return CellSpec(tuple(reversed(self.layers)), symmetric=self.symmetric)
-
 
 @dataclass(frozen=True)
 class StackSpec:
@@ -159,6 +154,12 @@ class StackSpec:
             out.extend(cell.layers)
         return out
 
+    def interfaces(self) -> np.ndarray:
+        """Positions (nm) of the len(segments()) + 1 layer interfaces, left
+        face first, with the stack centred on the origin: [-W/2, ..., W/2]."""
+        widths = [layer.width for layer in self.segments()]
+        return -0.5 * self.width + np.concatenate([[0.0], np.cumsum(widths)])
+
 
 @dataclass(frozen=True)
 class EnergyGrid:
@@ -187,14 +188,6 @@ class EnergyGrid:
         if count < 2:
             raise ValidationError(f"count must be >= 2, got {count}")
         return cls(np.linspace(e_min, e_max, count), band_bottom)
-
-    @property
-    def e_min(self) -> float:
-        return float(self.samples[0])
-
-    @property
-    def e_max(self) -> float:
-        return float(self.samples[-1])
 
     @property
     def count(self) -> int:

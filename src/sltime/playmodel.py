@@ -104,7 +104,7 @@ def play_matrix(E, spec: PlayModelSpec = PLAY_MODEL) -> TransferMatrix:
     """Cell transfer matrix carrying the model's angles.
 
     Feeds every downstream consumer identically to a potential-derived
-    matrix; it just has no cell_width, having no spatial extent.
+    matrix.
     """
     return replace(reconstruct(play_kard(E, spec)), ref_energy=E)
 

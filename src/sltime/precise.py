@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 
-from .medium import CONSTANTS, CellSpec, Layer, PhysConstants
+from .medium import CONSTANTS, CellSpec, Layer
 
 __all__ = ["transmission"]
 
@@ -74,14 +74,12 @@ def _propagator(E: Decimal, layer: Layer, h2m: Decimal) -> tuple[Decimal, ...]:
     return c, m * s, -ksq * s / m, c
 
 
-def transmission(
-    cell: CellSpec, outside: Layer, N: int, E: float, consts: PhysConstants = CONSTANTS
-) -> float:
+def transmission(cell: CellSpec, outside: Layer, N: int, E: float) -> float:
     """|t_N|^2 of N copies of ``cell`` between ``outside`` leads at energy E
     (above the lead band bottom), computed with 40 significant digits."""
     with localcontext() as ctx:
         ctx.prec = DIGITS
-        e, h2m = Decimal(E), Decimal(consts.hbar2_over_2m0)
+        e, h2m = Decimal(E), Decimal(CONSTANTS.hbar2_over_2m0)
         steps = {layer: _propagator(e, layer, h2m) for layer in set(cell.layers)}
         (p11, p21), (p12, p22) = (Decimal(1), Decimal(0)), (Decimal(0), Decimal(1))
         for _ in range(N):

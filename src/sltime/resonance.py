@@ -35,7 +35,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError
 from .kard import Band, CellModel, as_model, energy_at_phase, kard_derivatives
-from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants
+from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
 
 __all__ = [
     "PeakFit",
@@ -98,7 +98,6 @@ def locate_extrema(
     outside: Layer | None = None,
     N: int = 2,
     band: Band | None = None,
-    consts: PhysConstants = CONSTANTS,
 ) -> tuple[list[float], list[float]]:
     """Energies of all transmission peaks and minima of an N-cell array.
 
@@ -111,24 +110,24 @@ def locate_extrema(
         raise ValidationError(f"extrema need at least 2 cells, got N = {N}")
     if band is None:
         raise ValidationError("locate_extrema needs the band (run band_structure first)")
-    model = as_model(cell, outside, consts)
+    model = as_model(cell, outside)
     phases = np.concatenate([np.arange(1, N), np.arange(N) + 0.5]) * math.pi / N
     energies = energy_at_phase(model, band, phases).tolist()
     return energies[: N - 1], energies[N - 1 :]
 
 
-def _fit(model: CellModel, N: int, band: Band, consts: PhysConstants,
+def _fit(model: CellModel, N: int, band: Band,
          peaks: dict[int, float], valleys: dict[int, float]):
     """PeakFits and ValleyFits at the {index: energy} extrema given, from
     one array kard_derivatives call over all of them."""
     E = np.array([*peaks.values(), *valleys.values()])
-    d = kard_derivatives(model, None, E, band=band, consts=consts)
+    d = kard_derivatives(model, None, E, band=band)
     mu, phi_p, phi_pp, mu_p = d.params.mu, d.phi_p, d.phi_pp, d.mu_p
     if np.any(mu <= 0.0):
         raise NumericError(f"transparent cell at E = {E[mu <= 0.0][0]} meV: "
                            f"no resonance width or valley contrast")
     ch, th = np.cosh(mu), np.tanh(mu)
-    bloch = N * consts.hbar * phi_p
+    bloch = N * CONSTANTS.hbar * phi_p
     gamma_p = 2.0 / (N * phi_p * th)
     peak = zip(peaks.items(), 2.0 / (N * np.sinh(mu) * phi_p),
                0.5 * (2.0 * mu_p + phi_pp / (th * phi_p)) / (N * phi_p * ch), bloch * ch)
@@ -147,16 +146,15 @@ def fit_peak(
     m: int = 1,
     *,
     band: Band | None = None,
-    consts: PhysConstants = CONSTANTS,
 ) -> PeakFit:
     """Analytic lineshape parameters at the m-th peak (m = 1 .. N-1)."""
     if not 1 <= m <= N - 1:
         raise ValidationError(f"peak index m = {m} outside 1..{N - 1}")
     if band is None:
         raise ValidationError("fit_peak needs the band")
-    model = as_model(cell, outside, consts)
+    model = as_model(cell, outside)
     E_m = energy_at_phase(model, band, m * math.pi / N)
-    return _fit(model, N, band, consts, {m: E_m}, {})[0][0]
+    return _fit(model, N, band, {m: E_m}, {})[0][0]
 
 
 def fit_valley(
@@ -166,16 +164,15 @@ def fit_valley(
     p: int = 0,
     *,
     band: Band | None = None,
-    consts: PhysConstants = CONSTANTS,
 ) -> ValleyFit:
     """Analytic lineshape parameters at the p-th minimum (p = 0 .. N-1)."""
     if not 0 <= p <= N - 1:
         raise ValidationError(f"valley index p = {p} outside 0..{N - 1}")
     if band is None:
         raise ValidationError("fit_valley needs the band")
-    model = as_model(cell, outside, consts)
+    model = as_model(cell, outside)
     E_p = energy_at_phase(model, band, (p + 0.5) * math.pi / N)
-    return _fit(model, N, band, consts, {}, {p: E_p})[1][0]
+    return _fit(model, N, band, {}, {p: E_p})[1][0]
 
 
 def fit_extrema(
@@ -183,13 +180,12 @@ def fit_extrema(
     outside: Layer | None = None,
     N: int = 2,
     band: Band | None = None,
-    consts: PhysConstants = CONSTANTS,
 ) -> tuple[tuple[PeakFit, ...], tuple[ValleyFit, ...]]:
     """``fit_peak`` at every m = 1 .. N-1 and ``fit_valley`` at every
     p = 0 .. N-1, all roots from one ``locate_extrema`` call."""
-    model = as_model(cell, outside, consts)
-    peaks, valleys = locate_extrema(model, None, N, band, consts)
-    return _fit(model, N, band, consts, dict(enumerate(peaks, 1)), dict(enumerate(valleys)))
+    model = as_model(cell, outside)
+    peaks, valleys = locate_extrema(model, None, N, band)
+    return _fit(model, N, band, dict(enumerate(peaks, 1)), dict(enumerate(valleys)))
 
 
 @dataclass(frozen=True)
@@ -221,13 +217,11 @@ def approx_curves(
     N: int = 2,
     band: Band | None = None,
     grid: EnergyGrid | None = None,
-    *,
-    consts: PhysConstants = CONSTANTS,
 ) -> ApproxCurves:
     """Build the piecewise peak/valley approximation over a grid."""
     if band is None or grid is None:
         raise ValidationError("approx_curves needs the band and an energy grid")
-    peaks, valleys = fit_extrema(cell, outside, N, band, consts)
+    peaks, valleys = fit_extrema(cell, outside, N, band)
 
     # Windows [lo, hi], peaks first: a sample takes the first that holds it.
     fits = (*peaks, *valleys)

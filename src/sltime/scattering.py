@@ -59,7 +59,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, QuadratureError, ValidationError
-from .medium import CONSTANTS, PhysConstants, StackSpec, _layers_mirror_equal
+from .medium import CONSTANTS, StackSpec, _layers_mirror_equal
 from .numerics import adaptive_simpson
 from .tmatrix import _layer_entries, amplitudes, energy_jet, stack_matrix
 
@@ -77,7 +77,7 @@ __all__ = [
 # origin-referenced amplitudes and the Smith lifetime matrix
 
 
-def _origin_jet(stack: StackSpec, E, consts: PhysConstants) -> tuple:
+def _origin_jet(stack: StackSpec, E) -> tuple:
     """Amplitudes of the stack at E (a scalar or an array) from one
     stack-matrix call at a jet energy.
 
@@ -87,10 +87,10 @@ def _origin_jet(stack: StackSpec, E, consts: PhysConstants) -> tuple:
     With the stack centred on the origin both shifts are e^{-ikw}, whose
     phase moves with dk/dE = k / (2 (E - V_out)).
     """
-    jet = amplitudes(stack_matrix(energy_jet(E), stack, consts))
+    jet = amplitudes(stack_matrix(energy_jet(E), stack))
     e_kin = E - stack.outside.potential
-    k = np.sqrt(e_kin * stack.outside.mass_ratio / consts.hbar2_over_2m0)
-    v = consts.velocity(k, stack.outside.mass_ratio)
+    k = np.sqrt(e_kin * stack.outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
+    v = CONSTANTS.velocity(k, stack.outside.mass_ratio)
     shift = np.exp(-1j * k * stack.width)
     dk_w = 0.5 * k * stack.width / e_kin
     t, r = jet.t.v * shift, jet.r.v * shift
@@ -114,11 +114,7 @@ class SmithMatrix:
     tau12: complex | np.ndarray
 
 
-def smith_matrix(
-    stack: StackSpec,
-    E,
-    consts: PhysConstants = CONSTANTS,
-) -> SmithMatrix:
+def smith_matrix(stack: StackSpec, E) -> SmithMatrix:
     """Smith lifetime matrix of a stack at energy E, a scalar or an array.
 
     S = ((r, t), (t, r_bar)) with the right-incidence reflection
@@ -139,7 +135,7 @@ def smith_matrix(
             "is used but this regime has no independent cross-check here",
             stacklevel=2,
         )
-    _, t, r, dt, dr, _, _ = _origin_jet(stack, E, consts)
+    _, t, r, dt, dr, _, _ = _origin_jet(stack, E)
     if np.any(t == 0):
         i = np.flatnonzero(t == 0)[0]
         raise NumericError(f"transmission amplitude underflowed to zero at "
@@ -149,7 +145,7 @@ def smith_matrix(
     r_bar = -r_c * phase
     dr_bar = -(dr.conjugate() * phase + r_c * (dt - phase * dt.conjugate()) / t_c)
     rb_c = r_bar.conjugate()
-    h = -1j * consts.hbar
+    h = -1j * CONSTANTS.hbar
     q11 = h * (r_c * dr + t_c * dt)
     q12 = h * (r_c * dt + t_c * dr_bar)
     q21 = h * (t_c * dr + rb_c * dt)
@@ -187,37 +183,34 @@ class _WaveField:
     """
 
     def __init__(self, stack: StackSpec, E: np.ndarray, t: np.ndarray, r: np.ndarray,
-                 k: np.ndarray, v: np.ndarray, consts: PhysConstants = CONSTANTS):
+                 k: np.ndarray, v: np.ndarray):
         self.E = E
-        self.consts = consts
         self.t, self.r, self.k, self.v = t, r, k, v
         self.norm = 1.0 / np.sqrt(v)
         self.mass_out = stack.outside.mass_ratio
         self.layers = stack.segments()
-        widths = np.array([layer.width for layer in self.layers])
-        edges = -0.5 * stack.width + np.concatenate([[0.0], np.cumsum(widths)])
-        self.edges = edges  # len(layers) + 1 interface positions
-        self.a = float(edges[0])
-        self.b = float(edges[-1])
+        self.edges = stack.interfaces()
+        self.a = float(self.edges[0])
+        self.b = float(self.edges[-1])
         # u = (psi, psi'/m*) at the right face, then backward through every
         # layer; det-1 inverses are written out to avoid a solve per layer.
         t = t * self.norm
         u = np.array([t, 1j * k * t / self.mass_out])
         us = [u]
         for layer in reversed(self.layers):
-            (p11, p12), (p21, p22) = _layer_entries(E, layer, layer.width, consts)
+            (p11, p12), (p21, p22) = _layer_entries(E, layer, layer.width)
             u = np.array([p22 * u[0] - p12 * u[1], -p21 * u[0] + p11 * u[1]])
             us.append(u)
         us.reverse()
         self.us = us  # u at every interface, left to right, shape (2, energies)
 
     @classmethod
-    def at(cls, stack: StackSpec, E, consts: PhysConstants) -> "_WaveField":
+    def at(cls, stack: StackSpec, E) -> "_WaveField":
         """The fields at the energies of E, a scalar or an array, flattened,
         from one ``_origin_jet`` call."""
         E = np.ravel(np.asarray(E, dtype=float))
-        jet, _, _, _, _, k, v = _origin_jet(stack, E, consts)
-        return cls(stack, E, jet.t.v, jet.r.v, k, v, consts)
+        jet, _, _, _, _, k, v = _origin_jet(stack, E)
+        return cls(stack, E, jet.t.v, jet.r.v, k, v)
 
     def u(self, x: np.ndarray, i) -> tuple[np.ndarray, np.ndarray]:
         """(psi, psi'/m*) at every position of the array x, any region, each
@@ -243,7 +236,7 @@ class _WaveField:
             at = layer == j
             ia = i[at]
             (p11, p12), (p21, p22) = _layer_entries(
-                self.E[ia], self.layers[j], x[at] - self.edges[j], self.consts
+                self.E[ia], self.layers[j], x[at] - self.edges[j]
             )
             u0, u1 = self.us[j][:, ia]
             psi[at] = p11 * u0 + p12 * u1
@@ -251,12 +244,7 @@ class _WaveField:
         return psi, slope
 
 
-def interior_wavefunction(
-    stack: StackSpec,
-    E: float,
-    x_grid: np.ndarray,
-    consts: PhysConstants = CONSTANTS,
-) -> np.ndarray:
+def interior_wavefunction(stack: StackSpec, E: float, x_grid: np.ndarray) -> np.ndarray:
     """psi(x) on x_grid for a flux-normalized wave incident from the left.
 
     The stack occupies [-W/2, +W/2]; the grid may extend into either lead.
@@ -264,21 +252,16 @@ def interior_wavefunction(
     |psi|^2 = 1/v everywhere and resonant states show up as interior
     density exceeding the lead value.
     """
-    return _WaveField.at(stack, E, consts).u(x_grid, 0)[0]
+    return _WaveField.at(stack, E).u(x_grid, 0)[0]
 
 
-def probability_current(
-    stack: StackSpec,
-    E: float,
-    x_grid: np.ndarray,
-    consts: PhysConstants = CONSTANTS,
-) -> np.ndarray:
+def probability_current(stack: StackSpec, E: float, x_grid: np.ndarray) -> np.ndarray:
     """Probability current at each grid point, unit incident flux.
 
     Stationarity makes this x-independent and equal to the transmission
     probability; deviations measure reconstruction error.
     """
-    field = _WaveField.at(stack, E, consts)
+    field = _WaveField.at(stack, E)
     psi, slope = field.u(x_grid, 0)
     # incident current of e^{ikx}/sqrt(v): k/(m v) in these units
     return (psi.conjugate() * slope).imag * field.v[0] * field.mass_out / field.k[0]
@@ -326,7 +309,6 @@ def dwell_time(
     E,
     x_left: float | None = None,
     x_right: float | None = None,
-    consts: PhysConstants = CONSTANTS,
 ) -> DwellResult:
     """Dwell time of the left-incident state over [x_left, x_right].
 
@@ -359,11 +341,11 @@ def dwell_time(
         )
 
     e = np.ravel(np.asarray(E, dtype=float))
-    jet, t, r, dt, dr, k, v = _origin_jet(stack, e, consts)
-    smooth = consts.hbar * ((t.conjugate() * dt).imag + (r.conjugate() * dr).imag)
+    jet, t, r, dt, dr, k, v = _origin_jet(stack, e)
+    smooth = CONSTANTS.hbar * ((t.conjugate() * dt).imag + (r.conjugate() * dr).imag)
 
     r_abs = np.abs(r)
-    fringe = -(consts.hbar * r_abs / (2.0 * (e - stack.outside.potential))) * np.sin(
+    fringe = -(CONSTANTS.hbar * r_abs / (2.0 * (e - stack.outside.potential))) * np.sin(
         2.0 * k * x_left - np.angle(r)
     )
     oscillatory = np.where(r_abs == 0.0, 0.0, fringe)
@@ -372,7 +354,7 @@ def dwell_time(
     uniform = (x_right - x_left) / v
 
     closed = smooth + oscillatory + free_passage
-    field = _WaveField(stack, e, jet.t.v, jet.r.v, k, v, consts)
+    field = _WaveField(stack, e, jet.t.v, jet.r.v, k, v)
     # no lead panel wider than pi/(2k), half the period of the standing
     # wave's fringe, so that its samples cannot alias the fringe
     leads = [[np.linspace(lo, hi, math.ceil((hi - lo) / quarter) + 1)

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoTransmissionError, NumericError, ValidationError
-from .medium import CONSTANTS, CellSpec, Layer, PhysConstants, StackSpec
+from .medium import CONSTANTS, CellSpec, Layer, StackSpec
 from .scattering import _origin_jet
 
 __all__ = [
@@ -104,13 +104,13 @@ class WavePacket:
         if self.sigma_x <= 0:
             raise ValidationError(f"sigma_x must be positive, got {self.sigma_x}")
 
-    def k0(self, outside: Layer, consts: PhysConstants = CONSTANTS) -> float:
+    def k0(self, outside: Layer) -> float:
         e_kin = self.E0 - outside.potential
         if e_kin <= 0:
             raise ValidationError(
                 f"E0 = {self.E0} meV is not above the lead band bottom"
             )
-        return math.sqrt(e_kin * outside.mass_ratio / consts.hbar2_over_2m0)
+        return math.sqrt(e_kin * outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
 
 
 @dataclass(frozen=True)
@@ -167,13 +167,9 @@ def free_reference(stack: StackSpec) -> StackSpec:
     )
 
 
-def _material_arrays(
-    stack: StackSpec, x: np.ndarray, consts: PhysConstants
-) -> tuple[np.ndarray, np.ndarray]:
+def _material_arrays(stack: StackSpec, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     layers = stack.segments()
-    edges = -0.5 * stack.width + np.concatenate(
-        [[0.0], np.cumsum([layer.width for layer in layers])]
-    )
+    edges = stack.interfaces()
     V = np.full(x.shape, stack.outside.potential)
     m = np.full(x.shape, stack.outside.mass_ratio)
     idx = np.searchsorted(edges, x, side="right") - 1
@@ -185,15 +181,13 @@ def _material_arrays(
     return V, m
 
 
-def _hamiltonian_diagonals(
-    stack: StackSpec, grid: Grid1D, consts: PhysConstants
-) -> tuple[np.ndarray, np.ndarray]:
+def _hamiltonian_diagonals(stack: StackSpec, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """(diagonal, off-diagonal) of the real symmetric tridiagonal H."""
     x = grid.x
-    V, m = _material_arrays(stack, x, consts)
+    V, m = _material_arrays(stack, x)
     inv_m = 1.0 / m
     half = 0.5 * (inv_m[:-1] + inv_m[1:])  # 1/m* at half points
-    c = consts.hbar2_over_2m0 / grid.dx**2
+    c = CONSTANTS.hbar2_over_2m0 / grid.dx**2
     off = -c * half
     diag = np.empty_like(x)
     diag[0] = c * (half[0] + inv_m[0]) + V[0]
@@ -209,12 +203,10 @@ def _apply_h(diag: np.ndarray, off: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def initial_state(
-    grid: Grid1D, packet: WavePacket, outside: Layer, consts: PhysConstants = CONSTANTS
-) -> np.ndarray:
+def initial_state(grid: Grid1D, packet: WavePacket, outside: Layer) -> np.ndarray:
     """Normalized Gaussian packet sampled on the grid."""
     x = grid.x
-    k0 = packet.k0(outside, consts)
+    k0 = packet.k0(outside)
     psi = np.exp(
         -((x - packet.x0) ** 2) / (4.0 * packet.sigma_x**2) + 1j * k0 * x
     )
@@ -230,7 +222,6 @@ def evolve(
     grid: Grid1D,
     packet: WavePacket,
     x_sep: float | None = None,
-    consts: PhysConstants = CONSTANTS,
     psi0: np.ndarray | None = None,
     monitor_walls: bool = True,
 ) -> PacketRecord:
@@ -261,14 +252,14 @@ def evolve(
     ):
         raise ValidationError("packet launch point too close to a domain wall")
 
-    diag, off = _hamiltonian_diagonals(stack, grid, consts)
-    lam = 0.5 * grid.dt / consts.hbar
+    diag, off = _hamiltonian_diagonals(stack, grid)
+    lam = 0.5 * grid.dt / CONSTANTS.hbar
     dl, d, du, du2, ipiv, info = zgttrf(1j * lam * off, 1.0 + 1j * lam * diag, 1j * lam * off)
     if info != 0:
         raise NumericError(f"Crank-Nicolson matrix is singular (zgttrf info {info})")
 
     if psi0 is None:
-        psi = initial_state(grid, packet, stack.outside, consts)
+        psi = initial_state(grid, packet, stack.outside)
     else:
         psi = np.asarray(psi0, dtype=complex).copy()
         psi /= math.sqrt(grid.dx * float(np.sum(np.abs(psi) ** 2)))
@@ -382,7 +373,6 @@ def plan_run(
     dx: float = 0.25,
     dt: float = 1.0,
     extra_time: float = 0.0,
-    consts: PhysConstants = CONSTANTS,
 ) -> tuple[Grid1D, WavePacket, float, float]:
     """Geometry and duration for a standard left-to-right run.
 
@@ -398,8 +388,8 @@ def plan_run(
     """
     half_w = 0.5 * stack.width
     packet = WavePacket(x0=-(half_w + 10.0 * sigma_x), E0=E0, sigma_x=sigma_x)
-    k0 = packet.k0(stack.outside, consts)
-    v0 = consts.velocity(k0, stack.outside.mass_ratio)
+    k0 = packet.k0(stack.outside)
+    v0 = CONSTANTS.velocity(k0, stack.outside.mass_ratio)
     x_d = half_w + 6.0 * sigma_x
     travel = (x_d - packet.x0 + 6.0 * sigma_x) / v0
     t_final = 1.5 * travel + extra_time
@@ -407,8 +397,8 @@ def plan_run(
     reach = v0 * t_final
     # the packet broadens while it travels; pad with the dispersed width so
     # the 1e-10 wall monitor keeps a 10-sigma margin at the end of the run
-    alpha = consts.hbar2_over_2m0 / stack.outside.mass_ratio
-    sigma_final = sigma_x * math.hypot(1.0, alpha * t_final / (consts.hbar * sigma_x**2))
+    alpha = CONSTANTS.hbar2_over_2m0 / stack.outside.mass_ratio
+    sigma_final = sigma_x * math.hypot(1.0, alpha * t_final / (CONSTANTS.hbar * sigma_x**2))
     pad = 10.0 * sigma_final
     turn = dx * math.floor(2.0 * (-half_w - packet.x0) / dx)
     grid = Grid1D(
@@ -429,7 +419,6 @@ def stationary_packet_delay(
     t_max: float,
     dt_sample: float = 20.0,
     n_k: int = 800,
-    consts: PhysConstants = CONSTANTS,
 ) -> float:
     """Centroid-crossing delay predicted by the stationary amplitudes.
 
@@ -442,18 +431,18 @@ def stationary_packet_delay(
     the naive spectrum-averaged phase-time delay because density that is
     still trapped when the centroid passes the detector cannot contribute.
     """
-    k0 = packet.k0(stack.outside, consts)
+    k0 = packet.k0(stack.outside)
     sigma_k = 0.5 / packet.sigma_x
     k = np.linspace(k0 - 6.5 * sigma_k, k0 + 6.5 * sigma_k, n_k)
     if k[0] <= 0:
         raise ValidationError("packet spectrum reaches k <= 0; use a narrower packet")
     spec = np.exp(-(packet.sigma_x**2) * (k - k0) ** 2 - 1j * (k - k0) * packet.x0)
-    alpha = consts.hbar2_over_2m0 / stack.outside.mass_ratio
+    alpha = CONSTANTS.hbar2_over_2m0 / stack.outside.mass_ratio
     E = alpha * k**2 + stack.outside.potential
-    omega = E / consts.hbar
-    _, t_amp, *_ = _origin_jet(stack, E, consts)
+    omega = E / CONSTANTS.hbar
+    _, t_amp, *_ = _origin_jet(stack, E)
 
-    v0 = consts.velocity(k0, stack.outside.mass_ratio)
+    v0 = CONSTANTS.velocity(k0, stack.outside.mass_ratio)
     x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)
     phase_x = np.exp(1j * np.outer(k, x))  # (n_k, n_x)
     times = np.arange(0.0, t_max, dt_sample)
@@ -487,7 +476,6 @@ def spectral_average(
     values: np.ndarray,
     packet: WavePacket,
     outside: Layer,
-    consts: PhysConstants = CONSTANTS,
 ) -> float:
     """Packet-spectrum-weighted mean of a curve sampled on ``energies``.
 
@@ -503,11 +491,11 @@ def spectral_average(
         raise ValidationError("need matching 1-d energy/value arrays, >= 2 samples")
     if not np.all(np.diff(energies) > 0):
         raise ValidationError("energies must be strictly increasing")
-    k0 = packet.k0(outside, consts)
+    k0 = packet.k0(outside)
     e_kin = energies - outside.potential
     if np.any(e_kin <= 0):
         raise ValidationError("curve extends below the lead band bottom")
-    k = np.sqrt(e_kin * outside.mass_ratio / consts.hbar2_over_2m0)
+    k = np.sqrt(e_kin * outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
     dk_dE = 0.5 * k / e_kin
     w = np.exp(-2.0 * packet.sigma_x**2 * (k - k0) ** 2) * dk_dE
 

@@ -43,7 +43,7 @@ from .kard import (
     as_model,
     decompose,
 )
-from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, PhysConstants
+from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
 from .tmatrix import amplitudes
 
 __all__ = [
@@ -58,15 +58,15 @@ __all__ = [
 ]
 
 
-def free_time(width: float, E, outside: Layer, consts: PhysConstants = CONSTANTS):
+def free_time(width: float, E, outside: Layer):
     """Classical crossing time (fs) of a free slab of lead material."""
     e_kin = np.asarray(E, dtype=float) - outside.potential
     if not np.all(np.isfinite(e_kin)):
         raise ValidationError(f"non-finite energy in {E}")
     if np.any(e_kin <= 0.0):
         raise NumericError(f"no propagating lead wave at E = {E} meV")
-    k = np.sqrt(e_kin * outside.mass_ratio / consts.hbar2_over_2m0)
-    return width / consts.velocity(k, outside.mass_ratio)
+    k = np.sqrt(e_kin * outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
+    return width / CONSTANTS.velocity(k, outside.mass_ratio)
 
 
 def bloch_time(
@@ -75,19 +75,18 @@ def bloch_time(
     E: float = 0.0,
     *,
     band: Band | None = None,
-    consts: PhysConstants = CONSTANTS,
 ):
     """Per-cell traversal time hbar phi' (fs) at band-interior energy E."""
-    d = _kard_derivatives(as_model(cell, outside, consts), E, band, second=False)
-    tau = consts.hbar * d.phi_p
+    d = _kard_derivatives(as_model(cell, outside), E, band, second=False)
+    tau = CONSTANTS.hbar * d.phi_p
     if np.any(tau <= 0.0):
         raise NumericError(f"nonpositive Bloch time at E = {E} meV: phi' = {d.phi_p}")
     return tau
 
 
-def _phase_time_from(d: KardDerivatives, N: int, consts: PhysConstants):
+def _phase_time_from(d: KardDerivatives, N: int):
     phi, mu = d.params.phi, d.params.mu
-    n_bloch = N * consts.hbar * d.phi_p
+    n_bloch = N * CONSTANTS.hbar * d.phi_p
     sin_n = np.sin(N * phi)
     # tanh(mu) mu' -> 0 whenever mu -> 0, so a transparent cell is safe here.
     ripple = np.sin(2.0 * N * phi) * np.tanh(mu) * d.mu_p / (2.0 * N * d.phi_p)
@@ -101,13 +100,12 @@ def phase_time(
     E: float = 0.0,
     *,
     band: Band | None = None,
-    consts: PhysConstants = CONSTANTS,
 ):
     """Stationary-phase time hbar d(arg t_N)/dE (fs) for the N-cell array."""
     if N < 1:
         raise ValidationError(f"need at least one cell, got N = {N}")
-    d = _kard_derivatives(as_model(cell, outside, consts), E, band, second=False)
-    return _phase_time_from(d, N, consts)
+    d = _kard_derivatives(as_model(cell, outside), E, band, second=False)
+    return _phase_time_from(d, N)
 
 
 def envelopes(
@@ -117,7 +115,6 @@ def envelopes(
     E: float = 0.0,
     *,
     band: Band | None = None,
-    consts: PhysConstants = CONSTANTS,
 ):
     """(env_max, env_min, N tau_Bl) at energy E, all in fs.
 
@@ -126,14 +123,14 @@ def envelopes(
     because Im M11 = -sin(phi) cosh(mu); disagreement beyond 1e-8 relative
     means the decomposition and the matrix have drifted apart.
     """
-    model = as_model(cell, outside, consts)
+    model = as_model(cell, outside)
     d = _kard_derivatives(model, E, band, second=False)
     ch = np.cosh(d.params.mu)
-    bloch_total = N * consts.hbar * d.phi_p
+    bloch_total = N * CONSTANTS.hbar * d.phi_p
     env_max = bloch_total * ch
     env_min = bloch_total / ch
     c_p = -d.phi_p * np.sin(d.params.phi)
-    m_form = N * consts.hbar * c_p / model.matrix(E).m11.imag
+    m_form = N * CONSTANTS.hbar * c_p / model.matrix(E).m11.imag
     if np.any(np.abs(m_form - env_min) > 1e-8 * np.abs(env_min)):
         raise NumericError(
             f"envelope cross-check failed at E = {E} meV: "
@@ -160,7 +157,6 @@ def transmission_sweep(
     outside: Layer | None = None,
     N: int = 1,
     grid: EnergyGrid | None = None,
-    consts: PhysConstants = CONSTANTS,
 ) -> TransmissionSweep:
     """N-cell transmission over a grid, via the angle closed form.
 
@@ -176,7 +172,7 @@ def transmission_sweep(
         raise ValidationError("transmission_sweep needs an energy grid")
     if N < 1:
         raise ValidationError(f"need at least one cell, got N = {N}")
-    model = as_model(cell, outside, consts)
+    model = as_model(cell, outside)
     E = grid.samples
     M = model.matrix(E)
     direct = amplitudes(M.power(N)).T
@@ -189,7 +185,7 @@ def transmission_sweep(
     if off.any() and isinstance(model, PotentialCell):
         from .precise import transmission  # loads decimal, so only when needed
 
-        exact = np.array([transmission(model.cell, model.outside, N, e, model.consts)
+        exact = np.array([transmission(model.cell, model.outside, N, e)
                           for e in E[off]])
         still = np.abs(closed[off] - exact) > 1e-10 * np.maximum(closed[off], exact)
         off[off] = still
@@ -252,7 +248,6 @@ def timing_curve(
     *,
     band: Band | None = None,
     refine: Sequence[tuple[float, float]] = (),
-    consts: PhysConstants = CONSTANTS,
 ) -> TimingCurve:
     """Evaluate the timing quantities across a band-interior grid.
 
@@ -264,7 +259,7 @@ def timing_curve(
         raise ValidationError("timing_curve needs an energy grid")
     if N < 1:
         raise ValidationError(f"need at least one cell, got N = {N}")
-    model = as_model(cell, outside, consts)
+    model = as_model(cell, outside)
     lo = band.lower if band is not None else float(grid.samples[0])
     hi = band.upper if band is not None else float(grid.samples[-1])
     samples = _refined_samples(grid, refine, lo, hi)
@@ -272,10 +267,10 @@ def timing_curve(
     d = _kard_derivatives(model, samples, band, second=False)
     phi, mu = d.params.phi, d.params.mu
     ch = np.cosh(mu)
-    bloch = N * consts.hbar * d.phi_p
-    tau_ph = _phase_time_from(d, N, consts)
+    bloch = N * CONSTANTS.hbar * d.phi_p
+    tau_ph = _phase_time_from(d, N)
     if isinstance(model, PotentialCell):
-        tau_delay = tau_ph - free_time(N * model.cell.width, samples, model.outside, consts)
+        tau_delay = tau_ph - free_time(N * model.cell.width, samples, model.outside)
     else:
         tau_delay = np.full(len(samples), math.nan)
     return TimingCurve(

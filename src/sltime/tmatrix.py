@@ -31,12 +31,12 @@ second, energy derivatives (forward-mode differentiation).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoTransmissionError, NumericError, ValidationError
-from .medium import CONSTANTS, CellSpec, Layer, PhysConstants, StackSpec
+from .medium import CONSTANTS, CellSpec, Layer, StackSpec
 
 __all__ = [
     "TransferMatrix",
@@ -126,15 +126,14 @@ class TransferMatrix:
     """2x2 coefficient transfer matrix in its time-reversal-symmetric form.
 
     m11 and m21 are complex scalars, or complex arrays holding one matrix
-    per energy, or jets of either.  ref_energy and cell_width tag where the
-    matrix came from; matrices made by abstract reconstruction (no
-    underlying potential) leave them None.
+    per energy, or jets of either.  ref_energy tags the energy the matrix
+    was evaluated at, so that ``compose`` can refuse to mix energies;
+    matrices made by abstract reconstruction leave it None.
     """
 
     m11: complex | np.ndarray
     m21: complex | np.ndarray
     ref_energy: float | np.ndarray | None = None
-    cell_width: float | None = None
 
     @property
     def trace(self) -> float | np.ndarray:
@@ -147,8 +146,7 @@ class TransferMatrix:
         """M^n by binary exponentiation (n >= 0)."""
         if n < 0:
             raise NumericError(f"negative power {n}")
-        width = None if self.cell_width is None else n * self.cell_width
-        result = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, self.ref_energy, None)
+        result = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, self.ref_energy)
         base = self
         m = n
         while m:
@@ -156,23 +154,19 @@ class TransferMatrix:
                 result = result @ base
             base = base @ base
             m >>= 1
-        return replace(result, cell_width=width)
+        return result
 
 
 def compose(left: TransferMatrix, right: TransferMatrix) -> TransferMatrix:
-    """Matrix product left @ right; widths add, energies must agree."""
+    """Matrix product left @ right; their energies must agree."""
     ea, eb = left.ref_energy, right.ref_energy
     same = ea is None or eb is None or ea is eb or np.allclose(ea, eb, 1e-12, 1e-12)
     if not same:
         raise ValidationError(f"composing matrices at different energies: {ea} vs {eb}")
-    energy = ea if ea is not None else eb
-    wa, wb = left.cell_width, right.cell_width
-    width = wa + wb if (wa is not None and wb is not None) else None
     return TransferMatrix(
         m11=left.m11 * right.m11 + left.m21.conjugate() * right.m21,
         m21=left.m21 * right.m11 + left.m11.conjugate() * right.m21,
-        ref_energy=energy,
-        cell_width=width,
+        ref_energy=ea if ea is not None else eb,
     )
 
 
@@ -274,21 +268,21 @@ def _sinc_slopes(ksq, w: float, c, s):
     return s1, s2
 
 
-def _layer_entries(E, layer: Layer, width: float, consts: PhysConstants) -> tuple:
+def _layer_entries(E, layer: Layer, width: float) -> tuple:
     """((P11, P12), (P21, P22)) of the propagator across ``width`` of the
     layer's material, each shaped like E (jets for a jet E)."""
-    ksq = (E - layer.potential) * layer.mass_ratio / consts.hbar2_over_2m0
+    ksq = (E - layer.potential) * layer.mass_ratio / CONSTANTS.hbar2_over_2m0
     c, s = _cos_and_sinc(ksq, width)
     m = layer.mass_ratio
     return (c, m * s), (-ksq * s / m, c)
 
 
-def _interior_propagator(E, cell: CellSpec, consts: PhysConstants) -> tuple:
+def _interior_propagator(E, cell: CellSpec) -> tuple:
     """Entries (T11, T12, T21, T22) of the layer product, last layer leftmost.
 
     Each distinct layer is evaluated once (a symmetric cell repeats its
     outer layers)."""
-    entries = {layer: _layer_entries(E, layer, layer.width, consts) for layer in set(cell.layers)}
+    entries = {layer: _layer_entries(E, layer, layer.width) for layer in set(cell.layers)}
     first, *rest = cell.layers
     (t11, t12), (t21, t22) = entries[first]
     for layer in rest:
@@ -311,9 +305,7 @@ def _complex(re, im):
     return z
 
 
-def cell_matrix(
-    E, cell: CellSpec, outside: Layer, consts: PhysConstants = CONSTANTS
-) -> TransferMatrix:
+def cell_matrix(E, cell: CellSpec, outside: Layer) -> TransferMatrix:
     """Coefficient transfer matrix of one cell between identical leads.
 
     Requires a propagating lead channel (every E above the lead band bottom).
@@ -329,27 +321,27 @@ def cell_matrix(
         energies = E
     elif energies.ndim == 0:
         energies = float(energies)
-    ksq = (energies - outside.potential) * outside.mass_ratio / consts.hbar2_over_2m0
+    ksq = (energies - outside.potential) * outside.mass_ratio / CONSTANTS.hbar2_over_2m0
     q = (ksq.sqrt() if jet else np.sqrt(ksq)) / outside.mass_ratio
-    t11, t12, t21, t22 = _interior_propagator(energies, cell, consts)
+    t11, t12, t21, t22 = _interior_propagator(energies, cell)
     # M = W^{-1} T^{-1} W with W = [[1, 1], [iq, -iq]]; written out, with
     # T^{-1} = [[T22, -T12], [-T21, T11]] (det T = 1), this is:
     a, b = t21 / q, q * t12
     m11 = _complex(0.5 * (t11 + t22), 0.5 * (a - b))
     m21 = _complex(0.5 * (t22 - t11), -0.5 * (a + b))
-    return TransferMatrix(m11, m21, ref_energy=E, cell_width=cell.width)
+    return TransferMatrix(m11, m21, ref_energy=E)
 
 
-def stack_matrix(E, stack: StackSpec, consts: PhysConstants = CONSTANTS) -> TransferMatrix:
+def stack_matrix(E, stack: StackSpec) -> TransferMatrix:
     """Total transfer matrix of a stack, ordered left cell first.
 
     Each distinct cell is evaluated once; the product runs cell by cell.
     """
     matrices = {}
-    total = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, ref_energy=E, cell_width=0.0)
+    total = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, ref_energy=E)
     for cell in stack.cells():
         if cell not in matrices:
-            matrices[cell] = cell_matrix(E, cell, stack.outside, consts)
+            matrices[cell] = cell_matrix(E, cell, stack.outside)
         total = total @ matrices[cell]
     return total
 

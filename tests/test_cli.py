@@ -212,6 +212,48 @@ def test_grid_below_raised_lead_band_bottom_exits_3(command, capsys, tmp_path):
     assert _read_csv(tmp_path / "out.csv")["E_meV"][0] > 10.0
 
 
+@pytest.mark.parametrize("argv", [
+    "kard --stack {stack} --count 0 -o {out}",
+    "transmission --play --count 0 -o {out}",
+    "phasetime --stack {stack} --count 0 -o {out}",
+    "dwell --stack {stack} --count 0 -o {out}",
+    "resonances --play --count 0 --curves {out} -o {out}.table",
+    "playmodel --figure 1 --count 0 -o {out}",
+    "arc evaluate --stack {stack} --count 0 -o {out}",
+    "reproduce --figure 4 --count 0 --outdir {out}",
+], ids=["kard", "transmission", "phasetime", "dwell", "resonances", "playmodel",
+        "arc-evaluate", "reproduce"])
+def test_zero_count_exits_3(argv, capsys, tmp_path):
+    """--count 0 is an invalid sample count, not a request for the default,
+    and the failed command writes no file."""
+    out = tmp_path / "out"
+    assert main(shlex.split(argv.format(stack=STACK, out=out))) == 3
+    assert "count must be >= 2" in capsys.readouterr().err
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("argv", [
+    "transmission --stack {stack} --N 0",
+    "phasetime --play --N 0",
+    "resonances --stack {stack} --N 0",
+], ids=["transmission", "phasetime", "resonances"])
+def test_zero_cells_exits_3(argv, capsys, tmp_path):
+    """--N 0 is an invalid cell count, not a request for the default."""
+    out = tmp_path / "out.csv"
+    assert main([*shlex.split(argv.format(stack=STACK)), "-o", str(out)]) == 3
+    assert "N = 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("band", ["0", "-1"])
+def test_band_below_one_exits_3(band, capsys, tmp_path):
+    """--band counts from 1; 0 and -1 must not index the scan's last band."""
+    out = tmp_path / "out.csv"
+    assert main(["resonances", "--stack", STACK, "--band", band, "-o", str(out)]) == 3
+    assert "--band counts from 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _edit_rep5(path, edit):
     data = json.loads(open(STACK).read())
     edit(data)

@@ -1,12 +1,16 @@
 """Layer/cell/stack validation, constants, and the stack file round trip."""
 
+import importlib
+import inspect
 import json
 import math
+import pkgutil
 
 import numpy as np
 import pytest
 from hypothesis import given
 
+import sltime
 from conftest import stacks
 from sltime.errors import ValidationError
 from sltime.medium import (
@@ -39,6 +43,45 @@ def test_velocity_matches_dispersion_slope():
     assert CONSTANTS.velocity(k, m) == pytest.approx(slope / CONSTANTS.hbar, rel=1e-9)
 
 
+def _public_callables():
+    """(qualified name, callable) for every public function, class (other
+    than an exception) and public method defined in the sltime package's
+    modules."""
+    for info in pkgutil.iter_modules(sltime.__path__):
+        if info.name.startswith("_"):
+            continue  # __main__ runs the command line on import
+        module = importlib.import_module(f"sltime.{info.name}")
+        for name, obj in vars(module).items():
+            if name.startswith("_") or getattr(obj, "__module__", None) != module.__name__:
+                continue
+            if inspect.isfunction(obj):
+                yield f"{module.__name__}.{name}", obj
+            elif inspect.isclass(obj) and not issubclass(obj, Exception):
+                yield f"{module.__name__}.{name}", obj
+                for attr, member in vars(obj).items():
+                    member = getattr(member, "__func__", member)
+                    if not attr.startswith("_") and inspect.isfunction(member):
+                        yield f"{module.__name__}.{name}.{attr}", member
+
+
+def test_physical_constants_are_fixed():
+    """No public callable takes the constants as a parameter: every module
+    reads the one ``CONSTANTS``."""
+    found = dict(_public_callables())
+    assert "sltime.tmatrix.cell_matrix" in found and "sltime.tdse.WavePacket.k0" in found
+    takes = [name for name, obj in found.items()
+             if "consts" in inspect.signature(obj).parameters]
+    assert takes == []
+
+
+def test_stack_interfaces_span_the_centred_stack():
+    stack = representative_stack(3)
+    edges = stack.interfaces()
+    assert len(edges) == len(stack.segments()) + 1
+    assert edges[0] == -0.5 * stack.width and edges[-1] == pytest.approx(0.5 * stack.width)
+    np.testing.assert_allclose(np.diff(edges), [l.width for l in stack.segments()])
+
+
 @pytest.mark.parametrize("bad", [
     dict(width=-1.0, potential=0.0, mass_ratio=0.067),
     dict(width=0.0, potential=0.0, mass_ratio=0.067),
@@ -57,11 +100,6 @@ def test_symmetric_flag_requires_mirror_layout():
         CellSpec((a, b), symmetric=True)
     CellSpec((a, b), symmetric=False)  # fine when not claimed
     CellSpec((b, a, b), symmetric=True)
-
-
-def test_mirrored_cell_reverses_layers():
-    cell = CellSpec((Layer(1.0, 0.0, 0.067), Layer(2.0, 290.0, 0.0919)), symmetric=False)
-    assert cell.mirrored().layers == tuple(reversed(cell.layers))
 
 
 def test_stack_needs_at_least_one_replica():
@@ -85,7 +123,7 @@ def test_energy_grid_validation():
     with pytest.raises(ValidationError):
         EnergyGrid(np.array([-1.0, 1.0]))
     g = EnergyGrid.linear(1.0, 10.0, 10)
-    assert g.count == 10 and g.e_min == 1.0 and g.e_max == 10.0
+    assert g.count == 10 and g.samples[0] == 1.0 and g.samples[-1] == 10.0
 
 
 @given(stacks())

@@ -30,7 +30,7 @@ from sltime.scattering import (
 from sltime.tmatrix import Jet, amplitudes, stack_matrix
 
 
-def brute_scattering_state(stack, E, consts=CONSTANTS):
+def brute_scattering_state(stack, E):
     """Solve for all layer coefficients at once: unit incidence from the left.
 
     Returns (r, t, psi) where psi(x) evaluates the *unnormalized* state
@@ -41,8 +41,8 @@ def brute_scattering_state(stack, E, consts=CONSTANTS):
     edges = -0.5 * stack.width + np.concatenate(
         [[0.0], np.cumsum([l.width for l in layers])]
     )
-    k = math.sqrt(E * stack.outside.mass_ratio / consts.hbar2_over_2m0)
-    q = [cmath.sqrt((E - l.potential) * l.mass_ratio / consts.hbar2_over_2m0) for l in layers]
+    k = math.sqrt(E * stack.outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
+    q = [cmath.sqrt((E - l.potential) * l.mass_ratio / CONSTANTS.hbar2_over_2m0) for l in layers]
     m_out = stack.outside.mass_ratio
 
     # unknowns: [r, A_0, B_0, ..., A_{L-1}, B_{L-1}, t]
@@ -107,14 +107,14 @@ def test_wavefunction_against_global_solve(E):
 def test_origin_shift_keeps_moduli():
     stack = representative_stack()
     amp = amplitudes(stack_matrix(58.5, stack))
-    _, t, r, _, _, _, _ = _origin_jet(stack, 58.5, CONSTANTS)
+    _, t, r, _, _, _, _ = _origin_jet(stack, 58.5)
     assert abs(t) == pytest.approx(abs(amp.t), rel=1e-15)
     assert abs(r) == pytest.approx(abs(amp.r), rel=1e-15)
 
 
 @given(stacks(), st.floats(20.0, 250.0))
 def test_scattering_matrix_unitary_and_reciprocal(stack, E):
-    _, t, r, _, _, _, _ = _origin_jet(stack, E, CONSTANTS)
+    _, t, r, _, _, _, _ = _origin_jet(stack, E)
     assume(abs(t) > 1e-120)  # opaque stacks underflow the channel
     r_bar = -r.conjugate() * t / t.conjugate()
     s = np.array([[r, t], [t, r_bar]])
@@ -153,7 +153,7 @@ def _assert_array_matches_scalars(stack, E):
 @given(stacks(), st.lists(st.floats(20.0, 250.0), min_size=1, max_size=3))
 def test_scattering_array_calls_equal_scalar_calls(stack, energies):
     E = np.array(energies)
-    _, t, _, _, _, _, _ = _origin_jet(stack, E, CONSTANTS)
+    _, t, _, _, _, _, _ = _origin_jet(stack, E)
     assume(np.abs(t).min() > 1e-6)  # an opaque stack leaves nothing to compare
     _assert_array_matches_scalars(stack, E)
 

@@ -128,7 +128,7 @@ def test_step_matches_dense_crank_nicolson():
     packet = WavePacket(x0=-35.0, E0=100.0, sigma_x=6.0)
     rec = evolve(stack, grid, packet)
 
-    diag, off = _hamiltonian_diagonals(stack, grid, CONSTANTS)
+    diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 0.5 * grid.dt / CONSTANTS.hbar
     *_, du2, ipiv, _ = zgttrf(1j * lam * off, 1.0 + 1j * lam * diag, 1j * lam * off)
     assert np.any(du2 != 0.0) and np.any(ipiv != np.arange(1, grid.n_points + 1))
@@ -185,8 +185,8 @@ def test_plan_run_left_wall_follows_the_reflected_packet():
         cells = round(cells)
         assert cells == math.floor(2.0 * (-0.5 * stack.width - packet.x0) / dx)
         assert untrimmed.n_points - grid.n_points == cells
-        V, m = _material_arrays(stack, grid.x, CONSTANTS)
-        V_old, m_old = _material_arrays(stack, untrimmed.x[cells:], CONSTANTS)
+        V, m = _material_arrays(stack, grid.x)
+        V_old, m_old = _material_arrays(stack, untrimmed.x[cells:])
         assert np.array_equal(V, V_old) and np.array_equal(m, m_old)
         assert grid.x_min < packet.x0 - 5.0 * packet.sigma_x
 
