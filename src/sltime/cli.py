@@ -52,10 +52,10 @@ from .tdse import (
 from .timing import bloch_time, free_time, timing_curve, transmission_sweep
 from .tmatrix import amplitudes
 
-#: Scan window wide enough to catch the first few minibands of any stack
-#: this tool targets; band edges inside it are polished to 1e-12 meV.  Its
-#: start is counted from the lead band bottom (``_lead_bottom``).
-_SCAN = (1.0, 300.0, 6000)
+#: Band window (meV) wide enough to hold the first few minibands of any
+#: stack this tool targets; every band in it is found, its edges polished to
+#: 1e-12 meV.  Its start is counted from the lead band bottom (``_lead_bottom``).
+_WINDOW = (1.0, 300.0)
 
 
 def _fmt(v) -> str:
@@ -108,6 +108,8 @@ def _write_json(out: str | None, payload: dict) -> None:
 
 def _load_model(args) -> tuple[object, StackSpec | None, int]:
     """Resolve (cell model, stack or None, N) from --stack/--play flags."""
+    if args.N is not None and args.N < 1:
+        raise ValidationError(f"--N counts cells from 1, got N = {args.N}")
     if args.play:
         return PLAY_MODEL, None, 9 if args.N is None else args.N
     stack = load_stack(args.stack)
@@ -124,13 +126,11 @@ def _lead_bottom(model) -> float:
 def _pick_band(model, index: int) -> Band:
     if index < 1:
         raise ValidationError(f"--band counts from 1, got {index}")
-    lo = _SCAN[0] + _lead_bottom(model)
-    bands = band_structure(model, grid=EnergyGrid.linear(lo, *_SCAN[1:]))
+    lo = _WINDOW[0] + _lead_bottom(model)
+    bands = band_structure(model, grid=EnergyGrid.linear(lo, _WINDOW[1], 2))
     if len(bands) < index:
-        raise NumericError(
-            f"only {len(bands)} allowed band(s) in the {lo}-{_SCAN[1]} meV window, "
-            f"band {index} requested"
-        )
+        raise NumericError(f"only {len(bands)} allowed band(s) in the {lo}-{_WINDOW[1]} meV "
+                           f"window, band {index} requested")
     return bands[index - 1]
 
 
@@ -148,9 +148,9 @@ def _grid_from_args(args, model, band: Band, default_count: int) -> EnergyGrid:
 
 
 def _sweep_grid(args, model, default_count: int) -> EnergyGrid:
-    """`kard`/`transmission` grid; by default the play band or scan window less 0.05 meV."""
+    """`kard`/`transmission` grid; by default the play band or band window less 0.05 meV."""
     if args.emin is None or args.emax is None:
-        lo, hi = PLAY_MODEL.band if args.play else (_SCAN[0] + _lead_bottom(model), _SCAN[1])
+        lo, hi = PLAY_MODEL.band if args.play else (_WINDOW[0] + _lead_bottom(model), _WINDOW[1])
         args.emin = lo + 0.05 if args.emin is None else args.emin
         args.emax = hi - 0.05 if args.emax is None else args.emax
     return EnergyGrid.linear(args.emin, args.emax, _count(args, default_count),
@@ -227,10 +227,6 @@ def _cmd_resonances(args) -> None:
 
 # --- play-model figure sweeps ------------------------------------------------
 
-def _play_band() -> Band:
-    return _pick_band(PLAY_MODEL, 1)
-
-
 def _eta_n(grid: np.ndarray, n: int) -> np.ndarray:
     """Unwrapped N-cell transmission phase, anchored to N pi/2 at band center."""
     eta = np.unwrap(np.angle(amplitudes(play_matrix(grid).power(n)).t))
@@ -240,7 +236,7 @@ def _eta_n(grid: np.ndarray, n: int) -> np.ndarray:
 
 
 def _play_figure(figure: int, count: int):
-    band = _play_band()
+    band = _pick_band(PLAY_MODEL, 1)
     # Samples keep 5e-3 of the band width (0.125 meV) clear of each edge,
     # where mu and the phase time diverge.
     lo, hi = band.interior(5e-3)

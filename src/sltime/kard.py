@@ -25,6 +25,10 @@ exact: a potential cell propagates them through its layer product
 
 Matrices, angles and derivatives may hold one energy or an array of them;
 array inputs give array fields, scalar inputs plain floats.
+
+Bands are counted, not sampled: each gap holds one Dirichlet eigenvalue of
+the cell (Magnus & Winkler, *Hill's Equation*, ch. 2), the n-th where the
+Pruefer angle of psi(0) = 0, increasing with energy, reaches n*pi (Pryce).
 """
 
 from __future__ import annotations
@@ -36,9 +40,9 @@ from typing import Protocol, Union
 import numpy as np
 
 from .errors import NearBandEdgeError, NumericError
-from .medium import CellSpec, EnergyGrid, Layer
+from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
 from .numerics import bracket_roots
-from .tmatrix import TransferMatrix, _complex, cell_matrix, energy_jet
+from .tmatrix import TransferMatrix, _complex, _layer_entries, cell_matrix, energy_jet
 
 __all__ = [
     "KardParams",
@@ -50,13 +54,18 @@ __all__ = [
     "reconstruct",
     "Band",
     "band_structure",
-    "band_phase",
     "energy_at_phase",
     "kard_derivatives",
 ]
 
 #: |Tr M|/2 within this distance of 1 is classified as a band edge.
 EDGE_TOL = 1e-9
+
+#: band edges are polished to this width (meV)
+EDGE_XTOL = 1e-12
+
+#: energies of the table that narrows the root brackets of ``bands``
+_TABLE = 64
 
 #: band labels, indexed by allowed + 2 * edge
 _LABELS = np.array(["forbidden", "allowed", "edge"])
@@ -179,10 +188,13 @@ class CellModel(Protocol):
     matrix itself need not exist there).  ``derivatives`` returns the
     matrix together with the exact energy derivatives c', c'' of
     c = Tr M / 2 and g' of g = |M21|^2; without ``second`` c'' may be nan.
-    All take a scalar energy or an array of energies, and answer in kind.
+    These take a scalar energy or an array of energies, and answer in kind;
+    ``bands`` lists (lower, upper, parity) of the bands in [e_lo, e_hi].
     """
 
     def trace(self, E: float | np.ndarray) -> float | np.ndarray: ...
+
+    def bands(self, e_lo: float, e_hi: float) -> list[tuple[float, float, int]]: ...
 
     def matrix(self, E: float | np.ndarray) -> TransferMatrix: ...
 
@@ -209,6 +221,71 @@ class PotentialCell:
         c_pp = m11.d2.real if second else math.nan
         return TransferMatrix(m11.v, m21.v, E), m11.d1.real, c_pp, g_p
 
+    def bands(self, e_lo: float, e_hi: float) -> list[tuple[float, float, int]]:
+        """Allowed bands in [e_lo, e_hi], certified by the Dirichlet count.
+
+        At lambda_n (theta = n*pi, ``_pruefer``) T12 = 0 and det T = 1, so
+        c = Tr M / 2 = (T11 + 1/T11) / 2 has |c| >= 1 and the sign (-1)^n.
+        An energy with theta in [(n-1)*pi, n*pi) and s = (-1)^(n-1) thus lies
+        in gap n-1, band n or gap n (position 2n-2, 2n-1 or 2n) as s*c >= 1,
+        |c| < 1 or s*c <= -1.  A fixed table of energies places the window
+        ends and narrows the brackets of three ``bracket_roots`` calls, whose
+        end signs these positions certify: they add lambda_n to a gap and the
+        centre (c = 0) to a band that no table energy hit, then polish an
+        edge between every two points one position apart.  A lambda_n gets
+        |c| > 1 strictly, so an edge search stops at it only if the edge is.
+        """
+        E = np.linspace(e_lo, e_hi, _TABLE)
+        theta, c = self._pruefer(E), 0.5 * self.trace(E)
+        n = np.floor(theta / math.pi).astype(int) + 1
+        pos = 2 * n - 1 + ((-1.0) ** (n - 1) * c <= -1.0) - ((-1.0) ** (n - 1) * c >= 1.0)
+        if (np.diff(pos) < 0).any():
+            raise NumericError(f"band order lost to rounding in [{e_lo}, {e_hi}] meV")
+        inner = np.arange(pos[0] + 1, pos[-1])
+        missing = inner[pos[np.searchsorted(pos, inner)] != inner]
+        def merged(*new):  # points (E, pos, c) at positions no point has, put in order
+            order = np.argsort(np.concatenate([pos, new[1]]), kind="stable")
+            return [np.concatenate(pair)[order] for pair in zip((E, pos, c), new)]
+        m = missing[missing % 2 == 0] // 2
+        i = np.searchsorted(pos, 2 * m)
+        lam = bracket_roots(lambda x: self._pruefer(x) - m * math.pi, E[i - 1], E[i],
+                            theta[i - 1] - m * math.pi, theta[i] - m * math.pi, EDGE_XTOL)
+        c_lam = (-1.0) ** m * np.maximum(np.abs(0.5 * self.trace(lam)), np.nextafter(1.0, 2.0))
+        E, pos, c = merged(lam, 2 * m, c_lam)
+        m = (missing[missing % 2 == 1] + 1) // 2
+        i, s = np.searchsorted(pos, 2 * m - 1), (-1.0) ** (m - 1)
+        centre = bracket_roots(lambda x: s * 0.5 * self.trace(x), E[i - 1], E[i],
+                               s * c[i - 1], s * c[i], EDGE_XTOL)
+        E, pos, c = merged(centre, 2 * m - 1, 0.0 * centre)
+        q = np.flatnonzero(np.diff(pos) == 1)
+        m = (pos[q] + 2) // 2
+        s, shift = (-1.0) ** (m - 1), np.where(pos[q] % 2 == 0, -1.0, 1.0)  # s*c = 1 or -1
+        edges = bracket_roots(lambda x: s * 0.5 * self.trace(x) + shift, E[q], E[q + 1],
+                              s * c[q] + shift, s * c[q + 1] + shift, EDGE_XTOL)
+        lower, upper = (dict(zip(m[k], edges[k])) for k in (shift < 0, shift > 0))
+        spans = [(float(lower.get(b, e_lo)), float(upper.get(b, e_hi)), 1 if b % 2 else -1)
+                 for b in range((pos[0] + 2) // 2, (pos[-1] + 1) // 2 + 1)]
+        # a band that the window meets only within the polish width of an end is not in it
+        return [span for span in spans if span[1] - span[0] > EDGE_XTOL
+                or e_lo < span[0] <= span[1] < e_hi]
+
+    def _pruefer(self, E: np.ndarray) -> np.ndarray:
+        """Unwrapped angle theta, at the right face, of (psi, psi'/m*) started
+        as (0, 1) at the left.  A layer turns the pair by the angle between
+        its two face values, up to whole turns: none in a barrier, which turns
+        it by less than pi; in a well, the count that brings the turn within pi
+        of k*w, its exact turn in the frame (psi, psi'/k), within pi/2 of this.
+        """
+        psi, p, theta = 0.0, 1.0, 0.0
+        for layer in self.cell.layers:
+            (a, b), (c, d) = _layer_entries(E, layer, layer.width)
+            ksq = (E - layer.potential) * layer.mass_ratio / CONSTANTS.hbar2_over_2m0
+            kw = np.sqrt(np.maximum(ksq, 0.0)) * layer.width
+            psi, p, psi0, p0 = a * psi + b * p, c * psi + d * p, psi, p
+            turn = np.arctan2(p0 * psi - psi0 * p, p0 * p + psi0 * psi)
+            theta = theta + turn + 2.0 * math.pi * np.round((kw - turn) / (2.0 * math.pi))
+        return theta
+
 
 def as_model(cell: Union[CellModel, CellSpec], outside: Layer | None = None) -> CellModel:
     """Accept either a CellModel or a raw (CellSpec, outside) pair."""
@@ -221,12 +298,11 @@ def as_model(cell: Union[CellModel, CellSpec], outside: Layer | None = None) -> 
 
 @dataclass(frozen=True)
 class Band:
-    """One allowed band (or the part of it inside the scanned window).
-
-    parity is the sign s in Tr M / 2 = s * cos(phi_local), where phi_local
-    runs 0 -> pi across the band as E increases; odd-numbered bands have
-    s = +1.  ``lower_is_edge``/``upper_is_edge`` distinguish true band edges
-    from window truncation.
+    """One allowed band (or its part inside the window), ``index`` counted in
+    the window.  parity is the sign s in Tr M / 2 = s * cos(phi_local), where
+    phi_local runs 0 -> pi across the band as E increases; odd-numbered bands
+    of the spectrum have s = +1.  ``lower_is_edge``/``upper_is_edge``
+    distinguish true band edges from window truncation.
     """
 
     index: int
@@ -249,109 +325,24 @@ def band_structure(
     cell: Union[CellModel, CellSpec],
     outside: Layer | None = None,
     grid: EnergyGrid | None = None,
-    *,
-    edge_tol: float = 1e-12,
 ) -> list[Band]:
-    """Allowed bands of the periodic crystal built from this cell.
+    """Allowed bands of the periodic crystal built from this cell, in the
+    window from the first to the last sample of ``grid``.
 
-    Scans the half-trace on the grid samples in one array call, brackets
-    every crossing of +-1, and polishes all edges together with
-    ``numerics.bracket_roots``, starting from the scanned values.
-    A band narrower than the sample spacing can hide between two forbidden
-    samples: it is looked for at every sampled local minimum of |Tr M / 2|
-    above 1 and wherever Tr M changes sign between forbidden samples.
-    Bands cut by the scan window are included with the corresponding
+    Only the two ends of the grid matter: the model's ``bands`` lists the
+    bands of the window, and for a potential cell that list is certified by
+    the Dirichlet count (see ``PotentialCell.bands``), so no sample spacing
+    can hide a band, however narrow.  Edges are polished to ``EDGE_XTOL``.
+    Bands cut by the window are included with the corresponding
     ``*_is_edge`` flag cleared.
     """
     model = as_model(cell, outside)
     if grid is None:
-        raise NumericError("band_structure needs an energy grid to scan")
-    samples = grid.samples
-    half = 0.5 * model.trace(samples)
-    f = lambda E: np.abs(0.5 * model.trace(E)) - 1.0
-    vals = np.abs(half) - 1.0
-
-    i = np.flatnonzero(vals[:-1] * vals[1:] < 0.0)
-    inside, f_inside, i_a, i_b = _hidden_bands(model, samples, half, edge_tol)
-    # the scan's sign changes, then the two edges of each hidden band
-    lo = np.concatenate([samples[i], samples[i_a], inside])
-    hi = np.concatenate([samples[i + 1], inside, samples[i_b]])
-    f_lo = np.concatenate([vals[i], vals[i_a], f_inside])
-    f_hi = np.concatenate([vals[i + 1], f_inside, vals[i_b]])
-    edges = bracket_roots(f, lo, hi, f_lo, f_hi, edge_tol)
-    edges = np.sort(np.concatenate([edges, samples[vals == 0.0]]))
-
-    e_lo, e_hi = float(samples[0]), float(samples[-1])
-    bounds = np.concatenate([[e_lo], edges, [e_hi]])
-    lower, upper = bounds[:-1], bounds[1:]
-    keep = upper - lower >= 10 * edge_tol
-    lower, upper = lower[keep], upper[keep]
-    # The half-trace is monotone across a band (parity * cos(phi_local)
-    # with phi_local increasing), so its direction fixes the parity even
-    # when the window truncates the band.
-    delta = 1e-6 * (upper - lower)
-    mid, first, last = np.split(
-        model.trace(np.concatenate([0.5 * (lower + upper), lower + delta, upper - delta])), 3
-    )
-    bands: list[Band] = []
-    for lo_, hi_, m, t_lo, t_hi in zip(lower, upper, mid, first, last):
-        if abs(0.5 * m) >= 1.0:
-            continue
-        bands.append(
-            Band(
-                index=len(bands) + 1,
-                lower=float(lo_),
-                upper=float(hi_),
-                parity=1 if t_lo > t_hi else -1,
-                lower_is_edge=bool(lo_ != e_lo),
-                upper_is_edge=bool(hi_ != e_hi),
-            )
-        )
-    return bands
-
-
-def _hidden_bands(
-    model: CellModel, samples: np.ndarray, half: np.ndarray, tol: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Bands between two forbidden samples of a scan: (an energy inside
-    each, |half-trace| - 1 there, and the sample indices of its bracket's
-    lower and upper ends).  In each bracket the minimum of |half-trace| is
-    hunted by bisection on its slope, stopping at the first energy inside a
-    band."""
-    size = np.abs(half)
-    forbidden = size > 1.0
-    flip = forbidden[:-1] & forbidden[1:] & (half[:-1] * half[1:] < 0.0)
-    dip = np.flatnonzero(forbidden[1:-1] & (size[1:-1] < size[:-2]) & (size[1:-1] <= size[2:]))
-    dip = dip[~flip[dip] & ~flip[dip + 1]]  # a sign change already brackets its band
-    first = np.concatenate([np.flatnonzero(flip), dip])
-    last = np.concatenate([np.flatnonzero(flip) + 1, dip + 2])
-    lo, hi = samples[first], samples[last]
-    found = np.full(lo.size, np.nan)
-    depth = np.full(lo.size, np.nan)
-    live = hi - lo > tol
-    while live.any():
-        mid = 0.5 * (lo + hi)
-        step = 1e-3 * (hi - lo)
-        probes = np.concatenate([mid - step, mid + step])
-        left, right = np.split(np.abs(0.5 * model.trace(probes)), 2)
-        take_left = live & (left < 1.0)
-        take_right = live & ~take_left & (right < 1.0)
-        found = np.where(take_left, mid - step, np.where(take_right, mid + step, found))
-        depth = np.where(take_left, left - 1.0, np.where(take_right, right - 1.0, depth))
-        downhill_left = left < right
-        hi = np.where(live & downhill_left, mid + step, hi)
-        lo = np.where(live & ~downhill_left, mid - step, lo)
-        live &= np.isnan(found) & (hi - lo > tol)
-    hit = ~np.isnan(found)
-    return found[hit], depth[hit], first[hit], last[hit]
-
-
-def band_phase(model: CellModel, band: Band, E: float) -> float:
-    """Local Bloch phase in (0, pi), increasing across the band."""
-    if not band.lower <= E <= band.upper:
-        raise NumericError(f"E = {E} outside band [{band.lower}, {band.upper}]")
-    c = 0.5 * model.trace(E) * band.parity
-    return math.acos(max(-1.0, min(1.0, c)))
+        raise NumericError("band_structure needs an energy grid for its window")
+    e_lo, e_hi = float(grid.samples[0]), float(grid.samples[-1])
+    return [Band(index=i, lower=lower, upper=upper, parity=parity,
+                 lower_is_edge=lower != e_lo, upper_is_edge=upper != e_hi)
+            for i, (lower, upper, parity) in enumerate(model.bands(e_lo, e_hi), start=1)]
 
 
 def energy_at_phase(model: CellModel, band: Band, phi_local):

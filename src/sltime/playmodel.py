@@ -15,8 +15,8 @@ kard.kard_derivatives, which is fed c' = -lam, c'' = 0 and
 
 The model satisfies the CellModel protocol (trace is the linear law above,
 defined at every energy; matrix and derivatives exist only on the open
-band interior; all take a scalar energy or an array), so
-band structure, timing curves, and resonance analysis all run on it
+band interior; all take a scalar energy or an array; bands clips the band
+to a window), so band structure, timing curves, and resonance analysis run on it
 unchanged.  It has no spatial profile, so nothing that needs V(x)
 (dwell-time integrals, wave-packet runs) can consume it: those operations
 take a layered stack and there is none here.
@@ -79,6 +79,11 @@ class PlayModelSpec:
     def derivatives(self, E, second: bool) -> tuple:
         """(M, c', c'', g') from the two laws: c = lam (E_bragg - E), g = t2_strength / E."""
         return play_matrix(E, self), -self.lam, 0.0, -self.t2_strength / (E * E)
+
+    def bands(self, e_lo: float, e_hi: float) -> list[tuple[float, float, int]]:
+        """The one band, clipped to [e_lo, e_hi]; cos(phi) falls across it (parity +1)."""
+        lo, hi = max(self.band[0], e_lo), min(self.band[1], e_hi)
+        return [(lo, hi, 1)] if lo < hi else []
 
 
 PLAY_MODEL = PlayModelSpec()

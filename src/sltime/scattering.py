@@ -44,10 +44,10 @@ three named pieces:
 Their sum is the integral of |psi|^2 over the window for the
 flux-normalized stationary state, which ``dwell_time`` also evaluates by
 adaptive quadrature of the reconstructed density as an independent check.
-The quadrature refines the integrals of all energies together: the
-backward pass through the interfaces runs once, on the energy array, and
-each refinement level hands the density one position array holding the
-open panels of every energy, each point tagged with its energy.
+The quadrature refines the integrals of ``QUADRATURE_GROUP`` energies at a
+time, which bounds its memory: the backward pass through the interfaces runs
+once, and each refinement level hands the density one position array holding
+the open panels of the group, each point tagged with its energy.
 """
 
 from __future__ import annotations
@@ -72,6 +72,9 @@ __all__ = [
     "dwell_time",
 ]
 
+
+#: energies whose density integrals ``dwell_time`` refines together
+QUADRATURE_GROUP = 64
 
 # ---------------------------------------------------------------------------
 # origin-referenced amplitudes and the Smith lifetime matrix
@@ -322,12 +325,13 @@ def dwell_time(
 
     The quadrature cross-check integrates the reconstructed density with
     interface positions as forced panel boundaries, and lead panels no wider
-    than a quarter of the lead wavelength, for all energies together (one
-    density call per refinement level), and is returned in ``tau_numeric``;
-    a scalar E goes through the same arrays with one energy.  A gross
-    mismatch with the closed form raises at the first such energy, and a
-    quadrature that cannot converge names its energy; finer comparisons are
-    left to the caller.
+    than a quarter of the lead wavelength, for a group of energies together
+    (one density call per refinement level), and is returned in
+    ``tau_numeric``; a scalar E goes through the same arrays with one
+    energy, and gets the same integral as in any group.  A gross mismatch
+    with the closed form raises at the first such energy, and a quadrature
+    that cannot converge names its energy; finer comparisons are left to
+    the caller.
     """
     half_w = 0.5 * stack.width
     if x_left is None:
@@ -360,14 +364,17 @@ def dwell_time(
     leads = [[np.linspace(lo, hi, math.ceil((hi - lo) / quarter) + 1)
               for lo, hi in ((x_left, field.a), (field.b, x_right))]
              for quarter in 0.5 * math.pi / k]
-    try:
-        numeric = adaptive_simpson(
-            lambda x, i: np.abs(field.u(x, i)[0]) ** 2,
-            np.full(e.shape, x_left), np.full(e.shape, x_right), tol=1e-6,
-            breakpoints=[np.concatenate([field.edges, *lead]) for lead in leads],
-        ).real
-    except QuadratureError as exc:
-        raise NumericError(f"density integral at E = {e[exc.integral]} meV: {exc}") from exc
+    numeric = np.empty(e.size)
+    for start in range(0, e.size, QUADRATURE_GROUP):
+        group = leads[start:start + QUADRATURE_GROUP]
+        try:
+            numeric[start:start + len(group)] = adaptive_simpson(
+                lambda x, i: np.abs(field.u(x, i + start)[0]) ** 2, [x_left] * len(group),
+                [x_right] * len(group), tol=1e-6,
+                breakpoints=[np.concatenate([field.edges, *lead]) for lead in group]).real
+        except QuadratureError as exc:  # its integral counts within the group
+            j = start + exc.integral
+            raise NumericError(f"density integral at E = {e[j]} meV: integral {j} failed") from exc
     failed = np.abs(numeric - closed) > np.maximum(1e-2 * np.abs(closed), 0.1)
     if failed.any():
         i = np.flatnonzero(failed)[0]

@@ -245,6 +245,21 @@ def test_zero_cells_exits_3(argv, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    "kard --play --count 3", "kard --stack {stack} --count 3", "transmission --play --count 3",
+    "phasetime --stack {stack} --count 3", "resonances --play",
+])
+@pytest.mark.parametrize("n", ["-3", "0"])
+def test_model_flag_N_below_one_exits_3_for_every_command(command, n, capsys, tmp_path):
+    """--N below 1 is refused by every command that takes it, kard included,
+    although kard's single-cell angles do not depend on N."""
+    out = tmp_path / "out.csv"
+    argv = [*shlex.split(command.format(stack=STACK)), "--N", n, "-o", str(out)]
+    assert main(argv) == 3
+    assert f"N = {n}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("band", ["0", "-1"])
 def test_band_below_one_exits_3(band, capsys, tmp_path):
     """--band counts from 1; 0 and -1 must not index the scan's last band."""

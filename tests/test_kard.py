@@ -17,7 +17,6 @@ from sltime.kard import (
     EDGE_TOL,
     KardParams,
     as_model,
-    band_phase,
     band_structure,
     decompose,
     energy_at_phase,
@@ -124,7 +123,8 @@ def test_energy_at_phase_inverts_band_phase(rep_band, phi_local):
     model = as_model(representative_cell(), OUT)
     E = energy_at_phase(model, rep_band, phi_local)
     assert rep_band.lower < E < rep_band.upper
-    assert band_phase(model, rep_band, E) == pytest.approx(phi_local, abs=1e-9)
+    phase = math.acos(max(-1.0, min(1.0, 0.5 * model.trace(E) * rep_band.parity)))
+    assert phase == pytest.approx(phi_local, abs=1e-9)
 
 
 def test_derivatives_match_play_closed_forms(play_band):
@@ -165,9 +165,10 @@ def test_band_structure_requires_grid():
         band_structure(representative_cell(), OUT)
 
 
-#: The first two bands of the representative cell in the CLI's scan window,
-#: as the scan reported them before it looked between its samples.
-REP_BANDS = [(51.7085428790002, 65.36148366986207, 1), (197.23859734858505, 263.6064817167307, -1)]
+#: The first two bands of the representative cell in the CLI's band window,
+#: as the 6000-sample scan polished them to 1e-12 meV.
+REP_BANDS = [(51.708542879000206, 65.36148366986205, 1),
+             (197.23859734858502, 263.60648171673085, -1)]
 
 
 def test_band_scan_splits_out_a_band_narrower_than_its_spacing():
@@ -194,29 +195,70 @@ def test_band_scan_keeps_the_representative_bands():
         assert band.parity == parity
 
 
-class _Dip:
-    """Half-trace floor + 400 (E - E0)^2 / meV^2: below 1 only within
-    sqrt((1 - floor) / 400) of E0, and never changing sign."""
+def test_certified_rep5_edges_match_the_sampled_scan_to_1e_12():
+    """The certified edges of the representative cell are the ones the
+    6000-sample scan polished, to 1e-12 meV, from a 2-sample grid."""
+    two = band_structure(representative_cell(), OUT, grid=EnergyGrid.linear(1.0, 300.0, 2))
+    dense = band_structure(representative_cell(), OUT, grid=EnergyGrid.linear(1.0, 300.0, 6000))
+    assert two == dense
+    assert len(two) == len(REP_BANDS)
+    for band, (lower, upper, parity) in zip(two, REP_BANDS):
+        assert band.lower == pytest.approx(lower, abs=1e-12)
+        assert band.upper == pytest.approx(upper, abs=1e-12)
+        assert band.parity == parity
 
-    def __init__(self, E0: float, floor: float):
-        self.E0, self.floor = E0, floor
 
-    def trace(self, E):
-        return 2.0 * (self.floor + 400.0 * (np.asarray(E) - self.E0) ** 2)
-
-    def matrix(self, E):
-        raise NotImplementedError
-
-
-@pytest.mark.parametrize("floor, found", [(0.9, True), (1.05, False)])
-def test_band_scan_looks_inside_a_local_minimum_of_the_trace(floor, found):
+def test_certified_band_narrower_than_a_micro_ev_between_two_samples():
+    """2 nm half-wells around a 25 nm, 400 meV barrier: the first band is
+    3.4e-7 meV wide and lies between two samples of a 6000-sample grid; it
+    is found from the window alone, with |Tr M/2| < 1 inside and > 1 just
+    outside."""
+    well, barrier = Layer(2.0, 0.0, 0.067), Layer(25.0, 400.0, 0.0919)
+    cell = CellSpec((well, barrier, well), symmetric=True)
     grid = EnergyGrid.linear(1.0, 300.0, 6000)
-    E0 = 0.5 * (grid.samples[1980] + grid.samples[1981])  # midway between samples
-    bands = band_structure(_Dip(E0, floor), grid=grid)
-    if not found:
-        assert bands == []
-        return
-    half_width = math.sqrt((1.0 - floor) / 400.0)
+    bands = band_structure(cell, OUT, grid=EnergyGrid.linear(1.0, 300.0, 2))
     assert len(bands) == 1
-    assert bands[0].lower == pytest.approx(E0 - half_width, abs=1e-9)
-    assert bands[0].upper == pytest.approx(E0 + half_width, abs=1e-9)
+    band = bands[0]
+    assert 0.0 < band.width <= 1e-6
+    i = np.searchsorted(grid.samples, band.lower)
+    assert grid.samples[i - 1] < band.lower and band.upper < grid.samples[i]
+    half = 0.5 * as_model(cell, OUT).trace(
+        np.array([band.lower - 1e-3 * band.width, 0.5 * (band.lower + band.upper),
+                  band.upper + 1e-3 * band.width]))
+    assert half[0] > 1.0 and abs(half[1]) < 1.0 and half[2] < -1.0
+    assert band.parity == 1 and band.lower_is_edge and band.upper_is_edge
+
+
+def _random_cells(seed: int, count: int) -> list[CellSpec]:
+    """3-5 layers alternating wells (0.5-8 nm, V = 0) and barriers
+    (1-14 nm, 100-400 meV), starting with a well."""
+    rng = np.random.default_rng(seed)
+    cells = []
+    for _ in range(count):
+        layers = [Layer(rng.uniform(0.5, 8.0), 0.0, 0.067) if j % 2 == 0
+                  else Layer(rng.uniform(1.0, 14.0), rng.uniform(100.0, 400.0), 0.0919)
+                  for j in range(rng.integers(3, 6))]
+        cells.append(CellSpec(tuple(layers)))
+    return cells
+
+
+@pytest.mark.parametrize("count", [2, 40])
+def test_certified_bands_agree_with_a_dense_sign_change_count(count):
+    """Tr M changes sign exactly once inside every band and never in a gap,
+    so on a 6000-sample grid its sign changes count the bands whose centre
+    lies in the window, even bands far narrower than the spacing.  The
+    certified bands from a coarse grid must hold exactly those sign changes,
+    one each.  (A sampled scan of 40 samples misses bands here.)"""
+    dense = np.linspace(0.5, 450.0, 6000)
+    for cell in _random_cells(11, 150):
+        model = as_model(cell, OUT)
+        trace = model.trace(dense)
+        flips = np.flatnonzero(trace[:-1] * trace[1:] < 0.0)
+        bands = band_structure(cell, OUT, grid=EnergyGrid.linear(0.5, 450.0, count))
+        lower = np.array([band.lower for band in bands])
+        upper = np.array([band.upper for band in bands])
+        centred = model.trace(lower) * model.trace(upper) < 0.0
+        assert centred.sum() == flips.size, cell
+        for i in flips:
+            assert ((lower <= dense[i + 1]) & (upper >= dense[i])).sum() == 1, cell
+        assert [band.parity for band in bands[1:]] == [-band.parity for band in bands[:-1]]

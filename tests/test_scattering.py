@@ -205,6 +205,37 @@ def test_dwell_grid_refined_together_matches_scalar_calls(monkeypatch, tmp_path)
         assert dwell_time(stack, float(row[0])).tau_numeric == float(row[3])
 
 
+def test_dwell_groups_refined_together_equal_per_energy_calls(monkeypatch):
+    """The densities are refined QUADRATURE_GROUP energies at a time; a call
+    spanning several groups gives every energy's tau_numeric bit for bit as
+    its own call does, and as one group holding the whole grid does."""
+    stack = load_stack("stacks/rep5.json")
+    E = np.linspace(52.0, 65.0, 2 * sltime.scattering.QUADRATURE_GROUP + 3)
+    grouped = dwell_time(stack, E).tau_numeric
+    monkeypatch.setattr(sltime.scattering, "QUADRATURE_GROUP", E.size)
+    assert (dwell_time(stack, E).tau_numeric == grouped).all()
+    monkeypatch.setattr(sltime.scattering, "QUADRATURE_GROUP", 3)
+    E = E[::20]
+    assert list(dwell_time(stack, E).tau_numeric) == [dwell_time(stack, e).tau_numeric for e in E]
+
+
+def test_dwell_failure_in_a_later_group_names_its_energy(monkeypatch):
+    """A quadrature failure in the second group names the grid's energy and
+    its index in the grid, not its index in the group."""
+    real = sltime.scattering.adaptive_simpson
+    calls = []
+
+    def jump_in_second_group(f, *args, **kwargs):
+        calls.append(1)
+        g = f if len(calls) == 1 else lambda x, i: f(x, i) + (i == 0) * (x > 0.123)
+        return real(g, *args, **kwargs)
+
+    monkeypatch.setattr(sltime.scattering, "adaptive_simpson", jump_in_second_group)
+    monkeypatch.setattr(sltime.scattering, "QUADRATURE_GROUP", 2)
+    with pytest.raises(NumericError, match=r"at E = 58\.0 meV: integral 2 failed"):
+        dwell_time(load_stack("stacks/rep5.json"), np.array([57.0, 57.5, 58.0, 58.5]))
+
+
 def test_dwell_failure_together_names_the_energy(monkeypatch, tmp_path, capsys):
     """Only the second energy's density jumps inside a panel, so only its
     quadrature cannot converge; the error names that energy."""
