@@ -454,7 +454,6 @@ def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--emin", type=float, default=None, help="sweep start (meV)")
     p.add_argument("--emax", type=float, default=None, help="sweep end (meV)")
     p.add_argument("--count", type=int, default=None, help="number of samples")
-    p.add_argument("--band", type=int, default=1, help="allowed-band index (1-based)")
     p.add_argument("-o", "--output", default=None, help="CSV path (default stdout)")
 
 
@@ -480,11 +479,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phasetime", help="phase time with envelopes and Bloch time")
     _add_model_flags(p)
     _add_sweep_flags(p)
+    p.add_argument("--band", type=int, default=1, help="allowed-band index (1-based)")
     p.set_defaults(func=_cmd_phasetime)
 
     p = sub.add_parser("dwell", help="dwell-time decomposition over a window")
     p.add_argument("--stack", required=True, help="stack JSON file")
     _add_sweep_flags(p)
+    p.add_argument("--band", type=int, default=1, help="allowed-band index (1-based)")
     p.add_argument("--xl", type=float, default=None, help="window left edge (nm)")
     p.add_argument("--xr", type=float, default=None, help="window right edge (nm)")
     p.set_defaults(func=_cmd_dwell)
@@ -492,6 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("resonances", help="peak/valley fit tables")
     _add_model_flags(p)
     _add_sweep_flags(p)
+    p.add_argument("--band", type=int, default=1, help="allowed-band index (1-based)")
     p.add_argument("--curves", default=None,
                    help="also write the piecewise approximation sweep here")
     p.set_defaults(func=_cmd_resonances)

@@ -3,8 +3,8 @@
 Validation errors cover malformed inputs (bad layer widths, contradictory
 symmetry flags, broken stack files).  Numeric errors cover runtime failures
 of the numerical machinery (cell angles asked for outside an allowed band,
-quadrature that refuses to converge, unstable time stepping).  The CLI maps
-the two families to distinct exit codes.
+a closed form that disagrees with its cross-check, unstable time
+stepping).  The CLI maps the two families to distinct exit codes.
 """
 
 
@@ -18,15 +18,6 @@ class ValidationError(SltimeError):
 
 class NumericError(SltimeError):
     """A numerical procedure failed or was used outside its safe domain."""
-
-
-class QuadratureError(NumericError):
-    """An adaptive quadrature left a panel unconverged at its depth limit;
-    ``integral`` is the index of the integral that panel belongs to."""
-
-    def __init__(self, message: str, integral: int):
-        super().__init__(message)
-        self.integral = integral
 
 
 class NearBandEdgeError(NumericError):

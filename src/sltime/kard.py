@@ -12,9 +12,9 @@ for mirror-symmetric cells.  The power law is what makes the form useful:
 the N-cell matrix is the same expression with phi -> N phi at fixed mu,
 chi, so every N-cell observable is elementary in these angles.
 
-In a forbidden band the Bloch phase picks up an imaginary part,
-phi -> p*pi + i*theta with cosh(theta) = |Tr M|/2; decompose classifies
-rather than fails there, and the angle machinery applies only to the
+In a forbidden band the Bloch phase is p*pi plus an imaginary part
+arccosh(|Tr M|/2); decompose classifies rather than fails there, returns
+only the real part p*pi, and the angle machinery applies only to the
 allowed classification.
 
 Energy derivatives are taken through the two smooth real functions
@@ -76,9 +76,9 @@ class KardParams:
     """Angles of one cell matrix, with its band classification.
 
     band is one of 'allowed', 'forbidden', 'edge'.  In an allowed band,
-    (phi, mu, chi) are as in the module docstring and theta = 0.  In a
-    forbidden band phi is the real part p*pi of the complex Bloch phase and
-    theta > 0 its imaginary part; mu and chi are meaningless there (nan).
+    (phi, mu, chi) are as in the module docstring.  In a forbidden band phi
+    is the real part p*pi of the complex Bloch phase; mu and chi are
+    meaningless there (nan).
     For a matrix array every field is an array, band an array of labels.
     """
 
@@ -86,7 +86,6 @@ class KardParams:
     mu: float | np.ndarray
     chi: float | np.ndarray
     band: str | np.ndarray = "allowed"
-    theta: float | np.ndarray = 0.0
 
     def scaled(self, n: int) -> "KardParams":
         """Angles of the n-cell matrix M^n (allowed band only)."""
@@ -136,13 +135,11 @@ def decompose(M: TransferMatrix, *, continuous: bool = False) -> KardParams:
         mu = np.arcsinh(r / np.abs(s))
         z = np.where(s > 0.0, 1j, -1j) * m21
         chi = np.where(r == 0.0, 0.0, np.arctan2(z.imag, z.real))
-        theta = np.where(allowed | edge, 0.0, np.arccosh(size))
     return KardParams(
         phi=np.where(allowed, phi, np.where(c > 0, 0.0, math.pi)),
         mu=np.where(allowed, mu, math.nan),
         chi=np.where(allowed, chi, math.nan),
         band=_LABELS[allowed + 2 * edge],
-        theta=theta,
     )
 
 
@@ -150,12 +147,10 @@ def _decompose_one(m11: complex, m21: complex) -> KardParams:
     """``decompose`` for one matrix: Python branches instead of array masks,
     numpy's elementary functions as on arrays, so both agree bit for bit."""
     c = m11.real
-    if abs(abs(c) - 1.0) <= EDGE_TOL:
-        p = 0.0 if c > 0 else math.pi
-        return KardParams(phi=p, mu=math.nan, chi=math.nan, band="edge")
-    if abs(c) > 1.0:
-        p = 0.0 if c > 0 else math.pi
-        return KardParams(phi=p, mu=math.nan, chi=math.nan, band="forbidden", theta=np.arccosh(abs(c)))
+    edge = abs(abs(c) - 1.0) <= EDGE_TOL
+    if edge or abs(c) > 1.0:
+        return KardParams(phi=0.0 if c > 0 else math.pi, mu=math.nan, chi=math.nan,
+                          band="edge" if edge else "forbidden")
     phi = np.arccos(c)
     if m11.imag > 0.0:
         phi = 2.0 * math.pi - phi
@@ -234,6 +229,14 @@ class PotentialCell:
         centre (c = 0) to a band that no table energy hit, then polish an
         edge between every two points one position apart.  A lambda_n gets
         |c| > 1 strictly, so an edge search stops at it only if the edge is.
+
+        Where gap n is closed (|c| touches 1 without crossing it, as in a
+        uniform cell), |c| - 1 is quadratic in energy and rounding leaves
+        its polished edges about sqrt(eps) apart.  So a gap with |c| within
+        ``EDGE_TOL`` of 1 both at lambda_n and midway between its polished
+        edges gets lambda_n as the common edge of its two bands.  lambda_n
+        alone does not decide it: in a mirror-symmetric cell every lambda_n
+        is an edge of its gap, open or not.
         """
         E = np.linspace(e_lo, e_hi, _TABLE)
         theta, c = self._pruefer(E), 0.5 * self.trace(E)
@@ -250,8 +253,10 @@ class PotentialCell:
         i = np.searchsorted(pos, 2 * m)
         lam = bracket_roots(lambda x: self._pruefer(x) - m * math.pi, E[i - 1], E[i],
                             theta[i - 1] - m * math.pi, theta[i] - m * math.pi, EDGE_XTOL)
-        c_lam = (-1.0) ** m * np.maximum(np.abs(0.5 * self.trace(lam)), np.nextafter(1.0, 2.0))
-        E, pos, c = merged(lam, 2 * m, c_lam)
+        size = np.abs(0.5 * self.trace(lam))
+        near = size - 1.0 <= EDGE_TOL
+        touching = dict(zip(m[near], lam[near]))
+        E, pos, c = merged(lam, 2 * m, (-1.0) ** m * np.maximum(size, np.nextafter(1.0, 2.0)))
         m = (missing[missing % 2 == 1] + 1) // 2
         i, s = np.searchsorted(pos, 2 * m - 1), (-1.0) ** (m - 1)
         centre = bracket_roots(lambda x: s * 0.5 * self.trace(x), E[i - 1], E[i],
@@ -263,6 +268,11 @@ class PotentialCell:
         edges = bracket_roots(lambda x: s * 0.5 * self.trace(x) + shift, E[q], E[q + 1],
                               s * c[q] + shift, s * c[q + 1] + shift, EDGE_XTOL)
         lower, upper = (dict(zip(m[k], edges[k])) for k in (shift < 0, shift > 0))
+        if touching:  # gap n closed to rounding: lambda_n is the common edge
+            gap = np.array(list(touching))
+            mid = np.array([0.5 * (upper[g] + lower[g + 1]) for g in gap])
+            for g in gap[np.abs(0.5 * self.trace(mid)) - 1.0 <= EDGE_TOL]:
+                upper[g] = lower[g + 1] = touching[g]
         spans = [(float(lower.get(b, e_lo)), float(upper.get(b, e_hi)), 1 if b % 2 else -1)
                  for b in range((pos[0] + 2) // 2, (pos[-1] + 1) // 2 + 1)]
         # a band that the window meets only within the polish width of an end is not in it

@@ -1,29 +1,23 @@
-"""Shared numerical helpers: bracketed root finding and quadrature.
+"""Shared numerical helper: bracketed root finding on arrays.
 
-Both take a vectorised function and call it once per step on every open
-bracket or panel together.  The root finder narrows many brackets at a time
-by the ITP method, which keeps bisection's worst case and converges
-superlinearly on smooth roots.  Quadrature is adaptive Simpson on many
-integrals at once, refined level by level, with explicit subdivision at
-caller-supplied breakpoints, so piecewise-smooth integrands (wavefunction
-density across layer interfaces) never straddle a kink.  Energy
-derivatives are not taken here: the transfer-matrix kernel carries them
-exactly (``tmatrix.Jet``).
+The root finder takes a vectorised function and calls it once per step on
+every open bracket together, narrowing many brackets at a time by the ITP
+method, which keeps bisection's worst case and converges superlinearly on
+smooth roots.  Nothing here integrates or differentiates: the density
+integral of ``scattering`` is a closed form per layer, and the
+transfer-matrix kernel carries energy derivatives exactly (``tmatrix.Jet``).
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError, QuadratureError
+from .errors import NumericError
 
-__all__ = [
-    "bracket_roots",
-    "adaptive_simpson",
-]
+__all__ = ["bracket_roots"]
 
 
 def bracket_roots(
@@ -93,72 +87,3 @@ def bracket_roots(
         ya = np.where(live & (y <= 0.0), y, ya)
         yb = np.where(live & (y >= 0.0), y, yb)
 
-
-def adaptive_simpson(
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray],
-    a: Sequence[float],
-    b: Sequence[float],
-    *,
-    tol: float = 1e-6,
-    breakpoints: Sequence[Sequence[float]] | None = None,
-    max_depth: int = 40,
-) -> np.ndarray:
-    """Integrals of f over [a[i], b[i]] for every i, each to absolute tolerance tol.
-
-    f(x, i) maps an array of abscissae and a same-shaped array of integral
-    indices to the integrand values there, element by element.
-    ``breakpoints[i]`` inside (a[i], b[i]) force panel boundaries of
-    integral i; pass layer interface positions so the integrand is smooth
-    within every panel.  Returns a complex array, one value an integral.
-
-    The panels of all integrals are refined together, level by level: each
-    level calls f once, on the two new quarter points of every open panel.
-    A panel whose two halves change its Simpson estimate by at most 15 tol
-    (tol scaled by the panel's share of its interval) is accepted, with the
-    Richardson correction; the others split, each half with its tol halved.
-    The accepted panels of one integral are summed in the same order
-    whether it is refined alone or with others, so its value does not
-    depend on its company.  A panel still open after ``max_depth`` levels
-    raises QuadratureError naming the first such integral, so f is called
-    at most ``max_depth + 1`` times.
-    """
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    n = a.size
-    if breakpoints is None:
-        breakpoints = [()] * n
-    if not (b > a).all():
-        i = np.flatnonzero(~(b > a))[0]
-        raise NumericError(f"need b > a, got [{a[i]}, {b[i]}]")
-
-    def simpson(x, fx):  # the rule on panels given as rows (lo, mid, hi)
-        return (x[:, 2] - x[:, 0]) / 6.0 * (fx[:, 0] + 4.0 * fx[:, 1] + fx[:, 2])
-
-    knots = [np.concatenate([[lo], inner[(lo < inner) & (inner < hi)], [hi]])
-             for lo, hi, inner in zip(a, b, map(np.unique, breakpoints), strict=True)]
-    owner = np.repeat(np.arange(n), [len(k) - 1 for k in knots])
-    lo, hi = np.concatenate([k[:-1] for k in knots]), np.concatenate([k[1:] for k in knots])
-    x = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)
-    fx = f(x.ravel(), np.repeat(owner, 3)).reshape(x.shape)
-    tols = tol * (hi - lo) / (b - a)[owner]
-    total = np.zeros(n, dtype=complex)
-    for _ in range(max_depth):
-        quarters = 0.5 * (x[:, :2] + x[:, 1:])
-        f_quarters = f(quarters.ravel(), np.repeat(owner, 2)).reshape(quarters.shape)
-        x5 = np.insert(x, [1, 2], quarters, axis=1)  # lo, lq, mid, rq, hi
-        f5 = np.insert(fx, [1, 2], f_quarters, axis=1)
-        halves = simpson(x5[:, :3], f5[:, :3]) + simpson(x5[:, 2:], f5[:, 2:])
-        delta = halves - simpson(x, fx)
-        done = np.abs(delta) <= 15.0 * tols
-        # per integral, in panel order (bincount adds its weights one by one)
-        accepted = (halves + delta / 15.0)[done]
-        total += (np.bincount(owner[done], accepted.real, n)
-                  + 1j * np.bincount(owner[done], accepted.imag, n))
-        if done.all():
-            return total
-        x5, f5 = x5[~done], f5[~done]
-        # every left half, then every right half
-        x, fx = np.concatenate([x5[:, :3], x5[:, 2:]]), np.concatenate([f5[:, :3], f5[:, 2:]])
-        tols, owner = np.tile(0.5 * tols[~done], 2), np.tile(owner[~done], 2)
-    i = owner.min()
-    x0, _, x2 = x[np.argmax(owner == i)]
-    raise QuadratureError(f"quadrature of integral {i} failed to converge on [{x0}, {x2}]", i)

@@ -42,26 +42,27 @@ three named pieces:
   travels from x_L to the stack and back.
 
 Their sum is the integral of |psi|^2 over the window for the
-flux-normalized stationary state, which ``dwell_time`` also evaluates by
-adaptive quadrature of the reconstructed density as an independent check.
-The quadrature refines the integrals of ``QUADRATURE_GROUP`` energies at a
-time, which bounds its memory: the backward pass through the interfaces runs
-once, and each refinement level hands the density one position array holding
-the open panels of the group, each point tagged with its energy.
+flux-normalized stationary state, which ``dwell_time`` also evaluates
+directly from the reconstructed state as an independent check.  Inside a
+layer psi is c(x) psi_0 + m* s(x) (psi'/m*)_0 with c = cos(kx) and
+s = sin(kx)/k, so the integral of |psi|^2 over each layer, and over each
+lead piece taken as a layer of lead material, is a closed form in the
+layer's (psi, psi'/m*) at one face; the backward pass already holds those
+for every energy at once.
 """
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, QuadratureError, ValidationError
+from .errors import NumericError, ValidationError
 from .medium import CONSTANTS, StackSpec, _layers_mirror_equal
-from .numerics import adaptive_simpson
-from .tmatrix import _layer_entries, amplitudes, energy_jet, stack_matrix
+from .tmatrix import (
+    _cos_and_sinc, _layer_entries, _sinc_slopes, amplitudes, energy_jet, stack_matrix,
+)
 
 __all__ = [
     "SmithMatrix",
@@ -71,10 +72,6 @@ __all__ = [
     "DwellResult",
     "dwell_time",
 ]
-
-
-#: energies whose density integrals ``dwell_time`` refines together
-QUADRATURE_GROUP = 64
 
 # ---------------------------------------------------------------------------
 # origin-referenced amplitudes and the Smith lifetime matrix
@@ -180,9 +177,9 @@ class _WaveField:
     t, r and the lead wavenumber k and velocity v, each an array over the
     energies: one backward pass through the interfaces, on arrays, gives
     (psi, psi'/m*) at every interface for every energy.  ``u`` evaluates a
-    position array, each point at the energy its index names, with one
-    partial propagation per layer that holds points, each from the layer's
-    left interface.
+    position array with one partial propagation per layer that holds
+    points, each from the layer's left interface; ``density_integral``
+    integrates |psi|^2 over a window exactly, layer by layer.
     """
 
     def __init__(self, stack: StackSpec, E: np.ndarray, t: np.ndarray, r: np.ndarray,
@@ -190,6 +187,7 @@ class _WaveField:
         self.E = E
         self.t, self.r, self.k, self.v = t, r, k, v
         self.norm = 1.0 / np.sqrt(v)
+        self.outside = stack.outside
         self.mass_out = stack.outside.mass_ratio
         self.layers = stack.segments()
         self.edges = stack.interfaces()
@@ -215,36 +213,59 @@ class _WaveField:
         jet, _, _, _, _, k, v = _origin_jet(stack, E)
         return cls(stack, E, jet.t.v, jet.r.v, k, v)
 
-    def u(self, x: np.ndarray, i) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, psi'/m*) at every position of the array x, any region, each
-        at the energy E[i] of the matching element of the index array i (a
-        single index serves every point)."""
+    def u(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(psi, psi'/m*) at every position of the array x, any region, for
+        a field of one energy."""
         x = np.asarray(x, dtype=float)
-        i = np.broadcast_to(i, x.shape)
         psi = np.empty(x.shape, dtype=complex)
         slope = np.empty(x.shape, dtype=complex)
         left, right = x <= self.a, x >= self.b
-        il, ir = i[left], i[right]
-        ik = 1j * self.k[il]
+        ik = 1j * self.k
         fwd = np.exp(ik * (x[left] - self.a))
-        bwd = self.r[il] / fwd
-        psi[left] = (fwd + bwd) * self.norm[il]
-        slope[left] = ik * (fwd - bwd) * self.norm[il] / self.mass_out
-        ik = 1j * self.k[ir]
-        psi[right] = self.t[ir] * np.exp(ik * (x[right] - self.b)) * self.norm[ir]
+        bwd = self.r / fwd
+        psi[left] = (fwd + bwd) * self.norm
+        slope[left] = ik * (fwd - bwd) * self.norm / self.mass_out
+        psi[right] = self.t * np.exp(ik * (x[right] - self.b)) * self.norm
         slope[right] = ik * psi[right] / self.mass_out
         layer = np.searchsorted(self.edges, x, side="right") - 1
         layer[left | right] = -1
         for j in np.unique(layer[layer >= 0]):
             at = layer == j
-            ia = i[at]
-            (p11, p12), (p21, p22) = _layer_entries(
-                self.E[ia], self.layers[j], x[at] - self.edges[j]
-            )
-            u0, u1 = self.us[j][:, ia]
+            (p11, p12), (p21, p22) = _layer_entries(self.E, self.layers[j], x[at] - self.edges[j])
+            u0, u1 = self.us[j]
             psi[at] = p11 * u0 + p12 * u1
             slope[at] = p21 * u0 + p22 * u1
         return psi, slope
+
+    def density_integral(self, x_left: float, x_right: float) -> np.ndarray:
+        """Integral of |psi|^2 over [x_left, x_right] (around the stack) for
+        every energy, exact up to rounding.
+
+        With psi = c u_0 + m s u_1 across a width L of one material, from
+        its face state u = (psi, psi'/m*), and C, S = cos(kL), sin(kL)/k
+        there, the integral is |u_0|^2 (L + C S)/2 + m Re(u_0 conj u_1) S^2
+        + m^2 |u_1|^2 (L S^2/2 + C dS/dk^2), valid for k^2 of either sign
+        (``tmatrix._sinc_slopes`` carries dS/dk^2 through k^2 L^2 -> 0).
+        Each layer is integrated from its left face; the lead pieces are
+        lead material, [x_left, a] integrated backwards from the left face,
+        which flips the sign of the cross term, and [b, x_right] forwards
+        from the right face.  These Gram forms lose about eps e^{2 kappa L}
+        of a barrier's integral to rounding (1e-7 of it at kappa L = 10),
+        since |psi|^2 there is small against the terms that cancel.
+        """
+        pieces = [(self.outside, self.a - x_left, self.us[0], -1.0),
+                  *((layer, layer.width, u, 1.0) for layer, u in zip(self.layers, self.us)),
+                  (self.outside, x_right - self.b, self.us[-1], 1.0)]
+        total = 0.0
+        for layer, width, (u0, u1), sign in pieces:
+            m = layer.mass_ratio
+            ksq = (self.E - layer.potential) * m / CONSTANTS.hbar2_over_2m0
+            c, s = _cos_and_sinc(ksq, width)
+            ds, _ = _sinc_slopes(ksq, width, c, s)
+            total = total + (0.5 * (width + c * s) * np.abs(u0) ** 2
+                             + sign * m * s * s * (u0 * u1.conjugate()).real
+                             + m * m * (0.5 * width * s * s + c * ds) * np.abs(u1) ** 2)
+        return total
 
 
 def interior_wavefunction(stack: StackSpec, E: float, x_grid: np.ndarray) -> np.ndarray:
@@ -255,7 +276,7 @@ def interior_wavefunction(stack: StackSpec, E: float, x_grid: np.ndarray) -> np.
     |psi|^2 = 1/v everywhere and resonant states show up as interior
     density exceeding the lead value.
     """
-    return _WaveField.at(stack, E).u(x_grid, 0)[0]
+    return _WaveField.at(stack, E).u(x_grid)[0]
 
 
 def probability_current(stack: StackSpec, E: float, x_grid: np.ndarray) -> np.ndarray:
@@ -265,7 +286,7 @@ def probability_current(stack: StackSpec, E: float, x_grid: np.ndarray) -> np.nd
     probability; deviations measure reconstruction error.
     """
     field = _WaveField.at(stack, E)
-    psi, slope = field.u(x_grid, 0)
+    psi, slope = field.u(x_grid)
     # incident current of e^{ikx}/sqrt(v): k/(m v) in these units
     return (psi.conjugate() * slope).imag * field.v[0] * field.mass_out / field.k[0]
 
@@ -284,7 +305,8 @@ class DwellResult:
     Smith tau11.  ``oscillatory_term`` tracks the standing-wave fringe at
     the left window edge and ``free_passage`` the classical crossing times.
     The three sum to the density integral over the window, which
-    ``tau_numeric`` re-derives by adaptive quadrature of |psi|^2.
+    ``tau_numeric`` re-derives from the reconstructed state, integrating
+    |psi|^2 exactly layer by layer.
     All times in fs; each is a number, or an array shaped like the energies.
     """
 
@@ -323,15 +345,13 @@ def dwell_time(
     is undefined; t' and r' are exact (see ``smith_matrix``).  E must be
     above the lead band bottom.
 
-    The quadrature cross-check integrates the reconstructed density with
-    interface positions as forced panel boundaries, and lead panels no wider
-    than a quarter of the lead wavelength, for a group of energies together
-    (one density call per refinement level), and is returned in
-    ``tau_numeric``; a scalar E goes through the same arrays with one
-    energy, and gets the same integral as in any group.  A gross mismatch
-    with the closed form raises at the first such energy, and a quadrature
-    that cannot converge names its energy; finer comparisons are left to
-    the caller.
+    The cross-check integrates |psi|^2 of the reconstructed state over the
+    window in closed form, layer by layer (``_WaveField.density_integral``),
+    for every energy at once, and returns it in ``tau_numeric``; a scalar E
+    goes through the same arrays with one energy and gets the same value as
+    in an array.  A gross mismatch with the closed form (more than 1e-2 of it
+    and 0.1 fs) raises at the first such energy; finer comparisons are left
+    to the caller.
     """
     half_w = 0.5 * stack.width
     if x_left is None:
@@ -358,24 +378,8 @@ def dwell_time(
     uniform = (x_right - x_left) / v
 
     closed = smooth + oscillatory + free_passage
-    field = _WaveField(stack, e, jet.t.v, jet.r.v, k, v)
-    # no lead panel wider than pi/(2k), half the period of the standing
-    # wave's fringe, so that its samples cannot alias the fringe
-    leads = [[np.linspace(lo, hi, math.ceil((hi - lo) / quarter) + 1)
-              for lo, hi in ((x_left, field.a), (field.b, x_right))]
-             for quarter in 0.5 * math.pi / k]
-    numeric = np.empty(e.size)
-    for start in range(0, e.size, QUADRATURE_GROUP):
-        group = leads[start:start + QUADRATURE_GROUP]
-        try:
-            numeric[start:start + len(group)] = adaptive_simpson(
-                lambda x, i: np.abs(field.u(x, i + start)[0]) ** 2, [x_left] * len(group),
-                [x_right] * len(group), tol=1e-6,
-                breakpoints=[np.concatenate([field.edges, *lead]) for lead in group]).real
-        except QuadratureError as exc:  # its integral counts within the group
-            j = start + exc.integral
-            raise NumericError(f"density integral at E = {e[j]} meV: integral {j} failed") from exc
-    failed = np.abs(numeric - closed) > np.maximum(1e-2 * np.abs(closed), 0.1)
+    numeric = _WaveField(stack, e, jet.t.v, jet.r.v, k, v).density_integral(x_left, x_right)
+    failed = ~(np.abs(numeric - closed) <= np.maximum(1e-2 * np.abs(closed), 0.1))  # NaN fails
     if failed.any():
         i = np.flatnonzero(failed)[0]
         raise NumericError(

@@ -296,7 +296,7 @@ def test_c06_dwell_closed_form_vs_quadrature(rep_stack, rep_band):
     ok = worst_gap < 1.0 and worst_smith < 1e-6
     record_criterion(
         6, ok,
-        f"worst quadrature gap {worst_gap:.3f}x the max(1e-4 rel, 1e-3 fs) budget; "
+        f"worst density-integral gap {worst_gap:.3f}x the max(1e-4 rel, 1e-3 fs) budget; "
         f"smooth term vs lifetime-matrix tau11 within {worst_smith:.1e} fs",
     )
     assert ok

@@ -269,6 +269,18 @@ def test_band_below_one_exits_3(band, capsys, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["kard", "transmission"])
+def test_band_flag_is_refused_where_it_would_be_ignored(command, capsys, tmp_path):
+    """kard and transmission sweep the whole window, so --band 2 is an
+    unknown flag there (exit 2), not a silently ignored one."""
+    out = tmp_path / "out.csv"
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--stack", STACK, "--band", "2", "-o", str(out)])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --band 2" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _edit_rep5(path, edit):
     data = json.loads(open(STACK).read())
     edit(data)

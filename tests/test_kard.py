@@ -23,7 +23,7 @@ from sltime.kard import (
     kard_derivatives,
     reconstruct,
 )
-from sltime.medium import CellSpec, EnergyGrid, Layer, representative_cell
+from sltime.medium import CONSTANTS, CellSpec, EnergyGrid, Layer, representative_cell
 from sltime.playmodel import PLAY_MODEL, play_matrix
 from sltime.tmatrix import cell_matrix
 
@@ -227,6 +227,30 @@ def test_certified_band_narrower_than_a_micro_ev_between_two_samples():
                   band.upper + 1e-3 * band.width]))
     assert half[0] > 1.0 and abs(half[1]) < 1.0 and half[2] < -1.0
     assert band.parity == 1 and band.lower_is_edge and band.upper_is_edge
+
+
+def test_closed_gap_bands_share_their_edge():
+    """A uniform 9.5 nm GaAs cell has every gap closed: |Tr M/2| touches 1
+    at kL = n pi without crossing it.  Band 1's upper edge is band 2's lower
+    edge, at kL = pi; rounding used to split them by 1.2e-7 meV."""
+    bands = band_structure(CellSpec((OUT,)), OUT, grid=EnergyGrid.linear(1.0, 300.0, 2))
+    assert len(bands) == 3
+    touch = (math.pi / 9.5) ** 2 * CONSTANTS.hbar2_over_2m0 / 0.067
+    assert bands[0].upper == bands[1].lower == pytest.approx(touch, abs=1e-10)
+    assert bands[1].upper == bands[2].lower == pytest.approx(4.0 * touch, abs=1e-9)
+
+
+def test_open_gap_at_a_dirichlet_eigenvalue_stays_open():
+    """In a mirror-symmetric cell each Dirichlet eigenvalue is an edge of
+    its gap, so |Tr M/2| is 1 there although the gap is open: 4 nm half
+    wells around a 0.3 nm, 20 meV barrier keep their 1.44 meV first gap."""
+    well = Layer(4.0, 0.0, 0.067)
+    cell = CellSpec((well, Layer(0.3, 20.0, 0.067), well), symmetric=True)
+    bands = band_structure(cell, OUT, grid=EnergyGrid.linear(1.0, 600.0, 2))
+    assert len(bands) == 3
+    assert bands[1].lower - bands[0].upper == pytest.approx(1.437, abs=1e-3)
+    mid = 0.5 * (bands[0].upper + bands[1].lower)
+    assert abs(as_model(cell, OUT).trace(mid)) > 2.0 + 1e-4
 
 
 def _random_cells(seed: int, count: int) -> list[CellSpec]:

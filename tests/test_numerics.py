@@ -1,46 +1,21 @@
-"""Bracketed roots and adaptive Simpson quadrature, both on arrays.
+"""Bracketed roots on arrays.
 
 The root finder narrows every bracket with one call of f per step; roots
 known in closed form are its oracles, bisection's step count to the same
 tolerance bounds its calls, and counted kernel calls on the reference
 stack show the superlinear convergence its callers rely on.
-
-The integrand is called once per level with every open panel's new
-points, so the number of calls is bounded by the depth limit, not by the
-number of panels.  Closed forms are the oracles: Simpson's rule is exact on
-a cubic, and a kinked complex exponential integrates by parts.
 """
 
-import cmath
 import math
 
 import numpy as np
 import pytest
 
-from sltime import arc, kard, numerics, scattering
-from sltime.errors import NumericError, QuadratureError
+from sltime import arc, kard, numerics
+from sltime.errors import NumericError
 from sltime.kard import PotentialCell, energy_at_phase
 from sltime.medium import EnergyGrid, representative_cell, representative_stack
-from sltime.numerics import adaptive_simpson, bracket_roots
-
-
-class Counted:
-    """Wraps an integrand; records the shape of every argument it gets."""
-
-    def __init__(self, f):
-        self.f = f
-        self.shapes = []
-
-    def __call__(self, x, *index):
-        assert isinstance(x, np.ndarray)
-        self.shapes.append(x.shape)
-        return self.f(x, *index)
-
-
-def one_integral(f, a, b, breakpoints=(), **kwargs):
-    """adaptive_simpson on the single integral of f(x) over [a, b]."""
-    return adaptive_simpson(lambda x, i: f(x), [a], [b], breakpoints=[breakpoints],
-                            **kwargs)[0]
+from sltime.numerics import bracket_roots
 
 
 class Brackets:
@@ -190,107 +165,3 @@ def test_superlinear_rep5_design_cell_matrix_calls(monkeypatch, rep_band):
     monkeypatch.setattr(arc, "cell_matrix", lambda *a, **k: calls.append(1) or kernel(*a, **k))
     arc.design_rule_of_thumb(representative_cell(), representative_stack().outside, rep_band)
     assert len(calls) <= 700  # with plain bisection to 1e-13, 3289
-
-
-def test_cubic_is_exact():
-    f = Counted(lambda x: 2.0 * x**3 - x**2 + 3.0 * x - 1.0)
-    got = one_integral(f, -1.0, 2.0, tol=1e-12)
-    F = lambda x: 0.5 * x**4 - x**3 / 3.0 + 1.5 * x**2 - x
-    assert got == pytest.approx(F(2.0) - F(-1.0), rel=1e-14)
-    assert len(f.shapes) == 2  # the first refinement already agrees
-
-
-def test_kinked_oscillation_with_breakpoint_matches_closed_form():
-    omega, c, a, b, tol = 7.0, 0.6, -1.0, 2.0, 1e-9
-
-    def G(x):  # an antiderivative of (x - c) e^{i omega x}
-        return cmath.exp(1j * omega * x) * ((x - c) / (1j * omega) + 1.0 / omega**2)
-
-    exact = -(G(c) - G(a)) + (G(b) - G(c))
-    f = Counted(lambda x: np.abs(x - c) * np.exp(1j * omega * x))
-    got = one_integral(f, a, b, tol=tol, breakpoints=[c, 5.0, c])
-    assert abs(got - exact) <= tol
-    assert len(f.shapes) <= 41
-
-
-@pytest.mark.parametrize("max_depth", [12, 40])
-def test_integrand_gets_arrays_once_per_level(max_depth):
-    # sqrt has an unbounded slope at 0, so panels there refine many levels deep
-    f = Counted(np.sqrt)
-    got = one_integral(f, 0.0, 1.0, tol=1e-4, max_depth=max_depth)
-    assert got == pytest.approx(2.0 / 3.0, abs=1e-4)
-    assert len(f.shapes) <= max_depth + 1
-    assert sum(math.prod(s) for s in f.shapes[1:]) % 2 == 0  # two points a panel
-
-
-def test_exhausted_depth_raises_after_max_depth_plus_one_calls():
-    f = Counted(np.sqrt)
-    with pytest.raises(NumericError, match="failed to converge"):
-        one_integral(f, 0.0, 1.0, tol=1e-15, max_depth=3)
-    assert len(f.shapes) == 4
-
-
-@pytest.mark.parametrize("a, b", [(1.0, 1.0), (2.0, 1.0), (0.0, math.nan)])
-def test_empty_or_reversed_interval_raises(a, b):
-    with pytest.raises(NumericError):
-        one_integral(np.sqrt, a, b)
-
-
-def _three_integrands():
-    """A kinked oscillation, sqrt (refined deep near 0) and a cubic, each
-    with its own interval and breakpoints."""
-    omega, c = 7.0, 0.6
-    return [
-        (lambda x: np.abs(x - c) * np.exp(1j * omega * x), -1.0, 2.0, [c, 5.0, c]),
-        (np.sqrt, 0.0, 1.0, [0.25, 0.5]),
-        (lambda x: 2.0 * x**3 - x**2 + 3.0 * x - 1.0, -1.0, 2.0, []),
-    ]
-
-
-def _by_index(integrands):
-    """f(x, i): integrand i at the elements whose index is i."""
-    def f(x, i):
-        out = np.empty(x.shape, dtype=complex)
-        for j, (g, *_) in enumerate(integrands):
-            out[i == j] = g(x[i == j])
-        return out
-    return f
-
-
-@pytest.mark.parametrize("max_depth", [20, 40])  # sqrt needs all 21 calls at 20
-def test_integrals_refined_together_equal_one_integral_calls(max_depth):
-    integrands = _three_integrands()
-    alone = [Counted(g) for g, *_ in integrands]
-    want = [one_integral(g, a, b, tol=1e-6, breakpoints=bp, max_depth=max_depth)
-            for g, (_, a, b, bp) in zip(alone, integrands)]
-    f = Counted(_by_index(integrands))
-    _, a, b, bp = zip(*integrands)
-    got = adaptive_simpson(f, a, b, tol=1e-6, breakpoints=bp, max_depth=max_depth)
-    assert got.tolist() == want  # bit for bit, whatever the company
-    assert len(f.shapes) == max(len(g.shapes) for g in alone) <= max_depth + 1
-
-
-def test_integrals_refined_together_name_the_one_that_fails():
-    """The second integrand jumps inside a panel, so its panel there never
-    converges; the first converges on the first level."""
-    integrands = [(lambda x: x**2, 0.0, 1.0, []),
-                  (lambda x: np.where(x < 0.3, 0.0, 1.0), 0.0, 1.0, [])]
-    f = Counted(_by_index(integrands))
-    with pytest.raises(QuadratureError, match="integral 1 failed to converge") as err:
-        adaptive_simpson(f, [0.0, 0.0], [1.0, 1.0], tol=1e-6, max_depth=10)
-    assert err.value.integral == 1
-    assert len(f.shapes) == 11
-
-
-def test_dwell_density_is_called_on_arrays(monkeypatch):
-    seen = []
-
-    def counting(f, *args, **kwargs):
-        wrapped = Counted(f)
-        seen.append(wrapped)
-        return numerics.adaptive_simpson(wrapped, *args, **kwargs)
-
-    monkeypatch.setattr(scattering, "adaptive_simpson", counting)
-    scattering.dwell_time(representative_stack(), 52.809940510590266)  # sharpest resonance
-    (density,) = seen
-    assert 1 < len(density.shapes) <= 41

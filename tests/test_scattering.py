@@ -3,7 +3,9 @@
 The wavefunction oracle solves the full interface-matching problem as one
 dense linear system (2L + 2 coefficient unknowns), sharing no code with the
 back-propagation reconstruction it checks.  The dwell decomposition is
-validated against the quadrature column, whose only input is |psi|^2.
+validated against the density-integral column, whose only input is the
+reconstructed state, and that integral in turn against a dense composite
+Simpson rule over |psi|^2 sampled by ``interior_wavefunction``.
 """
 
 import cmath
@@ -19,6 +21,7 @@ from sltime.cli import main
 from sltime.errors import NumericError, ValidationError
 from sltime.medium import (
     CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec, load_stack, representative_stack,
+    save_stack,
 )
 from sltime.scattering import (
     _origin_jet,
@@ -182,21 +185,30 @@ def test_scattering_dwell_command_makes_two_stack_matrix_calls(monkeypatch, tmp_
     assert len(out.read_text().splitlines()) == 3 + 40
 
 
-def test_dwell_grid_refined_together_matches_scalar_calls(monkeypatch, tmp_path):
-    """README's dwell command refines the densities of all 40 energies
-    together (317 density calls one energy at a time), and each energy's
-    tau_numeric is exactly what a scalar call gives."""
+def _count_density_integrals(monkeypatch, scale=None):
+    """Record the number of energies of every ``density_integral`` call;
+    with ``scale``, multiply each result by it."""
     calls = []
-    real = sltime.scattering.adaptive_simpson
+    real = sltime.scattering._WaveField.density_integral
 
-    def counting(f, *args, **kwargs):
-        return real(lambda x, i: calls.append(x.size) or f(x, i), *args, **kwargs)
+    def counting(field, *args):
+        calls.append(field.E.size)
+        got = real(field, *args)
+        return got if scale is None else got * scale
 
-    monkeypatch.setattr(sltime.scattering, "adaptive_simpson", counting)
+    monkeypatch.setattr(sltime.scattering._WaveField, "density_integral", counting)
+    return calls
+
+
+def test_dwell_grid_refined_together_matches_scalar_calls(monkeypatch, tmp_path):
+    """README's dwell command integrates the densities of all 40 energies
+    in one call, and each energy's tau_numeric is exactly what a scalar
+    call gives."""
+    calls = _count_density_integrals(monkeypatch)
     out = tmp_path / "dwell.csv"
     assert main(["dwell", "--stack", "stacks/rep5.json", "--emin", "56", "--emax", "60",
                  "--count", "40", "-o", str(out)]) == 0
-    assert 1 < len(calls) <= 41
+    assert calls == [40]
     monkeypatch.undo()
     rows = [line.split(",") for line in out.read_text().splitlines()[3:]]
     stack = load_stack("stacks/rep5.json")
@@ -205,66 +217,35 @@ def test_dwell_grid_refined_together_matches_scalar_calls(monkeypatch, tmp_path)
         assert dwell_time(stack, float(row[0])).tau_numeric == float(row[3])
 
 
-def test_dwell_groups_refined_together_equal_per_energy_calls(monkeypatch):
-    """The densities are refined QUADRATURE_GROUP energies at a time; a call
-    spanning several groups gives every energy's tau_numeric bit for bit as
-    its own call does, and as one group holding the whole grid does."""
-    stack = load_stack("stacks/rep5.json")
-    E = np.linspace(52.0, 65.0, 2 * sltime.scattering.QUADRATURE_GROUP + 3)
-    grouped = dwell_time(stack, E).tau_numeric
-    monkeypatch.setattr(sltime.scattering, "QUADRATURE_GROUP", E.size)
-    assert (dwell_time(stack, E).tau_numeric == grouped).all()
-    monkeypatch.setattr(sltime.scattering, "QUADRATURE_GROUP", 3)
-    E = E[::20]
-    assert list(dwell_time(stack, E).tau_numeric) == [dwell_time(stack, e).tau_numeric for e in E]
-
-
-def test_dwell_failure_in_a_later_group_names_its_energy(monkeypatch):
-    """A quadrature failure in the second group names the grid's energy and
-    its index in the grid, not its index in the group."""
-    real = sltime.scattering.adaptive_simpson
-    calls = []
-
-    def jump_in_second_group(f, *args, **kwargs):
-        calls.append(1)
-        g = f if len(calls) == 1 else lambda x, i: f(x, i) + (i == 0) * (x > 0.123)
-        return real(g, *args, **kwargs)
-
-    monkeypatch.setattr(sltime.scattering, "adaptive_simpson", jump_in_second_group)
-    monkeypatch.setattr(sltime.scattering, "QUADRATURE_GROUP", 2)
-    with pytest.raises(NumericError, match=r"at E = 58\.0 meV: integral 2 failed"):
-        dwell_time(load_stack("stacks/rep5.json"), np.array([57.0, 57.5, 58.0, 58.5]))
-
-
 def test_dwell_failure_together_names_the_energy(monkeypatch, tmp_path, capsys):
-    """Only the second energy's density jumps inside a panel, so only its
-    quadrature cannot converge; the error names that energy."""
-    real = sltime.scattering.adaptive_simpson
-
-    def jump_at_second(f, *args, **kwargs):
-        return real(lambda x, i: f(x, i) + (i == 1) * (x > 0.123), *args, **kwargs)
-
-    monkeypatch.setattr(sltime.scattering, "adaptive_simpson", jump_at_second)
-    stack = load_stack("stacks/rep5.json")
-    with pytest.raises(NumericError, match=r"at E = 58\.5 meV: .*integral 1 failed"):
-        dwell_time(stack, np.array([57.0, 58.5]))
+    """Only the second energy's density integral is off; the command exits
+    4 and names that energy."""
+    _count_density_integrals(monkeypatch, np.array([1.0, 1.5]))
     code = main(["dwell", "--stack", "stacks/rep5.json", "--emin", "57", "--emax", "58.5",
                  "--count", "2", "-o", str(tmp_path / "dwell.csv")])
     assert code == 4
-    assert "at E = 58.5 meV" in capsys.readouterr().err
+    assert "disagree at E = 58.5 meV" in capsys.readouterr().err
 
 
 def test_dwell_gate_refined_together_names_the_first_failing_energy(monkeypatch):
-    """The closed-form vs quadrature gate fires at the first energy of the
-    grid whose density integral is off, not at a later one."""
-    real = sltime.scattering.adaptive_simpson
-
-    def off_from_second(f, *args, **kwargs):
-        return real(f, *args, **kwargs) * np.array([1.0, 1.0, 2.0, 2.0])
-
-    monkeypatch.setattr(sltime.scattering, "adaptive_simpson", off_from_second)
+    """The closed-form vs density-integral gate fires at the first energy
+    of the grid whose density integral is off, not at a later one."""
+    _count_density_integrals(monkeypatch, np.array([1.0, 1.0, 2.0, 2.0]))
     with pytest.raises(NumericError, match=r"disagree at E = 58\.0 meV"):
         dwell_time(load_stack("stacks/rep5.json"), np.array([57.0, 57.5, 58.0, 58.5]))
+
+
+@pytest.mark.parametrize("scale, passes", [(1.0099, True), (1.0101, False), (math.nan, False)])
+def test_dwell_gate_is_unchanged(monkeypatch, scale, passes):
+    """The gate passes a density integral off by just under 1e-2 of the
+    closed form and fails one off by just over it, or one that is NaN."""
+    _count_density_integrals(monkeypatch, scale)
+    stack = load_stack("stacks/rep5.json")
+    if passes:
+        dwell_time(stack, 58.5)
+    else:
+        with pytest.raises(NumericError, match=r"disagree at E = 58\.5 meV"):
+            dwell_time(stack, 58.5)
 
 
 def test_smith_matrix_symmetric_stack_structure():
@@ -371,15 +352,71 @@ def test_dwell_closed_form_matches_density_integral():
 
 
 def test_dwell_quadrature_resolves_a_fast_lead_fringe():
-    """At 229 meV the 0.14-mass leads have a fringe period pi/k = 3.42 nm;
-    a lead panel 13.5 nm wide, sampled every 3.375 nm, used to alias it and
-    return 51.0878 fs against the closed form's 52.4615 fs (a 400001-point
-    trapezoid of the same density gives 52.46145413 fs)."""
+    """At 229 meV the 0.14-mass leads have a fringe period pi/k = 3.42 nm.
+    A quadrature with 13.5 nm lead panels, sampled every 3.375 nm, aliased
+    it and returned 51.0878 fs against the closed form's 52.4615 fs (a
+    400001-point trapezoid of the same density gives 52.46145413 fs); the
+    exact lead-piece integral has no samples to alias."""
     stack = StackSpec(core=CellSpec((Layer(6.0, 0.0, 0.125), Layer(7.5, 0.0, 0.125))),
                       replicas=1, outside=Layer(2.0, 0.0, 0.140625))
     d = dwell_time(stack, 229.0)
     assert d.dwell_time == pytest.approx(52.46145413, rel=1e-8)
+    assert d.tau_numeric == pytest.approx(d.dwell_time, rel=1e-12)
+
+
+def _simpson_density(stack, E, x_left, x_right, per=400):
+    """Composite Simpson of |psi|^2 over [x_left, x_right], 2 * per panels
+    between every two interfaces, so no panel straddles a kink."""
+    knots = np.concatenate([[x_left], stack.interfaces(), [x_right]])
+    total = 0.0
+    for lo, hi in zip(knots[:-1], knots[1:]):
+        f = np.abs(interior_wavefunction(stack, E, np.linspace(lo, hi, 2 * per + 1))) ** 2
+        total += (hi - lo) / (6 * per) * (f[0] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum() + f[-1])
+    return total
+
+
+@pytest.mark.parametrize("name, E", [("rep5", 52.809940510590266), ("rep5", 58.5),
+                                     ("rep5", 63.0), ("narrow", 64.4633365217519),
+                                     ("narrow", 64.43085692583227)])
+def test_dwell_density_integral_matches_dense_simpson(name, E):
+    """The exact layer-by-layer integral against a dense composite Simpson
+    rule of the sampled density, which converges to it as h^4 (6e-11 here
+    at the narrow band's resonances, 9e-10 with half the panels)."""
+    stack = load_stack("stacks/rep5.json") if name == "rep5" else NARROW_BAND
+    d = dwell_time(stack, E)
+    assert d.tau_numeric == pytest.approx(_simpson_density(stack, E, d.x_left, d.x_right),
+                                          rel=1e-9)
+    xl, xr = -0.5 * stack.width - 7.3, 0.5 * stack.width + 2.9
+    d = dwell_time(stack, E, xl, xr)
+    assert d.tau_numeric == pytest.approx(_simpson_density(stack, E, xl, xr), rel=1e-9)
+
+
+#: (half well, barrier, N, E) of well/barrier/well stacks between rep5's
+#: leads, each at a resonance where the dwell time is 3e5-8e6 fs.  An
+#: adaptive quadrature with an absolute tolerance of 1e-6 fs, which float64
+#: cannot reach at that size, raised on each, so ``sltime dwell`` exited 4
+#: on valid input.
+SHARP_RESONANCES = [
+    (1.9564685045772578, 10.86296623967415, 4, 105.9267115886012),
+    (2.9570872875985676, 10.724041938995665, 4, 65.7599344984302),
+    (2.615488523022533, 11.69086701289255, 6, 76.50491685846478),
+    (1.693742228776241, 11.28437694427405, 4, 122.27632821263882),
+]
+
+
+@pytest.mark.parametrize("half_well, barrier, n, E", SHARP_RESONANCES)
+def test_dwell_at_sharp_resonances_returns(tmp_path, half_well, barrier, n, E):
+    well = Layer(half_well, 0.0, 0.067)
+    stack = StackSpec(core=CellSpec((well, Layer(barrier, 290.0, 0.0919), well),
+                                    symmetric=True),
+                      replicas=n, outside=Layer(9.5, 0.0, 0.067))
+    d = dwell_time(stack, E)
+    assert d.dwell_time > 3e5
     assert d.tau_numeric == pytest.approx(d.dwell_time, rel=1e-8)
+    save_stack(stack, tmp_path / "stack.json")
+    assert main(["dwell", "--stack", str(tmp_path / "stack.json"), "--emin", repr(E),
+                 "--emax", repr(E + 0.003), "--count", "2",
+                 "-o", str(tmp_path / "dwell.csv")]) == 0
 
 
 def test_dwell_smooth_term_equals_smith_delay():
@@ -391,8 +428,9 @@ def test_dwell_smooth_term_equals_smith_delay():
 
 
 def test_oscillatory_term_recovered_from_density_integral():
-    """Vary only the left window edge: the quadrature minus the smooth and
-    classical parts must trace the predicted standing-wave fringe."""
+    """Vary only the left window edge: the density integral minus the
+    smooth and classical parts must trace the predicted standing-wave
+    fringe."""
     stack = representative_stack()
     E = 57.0
     amp_origin = amplitudes(stack_matrix(E, stack))
