@@ -10,7 +10,7 @@ optical coating with refractive index sqrt(n).  The cancellation is an
 identity of the angle parameterization: conjugating the core's N-cell
 rotation by a quarter-turn boost of half strength removes the hyperbolic
 factor from the total matrix, provided the two cells share the boost
-direction chi.
+direction chi.  ``tmatrix.stack_matrix`` multiplies out a dressed stack.
 
 ``design_rule_of_thumb`` scales the core's widths and potentials and meets
 the two matching conditions at the band-center energy as two nested
@@ -29,7 +29,7 @@ from .errors import NumericError, ValidationError
 from .kard import Band, PotentialCell, decompose, energy_at_phase
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec
 from .numerics import bracket_roots
-from .tmatrix import TransferMatrix, amplitudes, cell_matrix, compose, energy_jet, stack_matrix
+from .tmatrix import TransferMatrix, amplitudes, cell_matrix, energy_jet, stack_matrix
 
 __all__ = [
     "ArcDesign",
@@ -64,17 +64,8 @@ class ArcDesign:
 
 
 def compose_with_arc(stack: StackSpec, E: float | np.ndarray) -> TransferMatrix:
-    """Total matrix M_arcL (M_core)^N M_arcR at energy E (scalar or array).
-
-    The core block is raised to its power by squaring rather than cell by
-    cell; with no end cells this is just the bare array matrix.
-    """
-    total = cell_matrix(E, stack.core, stack.outside).power(stack.replicas)
-    if stack.left_arc is not None:
-        total = compose(cell_matrix(E, stack.left_arc, stack.outside), total)
-    if stack.right_arc is not None:
-        total = compose(total, cell_matrix(E, stack.right_arc, stack.outside))
-    return total
+    """``tmatrix.stack_matrix`` under its older name, which perfbench's tracer wraps."""
+    return stack_matrix(E, stack)
 
 
 def band_average_transmission(
@@ -92,7 +83,7 @@ def band_average_transmission(
         raise ValidationError(
             f"band average needs >= 2000 samples, got {grid.count}"
         )
-    return float(np.mean(amplitudes(compose_with_arc(stack, grid.samples)).T))
+    return float(np.mean(amplitudes(stack_matrix(grid.samples, stack)).T))
 
 
 def stack_phase_time(stack: StackSpec, E: float | np.ndarray):

@@ -22,12 +22,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from . import __version__
-from .arc import (
-    band_average_transmission,
-    compose_with_arc,
-    design_rule_of_thumb,
-    stack_phase_time,
-)
+from .arc import band_average_transmission, design_rule_of_thumb, stack_phase_time
 from .errors import NumericError, ValidationError
 from .kard import Band, as_model, band_structure, decompose
 from .medium import (
@@ -50,7 +45,7 @@ from .tdse import (
     stationary_packet_delay,
 )
 from .timing import bloch_time, free_time, timing_curve, transmission_sweep
-from .tmatrix import amplitudes
+from .tmatrix import amplitudes, stack_matrix
 
 #: Band window (meV) wide enough to hold the first few minibands of any
 #: stack this tool targets; every band in it is found, its edges polished to
@@ -203,6 +198,9 @@ def _cmd_dwell(args) -> None:
 
 
 def _cmd_resonances(args) -> None:
+    flags = [f"--{k}" for k in ("emin", "emax", "count") if getattr(args, k) is not None]
+    if flags and not args.curves:
+        raise ValidationError(f"{' and '.join(flags)} shape only the --curves sweep")
     model, _, n = _load_model(args)
     band = _pick_band(model, args.band)
     if args.curves:  # before anything is written, so that a bad grid leaves no file
@@ -317,8 +315,8 @@ def _cmd_arc_evaluate(args) -> None:
     }
     _write_json(args.output, summary)
     if args.csv:
-        t_bare = abs(amplitudes(compose_with_arc(bare, grid.samples)).t) ** 2
-        t_full = abs(amplitudes(compose_with_arc(stack, grid.samples)).t) ** 2
+        t_bare = abs(amplitudes(stack_matrix(grid.samples, bare)).t) ** 2
+        t_full = abs(amplitudes(stack_matrix(grid.samples, stack)).t) ** 2
         _write_csv(args.csv, _config_header(args), ["E_meV", "T_core", "T_stack"],
                    zip(grid.samples, t_bare, t_full))
 
@@ -398,8 +396,9 @@ def _cmd_reproduce(args) -> None:
     n = stack.replicas
     if k in (7, 8):
         peaks, _ = fit_extrema(model, None, n, band)
-        curve = timing_curve(model, None, n, EnergyGrid.linear(*band.interior(5e-3), 1600),
-                             band=band, refine=[(pk.E_m, pk.Gamma_m) for pk in peaks])
+        grid = EnergyGrid.linear(*band.interior(5e-3), _count(args, 1600))
+        curve = timing_curve(model, None, n, grid, band=band,
+                             refine=[(pk.E_m, pk.Gamma_m) for pk in peaks])
         if k == 7:
             _write_csv(str(outdir / "fig7.csv"), header,
                        ["E_meV", "T_N", "tau_ph_fs", "env_max_fs", "env_min_fs",
@@ -414,13 +413,13 @@ def _cmd_reproduce(args) -> None:
         return
 
     # Figure 9: the wave-packet experiment on the ARC-terminated array.
+    E = EnergyGrid.linear(*band.interior(5e-3), _count(args, 400)).samples
     design = design_rule_of_thumb(stack.core, stack.outside, band)
     dressed = dataclasses.replace(stack, left_arc=design.arc_cell,
                                   right_arc=design.arc_cell)
-    E = EnergyGrid.linear(*band.interior(5e-3), 400).samples
     _write_csv(str(outdir / "fig9_curve.csv"), header,
                ["E_meV", "T_stack", "tau_ph_fs", "bloch_fs", "free_fs"],
-               zip(E, abs(amplitudes(compose_with_arc(dressed, E)).t) ** 2,
+               zip(E, abs(amplitudes(stack_matrix(E, dressed)).t) ** 2,
                    stack_phase_time(dressed, E), n * bloch_time(model, None, E, band=band),
                    free_time(dressed.width, E, dressed.outside)))
 

@@ -411,12 +411,13 @@ def kard_derivatives(
     scalar throughout.  Every E must be inside an allowed band, and inside
     ``band`` when one is given.
     """
-    return _kard_derivatives(as_model(cell, outside), E, band, second=True)
+    return _kard_derivatives(as_model(cell, outside), E, band, second=True)[0]
 
 
-def _kard_derivatives(model: CellModel, E, band: Band | None, second: bool) -> KardDerivatives:
-    """``kard_derivatives``; without ``second`` the kernel carries first
-    derivatives only and phi'' is nan (the timing closed forms need none)."""
+def _kard_derivatives(model: CellModel, E, band: Band | None, second: bool) -> tuple:
+    """``kard_derivatives`` and the cell matrix, ``model.matrix(E)``, it came
+    from; without ``second`` the kernel carries first derivatives only and
+    phi'' is nan (the timing closed forms need none)."""
     if band is not None:
         _reject(E, np.less(E, band.lower) | np.greater(E, band.upper),
                 f"outside band {band.index} [{band.lower}, {band.upper}]")
@@ -442,4 +443,4 @@ def _kard_derivatives(model: CellModel, E, band: Band | None, second: bool) -> K
     if np.ndim(E) == 0:
         out = tuple(float(x) for x in out)
     phi, mu, chi, phi_p, phi_pp, mu_p = out
-    return KardDerivatives(KardParams(phi, mu, chi), phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p)
+    return KardDerivatives(KardParams(phi, mu, chi), phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p), M

@@ -113,7 +113,8 @@ class StackSpec:
     """A finite superlattice: N core replicas, optional end cells, uniform leads.
 
     The leads are identical on both sides (no bias), described by ``outside``:
-    its potential sets the energy reference and is normally 0.
+    its potential sets the energy reference and is normally 0.  ``segments``
+    and ``tmatrix.stack_matrix`` run left end cell, N cores, right end cell.
     """
 
     core: CellSpec
@@ -137,22 +138,11 @@ class StackSpec:
             w += self.right_arc.width
         return w
 
-    def cells(self) -> list[CellSpec]:
-        """All cells left to right, end cells included."""
-        out: list[CellSpec] = []
-        if self.left_arc is not None:
-            out.append(self.left_arc)
-        out.extend([self.core] * self.replicas)
-        if self.right_arc is not None:
-            out.append(self.right_arc)
-        return out
-
     def segments(self) -> list[Layer]:
         """Flat layer sequence of the scattering region, left to right."""
-        out: list[Layer] = []
-        for cell in self.cells():
-            out.extend(cell.layers)
-        return out
+        left = self.left_arc.layers if self.left_arc is not None else ()
+        right = self.right_arc.layers if self.right_arc is not None else ()
+        return [*left, *self.core.layers * self.replicas, *right]
 
     def interfaces(self) -> np.ndarray:
         """Positions (nm) of the len(segments()) + 1 layer interfaces, left

@@ -411,14 +411,16 @@ def plan_run(
     return grid, packet, half_w + dx, x_d
 
 
+#: ``stationary_packet_delay``'s centroid sampling step (fs) and plane-wave count.
+_SAMPLE_DT, _N_K = 20.0, 800
+
+
 def stationary_packet_delay(
     stack: StackSpec,
     packet: WavePacket,
     x_sep: float,
     x_d: float,
     t_max: float,
-    dt_sample: float = 20.0,
-    n_k: int = 800,
 ) -> float:
     """Centroid-crossing delay predicted by the stationary amplitudes.
 
@@ -433,7 +435,7 @@ def stationary_packet_delay(
     """
     k0 = packet.k0(stack.outside)
     sigma_k = 0.5 / packet.sigma_x
-    k = np.linspace(k0 - 6.5 * sigma_k, k0 + 6.5 * sigma_k, n_k)
+    k = np.linspace(k0 - 6.5 * sigma_k, k0 + 6.5 * sigma_k, _N_K)
     if k[0] <= 0:
         raise ValidationError("packet spectrum reaches k <= 0; use a narrower packet")
     spec = np.exp(-(packet.sigma_x**2) * (k - k0) ** 2 - 1j * (k - k0) * packet.x0)
@@ -445,7 +447,7 @@ def stationary_packet_delay(
     v0 = CONSTANTS.velocity(k0, stack.outside.mass_ratio)
     x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)
     phase_x = np.exp(1j * np.outer(k, x))  # (n_k, n_x)
-    times = np.arange(0.0, t_max, dt_sample)
+    times = np.arange(0.0, t_max, _SAMPLE_DT)
     phase_t = -1j * omega
 
     def crossing(weights: np.ndarray) -> float:

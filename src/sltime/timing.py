@@ -77,7 +77,7 @@ def bloch_time(
     band: Band | None = None,
 ):
     """Per-cell traversal time hbar phi' (fs) at band-interior energy E."""
-    d = _kard_derivatives(as_model(cell, outside), E, band, second=False)
+    d, _ = _kard_derivatives(as_model(cell, outside), E, band, second=False)
     tau = CONSTANTS.hbar * d.phi_p
     if np.any(tau <= 0.0):
         raise NumericError(f"nonpositive Bloch time at E = {E} meV: phi' = {d.phi_p}")
@@ -104,7 +104,7 @@ def phase_time(
     """Stationary-phase time hbar d(arg t_N)/dE (fs) for the N-cell array."""
     if N < 1:
         raise ValidationError(f"need at least one cell, got N = {N}")
-    d = _kard_derivatives(as_model(cell, outside), E, band, second=False)
+    d, _ = _kard_derivatives(as_model(cell, outside), E, band, second=False)
     return _phase_time_from(d, N)
 
 
@@ -123,14 +123,13 @@ def envelopes(
     because Im M11 = -sin(phi) cosh(mu); disagreement beyond 1e-8 relative
     means the decomposition and the matrix have drifted apart.
     """
-    model = as_model(cell, outside)
-    d = _kard_derivatives(model, E, band, second=False)
+    d, M = _kard_derivatives(as_model(cell, outside), E, band, second=False)
     ch = np.cosh(d.params.mu)
     bloch_total = N * CONSTANTS.hbar * d.phi_p
     env_max = bloch_total * ch
     env_min = bloch_total / ch
     c_p = -d.phi_p * np.sin(d.params.phi)
-    m_form = N * CONSTANTS.hbar * c_p / model.matrix(E).m11.imag
+    m_form = N * CONSTANTS.hbar * c_p / M.m11.imag
     if np.any(np.abs(m_form - env_min) > 1e-8 * np.abs(env_min)):
         raise NumericError(
             f"envelope cross-check failed at E = {E} meV: "
@@ -264,7 +263,7 @@ def timing_curve(
     hi = band.upper if band is not None else float(grid.samples[-1])
     samples = _refined_samples(grid, refine, lo, hi)
 
-    d = _kard_derivatives(model, samples, band, second=False)
+    d, _ = _kard_derivatives(model, samples, band, second=False)
     phi, mu = d.params.phi, d.params.mu
     ch = np.cosh(mu)
     bloch = N * CONSTANTS.hbar * d.phi_p

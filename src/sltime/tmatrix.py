@@ -11,7 +11,8 @@ where the left coefficients are phase-referenced to the cell's left edge and
 the right ones to its right edge, i.e. psi = A e^{ik(x-a)} + B e^{-ik(x-a)}
 on the left of a cell spanning [a, b].  With this reference choice the
 matrix of n abutting cells is the ordered product M_1 ... M_n, and a free
-cell gives exactly diag(e^{-ikw}, e^{+ikw}).
+cell gives exactly diag(e^{-ikw}, e^{+ikw}).  A stack's matrix is that
+product in one form: left end cell, core^N (by squaring), right end cell.
 
 Because the interior propagator is real and the leads are identical, M
 always satisfies M22 = conj(M11), M12 = conj(M21), det M = 1 (equivalently
@@ -45,7 +46,6 @@ __all__ = [
     "energy_jet",
     "cell_matrix",
     "stack_matrix",
-    "compose",
     "amplitudes",
 ]
 
@@ -54,8 +54,8 @@ class Jet:
     d2 is None for a first-order jet.
 
     Sums, products and quotients follow the Leibniz and quotient rules, so
-    code written for plain numbers -- the layer product, ``compose``,
-    ``amplitudes`` -- carries exact derivatives when handed jets, and
+    code written for plain numbers -- the layer product, the matrix product
+    ``@``, ``amplitudes`` -- carries exact derivatives when handed jets, and
     computes the value part by the very operations it does on numbers.
     Parts are scalars or arrays alike.
     """
@@ -127,7 +127,7 @@ class TransferMatrix:
 
     m11 and m21 are complex scalars, or complex arrays holding one matrix
     per energy, or jets of either.  ref_energy tags the energy the matrix
-    was evaluated at, so that ``compose`` can refuse to mix energies;
+    was evaluated at, so that ``@`` can refuse to mix energies;
     matrices made by abstract reconstruction leave it None.
     """
 
@@ -140,34 +140,27 @@ class TransferMatrix:
         return 2.0 * self.m11.real
 
     def __matmul__(self, other: "TransferMatrix") -> "TransferMatrix":
-        return compose(self, other)
+        """Matrix product self @ other; their energies must agree."""
+        ea, eb = self.ref_energy, other.ref_energy
+        if not (ea is None or eb is None or ea is eb or np.allclose(ea, eb, 1e-12, 1e-12)):
+            raise ValidationError(f"composing matrices at different energies: {ea} vs {eb}")
+        return TransferMatrix(
+            m11=self.m11 * other.m11 + self.m21.conjugate() * other.m21,
+            m21=self.m21 * other.m11 + self.m11.conjugate() * other.m21,
+            ref_energy=ea if ea is not None else eb,
+        )
 
     def power(self, n: int) -> "TransferMatrix":
         """M^n by binary exponentiation (n >= 0)."""
         if n < 0:
             raise NumericError(f"negative power {n}")
-        result = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, self.ref_energy)
-        base = self
-        m = n
-        while m:
-            if m & 1:
+        result, base = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, self.ref_energy), self
+        while n:
+            if n & 1:
                 result = result @ base
             base = base @ base
-            m >>= 1
+            n >>= 1
         return result
-
-
-def compose(left: TransferMatrix, right: TransferMatrix) -> TransferMatrix:
-    """Matrix product left @ right; their energies must agree."""
-    ea, eb = left.ref_energy, right.ref_energy
-    same = ea is None or eb is None or ea is eb or np.allclose(ea, eb, 1e-12, 1e-12)
-    if not same:
-        raise ValidationError(f"composing matrices at different energies: {ea} vs {eb}")
-    return TransferMatrix(
-        m11=left.m11 * right.m11 + left.m21.conjugate() * right.m21,
-        m21=left.m21 * right.m11 + left.m11.conjugate() * right.m21,
-        ref_energy=ea if ea is not None else eb,
-    )
 
 
 @dataclass(frozen=True)
@@ -333,16 +326,16 @@ def cell_matrix(E, cell: CellSpec, outside: Layer) -> TransferMatrix:
 
 
 def stack_matrix(E, stack: StackSpec) -> TransferMatrix:
-    """Total transfer matrix of a stack, ordered left cell first.
+    """Total transfer matrix M_left (M_core)^N M_right of a stack.
 
-    Each distinct cell is evaluated once; the product runs cell by cell.
+    The core is raised to its power by squaring; a stack without end cells
+    gives the bare array matrix.  A jet energy gives jet entries.
     """
-    matrices = {}
-    total = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, ref_energy=E)
-    for cell in stack.cells():
-        if cell not in matrices:
-            matrices[cell] = cell_matrix(E, cell, stack.outside)
-        total = total @ matrices[cell]
+    total = cell_matrix(E, stack.core, stack.outside).power(stack.replicas)
+    if stack.left_arc is not None:
+        total = cell_matrix(E, stack.left_arc, stack.outside) @ total
+    if stack.right_arc is not None:
+        total = total @ cell_matrix(E, stack.right_arc, stack.outside)
     return total
 
 

@@ -30,7 +30,7 @@ from sltime.medium import (
     representative_stack,
 )
 from sltime.timing import phase_time
-from sltime.tmatrix import amplitudes, compose, stack_matrix
+from sltime.tmatrix import amplitudes, cell_matrix, stack_matrix
 
 OUT = Layer(9.5, 0.0, 0.067)
 
@@ -65,7 +65,7 @@ def test_quarter_wave_half_mu_cancellation(phi, mu, chi, N):
         phi += 2e-3  # keep the core matrix decomposable, not an edge case
     core = reconstruct(KardParams(phi=phi, mu=mu, chi=chi))
     arc = reconstruct(KardParams(phi=0.5 * math.pi, mu=0.5 * mu, chi=chi))
-    total = compose(compose(arc, core.power(N)), arc)
+    total = arc @ core.power(N) @ arc
     assert amplitudes(total).T == pytest.approx(1.0, abs=1e-10)
 
 
@@ -74,7 +74,7 @@ def test_cancellation_needs_aligned_boost_direction():
     good = reconstruct(KardParams(phi=0.5 * math.pi, mu=0.75, chi=0.3))
     bad_chi = reconstruct(KardParams(phi=0.5 * math.pi, mu=0.75, chi=1.1))
     bad_mu = reconstruct(KardParams(phi=0.5 * math.pi, mu=1.5, chi=0.3))
-    T = lambda arc: amplitudes(compose(compose(arc, core.power(4)), arc)).T
+    T = lambda arc: amplitudes(arc @ core.power(4) @ arc).T
     assert T(good) == pytest.approx(1.0, abs=1e-12)
     assert T(bad_chi) < 0.999
     assert T(bad_mu) < 0.999
@@ -123,7 +123,7 @@ def test_dressed_stack_transparent_at_matching_energy(design):
         left_arc=design.arc_cell,
         right_arc=design.arc_cell,
     )
-    T = amplitudes(compose_with_arc(dressed, design.target_energy)).T
+    T = amplitudes(stack_matrix(design.target_energy, dressed)).T
     assert T == pytest.approx(1.0, abs=1e-5)
 
 
@@ -143,20 +143,28 @@ def test_band_average_improvement(design, rep_band):
     assert avg_dressed > 4.0 * avg_bare
 
 
-def test_compose_with_arc_matches_flat_product(design):
-    dressed = StackSpec(
-        core=representative_cell(),
-        replicas=3,
-        outside=OUT,
-        left_arc=design.arc_cell,
-        right_arc=design.arc_cell,
-    )
-    for E in (54.0, 57.9, 61.0, 45.0):
-        fast = compose_with_arc(dressed, E)
-        flat = stack_matrix(E, dressed)
-        scale = max(1.0, abs(flat.m11))
-        assert abs(fast.m11 - flat.m11) < 1e-10 * scale
-        assert abs(fast.m21 - flat.m21) < 1e-10 * scale
+def test_dressed_stack_matrix_is_the_sequential_cell_product(design):
+    """End cell, core^3 by squaring, end cell, against the cell-by-cell
+    product, to 1e-12 of the product of the factors' norms; in band, at
+    the matching energy, and in the gap below the band."""
+    arc, core = design.arc_cell, representative_cell()
+    dressed = StackSpec(core=core, replicas=3, outside=OUT, left_arc=arc, right_arc=arc)
+    E = np.array([54.0, design.target_energy, 61.0, 45.0])
+    A, C = cell_matrix(E, arc, OUT), cell_matrix(E, core, OUT)
+    flat = A @ C @ C @ C @ A
+    scale = (abs(A.m11) + abs(A.m21)) ** 2 * (abs(C.m11) + abs(C.m21)) ** 3
+    M = stack_matrix(E, dressed)
+    assert np.all(abs(M.m11 - flat.m11) <= 1e-12 * scale)
+    assert np.all(abs(M.m21 - flat.m21) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("E", [57.9, np.linspace(52.0, 64.0, 7)])
+def test_compose_with_arc_is_stack_matrix(design, E):
+    """The older name returns the very same matrix, bit for bit."""
+    dressed = StackSpec(core=representative_cell(), replicas=5, outside=OUT,
+                        left_arc=design.arc_cell, right_arc=design.arc_cell)
+    old, new = compose_with_arc(dressed, E), stack_matrix(E, dressed)
+    assert np.array_equal(old.m11, new.m11) and np.array_equal(old.m21, new.m21)
 
 
 def test_stack_phase_time_matches_band_formula(rep_band):

@@ -281,6 +281,47 @@ def test_band_flag_is_refused_where_it_would_be_ignored(command, capsys, tmp_pat
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags", [
+    ["--count", "400"], ["--emin", "55"], ["--emax", "61"],
+    ["--count", "400", "--emin", "55", "--emax", "61"],
+], ids=["count", "emin", "emax", "all"])
+def test_resonances_sweep_flags_need_curves(flags, capsys, tmp_path):
+    """--emin, --emax and --count shape only the --curves sweep; without
+    it they would be echoed in the header and silently ignored."""
+    out = tmp_path / "out.csv"
+    assert main(["resonances", "--stack", STACK, *flags, "-o", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert "--curves" in err and flags[0] in err
+    assert not out.exists()
+    curves = tmp_path / "curves.csv"
+    assert main(["resonances", "--stack", STACK, *flags, "--curves", str(curves),
+                 "-o", str(out)]) == 0
+    assert out.exists() and curves.exists()
+
+
+@pytest.mark.parametrize("k", [7, 8])
+def test_reproduce_honours_count(k, capsys, tmp_path):
+    """--count sets the base grid of figures 7 and 8 (the default, 1600,
+    writes the committed figure); the resonance refinement comes on top."""
+    def rows(path):
+        return [line for line in path.read_text().splitlines() if not line.startswith("#")]
+
+    assert main(["reproduce", "--figure", str(k), "--count", "50",
+                 "--outdir", str(tmp_path)]) == 0
+    fewer = rows(tmp_path / f"fig{k}.csv")
+    assert 50 < len(fewer) - 1 < len(rows(Path("figures") / f"fig{k}.csv")) - 1
+    assert main(["reproduce", "--figure", str(k), "--count", "1",
+                 "--outdir", str(tmp_path / "one")]) == 3
+    assert "count must be >= 2" in capsys.readouterr().err
+    assert not (tmp_path / "one" / f"fig{k}.csv").exists()
+
+
+def test_reproduce_figure_9_refuses_a_bad_count_before_any_packet_run(capsys, tmp_path):
+    assert main(["reproduce", "--figure", "9", "--count", "1", "--outdir", str(tmp_path)]) == 3
+    assert "count must be >= 2" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def _edit_rep5(path, edit):
     data = json.loads(open(STACK).read())
     edit(data)

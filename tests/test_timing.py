@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from conftest import play_energies
-from sltime import precise, timing
+from sltime import kard, precise, timing
 from sltime.cli import main
 from sltime.errors import NearBandEdgeError, NumericError, ValidationError
 from sltime.kard import PotentialCell, as_model, band_structure, energy_at_phase
@@ -227,3 +227,23 @@ def test_phase_time_meets_both_envelope_identities(N):
     tau = phase_time(model, None, N, E, band=band)
     assert tau == pytest.approx(env_max, rel=1e-9)
     assert env_max * env_min == pytest.approx(n_bloch**2, rel=1e-12)
+
+
+def test_envelopes_evaluate_the_cell_matrix_once(monkeypatch, rep_band):
+    """The 1e-8 cross-check reads Im M11 from the matrix the derivative call
+    built, the value part of its jet: bit for bit the plain kernel's matrix,
+    so one ``cell_matrix`` call serves both."""
+    model = PotentialCell(representative_cell(), OUT)
+    E = np.linspace(*rep_band.interior(1e-3), 800)
+    for energy in (E, float(E[123])):
+        M = kard._kard_derivatives(model, energy, rep_band, second=False)[1]
+        plain = model.matrix(energy)
+        assert np.array_equal(M.m11, plain.m11) and np.array_equal(M.m21, plain.m21)
+    curve = timing_curve(model, None, 5, EnergyGrid(E), band=rep_band)
+    real, calls = kard.cell_matrix, []
+    monkeypatch.setattr(kard, "cell_matrix", lambda *args: calls.append(args) or real(*args))
+    env_max, env_min, n_bloch = envelopes(model, None, 5, E, band=rep_band)
+    assert len(calls) == 1
+    assert np.array_equal(env_max, curve.env_max)
+    assert np.array_equal(env_min, curve.env_min)
+    assert np.array_equal(n_bloch, curve.tau_bloch_total)

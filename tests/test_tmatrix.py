@@ -15,13 +15,14 @@ from hypothesis import assume, given, strategies as st
 
 from conftest import asymmetric_cells, stacks, symmetric_cells
 from sltime.errors import ValidationError
-from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec
+from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, load_stack
 from sltime.tmatrix import (
     Amplitudes,
+    Jet,
     TransferMatrix,
     amplitudes,
     cell_matrix,
-    compose,
+    energy_jet,
     stack_matrix,
 )
 
@@ -142,17 +143,65 @@ def test_power_equals_repeated_compose(cell, E, n):
     P = M.power(n)
     Q = M
     for _ in range(n - 1):
-        Q = compose(Q, M)
+        Q = Q @ M
     assert P.m11 == pytest.approx(Q.m11, rel=1e-9, abs=1e-9)
     assert P.m21 == pytest.approx(Q.m21, rel=1e-9, abs=1e-9)
 
 
-def test_stack_matrix_equals_cell_power(rep_stack):
-    E = 57.0
-    M = stack_matrix(E, rep_stack)
-    P = cell_matrix(E, rep_stack.core, outside=rep_stack.outside).power(5)
-    assert M.m11 == pytest.approx(P.m11, rel=1e-12)
-    assert M.m21 == pytest.approx(P.m21, rel=1e-12)
+def _sequential_product(E, stack: StackSpec):
+    """Every cell of the stack, left end cell first, multiplied on one at a
+    time, and the product of the factors' norms |m11| + |m21| (with |d/dE|
+    of both entries added for a jet), which bounds that product's roundoff."""
+    cells = [stack.core] * stack.replicas
+    if stack.left_arc is not None:
+        cells.insert(0, stack.left_arc)
+    if stack.right_arc is not None:
+        cells.append(stack.right_arc)
+    total, scale = None, 1.0
+    for cell in cells:
+        M = cell_matrix(E, cell, stack.outside)
+        total = M if total is None else total @ M
+        parts = ((M.m11.v, M.m21.v, M.m11.d1, M.m21.d1) if isinstance(M.m11, Jet)
+                 else (M.m11, M.m21))
+        scale = scale * sum(abs(part) for part in parts)
+    return total, scale
+
+
+def _assert_products_agree(M, Q, scale):
+    """Entries, and for jets their value and first-derivative parts, agree
+    to 1e-12 of ``scale``."""
+    for got, want in ((M.m11, Q.m11), (M.m21, Q.m21)):
+        pairs = [(got.v, want.v), (got.d1, want.d1)] if isinstance(got, Jet) else [(got, want)]
+        for g, w in pairs:
+            assert np.all(abs(g - w) <= 1e-12 * scale)
+
+
+@st.composite
+def dressed_stacks(draw):
+    """Stacks of up to 9 cores, each end cell present or not, of any cell."""
+    core = draw(st.one_of(symmetric_cells(), asymmetric_cells()))
+    end = lambda: draw(st.one_of(st.none(), symmetric_cells(), asymmetric_cells()))
+    return StackSpec(core=core, replicas=draw(st.integers(1, 9)), outside=OUT,
+                     left_arc=end(), right_arc=end())
+
+
+@given(dressed_stacks(), st.floats(5.0, 380.0))
+def test_stack_matrix_equals_sequential_cell_product(stack, E):
+    """End cell, core^N by squaring, end cell: the same matrix as the
+    left-to-right product of every cell, bare stacks and dressed alike."""
+    Q, scale = _sequential_product(E, stack)
+    _assert_products_agree(stack_matrix(E, stack), Q, scale)
+
+
+@pytest.mark.parametrize("path", ["stacks/rep5.json", "stacks/rep5_arc.json"])
+def test_stack_matrix_equals_sequential_cell_product_on_arrays_and_jets(path):
+    """The committed bare and ARC stacks, across band 1, its gaps and band 2,
+    for an energy array and for the first-order jet of one."""
+    stack = load_stack(path)
+    E = np.linspace(20.0, 250.0, 301)
+    for energy in (E, energy_jet(E)):
+        Q, scale = _sequential_product(energy, stack)
+        _assert_products_agree(stack_matrix(energy, stack), Q, scale)
 
 
 def test_amplitudes_reject_zero_energy_wave():
