@@ -101,15 +101,15 @@ def _write_json(out: str | None, payload: dict) -> None:
 
 # --- model/band plumbing shared by the sweep commands -----------------------
 
-def _load_model(args) -> tuple[object, StackSpec | None, int]:
-    """Resolve (cell model, stack or None, N) from --stack/--play flags."""
+def _load_model(args) -> tuple[object, int]:
+    """Resolve (cell model, N) from --stack/--play flags."""
     if args.N is not None and args.N < 1:
         raise ValidationError(f"--N counts cells from 1, got N = {args.N}")
     if args.play:
-        return PLAY_MODEL, None, 9 if args.N is None else args.N
+        return PLAY_MODEL, 9 if args.N is None else args.N
     stack = load_stack(args.stack)
     n = stack.replicas if args.N is None else args.N
-    return as_model(stack.core, stack.outside), stack, n
+    return as_model(stack.core, stack.outside), n
 
 
 def _lead_bottom(model) -> float:
@@ -155,7 +155,7 @@ def _sweep_grid(args, model, default_count: int) -> EnergyGrid:
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_kard(args) -> None:
-    model, _, _ = _load_model(args)
+    model, _ = _load_model(args)
     grid = _sweep_grid(args, model, 1200)
     M = model.matrix(grid.samples)
     p = decompose(M, continuous=True)
@@ -165,7 +165,7 @@ def _cmd_kard(args) -> None:
 
 
 def _cmd_transmission(args) -> None:
-    model, _, n = _load_model(args)
+    model, n = _load_model(args)
     grid = _sweep_grid(args, model, 2400)
     sw = transmission_sweep(model, None, n, grid)
     rows = zip(sw.energies, sw.t2, sw.envelope)
@@ -173,7 +173,7 @@ def _cmd_transmission(args) -> None:
 
 
 def _cmd_phasetime(args) -> None:
-    model, _, n = _load_model(args)
+    model, n = _load_model(args)
     band = _pick_band(model, args.band)
     grid = _grid_from_args(args, model, band, default_count=800)
     curve = timing_curve(model, None, n, grid, band=band)
@@ -201,7 +201,7 @@ def _cmd_resonances(args) -> None:
     flags = [f"--{k}" for k in ("emin", "emax", "count") if getattr(args, k) is not None]
     if flags and not args.curves:
         raise ValidationError(f"{' and '.join(flags)} shape only the --curves sweep")
-    model, _, n = _load_model(args)
+    model, n = _load_model(args)
     band = _pick_band(model, args.band)
     if args.curves:  # before anything is written, so that a bad grid leaves no file
         ap = approx_curves(model, None, n, band, _grid_from_args(args, model, band, 1600))

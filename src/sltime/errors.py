@@ -1,11 +1,19 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and its one failure path.
 
 Validation errors cover malformed inputs (bad layer widths, contradictory
 symmetry flags, broken stack files).  Numeric errors cover runtime failures
 of the numerical machinery (cell angles asked for outside an allowed band,
 a closed form that disagrees with its cross-check, unstable time
-stepping).  The CLI maps the two families to distinct exit codes.
+stepping).  The CLI maps the two families to distinct exit codes:
+``ValidationError`` exits 3, ``NumericError`` and its subclasses exit 4.
+
+A check over an energy array fails through ``require``: the caller
+states the passing condition (``observed <= bound``), so a NaN, for which
+every comparison is False, fails the check, and the message names the
+first failing element only.
 """
+
+import numpy as np
 
 
 class SltimeError(Exception):
@@ -30,3 +38,17 @@ class NoTransmissionError(NumericError):
     packet is too small to define an arrival time, or an energy handed to
     the transfer-matrix kernel lies at or below the lead band bottom, where
     no lead channel propagates."""
+
+
+def require(ok, error: type[SltimeError], message: str, **values) -> None:
+    """Raise ``error`` at the first element where ``ok`` is False.
+
+    ``ok`` is a bool or a boolean array.  ``message`` is formatted with
+    ``values`` taken at that element: an array is indexed (flat, like
+    ``ok``), a scalar is used as it is.
+    """
+    if ok is True or np.asarray(ok).all():
+        return
+    i = np.flatnonzero(np.logical_not(ok))[0]
+    raise error(message.format(**{k: np.ravel(v)[i] if np.ndim(v) else v
+                                  for k, v in values.items()}))

@@ -39,7 +39,7 @@ from typing import Protocol, Union
 
 import numpy as np
 
-from .errors import NearBandEdgeError, NumericError
+from .errors import NearBandEdgeError, NumericError, require
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
 from .numerics import bracket_roots
 from .tmatrix import TransferMatrix, _complex, _layer_entries, cell_matrix, energy_jet
@@ -89,16 +89,9 @@ class KardParams:
 
     def scaled(self, n: int) -> "KardParams":
         """Angles of the n-cell matrix M^n (allowed band only)."""
-        _require_allowed(self.band, "no n-cell angle scaling in a {} region")
+        require(self.band == "allowed", NearBandEdgeError,
+                "no n-cell angle scaling in a {band} region", band=self.band)
         return KardParams(n * self.phi, self.mu, self.chi)
-
-
-def _require_allowed(band, message: str) -> None:
-    if isinstance(band, str) and band == "allowed":
-        return  # the common case, without numpy's overhead
-    bad = np.asarray(band) != "allowed"
-    if bad.any():
-        raise NearBandEdgeError(message.format(np.asarray(band)[bad].flat[0]))
 
 
 def decompose(M: TransferMatrix, *, continuous: bool = False) -> KardParams:
@@ -165,7 +158,8 @@ def _decompose_one(m11: complex, m21: complex) -> KardParams:
 def reconstruct(params: KardParams) -> TransferMatrix:
     """Cell matrix with the given allowed-band angles (inverse of decompose
     up to the 2*pi branch of phi)."""
-    _require_allowed(params.band, "cannot reconstruct a matrix from {} parameters")
+    require(params.band == "allowed", NearBandEdgeError,
+            "cannot reconstruct a matrix from {band} parameters", band=params.band)
     phi, mu, chi = params.phi, params.mu, params.chi
     sin_phi = np.sin(phi)
     m11 = _complex(np.cos(phi), -(sin_phi * np.cosh(mu)))
@@ -384,11 +378,6 @@ class KardDerivatives:
     mu_p: float | np.ndarray
 
 
-def _reject(E, bad, what: str) -> None:
-    if np.any(bad):
-        raise NearBandEdgeError(f"E = {np.asarray(E)[bad].flat[0]} meV is {what}")
-
-
 def kard_derivatives(
     cell: Union[CellModel, CellSpec],
     outside: Layer | None = None,
@@ -409,7 +398,8 @@ def kard_derivatives(
 
     E may be an array, evaluated in one call; a scalar stays a Python
     scalar throughout.  Every E must be inside an allowed band, and inside
-    ``band`` when one is given.
+    ``band`` when one is given; the first that is not (a NaN never is)
+    raises NearBandEdgeError.
     """
     return _kard_derivatives(as_model(cell, outside), E, band, second=True)[0]
 
@@ -419,11 +409,13 @@ def _kard_derivatives(model: CellModel, E, band: Band | None, second: bool) -> t
     from; without ``second`` the kernel carries first derivatives only and
     phi'' is nan (the timing closed forms need none)."""
     if band is not None:
-        _reject(E, np.less(E, band.lower) | np.greater(E, band.upper),
-                f"outside band {band.index} [{band.lower}, {band.upper}]")
+        require((band.lower <= E) & (E <= band.upper), NearBandEdgeError,
+                "E = {E} meV is outside band {n} [{lo}, {hi}]",
+                E=E, n=band.index, lo=band.lower, hi=band.upper)
     M, c_p, c_pp, g_p = model.derivatives(E, second)
     params = decompose(M)
-    _reject(E, np.not_equal(params.band, "allowed"), "not inside an allowed band")
+    require(params.band == "allowed", NearBandEdgeError,
+            "E = {E} meV is not inside an allowed band", E=E)
     phi, mu = params.phi, params.mu
     c = np.cos(phi)
     s = np.sin(phi)

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import NumericError
+from .errors import NumericError, require
 
 __all__ = ["bracket_roots"]
 
@@ -49,14 +49,14 @@ def bracket_roots(
     simple root converges superlinearly.  (The published radius rounds that
     budget up to xtol times a power of two; taking it from the initial
     width keeps rounding in the last split from costing a second extra
-    step.)  A NaN from f raises NumericError.
+    step.)  A NaN end value, a bracket whose ends share a sign, or a NaN
+    from f inside a bracket raises NumericError, naming the first such
+    bracket or point.
     """
     a, b, ya, yb = (np.array(v, dtype=float) for v in (lo, hi, f_lo, f_hi))
-    if np.isnan(ya).any() or np.isnan(yb).any():
-        raise NumericError("root bracket with a NaN end value")
-    if (ya * yb > 0.0).any():
-        i = np.flatnonzero(ya * yb > 0.0)[0]
-        raise NumericError(f"f does not change sign on [{a.flat[i]}, {b.flat[i]}]")
+    require(~(np.isnan(ya) | np.isnan(yb)), NumericError, "root bracket with a NaN end value")
+    # not "<= 0": 0 * inf is NaN, and a zero end is a root
+    require(~(ya * yb > 0.0), NumericError, "f does not change sign on [{a}, {b}]", a=a, b=b)
     # Work with s f, which rises through the root; a zero end closes its bracket.
     s = np.where(ya > yb, -1.0, 1.0)
     ya, yb = s * ya, s * yb
@@ -80,8 +80,7 @@ def bracket_roots(
         x = np.array(mid)
         x[live] = np.where((a_ < x_itp) & (x_itp < b_), x_itp, mid_)
         y = s * np.asarray(f(x), dtype=float)
-        if np.isnan(y[live]).any():
-            raise NumericError(f"f is NaN at {x[live & np.isnan(y)].flat[0]} inside a root bracket")
+        require(~(live & np.isnan(y)), NumericError, "f is NaN at {x} inside a root bracket", x=x)
         a = np.where(live & (y <= 0.0), x, a)
         b = np.where(live & (y >= 0.0), x, b)
         ya = np.where(live & (y <= 0.0), y, ya)

@@ -29,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NearBandEdgeError
+from .errors import NearBandEdgeError, require
 from .kard import KardDerivatives, KardParams, reconstruct
 from .tmatrix import TransferMatrix
 
@@ -59,13 +59,9 @@ class PlayModelSpec:
     def _require_interior(self, E) -> None:
         lo, hi = self.band
         E = np.asarray(E)
-        outside = ~((lo < E) & (E < hi))
-        if outside.any():
-            raise NearBandEdgeError(
-                f"E = {E[outside].flat[0]} meV is not inside the open band ({lo}, {hi}) meV"
-            )
-        if (E <= 0.0).any():
-            raise NearBandEdgeError(f"E = {E[E <= 0.0].flat[0]} meV must be positive")
+        require((lo < E) & (E < hi), NearBandEdgeError,
+                "E = {E} meV is not inside the open band ({lo}, {hi}) meV", E=E, lo=lo, hi=hi)
+        require(E > 0.0, NearBandEdgeError, "E = {E} meV must be positive", E=E)
 
     # -- CellModel protocol ------------------------------------------------
 

@@ -33,7 +33,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require
 from .kard import Band, CellModel, as_model, energy_at_phase, kard_derivatives
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
 
@@ -123,9 +123,8 @@ def _fit(model: CellModel, N: int, band: Band,
     E = np.array([*peaks.values(), *valleys.values()])
     d = kard_derivatives(model, None, E, band=band)
     mu, phi_p, phi_pp, mu_p = d.params.mu, d.phi_p, d.phi_pp, d.mu_p
-    if np.any(mu <= 0.0):
-        raise NumericError(f"transparent cell at E = {E[mu <= 0.0][0]} meV: "
-                           f"no resonance width or valley contrast")
+    require(mu > 0.0, NumericError,
+            "transparent cell at E = {E} meV: no resonance width or valley contrast", E=E)
     ch, th = np.cosh(mu), np.tanh(mu)
     bloch = N * CONSTANTS.hbar * phi_p
     gamma_p = 2.0 / (N * phi_p * th)
@@ -196,9 +195,9 @@ class ApproxCurves:
     |E - E_m| <= Gamma_m; around each valley (peak windows taking
     precedence where they overlap) the valley shape is used for
     |E - E_p| <= Gamma_p/2.  Both bounds are closed: a sample exactly on a
-    window edge takes the window's shape.  Each run of samples in between
-    is bridged by a horizontal connector, the mean of the edge values of
-    the nearest windows on either side.  For the transmission that level is
+    window edge takes the window's shape.  Each sample in between is
+    bridged by a horizontal connector, the mean of the edge values of the
+    nearest windows on either side.  For the transmission that level is
     the common window-edge value 1/5.  For the phase time the two flanking
     edge values differ, so the connector jumps at each window edge by
     design, by half their difference.
@@ -251,21 +250,18 @@ def approx_curves(
 
 
 def _connect(energies, values, covered, lo, hi, at_lo, at_hi) -> None:
-    """Fill each run of uncovered samples (in place) with the mean of the hi
-    edge value of the window ending nearest below the run's first sample and
-    the lo edge value of the window starting nearest above its last; ties go
-    to the earlier window, and a run with a window on one side only takes
-    that one edge value."""
+    """Fill each uncovered sample (in place) with the mean of the hi edge
+    value of the window ending nearest at or below it and the lo edge value
+    of the window starting nearest at or above it; ties go to the earlier
+    window, and a sample with a window on one side only takes that one edge
+    value.  No uncovered sample lies inside a peak window, so with N >= 2
+    each has a window on at least one side."""
     gap = ~covered
-    i = np.arange(len(energies))
-    first = energies[np.maximum.accumulate(np.where(covered, i + 1, 0))[gap]]
-    last = energies[np.minimum.accumulate(np.where(covered, i - 1, i[-1])[::-1])[::-1][gap]]
-    below = hi[:, None] <= first
-    above = lo[:, None] >= last
+    e = energies[gap]
+    below = hi[:, None] <= e
+    above = lo[:, None] >= e
     has_left, has_right = below.any(axis=0), above.any(axis=0)
-    if not (has_left | has_right).all():
-        raise NumericError("no fitted windows to bridge from")
-    left = np.asarray(at_hi)[np.where(below, first - hi[:, None], np.inf).argmin(axis=0)]
-    right = np.asarray(at_lo)[np.where(above, lo[:, None] - last, np.inf).argmin(axis=0)]
+    left = np.asarray(at_hi)[np.where(below, e - hi[:, None], np.inf).argmin(axis=0)]
+    right = np.asarray(at_lo)[np.where(above, lo[:, None] - e, np.inf).argmin(axis=0)]
     values[gap] = np.where(has_left & has_right, (left + right) / 2,
                            np.where(has_left, left, right))

@@ -58,7 +58,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require
 from .medium import CONSTANTS, StackSpec, _layers_mirror_equal
 from .tmatrix import (
     _cos_and_sinc, _layer_entries, _sinc_slopes, amplitudes, energy_jet, stack_matrix,
@@ -124,7 +124,8 @@ def smith_matrix(stack: StackSpec, E) -> SmithMatrix:
     rules.  This sidesteps phase unwrapping entirely: the entries of S are
     smooth complex functions of energy even where the reflection phase is
     undefined.  E must lie above the lead band bottom.  Q must be Hermitian
-    at every energy to 1e-3 of its largest entry there (or of 1 fs).  For a
+    at every energy to 1e-3 of its largest entry there (or of 1 fs); a NaN
+    defect fails, and the NumericError names the first failing energy.  For a
     mirror-symmetric stack tau11 = tau22 and tau12 is real up to roundoff;
     asymmetric stacks go through the same algebra but are outside the
     validated regime, so they are flagged with a warning.
@@ -136,10 +137,8 @@ def smith_matrix(stack: StackSpec, E) -> SmithMatrix:
             stacklevel=2,
         )
     _, t, r, dt, dr, _, _ = _origin_jet(stack, E)
-    if np.any(t == 0):
-        i = np.flatnonzero(t == 0)[0]
-        raise NumericError(f"transmission amplitude underflowed to zero at "
-                           f"E = {np.ravel(E)[i]} meV; cannot form S")
+    require(t != 0, NumericError,
+            "transmission amplitude underflowed to zero at E = {E} meV; cannot form S", E=E)
     t_c, r_c = t.conjugate(), r.conjugate()
     phase = t / t_c
     r_bar = -r_c * phase
@@ -154,11 +153,9 @@ def smith_matrix(stack: StackSpec, E) -> SmithMatrix:
                                 np.abs(q12 - q21.conjugate())])
     scale = np.maximum.reduce([np.ones(np.shape(E)), np.abs(q11), np.abs(q12),
                                np.abs(q21), np.abs(q22)])
-    failed = defect > 1e-3 * scale
-    if failed.any():
-        i = np.flatnonzero(failed)[0]
-        raise NumericError(f"lifetime matrix is not Hermitian (defect "
-                           f"{np.ravel(defect)[i]:.3e} fs) at E = {np.ravel(E)[i]} meV")
+    require(defect <= 1e-3 * scale, NumericError,
+            "lifetime matrix is not Hermitian (defect {defect:.3e} fs) at E = {E} meV",
+            defect=defect, E=E)
     tau12 = 0.5 * (q12 + q21.conjugate())
     if np.ndim(E) == 0:
         return SmithMatrix(tau11=float(q11.real), tau22=float(q22.real), tau12=complex(tau12))
@@ -350,8 +347,8 @@ def dwell_time(
     for every energy at once, and returns it in ``tau_numeric``; a scalar E
     goes through the same arrays with one energy and gets the same value as
     in an array.  A gross mismatch with the closed form (more than 1e-2 of it
-    and 0.1 fs) raises at the first such energy; finer comparisons are left
-    to the caller.
+    and 0.1 fs), or a NaN in either, raises at the first such energy; finer
+    comparisons are left to the caller.
     """
     half_w = 0.5 * stack.width
     if x_left is None:
@@ -379,13 +376,9 @@ def dwell_time(
 
     closed = smooth + oscillatory + free_passage
     numeric = _WaveField(stack, e, jet.t.v, jet.r.v, k, v).density_integral(x_left, x_right)
-    failed = ~(np.abs(numeric - closed) <= np.maximum(1e-2 * np.abs(closed), 0.1))  # NaN fails
-    if failed.any():
-        i = np.flatnonzero(failed)[0]
-        raise NumericError(
-            f"dwell-time closed form ({closed[i]:.6f} fs) and density integral "
-            f"({numeric[i]:.6f} fs) disagree at E = {e[i]} meV"
-        )
+    require(np.abs(numeric - closed) <= np.maximum(1e-2 * np.abs(closed), 0.1), NumericError,
+            "dwell-time closed form ({closed:.6f} fs) and density integral "
+            "({numeric:.6f} fs) disagree at E = {E} meV", closed=closed, numeric=numeric, E=e)
     parts = (smooth, oscillatory, free_passage, uniform, numeric)
     if np.ndim(E) == 0:
         parts = tuple(float(p[0]) for p in parts)

@@ -22,7 +22,9 @@ Everything here is closed-form in the angles; numerical differentiation of
 the N-cell transmission phase is relegated to the test suite (phase
 unwrapping across sharp resonances is exactly the fragility this module
 exists to avoid).  Energies may be scalars or arrays throughout; sweeps and
-curves evaluate their whole grid in one call of the cell model.
+curves evaluate their whole grid in one call of the cell model.  Every
+cross-check below fails through ``errors.require``: a NaN fails it, and
+the NumericError names the first failing energy of an array.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from .errors import NumericError, ValidationError
+from .errors import NumericError, ValidationError, require
 from .kard import (
     Band,
     CellModel,
@@ -61,10 +63,8 @@ __all__ = [
 def free_time(width: float, E, outside: Layer):
     """Classical crossing time (fs) of a free slab of lead material."""
     e_kin = np.asarray(E, dtype=float) - outside.potential
-    if not np.all(np.isfinite(e_kin)):
-        raise ValidationError(f"non-finite energy in {E}")
-    if np.any(e_kin <= 0.0):
-        raise NumericError(f"no propagating lead wave at E = {E} meV")
+    require(np.isfinite(e_kin), ValidationError, "non-finite energy E = {E} meV", E=E)
+    require(e_kin > 0.0, NumericError, "no propagating lead wave at E = {E} meV", E=E)
     k = np.sqrt(e_kin * outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
     return width / CONSTANTS.velocity(k, outside.mass_ratio)
 
@@ -79,8 +79,8 @@ def bloch_time(
     """Per-cell traversal time hbar phi' (fs) at band-interior energy E."""
     d, _ = _kard_derivatives(as_model(cell, outside), E, band, second=False)
     tau = CONSTANTS.hbar * d.phi_p
-    if np.any(tau <= 0.0):
-        raise NumericError(f"nonpositive Bloch time at E = {E} meV: phi' = {d.phi_p}")
+    require(tau > 0.0, NumericError, "nonpositive Bloch time at E = {E} meV: phi' = {phi_p}",
+            E=E, phi_p=d.phi_p)
     return tau
 
 
@@ -130,11 +130,10 @@ def envelopes(
     env_min = bloch_total / ch
     c_p = -d.phi_p * np.sin(d.params.phi)
     m_form = N * CONSTANTS.hbar * c_p / M.m11.imag
-    if np.any(np.abs(m_form - env_min) > 1e-8 * np.abs(env_min)):
-        raise NumericError(
-            f"envelope cross-check failed at E = {E} meV: "
-            f"{m_form} (matrix form) vs {env_min} (cosh form)"
-        )
+    require(np.abs(m_form - env_min) <= 1e-8 * np.abs(env_min), NumericError,
+            "envelope cross-check failed at E = {E} meV: "
+            "{m_form} (matrix form) vs {env_min} (cosh form)",
+            E=E, m_form=m_form, env_min=env_min)
     return env_max, env_min, bloch_total
 
 
@@ -179,22 +178,17 @@ def transmission_sweep(
     allowed = p.band == "allowed"
     with np.errstate(invalid="ignore"):
         closed = 1.0 / (1.0 + np.sinh(p.mu) ** 2 * np.sin(N * p.phi) ** 2)
-    off = allowed & (np.abs(closed - direct) > 1e-10 * np.maximum(closed, direct))
-    reference = ""
-    if off.any() and isinstance(model, PotentialCell):
+    reference = direct
+    ok = ~allowed | (np.abs(closed - reference) <= 1e-10 * np.maximum(closed, reference))
+    if not ok.all() and isinstance(model, PotentialCell):
         from .precise import transmission  # loads decimal, so only when needed
 
-        exact = np.array([transmission(model.cell, model.outside, N, e)
-                          for e in E[off]])
-        still = np.abs(closed[off] - exact) > 1e-10 * np.maximum(closed[off], exact)
-        off[off] = still
-        reference = f" and with the 40-digit value {exact[still][0]}" if still.any() else ""
-    if off.any():
-        i = int(np.flatnonzero(off)[0])
-        raise NumericError(
-            f"closed-form |t_N|^2 = {closed[i]} disagrees with the "
-            f"matrix product {direct[i]}{reference} at E = {E[i]} meV"
-        )
+        reference = direct.copy()
+        reference[~ok] = [transmission(model.cell, model.outside, N, e) for e in E[~ok]]
+        ok = ~allowed | (np.abs(closed - reference) <= 1e-10 * np.maximum(closed, reference))
+    require(ok, NumericError, "closed-form |t_N|^2 = {closed} disagrees with the reference "
+            "{reference} (matrix product {direct}) at E = {E} meV",
+            closed=closed, reference=reference, direct=direct, E=E)
     return TransmissionSweep(
         energies=E.copy(),
         t2=np.where(allowed, closed, direct),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoTransmissionError, NumericError, ValidationError
+from .errors import NoTransmissionError, NumericError, ValidationError, require
 from .medium import CONSTANTS, CellSpec, Layer, StackSpec
 
 __all__ = [
@@ -306,10 +306,9 @@ def cell_matrix(E, cell: CellSpec, outside: Layer) -> TransferMatrix:
     """
     jet = isinstance(E, Jet)
     energies = np.asarray(E.v if jet else E, dtype=float)
-    below = energies <= outside.potential
-    if below.any():
-        raise NoTransmissionError(f"E = {energies[below].flat[0]} meV is at or below the "
-                                  f"lead band bottom ({outside.potential} meV)")
+    require(energies > outside.potential, NoTransmissionError,
+            "E = {E} meV is at or below the lead band bottom ({V} meV)",
+            E=energies, V=outside.potential)
     if jet:
         energies = E
     elif energies.ndim == 0:

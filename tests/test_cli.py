@@ -299,6 +299,19 @@ def test_resonances_sweep_flags_need_curves(flags, capsys, tmp_path):
     assert out.exists() and curves.exists()
 
 
+@pytest.mark.parametrize("model, count", [(["--stack", STACK], "5"), (["--play"], "3")],
+                         ids=["rep5", "play"])
+def test_resonances_curves_on_a_coarse_grid(model, count, tmp_path):
+    """A grid with no sample inside any fitted window is bridged from the
+    windows' edge values on either side of each sample."""
+    curves = tmp_path / "curves.csv"
+    assert main(["resonances", *model, "--curves", str(curves), "--count", count,
+                 "-o", str(tmp_path / "table.csv")]) == 0
+    rows = _read_csv(curves)
+    assert len(rows) == int(count)
+    assert all(np.isfinite(rows[name]).all() for name in rows.dtype.names)
+
+
 @pytest.mark.parametrize("k", [7, 8])
 def test_reproduce_honours_count(k, capsys, tmp_path):
     """--count sets the base grid of figures 7 and 8 (the default, 1600,

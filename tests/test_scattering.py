@@ -248,6 +248,33 @@ def test_dwell_gate_is_unchanged(monkeypatch, scale, passes):
             dwell_time(stack, 58.5)
 
 
+@pytest.mark.parametrize("scale, passes", [(0.99, True), (1.01, False), (math.nan, False)])
+def test_hermiticity_gate_keeps_its_bound(monkeypatch, scale, passes):
+    """Q may miss Hermiticity by up to 1e-3 of its largest entry: a defect
+    of 0.99e-3 of it passes, one of 1.01e-3 (or NaN) fails, and the
+    failure names the first such energy.  Adding eps r to dr/dE adds
+    -i hbar eps |r|^2 to q11 and q22 and nothing to q12 - conj(q21), since
+    conj(t) r_bar = -conj(r) t: a defect of 2 hbar eps |r|^2."""
+    stack = load_stack("stacks/rep5.json")
+    E = np.array([57.0, 58.5, 61.5])
+    q = smith_matrix(stack, E)
+    largest = np.maximum.reduce([np.ones(3), np.abs(q.tau11), np.abs(q.tau22), np.abs(q.tau12)])
+    real = sltime.scattering._origin_jet
+
+    def skewed(stack, E):
+        jet, t, r, dt, dr, k, v = real(stack, E)
+        defect = np.array([0.0, scale, scale]) * 1e-3 * largest
+        eps = defect / (2.0 * CONSTANTS.hbar * np.abs(r) ** 2)
+        return jet, t, r, dt, dr + eps * r, k, v
+
+    monkeypatch.setattr(sltime.scattering, "_origin_jet", skewed)
+    if passes:
+        smith_matrix(stack, E)
+    else:
+        with pytest.raises(NumericError, match=r"not Hermitian .* at E = 58\.5 meV"):
+            smith_matrix(stack, E)
+
+
 def test_smith_matrix_symmetric_stack_structure():
     stack = representative_stack()
     for E in (57.0, 58.5, 61.5):

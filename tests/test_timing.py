@@ -164,6 +164,80 @@ def test_transmission_sweep_rejects_a_closed_form_off_by_1e_9(monkeypatch):
         transmission_sweep(OPAQUE, OUT, 4, grid=OPAQUE_GRID)
 
 
+#: four samples inside rep5's band 1; the gate tests below push every
+#: sample after the first across or up to the bound, so a failure must name
+#: 57.0 meV
+GATE_E = np.array([55.0, 57.0, 59.0, 61.0])
+
+
+@pytest.mark.parametrize("scale, passes", [(0.99, True), (1.01, False), (math.nan, False)])
+def test_sweep_gate_keeps_its_bound(monkeypatch, scale, passes):
+    """The closed form may miss the product by up to 1e-10 of |t_N|^2: off
+    by 0.99e-10 it passes, off by 1.01e-10 (or NaN) it fails, also after
+    the 40-digit re-check, and the failure names the first such energy."""
+    real = timing.decompose
+    off = np.array([0.0, scale, scale, scale]) * 1e-10
+
+    def shifted(M):  # mu such that the closed form reads |t_N|^2 (1 - off)
+        p = real(M)
+        s2 = np.sin(4 * p.phi) ** 2
+        x = np.sinh(p.mu) ** 2 * s2
+        return dataclasses.replace(p, mu=np.arcsinh(np.sqrt(((1 + x) / (1 - off) - 1) / s2)))
+
+    monkeypatch.setattr(timing, "decompose", shifted)
+    grid = EnergyGrid(GATE_E)
+    if passes:
+        transmission_sweep(representative_cell(), OUT, 4, grid=grid)
+    else:
+        with pytest.raises(NumericError, match=r"disagrees with .* at E = 57\.0 meV"):
+            transmission_sweep(representative_cell(), OUT, 4, grid=grid)
+
+
+@pytest.mark.parametrize("scale, passes", [(0.99, True), (1.01, False), (math.nan, False)])
+def test_envelope_gate_keeps_its_bound(monkeypatch, scale, passes):
+    """The matrix form of env_min may miss the cosh form by up to 1e-8 of
+    it: off by 0.99e-8 it passes, off by 1.01e-8 (or NaN) it fails, and the
+    failure names the first such energy."""
+    real = timing._kard_derivatives
+    off = np.array([0.0, scale, scale, scale]) * 1e-8
+
+    def shifted(*args, **kwargs):  # Im M11 such that the matrix form reads env_min (1 + off)
+        d, M = real(*args, **kwargs)
+        with np.errstate(invalid="ignore"):
+            return d, dataclasses.replace(M, m11=M.m11.real + 1j * M.m11.imag / (1 + off))
+
+    monkeypatch.setattr(timing, "_kard_derivatives", shifted)
+    cell = representative_cell()
+    if passes:
+        envelopes(cell, OUT, 5, GATE_E)
+    else:
+        with pytest.raises(NumericError, match=r"cross-check failed at E = 57\.0 meV"):
+            envelopes(cell, OUT, 5, GATE_E)
+
+
+def test_bloch_time_names_the_first_failing_energy(monkeypatch):
+    real = timing._kard_derivatives
+
+    def reversed_after_first(*args, **kwargs):
+        d, M = real(*args, **kwargs)
+        return dataclasses.replace(d, phi_p=d.phi_p * np.array([1.0, -1.0, -1.0, 1.0])), M
+
+    monkeypatch.setattr(timing, "_kard_derivatives", reversed_after_first)
+    with pytest.raises(NumericError,
+                       match=r"^nonpositive Bloch time at E = 57\.0 meV: phi' = -[^\[]*$"):
+        bloch_time(representative_cell(), OUT, GATE_E)
+
+
+def test_free_time_names_the_first_failing_energy():
+    lead = Layer(3.0, 0.0, 0.067)
+    with pytest.raises(NumericError) as exc:
+        free_time(5.0, np.array([10.0, -1.0, -2.0]), lead)
+    assert "E = -1.0 meV" in str(exc.value) and "[" not in str(exc.value)
+    with pytest.raises(ValidationError) as exc:
+        free_time(5.0, np.array([10.0, math.inf, math.nan]), lead)
+    assert "E = inf meV" in str(exc.value) and "[" not in str(exc.value)
+
+
 def test_decimal_reference_matches_the_product_of_a_transparent_cell(rep_band):
     E = np.linspace(rep_band.lower, rep_band.upper, 7)[1:-1]
     direct = amplitudes(cell_matrix(E, representative_cell(), OUT).power(5)).T

@@ -14,8 +14,8 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import asymmetric_cells, stacks, symmetric_cells
-from sltime.errors import ValidationError
-from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, load_stack
+from sltime.errors import NoTransmissionError
+from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, load_stack, representative_cell
 from sltime.tmatrix import (
     Amplitudes,
     Jet,
@@ -202,6 +202,13 @@ def test_stack_matrix_equals_sequential_cell_product_on_arrays_and_jets(path):
     for energy in (E, energy_jet(E)):
         Q, scale = _sequential_product(energy, stack)
         _assert_products_agree(stack_matrix(energy, stack), Q, scale)
+
+
+def test_cell_matrix_rejects_a_nan_energy():
+    """A NaN energy is not above the lead band bottom: the kernel raises
+    and names it instead of returning NaN entries."""
+    with pytest.raises(NoTransmissionError, match=r"^E = nan meV is at or below"):
+        cell_matrix(np.array([10.0, math.nan]), representative_cell(), OUT)
 
 
 def test_amplitudes_reject_zero_energy_wave():
