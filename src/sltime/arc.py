@@ -56,7 +56,7 @@ class ArcDesign:
     achieved_phi_a: float
 
     def __post_init__(self) -> None:
-        if abs(self.achieved_phi_a - _QUARTER) > 1e-3:
+        if not (abs(self.achieved_phi_a - _QUARTER) <= 1e-3):
             raise ValidationError(
                 f"quarter-wave condition missed: phi_A = {self.achieved_phi_a:.6f} rad "
                 f"is more than 1e-3 from pi/2"
@@ -162,7 +162,7 @@ def design_rule_of_thumb(core: CellSpec, outside: Layer, band: Band) -> ArcDesig
     s_V = barrier_scale(s_w)
     params = decompose(matrix(s_w, s_V))
     residual = math.hypot(params.phi - _QUARTER, params.mu - mu_target)
-    if params.band != "allowed" or residual > 1e-2:
+    if not (params.band == "allowed" and residual <= 1e-2):
         raise NumericError(
             f"no viable design: residual {residual:.3e} at scales "
             f"(width {s_w:.4f}, barrier {s_V:.4f})"

@@ -340,10 +340,10 @@ def _cmd_tdse(args) -> None:
         extra_time=args.extra_time,
     )
     if args.x_detector is not None:
-        if args.x_detector <= x_sep:
+        if not (x_sep < args.x_detector < math.inf):
             raise ValidationError(
-                f"detector at {args.x_detector} nm must sit beyond the stack "
-                f"separator at {x_sep} nm"
+                f"detector at {args.x_detector} nm must sit at a finite position beyond "
+                f"the stack separator at {x_sep} nm"
             )
         x_d = args.x_detector
 
@@ -412,11 +412,13 @@ def _cmd_reproduce(args) -> None:
                        zip(curve.energies, curve.tau_ph, ap.tau_ph, curve.t2, ap.t2))
         return
 
-    # Figure 9: the wave-packet experiment on the ARC-terminated array.
+    # Figure 9: the wave-packet experiment on the ARC-terminated array, its
+    # runs planned (and --sigma-x validated) before any file is written.
     E = EnergyGrid.linear(*band.interior(5e-3), _count(args, 400)).samples
     design = design_rule_of_thumb(stack.core, stack.outside, band)
     dressed = dataclasses.replace(stack, left_arc=design.arc_cell,
                                   right_arc=design.arc_cell)
+    plans = {e0: plan_run(dressed, e0, sigma_x=args.sigma_x) for e0 in (57.0, 58.5, 60.0)}
     _write_csv(str(outdir / "fig9_curve.csv"), header,
                ["E_meV", "T_stack", "tau_ph_fs", "bloch_fs", "free_fs"],
                zip(E, abs(amplitudes(stack_matrix(E, dressed)).t) ** 2,
@@ -424,8 +426,7 @@ def _cmd_reproduce(args) -> None:
                    free_time(dressed.width, E, dressed.outside)))
 
     point_rows = []
-    for e0 in (57.0, 58.5, 60.0):
-        grid, packet, x_sep, x_d = plan_run(dressed, e0, sigma_x=args.sigma_x)
+    for e0, (grid, packet, x_sep, x_d) in plans.items():
         run = evolve(dressed, grid, packet, x_sep=x_sep)
         free = evolve(free_reference(dressed), grid, packet, x_sep=x_sep)
         result = packet_delay(run, x_d, free)

@@ -7,10 +7,12 @@ a closed form that disagrees with its cross-check, unstable time
 stepping).  The CLI maps the two families to distinct exit codes:
 ``ValidationError`` exits 3, ``NumericError`` and its subclasses exit 4.
 
-A check over an energy array fails through ``require``: the caller
-states the passing condition (``observed <= bound``), so a NaN, for which
-every comparison is False, fails the check, and the message names the
-first failing element only.
+Every check on a real number in the package states its passing condition,
+so a NaN, for which every comparison is False, fails it, and an inf fails
+wherever a finite value is required (``0 < dx < inf``).  A check over an
+array -- energies, or the per-step series of a wave-packet run -- is one
+``require`` call, whose message names the first failing element only; a
+scalar validation is ``if not (...): raise``.
 """
 
 import numpy as np

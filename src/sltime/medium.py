@@ -166,7 +166,7 @@ class EnergyGrid:
             raise ValidationError("grid needs at least 2 samples")
         if not np.all(np.diff(samples) > 0):
             raise ValidationError("grid samples must be strictly increasing")
-        if samples[0] <= self.band_bottom:
+        if not (samples[0] > self.band_bottom):
             raise ValidationError(f"grid starts at {samples[0]} meV, at or below the lead "
                                   f"band bottom ({self.band_bottom} meV)")
 

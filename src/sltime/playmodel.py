@@ -25,7 +25,7 @@ take a layered stack and there is none here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -43,25 +43,20 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
 class PlayModelSpec:
-    """Parameters of the closed-form model; defaults are the standard set."""
+    """The closed-form model's fixed constants; the one instance is ``PLAY_MODEL``."""
 
-    lam: float = 0.08  # 1/meV, slope of cos(phi) in energy
-    e_bragg: float = 62.5  # meV, band-center energy where phi = pi/2
-    t2_strength: float = 160.0  # meV, in |t|^-2 = 1 + t2_strength/E
-
-    @property
-    def band(self) -> tuple[float, float]:
-        """Band edges, where cos(phi) reaches +-1."""
-        return (self.e_bragg - 1.0 / self.lam, self.e_bragg + 1.0 / self.lam)
+    lam = 0.08  # 1/meV, slope of cos(phi) in energy
+    e_bragg = 62.5  # meV, band-center energy where phi = pi/2
+    t2_strength = 160.0  # meV, in |t|^-2 = 1 + t2_strength/E
+    #: band edges, where cos(phi) reaches +-1
+    band = (e_bragg - 1.0 / lam, e_bragg + 1.0 / lam)
 
     def _require_interior(self, E) -> None:
         lo, hi = self.band
         E = np.asarray(E)
         require((lo < E) & (E < hi), NearBandEdgeError,
                 "E = {E} meV is not inside the open band ({lo}, {hi}) meV", E=E, lo=lo, hi=hi)
-        require(E > 0.0, NearBandEdgeError, "E = {E} meV must be positive", E=E)
 
     # -- CellModel protocol ------------------------------------------------
 
@@ -70,11 +65,11 @@ class PlayModelSpec:
         return 2.0 * self.lam * (self.e_bragg - np.asarray(E, dtype=float))
 
     def matrix(self, E) -> TransferMatrix:
-        return play_matrix(E, self)
+        return play_matrix(E)
 
     def derivatives(self, E, second: bool) -> tuple:
         """(M, c', c'', g') from the two laws: c = lam (E_bragg - E), g = t2_strength / E."""
-        return play_matrix(E, self), -self.lam, 0.0, -self.t2_strength / (E * E)
+        return play_matrix(E), -self.lam, 0.0, -self.t2_strength / (E * E)
 
     def bands(self, e_lo: float, e_hi: float) -> list[tuple[float, float, int]]:
         """The one band, clipped to [e_lo, e_hi]; cos(phi) falls across it (parity +1)."""
@@ -85,47 +80,47 @@ class PlayModelSpec:
 PLAY_MODEL = PlayModelSpec()
 
 
-def play_kard(E, spec: PlayModelSpec = PLAY_MODEL) -> KardParams:
+def play_kard(E) -> KardParams:
     """Cell angles at energy E (scalar or array), from the two closed-form laws.
 
     The transmission law fixes the cell reflectivity through
     sinh(mu) = sqrt(t2_strength/E) / sin(phi); mu diverges at both band
     edges, where sin(phi) -> 0 while the numerator stays finite.
     """
-    spec._require_interior(E)
+    PLAY_MODEL._require_interior(E)
     E = np.asarray(E, dtype=float)
-    phi = np.arccos(spec.lam * (spec.e_bragg - E))
-    mu = np.arcsinh(np.sqrt(spec.t2_strength / E) / np.sin(phi))
+    phi = np.arccos(PLAY_MODEL.lam * (PLAY_MODEL.e_bragg - E))
+    mu = np.arcsinh(np.sqrt(PLAY_MODEL.t2_strength / E) / np.sin(phi))
     if E.ndim == 0:
         phi, mu = float(phi), float(mu)
     return KardParams(phi=phi, mu=mu, chi=0.0)
 
 
-def play_matrix(E, spec: PlayModelSpec = PLAY_MODEL) -> TransferMatrix:
+def play_matrix(E) -> TransferMatrix:
     """Cell transfer matrix carrying the model's angles.
 
     Feeds every downstream consumer identically to a potential-derived
     matrix.
     """
-    return replace(reconstruct(play_kard(E, spec)), ref_energy=E)
+    return replace(reconstruct(play_kard(E)), ref_energy=E)
 
 
-def play_eta(E, spec: PlayModelSpec = PLAY_MODEL):
+def play_eta(E):
     """Single-cell transmission phase, on the branch with eta(E_bragg) = pi/2.
 
     cos(eta) = |t| cos(phi) leaves a quadrant choice; taking eta in (0, pi)
     makes it continuous and increasing across the band and equal to phi at
     the band center, where both pass through pi/2.
     """
-    spec._require_interior(E)
+    PLAY_MODEL._require_interior(E)
     E = np.asarray(E, dtype=float)
-    cos_phi = spec.lam * (spec.e_bragg - E)
-    t_abs = 1.0 / np.sqrt(1.0 + spec.t2_strength / E)
+    cos_phi = PLAY_MODEL.lam * (PLAY_MODEL.e_bragg - E)
+    t_abs = 1.0 / np.sqrt(1.0 + PLAY_MODEL.t2_strength / E)
     eta = np.arccos(t_abs * cos_phi)
     return float(eta) if eta.ndim == 0 else eta
 
 
-def play_derivatives(E: float, spec: PlayModelSpec = PLAY_MODEL) -> KardDerivatives:
+def play_derivatives(E: float) -> KardDerivatives:
     """Closed-form energy derivatives of the angles.
 
     Differentiating cos(phi) = lam (E_bragg - E):
@@ -138,10 +133,10 @@ def play_derivatives(E: float, spec: PlayModelSpec = PLAY_MODEL) -> KardDerivati
 
         mu' = -tanh(mu) [ 1/(2E) + lam cos(phi)/sin^2(phi) ].
     """
-    params = play_kard(E, spec)
+    params = play_kard(E)
     s = math.sin(params.phi)
     c = math.cos(params.phi)
-    phi_p = spec.lam / s
-    phi_pp = -spec.lam * spec.lam * c / (s * s * s)
-    mu_p = -math.tanh(params.mu) * (0.5 / E + spec.lam * c / (s * s))
+    phi_p = PLAY_MODEL.lam / s
+    phi_pp = -PLAY_MODEL.lam * PLAY_MODEL.lam * c / (s * s * s)
+    mu_p = -math.tanh(params.mu) * (0.5 / E + PLAY_MODEL.lam * c / (s * s))
     return KardDerivatives(params=params, phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p)

@@ -355,9 +355,9 @@ def dwell_time(
         x_left = -half_w - stack.core.width
     if x_right is None:
         x_right = half_w + stack.core.width
-    if not (x_left < -half_w and x_right > half_w):
+    if not (-np.inf < x_left < -half_w and half_w < x_right < np.inf):
         raise ValidationError(
-            f"window [{x_left}, {x_right}] must strictly enclose the stack "
+            f"window [{x_left}, {x_right}] must be finite and strictly enclose the stack "
             f"[{-half_w}, {half_w}]"
         )
 

@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoTransmissionError, NumericError, ValidationError
+from .errors import NoTransmissionError, NumericError, ValidationError, require
 from .medium import CONSTANTS, CellSpec, Layer, StackSpec
 from .scattering import _origin_jet
 
@@ -70,8 +70,8 @@ class Grid1D:
     def __post_init__(self) -> None:
         if not (self.x_min < self.x_max):
             raise ValidationError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
-        if self.dx <= 0 or self.dt <= 0:
-            raise ValidationError(f"dx and dt must be positive, got {self.dx}, {self.dt}")
+        if not (0 < self.dx < math.inf and 0 < self.dt < math.inf):
+            raise ValidationError(f"need 0 < dx, dt < inf, got {self.dx}, {self.dt}")
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -101,14 +101,14 @@ class WavePacket:
     sigma_x: float = 60.0
 
     def __post_init__(self) -> None:
-        if self.sigma_x <= 0:
-            raise ValidationError(f"sigma_x must be positive, got {self.sigma_x}")
+        if not (0 < self.sigma_x < math.inf):
+            raise ValidationError(f"sigma_x must be positive and finite, got {self.sigma_x}")
 
     def k0(self, outside: Layer) -> float:
         e_kin = self.E0 - outside.potential
-        if e_kin <= 0:
+        if not (0 < e_kin < math.inf):
             raise ValidationError(
-                f"E0 = {self.E0} meV is not above the lead band bottom"
+                f"E0 = {self.E0} meV is not a finite energy above the lead band bottom"
             )
         return math.sqrt(e_kin * outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
 
@@ -211,7 +211,7 @@ def initial_state(grid: Grid1D, packet: WavePacket, outside: Layer) -> np.ndarra
         -((x - packet.x0) ** 2) / (4.0 * packet.sigma_x**2) + 1j * k0 * x
     )
     norm = math.sqrt(grid.dx * float(np.sum(np.abs(psi) ** 2)))
-    if norm == 0.0:
+    if not (norm > 0.0):
         raise ValidationError("packet has no support on the grid")
     psi /= norm
     return psi
@@ -227,11 +227,14 @@ def evolve(
 ) -> PacketRecord:
     """Crank-Nicolson evolution of the packet across the stack.
 
-    Records, after every step, the probability beyond ``x_sep`` (default:
-    one grid cell past the stack's right face) and the centroid of that
-    portion.  Raises if the norm moves by more than 1e-6 in a single step,
-    or if density within five cells of either wall exceeds 1e-10 -- both
-    mean the run geometry, not the physics, produced the numbers.
+    The step loop only advances psi and records the norm, the probability
+    beyond ``x_sep`` (default: one grid cell past the stack's right face),
+    its first moment and the density within five cells of either wall.
+    Then each check runs once over its series, naming the first failing
+    step: a norm jump above 1e-6 in one step (a NaN state fails at t = 0),
+    then wall density above 1e-10 -- either means the run geometry, not the
+    physics, produced the numbers.  So a failing run raises only after its
+    last step; ``plan_run`` sizes domains so that only misconfigured runs do.
 
     ``psi0`` overrides the initial state (used by the stationary-state
     self-test); it is normalized on entry.  ``monitor_walls=False`` turns
@@ -247,8 +250,8 @@ def evolve(
         x_sep = 0.5 * stack.width + grid.dx
     if not (x[0] < x_sep < x[-1]):
         raise ValidationError(f"separator {x_sep} outside the domain")
-    if psi0 is None and (
-        packet.x0 - 5.0 * packet.sigma_x < x[0] or packet.x0 + 5.0 * packet.sigma_x > x[-1]
+    if psi0 is None and not (
+        x[0] <= packet.x0 - 5.0 * packet.sigma_x and packet.x0 + 5.0 * packet.sigma_x <= x[-1]
     ):
         raise ValidationError("packet launch point too close to a domain wall")
 
@@ -270,10 +273,9 @@ def evolve(
 
     n_rec = grid.n_steps + 1
     times = grid.dt * np.arange(n_rec)
-    beyond = np.empty(n_rec)
-    centroid = np.empty(n_rec)
-    norm_drift = 0.0
-    prev_norm = 1.0
+    # per step, |psi|^2 summed: everywhere, beyond x_sep, its first moment
+    # there, and over the heavier of the two five-point wall strips
+    sums = np.empty((4, n_rec))
     for i in range(n_rec):
         if i:
             stepped, _ = zgttrs(dl, d, du, du2, ipiv, psi)  # A^-1 psi, a new array
@@ -281,24 +283,18 @@ def evolve(
             stepped -= psi
             psi = stepped
         dens = psi.real**2 + psi.imag**2
-        norm = grid.dx * float(dens.sum())
-        if abs(norm - prev_norm) > 1e-6:
-            raise NumericError(
-                f"norm jumped by {abs(norm - prev_norm):.2e} in one step at "
-                f"t = {i * grid.dt:.1f} fs"
-            )
-        norm_drift = max(norm_drift, abs(norm - 1.0))
-        prev_norm = norm
         tail = dens[j:]
-        p = grid.dx * float(tail.sum())
-        beyond[i] = p
-        centroid[i] = grid.dx * float(x_beyond @ tail) / p if p > 1e-14 else math.nan
-        wall = grid.dx * float(max(dens[:5].sum(), dens[-5:].sum()))
-        if monitor_walls and wall > 1e-10:
-            raise NumericError(
-                f"density {wall:.2e} reached a domain wall at t = {times[i]:.1f} fs; "
-                f"enlarge the domain or shorten the run"
-            )
+        sums[:, i] = dens.sum(), tail.sum(), x_beyond @ tail, max(dens[:5].sum(), dens[-5:].sum())
+    norm, beyond, moment, wall = grid.dx * sums
+    jump = np.abs(np.diff(norm, prepend=1.0))
+    require(jump <= 1e-6, NumericError,
+            "norm jumped by {jump:.2e} in one step at t = {t:.1f} fs", jump=jump, t=times)
+    if monitor_walls:
+        require(wall <= 1e-10, NumericError,
+                "density {wall:.2e} reached a domain wall at t = {t:.1f} fs; "
+                "enlarge the domain or shorten the run", wall=wall, t=times)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        centroid = np.where(beyond > 1e-14, moment / beyond, math.nan)
 
     e_end = grid.dx * float(np.real(np.vdot(psi, _apply_h(diag, off, psi))))
     energy_drift = abs(e_end - e_start) / max(abs(e_start), 1e-30)
@@ -307,7 +303,7 @@ def evolve(
         beyond_prob=beyond,
         centroid=centroid,
         x_sep=x_sep,
-        norm_drift=norm_drift,
+        norm_drift=float(np.max(np.abs(norm - 1.0))),
         energy_drift=energy_drift,
         psi_final=psi,
         grid=grid,
@@ -326,7 +322,7 @@ def packet_delay(
     arrival is where the centroid crosses the detector ``x_d``, linearly
     interpolated between steps.
     """
-    if series.transmitted_fraction <= 1e-4:
+    if not (series.transmitted_fraction > 1e-4):
         raise NoTransmissionError(
             f"transmitted fraction {series.transmitted_fraction:.2e} too small "
             f"to define an arrival"
@@ -335,7 +331,7 @@ def packet_delay(
         series.times, free_reference.times
     ):
         raise ValidationError("stack run and free reference use different time grids")
-    if x_d <= series.x_sep:
+    if not (series.x_sep < x_d):
         raise ValidationError(
             f"detector {x_d} must lie beyond the separator {series.x_sep}"
         )
@@ -386,6 +382,9 @@ def plan_run(
     layer interfaces.  ``extra_time`` lengthens the run (fs) for slow,
     resonance-trapped transmission.
     """
+    if not (0 < dx < math.inf and 0 < dt < math.inf and abs(extra_time) < math.inf):
+        raise ValidationError(f"need 0 < dx, dt < inf and a finite extra_time, got "
+                              f"{dx}, {dt}, {extra_time}")
     half_w = 0.5 * stack.width
     packet = WavePacket(x0=-(half_w + 10.0 * sigma_x), E0=E0, sigma_x=sigma_x)
     k0 = packet.k0(stack.outside)
@@ -436,7 +435,7 @@ def stationary_packet_delay(
     k0 = packet.k0(stack.outside)
     sigma_k = 0.5 / packet.sigma_x
     k = np.linspace(k0 - 6.5 * sigma_k, k0 + 6.5 * sigma_k, _N_K)
-    if k[0] <= 0:
+    if not (k[0] > 0):
         raise ValidationError("packet spectrum reaches k <= 0; use a narrower packet")
     spec = np.exp(-(packet.sigma_x**2) * (k - k0) ** 2 - 1j * (k - k0) * packet.x0)
     alpha = CONSTANTS.hbar2_over_2m0 / stack.outside.mass_ratio
@@ -495,7 +494,7 @@ def spectral_average(
         raise ValidationError("energies must be strictly increasing")
     k0 = packet.k0(outside)
     e_kin = energies - outside.potential
-    if np.any(e_kin <= 0):
+    if not np.all(e_kin > 0):
         raise ValidationError("curve extends below the lead band bottom")
     k = np.sqrt(e_kin * outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
     dk_dE = 0.5 * k / e_kin
@@ -510,6 +509,6 @@ def spectral_average(
             stacklevel=2,
         )
     total = np.trapezoid(w, energies)
-    if total <= 0.0:
+    if not (total > 0.0):
         raise NumericError("packet spectrum has no weight on the sampled range")
     return float(np.trapezoid(w * values, energies) / total)

@@ -225,7 +225,7 @@ def _refined_samples(
     """
     pieces = [np.asarray(grid.samples, dtype=float)]
     for center, width in refine:
-        if width <= 0.0:
+        if not (width > 0.0):
             raise ValidationError(f"nonpositive refinement width {width}")
         local = center + width * (np.arange(-120, 120) / 40.0)
         pieces.append(local[(local > lo) & (local < hi)])

@@ -19,7 +19,7 @@ from sltime.arc import (
     design_rule_of_thumb,
     stack_phase_time,
 )
-from sltime.errors import ValidationError
+from sltime.errors import NumericError, ValidationError
 from sltime.kard import KardParams, band_structure, decompose, reconstruct
 from sltime.medium import (
     CellSpec,
@@ -180,6 +180,22 @@ def test_arc_design_validates_quarter_wave():
     with pytest.raises(ValidationError):
         ArcDesign(arc_cell=cell, target_energy=58.0, achieved_mu_a=1.0,
                   achieved_phi_a=0.5 * math.pi + 0.01)
+
+
+def test_arc_design_refuses_a_nan_quarter_wave_angle():
+    cell = CellSpec((Layer(2.0, 100.0, 0.08),))
+    with pytest.raises(ValidationError, match="quarter-wave"):
+        ArcDesign(arc_cell=cell, target_energy=58.0, achieved_mu_a=1.0,
+                  achieved_phi_a=math.nan)
+
+
+def test_design_refuses_a_nan_residual(monkeypatch, rep_band):
+    """The final gate states its passing condition, so a NaN residual fails
+    it instead of passing the design through."""
+    monkeypatch.setattr("sltime.arc.math.hypot", lambda *args: math.nan)
+    stack = representative_stack()
+    with pytest.raises(NumericError, match="residual nan"):
+        design_rule_of_thumb(stack.core, stack.outside, rep_band)
 
 
 def test_band_average_rejects_coarse_grid(rep_band):

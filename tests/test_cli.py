@@ -335,6 +335,29 @@ def test_reproduce_figure_9_refuses_a_bad_count_before_any_packet_run(capsys, tm
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("argv", [
+    "tdse --stack {stack} --E0 58.5 --dx nan -o {out}",
+    "tdse --stack {stack} --E0 58.5 --dt nan -o {out}",
+    "tdse --stack {stack} --E0 58.5 --sigma-x nan -o {out}",
+    "tdse --stack {stack} --E0 58.5 --sigma-x inf -o {out}",
+    "tdse --stack {stack} --E0 58.5 --extra-time nan -o {out}",
+    "tdse --stack {stack} --E0 nan -o {out}",
+    "tdse --stack {stack} --E0 58.5 --x-detector nan -o {out}",
+    "tdse --stack {stack} --E0 58.5 --x-detector inf -o {out}",
+    "reproduce --figure 9 --sigma-x nan --outdir {out}",
+    "dwell --stack {stack} --xr inf -o {out}",
+    "dwell --stack {stack} --xl=-inf -o {out}",
+], ids=["dx-nan", "dt-nan", "sigma-nan", "sigma-inf", "extra-time-nan", "E0-nan",
+        "detector-nan", "detector-inf", "fig9-sigma-nan", "dwell-xr-inf", "dwell-xl-inf"])
+def test_non_finite_flag_exits_3_before_anything_is_written(argv, capsys, tmp_path):
+    """A NaN or infinite run parameter is bad input: every check states its
+    passing condition, so it fails where the value is first used, before a
+    packet runs or a file is written."""
+    assert main(shlex.split(argv.format(stack=STACK, out=tmp_path / "out"))) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
 def _edit_rep5(path, edit):
     data = json.loads(open(STACK).read())
     edit(data)

@@ -13,7 +13,6 @@ from sltime.errors import NearBandEdgeError
 from sltime.kard import decompose
 from sltime.playmodel import (
     PLAY_MODEL,
-    PlayModelSpec,
     play_derivatives,
     play_eta,
     play_kard,
@@ -35,12 +34,6 @@ def test_band_edges_and_outside_raise():
     for E in (50.0, 75.0, 20.0, 80.0):
         with pytest.raises(NearBandEdgeError):
             play_kard(E)
-
-
-def test_nonpositive_energy_rejected_even_inside_band():
-    low = PlayModelSpec(e_bragg=10.0)  # band (-2.5, 22.5)
-    with pytest.raises(NearBandEdgeError):
-        play_kard(-1.0, low)
 
 
 def test_trace_is_linear_everywhere():

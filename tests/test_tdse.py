@@ -251,6 +251,27 @@ def test_packet_delay_guards():
         packet_delay(_moving_record(), 60.0, short)
 
 
+def test_packet_delay_guards_refuse_nan():
+    """A NaN detector or transmitted fraction fails its guard, not a later
+    centroid search."""
+    free = _moving_record()
+    with pytest.raises(ValidationError, match="detector"):
+        packet_delay(_moving_record(), math.nan, free)
+    with pytest.raises(NoTransmissionError):
+        packet_delay(_synthetic_record(math.nan, 40.0), 60.0, free)
+
+
+def test_nan_state_fails_the_norm_check_at_its_first_step():
+    stack = representative_stack()
+    grid = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=1.0, n_steps=20)
+    packet = WavePacket(x0=-300.0, E0=58.5, sigma_x=25.0)
+    psi0 = initial_state(grid, packet, stack.outside)
+    psi0[100] = math.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match=r"norm jumped by nan in one step at t = 0\.0 fs"):
+        evolve(stack, grid, packet, x_sep=100.0, psi0=psi0)
+
+
 def test_packet_delay_interpolates_crossings():
     # both centroids move ballistically; the slower one lags by a known time
     fast = _moving_record(speed=0.5)
