@@ -381,13 +381,16 @@ def _cmd_tdse(args) -> None:
 # --- reproduce ------------------------------------------------------------------
 
 def _cmd_reproduce(args) -> None:
-    outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
     k = args.figure
-    header = _config_header(args)
+    outdir, header = Path(args.outdir), _config_header(args)
+
+    def write(name: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
+        outdir.mkdir(parents=True, exist_ok=True)  # with its first file: a refused run leaves none
+        _write_csv(str(outdir / name), header, columns, rows)
+
     if k <= 6:
         columns, rows = _play_figure(k, _count(args, 1200))
-        _write_csv(str(outdir / f"fig{k}.csv"), header, columns, rows)
+        write(f"fig{k}.csv", columns, rows)
         return
 
     stack = representative_stack()
@@ -400,16 +403,14 @@ def _cmd_reproduce(args) -> None:
         curve = timing_curve(model, None, n, grid, band=band,
                              refine=[(pk.E_m, pk.Gamma_m) for pk in peaks])
         if k == 7:
-            _write_csv(str(outdir / "fig7.csv"), header,
-                       ["E_meV", "T_N", "tau_ph_fs", "env_max_fs", "env_min_fs",
-                        "bloch_fs"],
-                       zip(curve.energies, curve.t2, curve.tau_ph, curve.env_max,
-                           curve.env_min, curve.tau_bloch_total))
+            write("fig7.csv",
+                  ["E_meV", "T_N", "tau_ph_fs", "env_max_fs", "env_min_fs", "bloch_fs"],
+                  zip(curve.energies, curve.t2, curve.tau_ph, curve.env_max,
+                      curve.env_min, curve.tau_bloch_total))
         else:
             ap = approx_curves(model, None, n, band, EnergyGrid(curve.energies))
-            _write_csv(str(outdir / "fig8.csv"), header,
-                       ["E_meV", "tau_ph_fs", "tau_approx_fs", "T_N", "T_approx"],
-                       zip(curve.energies, curve.tau_ph, ap.tau_ph, curve.t2, ap.t2))
+            write("fig8.csv", ["E_meV", "tau_ph_fs", "tau_approx_fs", "T_N", "T_approx"],
+                  zip(curve.energies, curve.tau_ph, ap.tau_ph, curve.t2, ap.t2))
         return
 
     # Figure 9: the wave-packet experiment on the ARC-terminated array, its
@@ -419,11 +420,10 @@ def _cmd_reproduce(args) -> None:
     dressed = dataclasses.replace(stack, left_arc=design.arc_cell,
                                   right_arc=design.arc_cell)
     plans = {e0: plan_run(dressed, e0, sigma_x=args.sigma_x) for e0 in (57.0, 58.5, 60.0)}
-    _write_csv(str(outdir / "fig9_curve.csv"), header,
-               ["E_meV", "T_stack", "tau_ph_fs", "bloch_fs", "free_fs"],
-               zip(E, abs(amplitudes(stack_matrix(E, dressed)).t) ** 2,
-                   stack_phase_time(dressed, E), n * bloch_time(model, None, E, band=band),
-                   free_time(dressed.width, E, dressed.outside)))
+    write("fig9_curve.csv", ["E_meV", "T_stack", "tau_ph_fs", "bloch_fs", "free_fs"],
+          zip(E, abs(amplitudes(stack_matrix(E, dressed)).t) ** 2,
+              stack_phase_time(dressed, E), n * bloch_time(model, None, E, band=band),
+              free_time(dressed.width, E, dressed.outside)))
 
     point_rows = []
     for e0, (grid, packet, x_sep, x_d) in plans.items():
@@ -435,9 +435,9 @@ def _cmd_reproduce(args) -> None:
         point_rows.append((e0, result.delay, preds["bloch_spectral_fs"],
                            preds["stationary_packet_fs"],
                            result.transmitted_fraction))
-    _write_csv(str(outdir / "fig9_points.csv"), header,
-               ["E0_meV", "delay_fs", "bloch_avg_fs", "packet_pred_fs",
-                "transmitted_fraction"], point_rows)
+    write("fig9_points.csv",
+          ["E0_meV", "delay_fs", "bloch_avg_fs", "packet_pred_fs", "transmitted_fraction"],
+          point_rows)
 
 
 # --- parser --------------------------------------------------------------------

@@ -195,12 +195,13 @@ class ApproxCurves:
     |E - E_m| <= Gamma_m; around each valley (peak windows taking
     precedence where they overlap) the valley shape is used for
     |E - E_p| <= Gamma_p/2.  Both bounds are closed: a sample exactly on a
-    window edge takes the window's shape.  Each sample in between is
-    bridged by a horizontal connector, the mean of the edge values of the
-    nearest windows on either side.  For the transmission that level is
-    the common window-edge value 1/5.  For the phase time the two flanking
-    edge values differ, so the connector jumps at each window edge by
-    design, by half their difference.
+    window edge takes the window's shape.  A sample between windows takes
+    the straight line in energy between the edge values of the nearest
+    window edges on either side, and a sample beyond the outermost window
+    takes that window's edge value, so the curves are continuous across
+    every gap.  For the transmission every edge value is the Breit-Wigner
+    1/5.  Where two windows overlap the peak shape takes precedence, and
+    the step between the two shapes remains.
     """
 
     energies: np.ndarray
@@ -240,28 +241,17 @@ def approx_curves(
             t2[at] = fit.t2(energies[at])
 
     # Valley windows never define t2; the BW value at |x| = 2 is 1/5 for
-    # every peak, so that is the universal connector level.
+    # every peak, so that is the universal edge value.  A sample no window
+    # holds lies between the hi edge of one window and the lo edge of
+    # another, the nearest edges on either side, so interpolating over the
+    # sorted edges bridges it; beyond the outermost edge it keeps that value.
     t2_edges = [[pk.t2(e) for pk, e in zip(peaks, ends)] + [0.2] * len(valleys)
                 for ends in (lo, hi)]
     tau_edges = [[fit.tau(e) for fit, e in zip(fits, ends)] for ends in (lo, hi)]
-    _connect(energies, t2, (owner >= 0) & (owner < len(peaks)), lo, hi, *t2_edges)
-    _connect(energies, tau, owner >= 0, lo, hi, *tau_edges)
+    edges = np.concatenate([lo, hi])
+    order = np.argsort(edges, kind="stable")
+    for values, covered, at_edges in ((t2, (owner >= 0) & (owner < len(peaks)), t2_edges),
+                                      (tau, owner >= 0, tau_edges)):
+        gap = ~covered
+        values[gap] = np.interp(energies[gap], edges[order], np.concatenate(at_edges)[order])
     return ApproxCurves(energies=energies, t2=t2, tau_ph=tau, peaks=peaks, valleys=valleys)
-
-
-def _connect(energies, values, covered, lo, hi, at_lo, at_hi) -> None:
-    """Fill each uncovered sample (in place) with the mean of the hi edge
-    value of the window ending nearest at or below it and the lo edge value
-    of the window starting nearest at or above it; ties go to the earlier
-    window, and a sample with a window on one side only takes that one edge
-    value.  No uncovered sample lies inside a peak window, so with N >= 2
-    each has a window on at least one side."""
-    gap = ~covered
-    e = energies[gap]
-    below = hi[:, None] <= e
-    above = lo[:, None] >= e
-    has_left, has_right = below.any(axis=0), above.any(axis=0)
-    left = np.asarray(at_hi)[np.where(below, e - hi[:, None], np.inf).argmin(axis=0)]
-    right = np.asarray(at_lo)[np.where(above, lo[:, None] - e, np.inf).argmin(axis=0)]
-    values[gap] = np.where(has_left & has_right, (left + right) / 2,
-                           np.where(has_left, left, right))

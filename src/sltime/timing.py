@@ -22,9 +22,17 @@ Everything here is closed-form in the angles; numerical differentiation of
 the N-cell transmission phase is relegated to the test suite (phase
 unwrapping across sharp resonances is exactly the fragility this module
 exists to avoid).  Energies may be scalars or arrays throughout; sweeps and
-curves evaluate their whole grid in one call of the cell model.  Every
-cross-check below fails through ``errors.require``: a NaN fails it, and
-the NumericError names the first failing energy of an array.
+curves evaluate their whole grid in one call of the cell model.
+
+``bloch_time``, ``phase_time``, ``envelopes`` and ``timing_curve`` share one
+evaluation: ``_bloch`` checks N >= 1, makes the one derivative call and
+checks N tau_Bl > 0; ``_closed_forms`` adds the 1e-8 envelope identity and
+the closed forms above.  ``bloch_time`` is ``_bloch``'s N = 1 case and skips
+the closed forms; the other three return columns of ``_closed_forms``, so
+each runs both checks.  ``transmission_sweep`` needs no derivatives and
+checks its closed form against the matrix product instead.  Every
+cross-check fails through ``errors.require``: a NaN fails it, and the
+NumericError names the first failing energy of an array.
 """
 
 from __future__ import annotations
@@ -39,7 +47,6 @@ from .errors import NumericError, ValidationError, require
 from .kard import (
     Band,
     CellModel,
-    KardDerivatives,
     PotentialCell,
     _kard_derivatives,
     as_model,
@@ -69,6 +76,41 @@ def free_time(width: float, E, outside: Layer):
     return width / CONSTANTS.velocity(k, outside.mass_ratio)
 
 
+def _bloch(model: CellModel, N: int, E, band: Band | None) -> tuple:
+    """(derivatives, cell matrix, N tau_Bl) at E, from one derivative call;
+    the N >= 1 and N tau_Bl > 0 checks of every timing function."""
+    if not N >= 1:
+        raise ValidationError(f"need at least one cell, got N = {N}")
+    d, M = _kard_derivatives(model, E, band, second=False)
+    bloch = N * CONSTANTS.hbar * d.phi_p
+    require(bloch > 0.0, NumericError, "nonpositive Bloch time at E = {E} meV: phi' = {phi_p}",
+            E=E, phi_p=d.phi_p)
+    return d, M, bloch
+
+
+def _closed_forms(model: CellModel, N: int, E, band: Band | None) -> tuple:
+    """(|t_N|^2, tau_ph, env_max, env_min, N tau_Bl) at E.
+
+    env_min is cross-evaluated through the matrix-element identity
+    N hbar (d cos phi / dE) / Im M11 = N tau_Bl / cosh mu, which holds
+    because Im M11 = -sin(phi) cosh(mu); disagreement beyond 1e-8 relative
+    means the decomposition and the matrix have drifted apart.
+    """
+    d, M, bloch = _bloch(model, N, E, band)
+    phi, mu = d.params.phi, d.params.mu
+    ch = np.cosh(mu)
+    env_min = bloch / ch
+    m_form = N * CONSTANTS.hbar * (-d.phi_p * np.sin(phi)) / M.m11.imag
+    require(np.abs(m_form - env_min) <= 1e-8 * np.abs(env_min), NumericError,
+            "envelope cross-check failed at E = {E} meV: "
+            "{m_form} (matrix form) vs {env_min} (cosh form)",
+            E=E, m_form=m_form, env_min=env_min)
+    den = 1.0 + np.sinh(mu) ** 2 * np.sin(N * phi) ** 2
+    # tanh(mu) mu' -> 0 whenever mu -> 0, so a transparent cell is safe here.
+    ripple = np.sin(2.0 * N * phi) * np.tanh(mu) * d.mu_p / (2.0 * N * d.phi_p)
+    return 1.0 / den, bloch * ch * (1.0 + ripple) / den, bloch * ch, env_min, bloch
+
+
 def bloch_time(
     cell: Union[CellModel, CellSpec],
     outside: Layer | None = None,
@@ -77,20 +119,7 @@ def bloch_time(
     band: Band | None = None,
 ):
     """Per-cell traversal time hbar phi' (fs) at band-interior energy E."""
-    d, _ = _kard_derivatives(as_model(cell, outside), E, band, second=False)
-    tau = CONSTANTS.hbar * d.phi_p
-    require(tau > 0.0, NumericError, "nonpositive Bloch time at E = {E} meV: phi' = {phi_p}",
-            E=E, phi_p=d.phi_p)
-    return tau
-
-
-def _phase_time_from(d: KardDerivatives, N: int):
-    phi, mu = d.params.phi, d.params.mu
-    n_bloch = N * CONSTANTS.hbar * d.phi_p
-    sin_n = np.sin(N * phi)
-    # tanh(mu) mu' -> 0 whenever mu -> 0, so a transparent cell is safe here.
-    ripple = np.sin(2.0 * N * phi) * np.tanh(mu) * d.mu_p / (2.0 * N * d.phi_p)
-    return n_bloch * np.cosh(mu) * (1.0 + ripple) / (1.0 + np.sinh(mu) ** 2 * sin_n**2)
+    return _bloch(as_model(cell, outside), 1, E, band)[2]
 
 
 def phase_time(
@@ -102,10 +131,7 @@ def phase_time(
     band: Band | None = None,
 ):
     """Stationary-phase time hbar d(arg t_N)/dE (fs) for the N-cell array."""
-    if N < 1:
-        raise ValidationError(f"need at least one cell, got N = {N}")
-    d, _ = _kard_derivatives(as_model(cell, outside), E, band, second=False)
-    return _phase_time_from(d, N)
+    return _closed_forms(as_model(cell, outside), N, E, band)[1]
 
 
 def envelopes(
@@ -116,25 +142,8 @@ def envelopes(
     *,
     band: Band | None = None,
 ):
-    """(env_max, env_min, N tau_Bl) at energy E, all in fs.
-
-    env_min is cross-evaluated through the matrix-element identity
-    N hbar (d cos phi / dE) / Im M11 = N tau_Bl / cosh mu, which holds
-    because Im M11 = -sin(phi) cosh(mu); disagreement beyond 1e-8 relative
-    means the decomposition and the matrix have drifted apart.
-    """
-    d, M = _kard_derivatives(as_model(cell, outside), E, band, second=False)
-    ch = np.cosh(d.params.mu)
-    bloch_total = N * CONSTANTS.hbar * d.phi_p
-    env_max = bloch_total * ch
-    env_min = bloch_total / ch
-    c_p = -d.phi_p * np.sin(d.params.phi)
-    m_form = N * CONSTANTS.hbar * c_p / M.m11.imag
-    require(np.abs(m_form - env_min) <= 1e-8 * np.abs(env_min), NumericError,
-            "envelope cross-check failed at E = {E} meV: "
-            "{m_form} (matrix form) vs {env_min} (cosh form)",
-            E=E, m_form=m_form, env_min=env_min)
-    return env_max, env_min, bloch_total
+    """(env_max, env_min, N tau_Bl) at energy E, all in fs."""
+    return _closed_forms(as_model(cell, outside), N, E, band)[2:]
 
 
 @dataclass(frozen=True)
@@ -200,15 +209,12 @@ def transmission_sweep(
 class TimingCurve:
     """Timing quantities per band-interior energy sample, all times in fs.
 
-    tau_ph_delay subtracts the free flight over the array's physical width
-    (nan when the model has no spatial extent).  env_max * env_min equals
-    tau_bloch_total^2 identically.
+    env_max * env_min equals tau_bloch_total^2 identically.
     """
 
     energies: np.ndarray
     t2: np.ndarray
     tau_ph: np.ndarray
-    tau_ph_delay: np.ndarray
     tau_bloch_total: np.ndarray
     env_max: np.ndarray
     env_min: np.ndarray
@@ -250,28 +256,9 @@ def timing_curve(
     """
     if grid is None:
         raise ValidationError("timing_curve needs an energy grid")
-    if N < 1:
-        raise ValidationError(f"need at least one cell, got N = {N}")
-    model = as_model(cell, outside)
     lo = band.lower if band is not None else float(grid.samples[0])
     hi = band.upper if band is not None else float(grid.samples[-1])
     samples = _refined_samples(grid, refine, lo, hi)
-
-    d, _ = _kard_derivatives(model, samples, band, second=False)
-    phi, mu = d.params.phi, d.params.mu
-    ch = np.cosh(mu)
-    bloch = N * CONSTANTS.hbar * d.phi_p
-    tau_ph = _phase_time_from(d, N)
-    if isinstance(model, PotentialCell):
-        tau_delay = tau_ph - free_time(N * model.cell.width, samples, model.outside)
-    else:
-        tau_delay = np.full(len(samples), math.nan)
-    return TimingCurve(
-        energies=samples,
-        t2=1.0 / (1.0 + np.sinh(mu) ** 2 * np.sin(N * phi) ** 2),
-        tau_ph=tau_ph,
-        tau_ph_delay=tau_delay,
-        tau_bloch_total=bloch,
-        env_max=bloch * ch,
-        env_min=bloch / ch,
-    )
+    t2, tau_ph, env_max, env_min, bloch = _closed_forms(as_model(cell, outside), N, samples, band)
+    return TimingCurve(energies=samples, t2=t2, tau_ph=tau_ph, tau_bloch_total=bloch,
+                       env_max=env_max, env_min=env_min)

@@ -335,6 +335,16 @@ def test_reproduce_figure_9_refuses_a_bad_count_before_any_packet_run(capsys, tm
     assert not list(tmp_path.glob("*.csv"))
 
 
+@pytest.mark.parametrize("flags", ["--figure 9 --sigma-x nan", "--figure 7 --count 1"],
+                         ids=["fig9-sigma-nan", "fig7-count-1"])
+def test_refused_reproduce_leaves_no_outdir(flags, capsys, tmp_path):
+    """--outdir is made with the first file, after planning, so a refused
+    run leaves no empty directory behind."""
+    assert main(["reproduce", *flags.split(), "--outdir", str(tmp_path / "od" / "x")]) == 3
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "od").exists()
+
+
 @pytest.mark.parametrize("argv", [
     "tdse --stack {stack} --E0 58.5 --dx nan -o {out}",
     "tdse --stack {stack} --E0 58.5 --dt nan -o {out}",

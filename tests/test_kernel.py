@@ -25,6 +25,7 @@ from hypothesis import assume, given, strategies as st
 from conftest import stacks
 from sltime.kard import band_structure, kard_derivatives
 from sltime.medium import CellSpec, EnergyGrid, Layer, StackSpec, representative_cell, representative_stack
+from sltime.timing import bloch_time
 from sltime.tmatrix import _cos_and_sinc, _sinc_slopes, cell_matrix, energy_jet, stack_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -92,6 +93,10 @@ def test_kard_derivatives_array_equals_scalar_calls(stack, fractions):
         for field in ("phi", "mu"):
             a, b = getattr(d.params, field)[i], getattr(one.params, field)
             assert abs(a - b) <= RTOL * abs(b)
+    # bloch_time, the N = 1 case of the timing evaluation, agrees bit for bit
+    tau = bloch_time(stack.core, stack.outside, energies, band=band)
+    one = [bloch_time(stack.core, stack.outside, float(E), band=band) for E in energies]
+    assert one == tau.tolist()
 
 
 def test_stationary_commands_never_load_scipy(tmp_path):

@@ -16,7 +16,7 @@ from sltime.errors import ValidationError
 from sltime.kard import as_model, energy_at_phase
 from sltime.medium import EnergyGrid, Layer, representative_cell
 from sltime.playmodel import PLAY_MODEL, play_matrix
-from sltime.resonance import approx_curves, fit_peak, fit_valley, locate_extrema
+from sltime.resonance import approx_curves, fit_extrema, fit_peak, fit_valley, locate_extrema
 from sltime.timing import envelopes, phase_time
 
 OUT = Layer(9.5, 0.0, 0.067)
@@ -191,22 +191,49 @@ def test_approx_curves_hit_extrema_values(rep_band):
 
 def test_window_edges_take_the_window_shape(rep_band):
     # Windows are closed: E_m +- Gamma_m takes the peak shapes and
-    # E_p +- Gamma_p/2 the valley shape; one ulp outside a window the
-    # connector takes over, the mean of the flanking edge values, so tau
-    # jumps there by design.  For N = 5 no rep5 windows overlap.
+    # E_p +- Gamma_p/2 the valley shape; between them the bridge runs
+    # straight from one edge value to the other, so one ulp outside a
+    # window it continues the window's value.  For N = 5 no rep5 windows
+    # overlap.
     cell = representative_cell()
     pk = fit_peak(cell, OUT, 5, 2, band=rep_band)
     vl = fit_valley(cell, OUT, 5, 2, band=rep_band)
     pk_lo, pk_hi = pk.E_m - pk.Gamma_m, pk.E_m + pk.Gamma_m
     vl_lo, vl_hi = vl.E_p - 0.5 * vl.Gamma_p, vl.E_p + 0.5 * vl.Gamma_p
     assert pk_hi < vl_lo
-    grid = EnergyGrid(np.array([pk_lo, pk_hi, np.nextafter(pk_hi, math.inf), vl_lo, vl_hi]))
+    mid = 0.5 * (pk_hi + vl_lo)
+    grid = EnergyGrid(np.array([pk_lo, pk_hi, np.nextafter(pk_hi, math.inf), mid,
+                                np.nextafter(vl_lo, -math.inf), vl_lo, vl_hi]))
     curves = approx_curves(cell, OUT, 5, rep_band, grid)
     assert curves.t2[:2].tolist() == [pk.t2(pk_lo), pk.t2(pk_hi)]
     assert curves.tau_ph[:2].tolist() == [pk.tau(pk_lo), pk.tau(pk_hi)]
-    assert curves.tau_ph[3:].tolist() == [vl.tau(vl_lo), vl.tau(vl_hi)]
-    assert curves.tau_ph[2] == (pk.tau(pk_hi) + vl.tau(vl_lo)) / 2
+    assert curves.tau_ph[5:].tolist() == [vl.tau(vl_lo), vl.tau(vl_hi)]
+    assert curves.tau_ph[3] == pytest.approx(0.5 * (pk.tau(pk_hi) + vl.tau(vl_lo)), rel=1e-12)
+    assert curves.tau_ph[2] == pytest.approx(pk.tau(pk_hi), rel=1e-12)
+    assert curves.tau_ph[4] == pytest.approx(vl.tau(vl_lo), rel=1e-12)
     assert curves.t2[2:] == pytest.approx(0.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("model, N", [("rep5", 5), ("play", 9)])
+def test_bridge_is_continuous_at_every_window_edge(model, N, rep_band, play_band):
+    """One ulp outside a window edge that no other window holds, the bridge
+    carries on from the window's edge value; before, it jumped by hundreds
+    of fs there (fig8 ``tau_approx_fs`` at rep5's first peak's upper edge,
+    52.9531 meV: 1521.0 vs 930.8 fs)."""
+    cell, band = ((as_model(representative_cell(), OUT), rep_band) if model == "rep5"
+                  else (PLAY_MODEL, play_band))
+    peaks, valleys = fit_extrema(cell, None, N, band)
+    lo = [pk.E_m - pk.Gamma_m for pk in peaks] + [vl.E_p - 0.5 * vl.Gamma_p for vl in valleys]
+    hi = [pk.E_m + pk.Gamma_m for pk in peaks] + [vl.E_p + 0.5 * vl.Gamma_p for vl in valleys]
+    pairs = sorted((e, np.nextafter(e, side)) for ends, side in ((lo, -math.inf), (hi, math.inf))
+                   for e in ends)
+    pairs = [(e, o) for e, o in pairs if band.lower < o < band.upper
+             and not any(a <= o <= b for a, b in zip(lo, hi))]
+    assert pairs
+    curves = approx_curves(cell, None, N, band, EnergyGrid(np.unique(np.ravel(pairs))))
+    tau = dict(zip(curves.energies.tolist(), curves.tau_ph.tolist()))
+    for e, o in pairs:
+        assert tau[o] == pytest.approx(tau[e], rel=1e-9), e
 
 
 def test_argument_validation(rep_band, play_band):
