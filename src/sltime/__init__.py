@@ -1,7 +1,8 @@
 """Transmission, band structure, and traversal times of finite superlattices.
 
 The package is organized around the single-cell transfer matrix and its
-angle parameterization:
+angle parameterization.  Every name in the ``__all__`` of ``errors`` or of a
+module below can be imported from ``sltime`` itself:
 
 - ``medium``     units, layers, cells, stacks, energy grids, stack files
 - ``tmatrix``    plane-wave transfer matrices and t/r amplitudes
@@ -14,129 +15,28 @@ angle parameterization:
 - ``tdse``       time-dependent wave-packet propagation cross-check
 """
 
-from .errors import (
-    NearBandEdgeError,
-    NoTransmissionError,
-    NumericError,
-    SltimeError,
-    ValidationError,
-)
-from .medium import (
-    CONSTANTS,
-    CellSpec,
-    EnergyGrid,
-    Layer,
-    StackSpec,
-    load_stack,
-    representative_cell,
-    representative_stack,
-    save_stack,
-)
-from .tmatrix import Amplitudes, TransferMatrix, amplitudes, cell_matrix, stack_matrix
-from .kard import (
-    Band,
-    KardDerivatives,
-    KardParams,
-    band_structure,
-    decompose,
-    energy_at_phase,
-    kard_derivatives,
-    reconstruct,
-)
-from .timing import (
-    TimingCurve,
-    bloch_time,
-    envelopes,
-    phase_time,
-    timing_curve,
-    transmission_sweep,
-)
-from .resonance import (PeakFit, ValleyFit, approx_curves, fit_extrema, fit_peak, fit_valley,
-                        locate_extrema)
-from .scattering import (
-    DwellResult,
-    SmithMatrix,
-    dwell_time,
-    interior_wavefunction,
-    smith_matrix,
-)
-from .playmodel import PLAY_MODEL, PlayModelSpec, play_derivatives, play_kard, play_matrix
-from .arc import ArcDesign, band_average_transmission, compose_with_arc, design_rule_of_thumb
-from .tdse import (
-    DelayResult,
-    Grid1D,
-    WavePacket,
-    evolve,
-    packet_delay,
-    plan_run,
-    spectral_average,
-    stationary_packet_delay,
-)
+from . import errors, medium, tmatrix, kard, timing, resonance, scattering, playmodel, arc, tdse
+from .errors import *
+from .medium import *
+from .tmatrix import *
+from .kard import *
+from .timing import *
+from .resonance import *
+from .scattering import *
+from .playmodel import *
+from .arc import *
+from .tdse import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "SltimeError",
-    "ValidationError",
-    "NumericError",
-    "NearBandEdgeError",
-    "NoTransmissionError",
-    "CONSTANTS",
-    "Layer",
-    "CellSpec",
-    "StackSpec",
-    "EnergyGrid",
-    "load_stack",
-    "save_stack",
-    "representative_cell",
-    "representative_stack",
-    "TransferMatrix",
-    "Amplitudes",
-    "cell_matrix",
-    "stack_matrix",
-    "amplitudes",
-    "KardParams",
-    "KardDerivatives",
-    "Band",
-    "decompose",
-    "reconstruct",
-    "band_structure",
-    "energy_at_phase",
-    "kard_derivatives",
-    "TimingCurve",
-    "bloch_time",
-    "phase_time",
-    "envelopes",
-    "timing_curve",
-    "transmission_sweep",
-    "PeakFit",
-    "ValleyFit",
-    "locate_extrema",
-    "fit_peak",
-    "fit_valley",
-    "fit_extrema",
-    "approx_curves",
-    "DwellResult",
-    "SmithMatrix",
-    "smith_matrix",
-    "interior_wavefunction",
-    "dwell_time",
-    "PlayModelSpec",
-    "PLAY_MODEL",
-    "play_kard",
-    "play_matrix",
-    "play_derivatives",
-    "ArcDesign",
-    "design_rule_of_thumb",
-    "compose_with_arc",
-    "band_average_transmission",
-    "Grid1D",
-    "WavePacket",
-    "DelayResult",
-    "evolve",
-    "packet_delay",
-    "plan_run",
-    "spectral_average",
-    "stationary_packet_delay",
-    "__version__",
-]
+__all__ = ["__version__"]
+__all__ += errors.__all__
+__all__ += medium.__all__
+__all__ += tmatrix.__all__
+__all__ += kard.__all__
+__all__ += timing.__all__
+__all__ += resonance.__all__
+__all__ += scattering.__all__
+__all__ += playmodel.__all__
+__all__ += arc.__all__
+__all__ += tdse.__all__

@@ -102,14 +102,15 @@ def _write_json(out: str | None, payload: dict) -> None:
 # --- model/band plumbing shared by the sweep commands -----------------------
 
 def _load_model(args) -> tuple[object, int]:
-    """Resolve (cell model, N) from --stack/--play flags."""
-    if args.N is not None and args.N < 1:
-        raise ValidationError(f"--N counts cells from 1, got N = {args.N}")
+    """Resolve (cell model, N) from --stack/--play and, where the command
+    takes it, --N."""
+    n = getattr(args, "N", None)
+    if n is not None and n < 1:
+        raise ValidationError(f"--N counts cells from 1, got N = {n}")
     if args.play:
-        return PLAY_MODEL, 9 if args.N is None else args.N
+        return PLAY_MODEL, 9 if n is None else n
     stack = load_stack(args.stack)
-    n = stack.replicas if args.N is None else args.N
-    return as_model(stack.core, stack.outside), n
+    return as_model(stack.core, stack.outside), stack.replicas if n is None else n
 
 
 def _lead_bottom(model) -> float:
@@ -323,12 +324,14 @@ def _cmd_arc_evaluate(args) -> None:
 
 # --- tdse ----------------------------------------------------------------------
 
-def _tdse_predictions(stack: StackSpec, packet, band: Band, x_sep, x_d, t_max) -> dict:
+def _tdse_predictions(stack: StackSpec, band: Band, grid, packet, x_sep, x_d) -> dict:
+    """The stationary predictions, made from the plan before the run, so that a
+    packet they refuse (its spectrum reaching k <= 0) never runs."""
+    packet_pred = stationary_packet_delay(stack, packet, x_sep, x_d, grid.t_final)
     lo, hi = band.interior(5e-3)
     curve = timing_curve(stack.core, stack.outside, stack.replicas,
                          EnergyGrid.linear(lo, hi, 1200), band=band)
     bloch = spectral_average(curve.energies, curve.tau_bloch_total, packet, stack.outside)
-    packet_pred = stationary_packet_delay(stack, packet, x_sep, x_d, t_max)
     return {"bloch_spectral_fs": bloch, "stationary_packet_fs": packet_pred}
 
 
@@ -340,17 +343,17 @@ def _cmd_tdse(args) -> None:
         extra_time=args.extra_time,
     )
     if args.x_detector is not None:
-        if not (x_sep < args.x_detector < math.inf):
+        if not (x_sep < args.x_detector < grid.x_max):
             raise ValidationError(
-                f"detector at {args.x_detector} nm must sit at a finite position beyond "
-                f"the stack separator at {x_sep} nm"
+                f"detector at {args.x_detector} nm must sit between the stack separator "
+                f"at {x_sep} nm and the planned domain's right wall at {grid.x_max} nm"
             )
         x_d = args.x_detector
 
+    preds = _tdse_predictions(stack, band, grid, packet, x_sep, x_d)
     run = evolve(stack, grid, packet, x_sep=x_sep)
     free = evolve(free_reference(stack), grid, packet, x_sep=x_sep)
     result = packet_delay(run, x_d, free)
-    preds = _tdse_predictions(stack, packet, band, x_sep, x_d, grid.n_steps * grid.dt)
 
     series_path = f"{args.output}_series.csv"
     rows = zip(run.times, run.beyond_prob, run.centroid,
@@ -414,12 +417,14 @@ def _cmd_reproduce(args) -> None:
         return
 
     # Figure 9: the wave-packet experiment on the ARC-terminated array, its
-    # runs planned (and --sigma-x validated) before any file is written.
+    # runs planned and predicted (which validates --sigma-x) before any file
+    # is written or packet runs.
     E = EnergyGrid.linear(*band.interior(5e-3), _count(args, 400)).samples
     design = design_rule_of_thumb(stack.core, stack.outside, band)
     dressed = dataclasses.replace(stack, left_arc=design.arc_cell,
                                   right_arc=design.arc_cell)
     plans = {e0: plan_run(dressed, e0, sigma_x=args.sigma_x) for e0 in (57.0, 58.5, 60.0)}
+    preds = {e0: _tdse_predictions(dressed, band, *plan) for e0, plan in plans.items()}
     write("fig9_curve.csv", ["E_meV", "T_stack", "tau_ph_fs", "bloch_fs", "free_fs"],
           zip(E, abs(amplitudes(stack_matrix(E, dressed)).t) ** 2,
               stack_phase_time(dressed, E), n * bloch_time(model, None, E, band=band),
@@ -430,11 +435,8 @@ def _cmd_reproduce(args) -> None:
         run = evolve(dressed, grid, packet, x_sep=x_sep)
         free = evolve(free_reference(dressed), grid, packet, x_sep=x_sep)
         result = packet_delay(run, x_d, free)
-        preds = _tdse_predictions(dressed, packet, band, x_sep, x_d,
-                                  grid.n_steps * grid.dt)
-        point_rows.append((e0, result.delay, preds["bloch_spectral_fs"],
-                           preds["stationary_packet_fs"],
-                           result.transmitted_fraction))
+        point_rows.append((e0, result.delay, preds[e0]["bloch_spectral_fs"],
+                           preds[e0]["stationary_packet_fs"], result.transmitted_fraction))
     write("fig9_points.csv",
           ["E0_meV", "delay_fs", "bloch_avg_fs", "packet_pred_fs", "transmitted_fraction"],
           point_rows)
@@ -442,12 +444,13 @@ def _cmd_reproduce(args) -> None:
 
 # --- parser --------------------------------------------------------------------
 
-def _add_model_flags(p: argparse.ArgumentParser) -> None:
+def _add_model_flags(p: argparse.ArgumentParser, cells: bool = True) -> None:
     src = p.add_mutually_exclusive_group(required=True)
     src.add_argument("--stack", help="stack JSON file")
     src.add_argument("--play", action="store_true", help="use the closed-form single-band model")
-    p.add_argument("--N", type=int, default=None,
-                   help="number of cells (default: stack replicas, or 9 for --play)")
+    if cells:  # kard's single-cell angles do not depend on N
+        p.add_argument("--N", type=int, default=None,
+                       help="number of cells (default: stack replicas, or 9 for --play)")
 
 
 def _add_sweep_flags(p: argparse.ArgumentParser) -> None:
@@ -467,7 +470,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("kard", help="single-cell angles (phi, mu, chi) vs energy")
-    _add_model_flags(p)
+    _add_model_flags(p, cells=False)
     _add_sweep_flags(p)
     p.set_defaults(func=_cmd_kard)
 

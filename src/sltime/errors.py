@@ -17,6 +17,9 @@ scalar validation is ``if not (...): raise``.
 
 import numpy as np
 
+__all__ = ["SltimeError", "ValidationError", "NumericError", "NearBandEdgeError",
+           "NoTransmissionError"]
+
 
 class SltimeError(Exception):
     """Base class for all package errors."""

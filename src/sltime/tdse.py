@@ -53,6 +53,7 @@ __all__ = [
     "plan_run",
     "evolve",
     "packet_delay",
+    "stationary_packet_delay",
     "spectral_average",
 ]
 
@@ -379,11 +380,11 @@ def plan_run(
     dispersed widths either side of x0, and since the reflected packet
     turns back at the stack's face -w/2, the left one moves right by twice
     -w/2 - x0, in whole cells so the lattice keeps its place against the
-    layer interfaces.  ``extra_time`` lengthens the run (fs) for slow,
-    resonance-trapped transmission.
+    layer interfaces.  ``extra_time`` (fs, >= 0) only lengthens the run, for
+    slow, resonance-trapped transmission.
     """
-    if not (0 < dx < math.inf and 0 < dt < math.inf and abs(extra_time) < math.inf):
-        raise ValidationError(f"need 0 < dx, dt < inf and a finite extra_time, got "
+    if not (0 < dx < math.inf and 0 < dt < math.inf and 0 <= extra_time < math.inf):
+        raise ValidationError(f"need 0 < dx, dt < inf and 0 <= extra_time < inf, got "
                               f"{dx}, {dt}, {extra_time}")
     half_w = 0.5 * stack.width
     packet = WavePacket(x0=-(half_w + 10.0 * sigma_x), E0=E0, sigma_x=sigma_x)
@@ -431,12 +432,15 @@ def stationary_packet_delay(
     is strongly stretched, and the centroid crossing legitimately sits below
     the naive spectrum-averaged phase-time delay because density that is
     still trapped when the centroid passes the detector cannot contribute.
+    A packet whose spectrum reaches k <= 0, where no right-moving lead wave
+    exists, is refused.
     """
     k0 = packet.k0(stack.outside)
     sigma_k = 0.5 / packet.sigma_x
     k = np.linspace(k0 - 6.5 * sigma_k, k0 + 6.5 * sigma_k, _N_K)
     if not (k[0] > 0):
-        raise ValidationError("packet spectrum reaches k <= 0; use a narrower packet")
+        raise ValidationError(f"the spectrum of a sigma_x = {packet.sigma_x} nm packet reaches "
+                              f"k <= 0; use a wider packet (larger sigma_x)")
     spec = np.exp(-(packet.sigma_x**2) * (k - k0) ** 2 - 1j * (k - k0) * packet.x0)
     alpha = CONSTANTS.hbar2_over_2m0 / stack.outside.mass_ratio
     E = alpha * k**2 + stack.outside.potential

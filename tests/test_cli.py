@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sltime import cli
 from sltime.cli import build_parser, main
 from sltime.kard import as_model, decompose
 from sltime.medium import (
@@ -246,13 +247,11 @@ def test_zero_cells_exits_3(argv, capsys, tmp_path):
 
 
 @pytest.mark.parametrize("command", [
-    "kard --play --count 3", "kard --stack {stack} --count 3", "transmission --play --count 3",
-    "phasetime --stack {stack} --count 3", "resonances --play",
+    "transmission --play --count 3", "phasetime --stack {stack} --count 3", "resonances --play",
 ])
 @pytest.mark.parametrize("n", ["-3", "0"])
 def test_model_flag_N_below_one_exits_3_for_every_command(command, n, capsys, tmp_path):
-    """--N below 1 is refused by every command that takes it, kard included,
-    although kard's single-cell angles do not depend on N."""
+    """--N below 1 is refused by every command that takes it."""
     out = tmp_path / "out.csv"
     argv = [*shlex.split(command.format(stack=STACK)), "--N", n, "-o", str(out)]
     assert main(argv) == 3
@@ -269,15 +268,18 @@ def test_band_below_one_exits_3(band, capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["kard", "transmission"])
-def test_band_flag_is_refused_where_it_would_be_ignored(command, capsys, tmp_path):
+@pytest.mark.parametrize("command, flag", [
+    ("kard", "--band"), ("transmission", "--band"), ("kard", "--N"),
+], ids=["kard", "transmission", "kard-N"])
+def test_band_flag_is_refused_where_it_would_be_ignored(command, flag, capsys, tmp_path):
     """kard and transmission sweep the whole window, so --band 2 is an
-    unknown flag there (exit 2), not a silently ignored one."""
+    unknown flag there (exit 2), not a silently ignored one; so is kard's
+    --N 2, since a single cell's angles do not depend on N."""
     out = tmp_path / "out.csv"
     with pytest.raises(SystemExit) as exit_:
-        main([command, "--stack", STACK, "--band", "2", "-o", str(out)])
+        main([command, "--stack", STACK, flag, "2", "-o", str(out)])
     assert exit_.value.code == 2
-    assert "unrecognized arguments: --band 2" in capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -365,6 +367,29 @@ def test_non_finite_flag_exits_3_before_anything_is_written(argv, capsys, tmp_pa
     packet runs or a file is written."""
     assert main(shlex.split(argv.format(stack=STACK, out=tmp_path / "out"))) == 3
     assert capsys.readouterr().err.startswith("error: ")
+    assert not [path for path in tmp_path.rglob("*") if path.is_file()]
+
+
+@pytest.mark.parametrize("argv, message", [
+    ("tdse --stack {stack} --E0 58.5 --extra-time -1000 -o {out}", "0 <= extra_time"),
+    ("tdse --stack {stack} --E0 58.5 --extra-time -2500 -o {out}", "0 <= extra_time"),
+    ("tdse --stack {stack} --E0 58.5 --x-detector 1e6 -o {out}", "right wall"),
+    ("tdse --stack {stack} --E0 58.5 --sigma-x 1.5 -o {out}", "use a wider packet"),
+    ("reproduce --figure 9 --sigma-x 1.5 --outdir {out}", "use a wider packet"),
+], ids=["extra-time-negative", "extra-time-very-negative", "detector-outside-domain",
+        "spectrum-reaches-k0", "fig9-spectrum-reaches-k0"])
+def test_bad_packet_input_is_refused_before_any_run(argv, message, monkeypatch, capsys,
+                                                    tmp_path):
+    """A negative --extra-time, a detector past the planned domain's right
+    wall and a packet whose spectrum reaches k <= 0 are bad input: refused
+    while planning, before a packet runs or a file is written."""
+    def no_run(*args, **kwargs):
+        raise AssertionError("a packet ran")
+
+    monkeypatch.setattr(cli, "evolve", no_run)
+    assert main(shlex.split(argv.format(stack=STACK, out=tmp_path / "out"))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
     assert not [path for path in tmp_path.rglob("*") if path.is_file()]
 
 
