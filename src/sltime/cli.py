@@ -385,6 +385,10 @@ def _cmd_tdse(args) -> None:
 
 def _cmd_reproduce(args) -> None:
     k = args.figure
+    if k != 9 and args.sigma_x is not None:
+        raise ValidationError("--sigma-x shapes only figure 9's packets")
+    if args.sigma_x is None:
+        args.sigma_x = 90.0  # echoed in every figure's header
     outdir, header = Path(args.outdir), _config_header(args)
 
     def write(name: str, columns: Sequence[str], rows: Iterable[Sequence]) -> None:
@@ -540,8 +544,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--figure", type=int, required=True,
                    choices=[1, 2, 3, 4, 5, 6, 7, 8, 9])
     p.add_argument("--count", type=int, default=None)
-    p.add_argument("--sigma-x", type=float, default=90.0,
-                   help="packet width for figure 9 (nm)")
+    p.add_argument("--sigma-x", type=float, default=None,
+                   help="packet width for figure 9 (nm, default 90)")
     p.add_argument("--outdir", default="figures")
     p.set_defaults(func=_cmd_reproduce)
 

@@ -102,14 +102,17 @@ def test_kard_derivatives_array_equals_scalar_calls(stack, fractions):
 def test_stationary_commands_never_load_scipy(tmp_path):
     """`python -X importtime` lists every module the process imported.
 
-    ``decimal`` is not loaded either: only a sample that the |t_N|^2 check
-    flags asks for its 40-digit reference, and none is flagged here."""
+    The wave-packet command, on a coarse grid, loads no scipy module either.
+    ``decimal`` is not loaded: only a sample that the |t_N|^2 check flags
+    asks for its 40-digit reference, and none is flagged here."""
     commands = [
         ["--version"],
         ["kard", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "kard.csv")],
         ["transmission", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "t.csv")],
         ["phasetime", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "pt.csv")],
         ["arc", "design", "--stack", "stacks/rep5.json", "-o", str(tmp_path / "arc.json")],
+        ["tdse", "--stack", "stacks/rep5.json", "--E0", "58.5", "--dx", "1", "--dt", "4",
+         "-o", str(tmp_path / "run")],
     ]
     for argv in commands:
         proc = subprocess.run(

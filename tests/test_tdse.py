@@ -15,6 +15,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
+
+from conftest import layers
 
 from sltime.errors import (
     NoTransmissionError,
@@ -25,6 +28,7 @@ from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, representative_
 from sltime.tdse import (
     Grid1D,
     PacketRecord,
+    _CyclicReduction,
     WavePacket,
     _hamiltonian_diagonals,
     _material_arrays,
@@ -151,15 +155,16 @@ def test_step_matches_dense_crank_nicolson():
     assert rec.norm_drift < 1e-12
 
 
-def test_evolve_loads_no_sparse_module():
-    """The stepping needs LAPACK only: no scipy.sparse module is imported."""
+def test_evolve_loads_no_scipy_module():
+    """The stepping is numpy alone: no scipy module is imported."""
     script = (
         "import sys\n"
         "from sltime.medium import representative_stack\n"
         "from sltime.tdse import evolve, plan_run\n"
         "stack = representative_stack()\n"
         "grid, packet, x_sep, _ = plan_run(stack, 58.5, sigma_x=10.0, dx=1.0, dt=4.0)\n"
-        "evolve(stack, grid, packet, x_sep)\n"
+        "rec = evolve(stack, grid, packet, x_sep)\n"
+        "print(rec.transmitted_fraction)\n"
         "print(' '.join(sorted(sys.modules)))\n"
     )
     proc = subprocess.run(
@@ -167,9 +172,55 @@ def test_evolve_loads_no_sparse_module():
         timeout=120, env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    loaded = proc.stdout.split()
-    assert "scipy.linalg.lapack" in loaded  # the listing really covers the solver
-    assert not [m for m in loaded if m.startswith("scipy.sparse")]
+    fraction, modules = proc.stdout.splitlines()
+    assert float(fraction) > 0.0  # the listing really covers a run
+    loaded = modules.split()
+    assert "sltime.tdse" in loaded
+    assert not [m for m in loaded if m.split(".")[0] == "scipy"]
+
+
+@st.composite
+def _cn_systems(draw):
+    """A Crank-Nicolson matrix 1 + i lam H of a random stack, with wells as
+    deep and barriers as high as 5 eV, and lam max|H_i,i+1| from 1e-2 to 1e2."""
+    cell = CellSpec(tuple(draw(st.lists(layers(-5000.0, 5000.0), min_size=1, max_size=4))))
+    stack = StackSpec(core=cell, replicas=draw(st.integers(1, 3)),
+                      outside=Layer(5.0, 0.0, draw(st.floats(0.04, 0.15))))
+    dx = draw(st.floats(0.1, 1.0))
+    half = 0.5 * stack.width + draw(st.floats(20.0, 80.0))
+    grid = Grid1D(x_min=-half, x_max=half, dx=dx, dt=1.0, n_steps=1)
+    diag, off = _hamiltonian_diagonals(stack, grid)
+    lam = 10.0 ** draw(st.floats(-2.0, 2.0)) / np.abs(off).max()
+    return 1j * lam * off, 1.0 + 1j * lam * diag
+
+
+def _well_system():
+    """test_step_matches_dense_crank_nicolson's -4 eV well, where zgttrf pivots."""
+    well = CellSpec((Layer(2.0, 250.0, 0.092), Layer(1.5, -4000.0, 0.05),
+                     Layer(2.0, 250.0, 0.092)), symmetric=True)
+    stack = StackSpec(core=well, replicas=2, outside=LEAD)
+    grid = Grid1D(x_min=-100.0, x_max=100.0, dx=0.5, dt=1.0, n_steps=50)
+    diag, off = _hamiltonian_diagonals(stack, grid)
+    lam = 0.5 * grid.dt / CONSTANTS.hbar
+    return 1j * lam * off, 1.0 + 1j * lam * diag
+
+
+@given(st.one_of(_cn_systems(), st.just(_well_system())), st.integers(0, 2**32 - 1))
+def test_cyclic_reduction_needs_no_pivoting(system, seed):
+    """A's Hermitian part is the identity, so every Schur complement keeps
+    one >= 1 and every reduction pivot has real part >= 1; the solve then
+    matches a pivoted dense solve to roundoff."""
+    off, diag = system
+    solver = _CyclicReduction(off, diag, off)
+    assert solver.levels  # the system is big enough to be reduced
+    pivots = np.concatenate([1.0 / level.inv_pivot for level in solver.levels])
+    assert pivots.real.min() >= 1.0 - 1e-12
+    rng = np.random.default_rng(seed)
+    rhs = rng.normal(size=diag.size) + 1j * rng.normal(size=diag.size)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    expected = np.linalg.solve(dense, rhs)
+    got = solver.solve(rhs)
+    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 def test_plan_run_left_wall_follows_the_reflected_packet():
