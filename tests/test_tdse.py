@@ -28,8 +28,8 @@ from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, representative_
 from sltime.tdse import (
     Grid1D,
     PacketRecord,
-    _CyclicReduction,
     WavePacket,
+    _CyclicReduction,
     _hamiltonian_diagonals,
     _material_arrays,
     evolve,
@@ -115,6 +115,14 @@ def test_plan_run_geometry():
     assert longer.t_final >= grid.t_final + 3000.0 - 1.0
 
 
+def _well_run():
+    """Two cells around a -4 eV well, mass steps included, on a 401-point grid."""
+    well = CellSpec((Layer(2.0, 250.0, 0.092), Layer(1.5, -4000.0, 0.05),
+                     Layer(2.0, 250.0, 0.092)), symmetric=True)
+    stack = StackSpec(core=well, replicas=2, outside=LEAD)
+    return stack, Grid1D(x_min=-100.0, x_max=100.0, dx=0.5, dt=1.0, n_steps=50)
+
+
 def test_step_matches_dense_crank_nicolson():
     """Each step against numpy's dense solve of (1 + i lam H) psi' = (1 - i lam H) psi.
 
@@ -125,10 +133,7 @@ def test_step_matches_dense_crank_nicolson():
     """
     from scipy.linalg.lapack import zgttrf
 
-    well = CellSpec((Layer(2.0, 250.0, 0.092), Layer(1.5, -4000.0, 0.05),
-                     Layer(2.0, 250.0, 0.092)), symmetric=True)
-    stack = StackSpec(core=well, replicas=2, outside=LEAD)
-    grid = Grid1D(x_min=-100.0, x_max=100.0, dx=0.5, dt=1.0, n_steps=50)
+    stack, grid = _well_run()
     packet = WavePacket(x0=-35.0, E0=100.0, sigma_x=6.0)
     rec = evolve(stack, grid, packet)
 
@@ -195,11 +200,8 @@ def _cn_systems(draw):
 
 
 def _well_system():
-    """test_step_matches_dense_crank_nicolson's -4 eV well, where zgttrf pivots."""
-    well = CellSpec((Layer(2.0, 250.0, 0.092), Layer(1.5, -4000.0, 0.05),
-                     Layer(2.0, 250.0, 0.092)), symmetric=True)
-    stack = StackSpec(core=well, replicas=2, outside=LEAD)
-    grid = Grid1D(x_min=-100.0, x_max=100.0, dx=0.5, dt=1.0, n_steps=50)
+    """The Crank-Nicolson matrix of the -4 eV well run, where zgttrf pivots."""
+    stack, grid = _well_run()
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 0.5 * grid.dt / CONSTANTS.hbar
     return 1j * lam * off, 1.0 + 1j * lam * diag
