@@ -23,7 +23,7 @@ def main() -> None:
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
 
-    stack = representative_stack()
+    stack = representative_stack(5)
     save_stack(stack, outdir / "rep5.json")
     print(f"wrote {outdir / 'rep5.json'} (width {stack.width:g} nm)")
 

@@ -34,7 +34,7 @@ def main() -> None:
     ap.add_argument("--dt", type=float, default=2.0)
     args = ap.parse_args()
 
-    stack = representative_stack()
+    stack = representative_stack(5)
     band = band_structure(stack.core, stack.outside,
                           grid=EnergyGrid.linear(1.0, 300.0, 6000))[0]
     design = design_rule_of_thumb(stack.core, stack.outside, band)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericError, ValidationError
-from .kard import Band, PotentialCell, decompose, energy_at_phase
+from .kard import Band, PotentialCell, _require_in_band, decompose, energy_at_phase
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec
 from .numerics import bracket_roots
 from .tmatrix import TransferMatrix, amplitudes, cell_matrix, energy_jet, stack_matrix
@@ -68,21 +68,16 @@ def compose_with_arc(stack: StackSpec, E: float | np.ndarray) -> TransferMatrix:
     return stack_matrix(E, stack)
 
 
-def band_average_transmission(
-    stack: StackSpec, band: Band, grid: EnergyGrid | None = None
-) -> float:
+def band_average_transmission(stack: StackSpec, band: Band, grid: EnergyGrid) -> float:
     """Mean transmission probability over a uniform grid spanning the band.
 
-    The default grid uses 2048 points; a caller-supplied grid must be at
-    least as fine as 2000 samples, since coarse grids visibly bias the
-    average when the band contains resonances narrower than the spacing.
+    The grid must lie inside ``band`` and be at least as fine as 2000
+    samples, since coarse grids visibly bias the average when the band
+    contains resonances narrower than the spacing.
     """
-    if grid is None:
-        grid = EnergyGrid.linear(band.lower, band.upper, 2048)
-    elif grid.count < 2000:
-        raise ValidationError(
-            f"band average needs >= 2000 samples, got {grid.count}"
-        )
+    if grid.count < 2000:
+        raise ValidationError(f"band average needs >= 2000 samples, got {grid.count}")
+    _require_in_band(band, grid.samples)
     return float(np.mean(amplitudes(stack_matrix(grid.samples, stack)).T))
 
 

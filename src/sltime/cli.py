@@ -400,7 +400,7 @@ def _cmd_reproduce(args) -> None:
         write(f"fig{k}.csv", columns, rows)
         return
 
-    stack = representative_stack()
+    stack = representative_stack(5)
     model = as_model(stack.core, stack.outside)
     band = _pick_band(model, 1)
     n = stack.replicas

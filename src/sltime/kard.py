@@ -291,7 +291,7 @@ class PotentialCell:
         return theta
 
 
-def as_model(cell: Union[CellModel, CellSpec], outside: Layer | None = None) -> CellModel:
+def as_model(cell: Union[CellModel, CellSpec], outside: Layer | None) -> CellModel:
     """Accept either a CellModel or a raw (CellSpec, outside) pair."""
     if isinstance(cell, CellSpec):
         if outside is None:
@@ -313,14 +313,14 @@ class Band:
     lower: float
     upper: float
     parity: int
-    lower_is_edge: bool = True
-    upper_is_edge: bool = True
+    lower_is_edge: bool
+    upper_is_edge: bool
 
     @property
     def width(self) -> float:
         return self.upper - self.lower
 
-    def interior(self, margin: float = 1e-6) -> tuple[float, float]:
+    def interior(self, margin: float) -> tuple[float, float]:
         pad = margin * self.width
         return self.lower + pad, self.upper - pad
 
@@ -328,7 +328,8 @@ class Band:
 def band_structure(
     cell: Union[CellModel, CellSpec],
     outside: Layer | None = None,
-    grid: EnergyGrid | None = None,
+    *,
+    grid: EnergyGrid,
 ) -> list[Band]:
     """Allowed bands of the periodic crystal built from this cell, in the
     window from the first to the last sample of ``grid``.
@@ -341,8 +342,6 @@ def band_structure(
     ``*_is_edge`` flag cleared.
     """
     model = as_model(cell, outside)
-    if grid is None:
-        raise NumericError("band_structure needs an energy grid for its window")
     e_lo, e_hi = float(grid.samples[0]), float(grid.samples[-1])
     return [Band(index=i, lower=lower, upper=upper, parity=parity,
                  lower_is_edge=lower != e_lo, upper_is_edge=upper != e_hi)
@@ -380,10 +379,10 @@ class KardDerivatives:
 
 def kard_derivatives(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    E: float | np.ndarray = 0.0,
+    outside: Layer | None,
+    E: float | np.ndarray,
     *,
-    band: Band | None = None,
+    band: Band,
 ) -> KardDerivatives:
     """phi', phi'', mu' at energy E, via the smooth functions c(E) and g(E).
 
@@ -397,21 +396,27 @@ def kard_derivatives(
         mu'   = [g' (1 - c^2) + 2 c c' g] / [(1 - c^2)^2 sinh(2 mu)]
 
     E may be an array, evaluated in one call; a scalar stays a Python
-    scalar throughout.  Every E must be inside an allowed band, and inside
-    ``band`` when one is given; the first that is not (a NaN never is)
-    raises NearBandEdgeError.
+    scalar throughout.  Every E must be inside ``band`` and classified
+    allowed there; the first that is not (a NaN never is) raises
+    NearBandEdgeError.
     """
     return _kard_derivatives(as_model(cell, outside), E, band, second=True)[0]
 
 
-def _kard_derivatives(model: CellModel, E, band: Band | None, second: bool) -> tuple:
+def _require_in_band(band: Band, E) -> None:
+    """Refuse the first E outside [band.lower, band.upper] (a NaN is never
+    inside) with NearBandEdgeError: the single-band closed forms hold
+    nowhere else."""
+    require((band.lower <= E) & (E <= band.upper), NearBandEdgeError,
+            "E = {E} meV is outside band {n} [{lo}, {hi}]",
+            E=E, n=band.index, lo=band.lower, hi=band.upper)
+
+
+def _kard_derivatives(model: CellModel, E, band: Band, second: bool) -> tuple:
     """``kard_derivatives`` and the cell matrix, ``model.matrix(E)``, it came
     from; without ``second`` the kernel carries first derivatives only and
     phi'' is nan (the timing closed forms need none)."""
-    if band is not None:
-        require((band.lower <= E) & (E <= band.upper), NearBandEdgeError,
-                "E = {E} meV is outside band {n} [{lo}, {hi}]",
-                E=E, n=band.index, lo=band.lower, hi=band.upper)
+    _require_in_band(band, E)
     M, c_p, c_pp, g_p = model.derivatives(E, second)
     params = decompose(M)
     require(params.band == "allowed", NearBandEdgeError,

@@ -292,7 +292,7 @@ def representative_cell() -> CellSpec:
     return CellSpec((half_well, barrier, half_well), symmetric=True)
 
 
-def representative_stack(replicas: int = 5) -> StackSpec:
+def representative_stack(replicas: int) -> StackSpec:
     """The representative N-cell array between GaAs leads, no end cells."""
     return StackSpec(
         core=representative_cell(),

@@ -34,7 +34,7 @@ from typing import Union
 import numpy as np
 
 from .errors import NumericError, ValidationError, require
-from .kard import Band, CellModel, as_model, energy_at_phase, kard_derivatives
+from .kard import Band, CellModel, _require_in_band, as_model, energy_at_phase, kard_derivatives
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
 
 __all__ = [
@@ -84,7 +84,7 @@ class ValleyFit:
     C_p: float  # dimensionless, O(1/N)
     D_p: float  # dimensionless, O(1/N)
     tau_valley: float  # fs, N tau_Bl / cosh(mu) at E_p
-    edge_degraded: bool = False
+    edge_degraded: bool
 
     def tau(self, E: float) -> float:
         """Valley phase-time shape at energy E (meaningful for |y| < 1)."""
@@ -95,9 +95,9 @@ class ValleyFit:
 
 def locate_extrema(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 2,
-    band: Band | None = None,
+    outside: Layer | None,
+    N: int,
+    band: Band,
 ) -> tuple[list[float], list[float]]:
     """Energies of all transmission peaks and minima of an N-cell array.
 
@@ -108,8 +108,6 @@ def locate_extrema(
     """
     if N < 2:
         raise ValidationError(f"extrema need at least 2 cells, got N = {N}")
-    if band is None:
-        raise ValidationError("locate_extrema needs the band (run band_structure first)")
     model = as_model(cell, outside)
     phases = np.concatenate([np.arange(1, N), np.arange(N) + 0.5]) * math.pi / N
     energies = energy_at_phase(model, band, phases).tolist()
@@ -140,17 +138,15 @@ def _fit(model: CellModel, N: int, band: Band,
 
 def fit_peak(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 2,
-    m: int = 1,
+    outside: Layer | None,
+    N: int,
+    m: int,
     *,
-    band: Band | None = None,
+    band: Band,
 ) -> PeakFit:
     """Analytic lineshape parameters at the m-th peak (m = 1 .. N-1)."""
     if not 1 <= m <= N - 1:
         raise ValidationError(f"peak index m = {m} outside 1..{N - 1}")
-    if band is None:
-        raise ValidationError("fit_peak needs the band")
     model = as_model(cell, outside)
     E_m = energy_at_phase(model, band, m * math.pi / N)
     return _fit(model, N, band, {m: E_m}, {})[0][0]
@@ -158,17 +154,15 @@ def fit_peak(
 
 def fit_valley(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 2,
-    p: int = 0,
+    outside: Layer | None,
+    N: int,
+    p: int,
     *,
-    band: Band | None = None,
+    band: Band,
 ) -> ValleyFit:
     """Analytic lineshape parameters at the p-th minimum (p = 0 .. N-1)."""
     if not 0 <= p <= N - 1:
         raise ValidationError(f"valley index p = {p} outside 0..{N - 1}")
-    if band is None:
-        raise ValidationError("fit_valley needs the band")
     model = as_model(cell, outside)
     E_p = energy_at_phase(model, band, (p + 0.5) * math.pi / N)
     return _fit(model, N, band, {}, {p: E_p})[1][0]
@@ -176,9 +170,9 @@ def fit_valley(
 
 def fit_extrema(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 2,
-    band: Band | None = None,
+    outside: Layer | None,
+    N: int,
+    band: Band,
 ) -> tuple[tuple[PeakFit, ...], tuple[ValleyFit, ...]]:
     """``fit_peak`` at every m = 1 .. N-1 and ``fit_valley`` at every
     p = 0 .. N-1, all roots from one ``locate_extrema`` call."""
@@ -213,14 +207,15 @@ class ApproxCurves:
 
 def approx_curves(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 2,
-    band: Band | None = None,
-    grid: EnergyGrid | None = None,
+    outside: Layer | None,
+    N: int,
+    band: Band,
+    grid: EnergyGrid,
 ) -> ApproxCurves:
-    """Build the piecewise peak/valley approximation over a grid."""
-    if band is None or grid is None:
-        raise ValidationError("approx_curves needs the band and an energy grid")
+    """Build the piecewise peak/valley approximation over a grid inside
+    ``band``; a sample outside it raises NearBandEdgeError."""
+    energies = grid.samples
+    _require_in_band(band, energies)
     peaks, valleys = fit_extrema(cell, outside, N, band)
 
     # Windows [lo, hi], peaks first: a sample takes the first that holds it.
@@ -228,7 +223,6 @@ def approx_curves(
     centre = np.array([pk.E_m for pk in peaks] + [vl.E_p for vl in valleys])
     half = np.array([pk.Gamma_m for pk in peaks] + [0.5 * vl.Gamma_p for vl in valleys])
     lo, hi = centre - half, centre + half
-    energies = np.asarray(grid.samples, dtype=float)
     inside = (lo[:, None] <= energies) & (energies <= hi[:, None])
     owner = np.where(inside.any(axis=0), inside.argmax(axis=0), -1)
 

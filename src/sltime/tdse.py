@@ -112,7 +112,7 @@ class WavePacket:
 
     x0: float
     E0: float
-    sigma_x: float = 60.0
+    sigma_x: float
 
     def __post_init__(self) -> None:
         if not (0 < self.sigma_x < math.inf):
@@ -321,20 +321,20 @@ def evolve(
     stack: StackSpec,
     grid: Grid1D,
     packet: WavePacket,
-    x_sep: float | None = None,
+    x_sep: float,
     psi0: np.ndarray | None = None,
     monitor_walls: bool = True,
 ) -> PacketRecord:
     """Crank-Nicolson evolution of the packet across the stack.
 
     The step loop only advances psi and records the norm, the probability
-    beyond ``x_sep`` (default: one grid cell past the stack's right face),
-    its first moment and the density within five cells of either wall.
-    Then each check runs once over its series, naming the first failing
-    step: a norm jump above 1e-6 in one step (a NaN state fails at t = 0),
-    then wall density above 1e-10 -- either means the run geometry, not the
-    physics, produced the numbers.  So a failing run raises only after its
-    last step; ``plan_run`` sizes domains so that only misconfigured runs do.
+    beyond ``x_sep`` (``plan_run`` places it), its first moment and the
+    density within five cells of either wall.  Then each check runs once
+    over its series, naming the first failing step: a norm jump above 1e-6
+    in one step (a NaN state fails at t = 0), then wall density above 1e-10
+    -- either means the run geometry, not the physics, produced the
+    numbers.  So a failing run raises only after its last step;
+    ``plan_run`` sizes domains so that only misconfigured runs do.
 
     ``psi0`` overrides the initial state (used by the stationary-state
     self-test); it is normalized on entry.  ``monitor_walls=False`` turns
@@ -342,8 +342,6 @@ def evolve(
     live against the walls.
     """
     x = grid.x
-    if x_sep is None:
-        x_sep = 0.5 * stack.width + grid.dx
     if not (x[0] < x_sep < x[-1]):
         raise ValidationError(f"separator {x_sep} outside the domain")
     if psi0 is None and not (
@@ -456,15 +454,16 @@ def _centroid_crossing(series: PacketRecord, x_d: float) -> float:
 def plan_run(
     stack: StackSpec,
     E0: float,
-    sigma_x: float = 60.0,
+    sigma_x: float,
     dx: float = 0.25,
     dt: float = 1.0,
     extra_time: float = 0.0,
 ) -> tuple[Grid1D, WavePacket, float, float]:
     """Geometry and duration for a standard left-to-right run.
 
-    Returns (grid, packet, x_sep, x_d).  The packet starts ten widths left
-    of the stack, the detector sits six widths past it, and the domain is
+    Returns (grid, packet, x_sep, x_d).  The separator sits one grid cell
+    past the stack's right face, the packet starts ten widths left of the
+    stack, the detector sits six widths past it, and the domain is
     sized so that neither the transmitted packet nor the reflected one can
     reach a wall within the run: the walls sit the run's reach plus ten
     dispersed widths either side of x0, and since the reflected packet

@@ -25,11 +25,12 @@ exists to avoid).  Energies may be scalars or arrays throughout; sweeps and
 curves evaluate their whole grid in one call of the cell model.
 
 ``bloch_time``, ``phase_time``, ``envelopes`` and ``timing_curve`` share one
-evaluation: ``_bloch`` checks N >= 1, makes the one derivative call and
-checks N tau_Bl > 0; ``_closed_forms`` adds the 1e-8 envelope identity and
-the closed forms above.  ``bloch_time`` is ``_bloch``'s N = 1 case and skips
-the closed forms; the other three return columns of ``_closed_forms``, so
-each runs both checks.  ``transmission_sweep`` needs no derivatives and
+evaluation inside the ``Band`` they are handed: ``_bloch`` checks N >= 1,
+makes the one derivative call, which refuses any energy outside that band,
+and checks N tau_Bl > 0; ``_closed_forms`` adds the 1e-8 envelope identity
+and the closed forms above.  ``bloch_time`` is ``_bloch``'s N = 1 case and
+skips the closed forms; the other three return columns of
+``_closed_forms``, so each runs both checks.  ``transmission_sweep`` needs no derivatives and
 checks its closed form against the matrix product instead.  Every
 cross-check fails through ``errors.require``: a NaN fails it, and the
 NumericError names the first failing energy of an array.
@@ -76,7 +77,7 @@ def free_time(width: float, E, outside: Layer):
     return width / CONSTANTS.velocity(k, outside.mass_ratio)
 
 
-def _bloch(model: CellModel, N: int, E, band: Band | None) -> tuple:
+def _bloch(model: CellModel, N: int, E, band: Band) -> tuple:
     """(derivatives, cell matrix, N tau_Bl) at E, from one derivative call;
     the N >= 1 and N tau_Bl > 0 checks of every timing function."""
     if not N >= 1:
@@ -88,7 +89,7 @@ def _bloch(model: CellModel, N: int, E, band: Band | None) -> tuple:
     return d, M, bloch
 
 
-def _closed_forms(model: CellModel, N: int, E, band: Band | None) -> tuple:
+def _closed_forms(model: CellModel, N: int, E, band: Band) -> tuple:
     """(|t_N|^2, tau_ph, env_max, env_min, N tau_Bl) at E.
 
     env_min is cross-evaluated through the matrix-element identity
@@ -113,10 +114,10 @@ def _closed_forms(model: CellModel, N: int, E, band: Band | None) -> tuple:
 
 def bloch_time(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    E: float = 0.0,
+    outside: Layer | None,
+    E: float,
     *,
-    band: Band | None = None,
+    band: Band,
 ):
     """Per-cell traversal time hbar phi' (fs) at band-interior energy E."""
     return _bloch(as_model(cell, outside), 1, E, band)[2]
@@ -124,11 +125,11 @@ def bloch_time(
 
 def phase_time(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 1,
-    E: float = 0.0,
+    outside: Layer | None,
+    N: int,
+    E: float,
     *,
-    band: Band | None = None,
+    band: Band,
 ):
     """Stationary-phase time hbar d(arg t_N)/dE (fs) for the N-cell array."""
     return _closed_forms(as_model(cell, outside), N, E, band)[1]
@@ -136,11 +137,11 @@ def phase_time(
 
 def envelopes(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 1,
-    E: float = 0.0,
+    outside: Layer | None,
+    N: int,
+    E: float,
     *,
-    band: Band | None = None,
+    band: Band,
 ):
     """(env_max, env_min, N tau_Bl) at energy E, all in fs."""
     return _closed_forms(as_model(cell, outside), N, E, band)[2:]
@@ -161,9 +162,9 @@ class TransmissionSweep:
 
 def transmission_sweep(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 1,
-    grid: EnergyGrid | None = None,
+    outside: Layer | None,
+    N: int,
+    grid: EnergyGrid,
 ) -> TransmissionSweep:
     """N-cell transmission over a grid, via the angle closed form.
 
@@ -175,8 +176,6 @@ def transmission_sweep(
     is checked again against the 40-digit reference of ``precise``, and the
     sweep raises only if that disagrees by more than 1e-10 too.
     """
-    if grid is None:
-        raise ValidationError("transmission_sweep needs an energy grid")
     if N < 1:
         raise ValidationError(f"need at least one cell, got N = {N}")
     model = as_model(cell, outside)
@@ -226,8 +225,9 @@ def _refined_samples(
     """Merge the base grid with dense windows around sharp features.
 
     Each (center, width) pair contributes 240 samples, center + width k/40
-    for k in [-120, 120), so center +- width are exact samples; they are
-    clipped to (lo, hi) and duplicates are dropped.
+    for k in [-120, 120), so center +- width are exact samples; the windows
+    are clipped to (lo, hi) and duplicates are dropped.  The base grid is
+    kept whole, so that a sample outside the band reaches the band check.
     """
     pieces = [np.asarray(grid.samples, dtype=float)]
     for center, width in refine:
@@ -235,30 +235,26 @@ def _refined_samples(
             raise ValidationError(f"nonpositive refinement width {width}")
         local = center + width * (np.arange(-120, 120) / 40.0)
         pieces.append(local[(local > lo) & (local < hi)])
-    merged = np.unique(np.concatenate(pieces))
-    return merged[(merged >= lo) & (merged <= hi)]
+    return np.unique(np.concatenate(pieces))
 
 
 def timing_curve(
     cell: Union[CellModel, CellSpec],
-    outside: Layer | None = None,
-    N: int = 1,
-    grid: EnergyGrid | None = None,
+    outside: Layer | None,
+    N: int,
+    grid: EnergyGrid,
     *,
-    band: Band | None = None,
+    band: Band,
     refine: Sequence[tuple[float, float]] = (),
 ) -> TimingCurve:
-    """Evaluate the timing quantities across a band-interior grid.
+    """Evaluate the timing quantities across a grid inside ``band``.
 
     ``refine`` takes (energy, width) pairs -- typically resonance positions
     and their widths -- around which the base grid is locally densified so
-    sharp peaks are actually resolved (40 samples per width).
+    sharp peaks are actually resolved (40 samples per width).  A grid sample
+    outside the band raises NearBandEdgeError.
     """
-    if grid is None:
-        raise ValidationError("timing_curve needs an energy grid")
-    lo = band.lower if band is not None else float(grid.samples[0])
-    hi = band.upper if band is not None else float(grid.samples[-1])
-    samples = _refined_samples(grid, refine, lo, hi)
+    samples = _refined_samples(grid, refine, band.lower, band.upper)
     t2, tau_ph, env_max, env_min, bloch = _closed_forms(as_model(cell, outside), N, samples, band)
     return TimingCurve(energies=samples, t2=t2, tau_ph=tau_ph, tau_bloch_total=bloch,
                        env_max=env_max, env_min=env_min)

@@ -63,7 +63,7 @@ class Jet:
     __slots__ = ("v", "d1", "d2")
     __array_ufunc__ = None  # numpy operands defer to the reflected methods
 
-    def __init__(self, v, d1, d2=None):
+    def __init__(self, v, d1, d2):
         self.v, self.d1, self.d2 = v, d1, d2
 
     def chain(self, f, f1, f2) -> "Jet":

@@ -64,7 +64,7 @@ play_energies = st.floats(50.3, 74.7)
 
 @pytest.fixture(scope="session")
 def rep_stack() -> StackSpec:
-    return representative_stack()
+    return representative_stack(5)
 
 
 @pytest.fixture(scope="session")

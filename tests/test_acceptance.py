@@ -152,14 +152,14 @@ def test_c01_power_of_cell_equals_scaled_angles(rep_stack, rep_band, play_band):
 def test_c02_closed_form_band_and_unit_peaks(play_band):
     edge_err = max(abs(play_band.lower - 50.0), abs(play_band.upper - 75.0))
 
-    peaks, _ = locate_extrema(PLAY_MODEL, N=9, band=play_band)
+    peaks, _ = locate_extrema(PLAY_MODEL, None, N=9, band=play_band)
     t_min = 1.0
     for E in peaks:
         p = play_kard(E)
         t_min = min(t_min, 1.0 / (1.0 + math.sinh(p.mu) ** 2 * math.sin(9 * p.phi) ** 2))
 
     lo, hi = play_band.interior(1e-4)
-    sweep = transmission_sweep(PLAY_MODEL, N=9, grid=EnergyGrid.linear(lo, hi, 4001))
+    sweep = transmission_sweep(PLAY_MODEL, None, N=9, grid=EnergyGrid.linear(lo, hi, 4001))
     t2 = sweep.t2
     local_max = (t2[1:-1] > t2[:-2]) & (t2[1:-1] > t2[2:]) & (t2[1:-1] > 0.999)
     n_peaks = int(np.count_nonzero(local_max))
@@ -212,23 +212,23 @@ def _worst_peak_window(N, band, curve):
     lo, hi = band.interior(1e-6)
     worst = 0.0
     for m in range(1, N):
-        fit = fit_peak(PLAY_MODEL, N=N, m=m, band=band)
+        fit = fit_peak(PLAY_MODEL, None, N=N, m=m, band=band)
         es = np.linspace(
             max(fit.E_m - fit.Gamma_m, lo), min(fit.E_m + fit.Gamma_m, hi), 61
         )
         for E in es:
-            exact, approx = curve(fit, N, float(E))
+            exact, approx = curve(fit, N, band, float(E))
             worst = max(worst, abs(approx - exact) / exact)
     return worst
 
 
-def _exact_t2(fit, N, E):
+def _exact_t2(fit, N, band, E):
     p = play_kard(E)
     return 1.0 / (1.0 + math.sinh(p.mu) ** 2 * math.sin(N * p.phi) ** 2), fit.t2(E)
 
 
-def _exact_tau(fit, N, E):
-    return phase_time(PLAY_MODEL, N=N, E=E), fit.tau(E)
+def _exact_tau(fit, N, band, E):
+    return phase_time(PLAY_MODEL, None, N=N, E=E, band=band), fit.tau(E)
 
 
 def test_c04_breit_wigner_window_error(play_band):
@@ -251,12 +251,12 @@ def test_c05_fano_window_error(play_band):
     lo, hi = play_band.interior(1e-6)
     worst_valley, worst_half = 0.0, 0.0
     for p_idx in range(1, 8):
-        fit = fit_valley(PLAY_MODEL, N=9, p=p_idx, band=play_band)
+        fit = fit_valley(PLAY_MODEL, None, N=9, p=p_idx, band=play_band)
         es = np.linspace(
             max(fit.E_p - 0.5 * fit.Gamma_p, lo), min(fit.E_p + 0.5 * fit.Gamma_p, hi), 41
         )
         for E in es:
-            exact = phase_time(PLAY_MODEL, N=9, E=float(E), band=play_band)
+            exact = phase_time(PLAY_MODEL, None, N=9, E=float(E), band=play_band)
             err = abs(fit.tau(float(E)) - exact) / exact
             worst_valley = max(worst_valley, err)
             if abs(E - fit.E_p) <= 0.25 * fit.Gamma_p:
@@ -342,8 +342,9 @@ def test_c08_five_cells_give_four_resonances(rep_stack, rep_band):
 
 
 def test_c09_arc_lifts_band_average(rep_stack, rep_band, dressed_stack):
-    bare = band_average_transmission(rep_stack, rep_band)
-    dressed = band_average_transmission(dressed_stack, rep_band)
+    grid = EnergyGrid.linear(rep_band.lower, rep_band.upper, 2048)
+    bare = band_average_transmission(rep_stack, rep_band, grid)
+    dressed = band_average_transmission(dressed_stack, rep_band, grid)
     ok = bare < 0.40 and dressed > 0.70
     record_criterion(
         9, ok, f"band-average T {bare:.3f} bare (gate < 0.40), {dressed:.3f} dressed (gate > 0.70)"

@@ -1,7 +1,10 @@
-"""The public API: each module's ``__all__`` is its one declaration, and
-``sltime`` re-exports every one of those names."""
+"""The public API: each module's ``__all__`` is its one declaration,
+``sltime`` re-exports every one of those names, each default of it is
+earned by a caller, and the benchmark's calls bind to it."""
 
+import ast
 import importlib
+import inspect
 import re
 from pathlib import Path
 
@@ -47,3 +50,102 @@ def test_benchmark_names_resolve_on_sltime():
     names = set(re.findall(r"\b(?:sl|sltime)\.([A-Za-z_]\w*)", text))
     assert len(names) >= 20
     assert not [name for name in sorted(names) if not hasattr(sltime, name)]
+
+
+#: Every defaulted parameter of the public API, each with a caller outside
+#: the tests that omits it; a new default needs a deliberate entry here.
+EARNED_DEFAULTS = {
+    "CellSpec.symmetric",  # tdse.free_reference
+    "StackSpec.left_arc",  # medium.representative_stack
+    "StackSpec.right_arc",  # medium.representative_stack
+    "EnergyGrid.band_bottom",  # cli._cmd_reproduce, figure 8's grid
+    "EnergyGrid.linear.band_bottom",  # cli._play_figure
+    "TransferMatrix.ref_energy",  # kard.reconstruct
+    "energy_jet.second",  # scattering._origin_jet
+    "KardParams.band",  # kard.KardParams.scaled
+    "decompose.continuous",  # timing.transmission_sweep
+    "band_structure.outside",  # cli._pick_band
+    "timing_curve.refine",  # cli._cmd_phasetime
+    "dwell_time.x_left",  # perfbench/workloads.py, the stationary workload
+    "dwell_time.x_right",  # perfbench/workloads.py, the stationary workload
+    "plan_run.dx",  # cli._cmd_reproduce, figure 9's runs
+    "plan_run.dt",  # cli._cmd_reproduce, figure 9's runs
+    "plan_run.extra_time",  # cli._cmd_reproduce, figure 9's runs
+    "packet_delay.bloch_time_prediction",  # cli._cmd_tdse
+    "evolve.psi0",  # test seam: the exact-eigenstate oracle of the propagator
+    "evolve.monitor_walls",  # test seam: closed-box states live against the walls
+}
+
+
+def _public_callables():
+    """(label, callable) for every public function, class and public method;
+    the exceptions keep ``Exception``'s own signature."""
+    for name in sltime.__all__:
+        obj = getattr(sltime, name)
+        if inspect.isclass(obj) and issubclass(obj, Exception):
+            continue
+        if inspect.isclass(obj):
+            yield name, obj
+            for attr, value in vars(obj).items():
+                value = getattr(value, "__func__", value)  # a classmethod's function
+                if not attr.startswith("_") and inspect.isfunction(value):
+                    yield f"{name}.{attr}", value
+        elif callable(obj):
+            yield name, obj
+
+
+def test_public_defaults_are_earned():
+    """Required inputs are required: the only defaults are those some caller
+    outside the tests omits, plus two test seams of ``evolve``."""
+    defaults = {f"{label}.{p.name}"
+                for label, fn in _public_callables()
+                for p in inspect.signature(fn).parameters.values()
+                if p.default is not inspect.Parameter.empty}
+    assert defaults == EARNED_DEFAULTS
+
+
+def _benchmark_calls():
+    """(dotted name, positional count, keyword names) of every call of an
+    ``sl.``/``sltime.`` callable in the benchmark workloads: a direct call,
+    or a function handed to a wrapper, which calls it with the arguments that
+    follow it (less the wrapper's own ``tracer``).  Calls with ``*args`` are
+    skipped, since their arity is not written out."""
+    def dotted(node):
+        parts = []
+        while isinstance(node, ast.Attribute):
+            parts.append(node.attr)
+            node = node.value
+        if isinstance(node, ast.Name) and node.id in ("sl", "sltime") and parts:
+            return ".".join(reversed(parts))
+        return None
+
+    tree = ast.parse(Path("perfbench/workloads.py").read_text())
+    for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+        name, args = dotted(call.func), call.args
+        if name is None:
+            handed = [i for i, a in enumerate(args) if dotted(a) is not None]
+            if not handed:
+                continue
+            name, args = dotted(args[handed[0]]), args[handed[0] + 1:]
+        if any(isinstance(a, ast.Starred) for a in args):
+            continue
+        keywords = {k.arg for k in call.keywords} - {"tracer"}
+        yield name, len(args), keywords
+
+
+def test_benchmark_call_shapes_bind():
+    """Each call shape of the benchmark binds to the public signature it
+    calls, so no required input is missing from the workloads."""
+    shapes = set()
+    for name, n_args, keywords in _benchmark_calls():
+        fn = sltime
+        for part in name.split("."):
+            fn = getattr(fn, part)
+        if callable(fn):
+            inspect.signature(fn).bind(*[None] * n_args, **dict.fromkeys(keywords))
+            shapes.add((name, n_args, frozenset(keywords)))
+    assert {("phase_time", 4, frozenset({"band"})),
+            ("evolve", 4, frozenset()),
+            ("band_average_transmission", 3, frozenset()),
+            ("plan_run", 2, frozenset({"sigma_x", "dx", "dt"}))} <= shapes
+    assert len(shapes) >= 20

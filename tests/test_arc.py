@@ -128,7 +128,7 @@ def test_dressed_stack_transparent_at_matching_energy(design):
 
 
 def test_band_average_improvement(design, rep_band):
-    bare = representative_stack()
+    bare = representative_stack(5)
     dressed = StackSpec(
         core=bare.core,
         replicas=5,
@@ -136,8 +136,9 @@ def test_band_average_improvement(design, rep_band):
         left_arc=design.arc_cell,
         right_arc=design.arc_cell,
     )
-    avg_bare = band_average_transmission(bare, rep_band)
-    avg_dressed = band_average_transmission(dressed, rep_band)
+    grid = EnergyGrid.linear(rep_band.lower, rep_band.upper, 2048)
+    avg_bare = band_average_transmission(bare, rep_band, grid)
+    avg_dressed = band_average_transmission(dressed, rep_band, grid)
     assert avg_bare == pytest.approx(BARE_BAND_AVG, rel=1e-10)
     assert avg_dressed == pytest.approx(DRESSED_BAND_AVG, rel=1e-10)
     assert avg_dressed > 4.0 * avg_bare
@@ -168,7 +169,7 @@ def test_compose_with_arc_is_stack_matrix(design, E):
 
 
 def test_stack_phase_time_matches_band_formula(rep_band):
-    bare = representative_stack()
+    bare = representative_stack(5)
     for E in (56.5, 58.5, 61.5):
         direct = stack_phase_time(bare, E)
         closed = phase_time(bare.core, bare.outside, 5, E, band=rep_band)
@@ -193,7 +194,7 @@ def test_design_refuses_a_nan_residual(monkeypatch, rep_band):
     """The final gate states its passing condition, so a NaN residual fails
     it instead of passing the design through."""
     monkeypatch.setattr("sltime.arc.math.hypot", lambda *args: math.nan)
-    stack = representative_stack()
+    stack = representative_stack(5)
     with pytest.raises(NumericError, match="residual nan"):
         design_rule_of_thumb(stack.core, stack.outside, rep_band)
 
@@ -201,6 +202,6 @@ def test_design_refuses_a_nan_residual(monkeypatch, rep_band):
 def test_band_average_rejects_coarse_grid(rep_band):
     with pytest.raises(ValidationError):
         band_average_transmission(
-            representative_stack(), rep_band,
+            representative_stack(5), rep_band,
             EnergyGrid.linear(rep_band.lower, rep_band.upper, 512),
         )

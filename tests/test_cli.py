@@ -314,6 +314,22 @@ def test_resonances_curves_on_a_coarse_grid(model, count, tmp_path):
     assert all(np.isfinite(rows[name]).all() for name in rows.dtype.names)
 
 
+@pytest.mark.parametrize("argv", [
+    "phasetime --stack {stack} --emin 40 --emax 45 --count 50 -o {out}",
+    "phasetime --stack {stack} --emin 40 --emax 70 --count 50 -o {out}",
+    "resonances --stack {stack} --curves {out}.curves --emin 40 --emax 45 --count 5 -o {out}",
+], ids=["phasetime-gap", "phasetime-across-the-band", "resonances-curves-gap"])
+def test_in_band_sweep_refuses_the_gap(argv, capsys, tmp_path):
+    """The single-band closed forms hold only inside their band: a sample in
+    the gap below band 1 exits 4, names that energy and writes no file,
+    instead of dropping the sample or writing a lineshape value there."""
+    out = tmp_path / "out.csv"
+    assert main(shlex.split(argv.format(stack=STACK, out=out))) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("numeric error: E = 40.0 meV is outside band 1 [51.7085")
+    assert not list(tmp_path.iterdir())
+
+
 @pytest.mark.parametrize("k", [7, 8])
 def test_reproduce_honours_count(k, capsys, tmp_path):
     """--count sets the base grid of figures 7 and 8 (the default, 1600,

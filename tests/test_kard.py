@@ -161,7 +161,7 @@ def test_derivatives_next_to_a_band_edge_and_outside_the_band(play_band, rep_ban
 
 
 def test_band_structure_requires_grid():
-    with pytest.raises(NumericError):
+    with pytest.raises(TypeError):
         band_structure(representative_cell(), OUT)
 
 

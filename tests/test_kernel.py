@@ -69,7 +69,7 @@ def test_stack_matrix_array_equals_scalar_calls(stack, energies):
 
 
 def test_array_shape_is_kept():
-    stack = representative_stack()
+    stack = representative_stack(5)
     E = np.linspace(50.0, 60.0, 12).reshape(3, 4)
     M = stack_matrix(E, stack)
     assert M.m11.shape == M.m21.shape == (3, 4)

@@ -109,7 +109,7 @@ def test_stack_needs_at_least_one_replica():
 
 
 def test_representative_stack_geometry():
-    stack = representative_stack()
+    stack = representative_stack(5)
     assert stack.core.width == pytest.approx(9.5)
     assert stack.width == pytest.approx(47.5)
     assert stack.core.symmetric
@@ -133,7 +133,7 @@ def test_stack_dict_round_trip(stack):
 
 
 def test_stack_file_round_trip(tmp_path):
-    stack = representative_stack()
+    stack = representative_stack(5)
     path = tmp_path / "s.json"
     save_stack(stack, path)
     assert load_stack(path) == stack

@@ -138,7 +138,7 @@ class CountedModel:
 
 
 def test_superlinear_energy_at_phase_trace_calls(rep_band):
-    model = CountedModel(PotentialCell(representative_cell(), representative_stack().outside))
+    model = CountedModel(PotentialCell(representative_cell(), representative_stack(5).outside))
     phis = np.arange(1, 10) * math.pi / 10.0
     E = energy_at_phase(model, rep_band, phis)
     assert model.trace_calls <= 20  # plain bisection to 1e-13 made 48
@@ -163,5 +163,5 @@ def test_superlinear_rep5_design_cell_matrix_calls(monkeypatch, rep_band):
     calls = []
     kernel = arc.cell_matrix
     monkeypatch.setattr(arc, "cell_matrix", lambda *a, **k: calls.append(1) or kernel(*a, **k))
-    arc.design_rule_of_thumb(representative_cell(), representative_stack().outside, rep_band)
+    arc.design_rule_of_thumb(representative_cell(), representative_stack(5).outside, rep_band)
     assert len(calls) <= 700  # with plain bisection to 1e-13, 3289

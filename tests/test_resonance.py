@@ -240,8 +240,8 @@ def test_argument_validation(rep_band, play_band):
     cell = representative_cell()
     with pytest.raises(ValidationError):
         locate_extrema(cell, OUT, 1, band=rep_band)
-    with pytest.raises(ValidationError):
-        locate_extrema(cell, OUT, 5, band=None)
+    with pytest.raises(TypeError):
+        locate_extrema(cell, OUT, 5)
     with pytest.raises(ValidationError):
         fit_peak(cell, OUT, 5, 0, band=rep_band)
     with pytest.raises(ValidationError):
@@ -250,5 +250,5 @@ def test_argument_validation(rep_band, play_band):
         fit_valley(cell, OUT, 5, 5, band=rep_band)
     with pytest.raises(ValidationError):
         fit_valley(PLAY_MODEL, None, 9, -1, band=play_band)
-    with pytest.raises(ValidationError):
-        approx_curves(cell, OUT, 5, rep_band, None)
+    with pytest.raises(TypeError):
+        approx_curves(cell, OUT, 5, rep_band)

@@ -92,7 +92,7 @@ def brute_scattering_state(stack, E):
 
 @pytest.mark.parametrize("E", [45.0, 52.809940510590266, 58.5, 63.0])
 def test_wavefunction_against_global_solve(E):
-    stack = representative_stack()
+    stack = representative_stack(5)
     r, t, psi = brute_scattering_state(stack, E)
     amp = amplitudes(stack_matrix(E, stack))
     assert amp.r == pytest.approx(r, abs=1e-10)
@@ -108,7 +108,7 @@ def test_wavefunction_against_global_solve(E):
 
 
 def test_origin_shift_keeps_moduli():
-    stack = representative_stack()
+    stack = representative_stack(5)
     amp = amplitudes(stack_matrix(58.5, stack))
     _, t, r, _, _, _, _ = _origin_jet(stack, 58.5)
     assert abs(t) == pytest.approx(abs(amp.t), rel=1e-15)
@@ -276,7 +276,7 @@ def test_hermiticity_gate_keeps_its_bound(monkeypatch, scale, passes):
 
 
 def test_smith_matrix_symmetric_stack_structure():
-    stack = representative_stack()
+    stack = representative_stack(5)
     for E in (57.0, 58.5, 61.5):
         q = smith_matrix(stack, E)
         scale = max(1.0, abs(q.tau11))
@@ -287,7 +287,7 @@ def test_smith_matrix_symmetric_stack_structure():
 def test_smith_off_diagonal_is_reflectivity_slope():
     """For a mirror-symmetric stack the eigenchannels are the parity states,
     which forces tau12 = eps * hbar d|r|/dE / |t| with eps = sign Im(r/t)."""
-    stack = representative_stack()
+    stack = representative_stack(5)
     for E in (57.0, 59.0, 61.5):
         q = smith_matrix(stack, E)
         h = 1e-3
@@ -358,7 +358,7 @@ def test_free_stack_is_featureless():
 
 
 def test_current_is_flat_and_equals_transmission():
-    stack = representative_stack()
+    stack = representative_stack(5)
     E = 58.5
     T = amplitudes(stack_matrix(E, stack)).T
     xs = np.linspace(-35.0, 35.0, 71)
@@ -367,7 +367,7 @@ def test_current_is_flat_and_equals_transmission():
 
 
 def test_dwell_closed_form_matches_density_integral():
-    stack = representative_stack()
+    stack = representative_stack(5)
     rng = np.random.default_rng(7)
     half_w = 0.5 * stack.width
     for _ in range(6):
@@ -447,7 +447,7 @@ def test_dwell_at_sharp_resonances_returns(tmp_path, half_well, barrier, n, E):
 
 
 def test_dwell_smooth_term_equals_smith_delay():
-    stack = representative_stack()
+    stack = representative_stack(5)
     for E in (55.0, 58.5, 62.0):
         d = dwell_time(stack, E)
         q = smith_matrix(stack, E)
@@ -458,7 +458,7 @@ def test_oscillatory_term_recovered_from_density_integral():
     """Vary only the left window edge: the density integral minus the
     smooth and classical parts must trace the predicted standing-wave
     fringe."""
-    stack = representative_stack()
+    stack = representative_stack(5)
     E = 57.0
     amp_origin = amplitudes(stack_matrix(E, stack))
     k = math.sqrt(E * 0.067 / CONSTANTS.hbar2_over_2m0)
@@ -476,7 +476,7 @@ def test_oscillatory_term_recovered_from_density_integral():
 
 
 def test_resonant_buildup_and_gap_suppression():
-    stack = representative_stack()
+    stack = representative_stack(5)
     k_res = math.sqrt(52.809940510590266 * 0.067 / CONSTANTS.hbar2_over_2m0)
     v_res = CONSTANTS.velocity(k_res, 0.067)
     xs = np.linspace(-0.5 * stack.width, 0.5 * stack.width, 401)
@@ -490,7 +490,7 @@ def test_resonant_buildup_and_gap_suppression():
 
 
 def test_dwell_window_must_enclose_stack():
-    stack = representative_stack()
+    stack = representative_stack(5)
     with pytest.raises(ValidationError):
         dwell_time(stack, 58.5, -10.0, 40.0)
     with pytest.raises(ValidationError):

@@ -79,7 +79,7 @@ def test_box_eigenstate_is_stationary():
     # one cell outside each end), third mode
     j = np.arange(n_pts)
     psi0 = np.sin(3 * math.pi * (j + 1) / (n_pts + 1)).astype(complex)
-    rec = evolve(stack, grid, WavePacket(x0=0.0, E0=50.0), x_sep=0.0,
+    rec = evolve(stack, grid, WavePacket(x0=0.0, E0=50.0, sigma_x=60.0), x_sep=0.0,
                  psi0=psi0, monitor_walls=False)
     want = np.abs(psi0) ** 2
     want /= want.sum() * grid.dx
@@ -90,7 +90,7 @@ def test_box_eigenstate_is_stationary():
 
 
 def test_norm_and_energy_conserved_through_stack():
-    stack = representative_stack()
+    stack = representative_stack(5)
     grid, packet, x_sep, x_d = plan_run(stack, 58.5, sigma_x=25.0, dx=0.5, dt=2.0)
     rec = evolve(stack, grid, packet, x_sep)
     assert rec.norm_drift < 1e-9
@@ -102,7 +102,7 @@ def test_norm_and_energy_conserved_through_stack():
 
 
 def test_plan_run_geometry():
-    stack = representative_stack()
+    stack = representative_stack(5)
     grid, packet, x_sep, x_d = plan_run(stack, 58.5, sigma_x=40.0)
     half_w = 0.5 * stack.width
     assert packet.x0 == pytest.approx(-(half_w + 400.0))
@@ -135,7 +135,7 @@ def test_step_matches_dense_crank_nicolson():
 
     stack, grid = _well_run()
     packet = WavePacket(x0=-35.0, E0=100.0, sigma_x=6.0)
-    rec = evolve(stack, grid, packet)
+    rec = evolve(stack, grid, packet, 0.5 * stack.width + grid.dx)
 
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 0.5 * grid.dt / CONSTANTS.hbar
@@ -166,7 +166,7 @@ def test_evolve_loads_no_scipy_module():
         "import sys\n"
         "from sltime.medium import representative_stack\n"
         "from sltime.tdse import evolve, plan_run\n"
-        "stack = representative_stack()\n"
+        "stack = representative_stack(5)\n"
         "grid, packet, x_sep, _ = plan_run(stack, 58.5, sigma_x=10.0, dx=1.0, dt=4.0)\n"
         "rec = evolve(stack, grid, packet, x_sep)\n"
         "print(rec.transmitted_fraction)\n"
@@ -229,7 +229,7 @@ def test_plan_run_left_wall_follows_the_reflected_packet():
     """The left wall moves right by whole cells, from where it sat when it
     was sized for a reflection starting at x0 (mirror image of the right
     wall about x0), and keeps the lattice aligned with the interfaces."""
-    stack = representative_stack()
+    stack = representative_stack(5)
     for sigma_x, dx in ((40.0, 0.25), (90.0, 0.5), (25.0, 0.3)):
         grid, packet, *_ = plan_run(stack, 58.5, sigma_x=sigma_x, dx=dx)
         untrimmed = Grid1D(2.0 * packet.x0 - grid.x_max, grid.x_max, dx, grid.dt, grid.n_steps)
@@ -247,7 +247,7 @@ def test_plan_run_left_wall_follows_the_reflected_packet():
 def test_trimmed_domain_holds_a_trapped_reflection():
     """A run lengthened for resonance trapping keeps its reflected packet off
     the left wall: the 1e-10 wall monitor stays quiet for the whole run."""
-    stack = representative_stack()
+    stack = representative_stack(5)
     grid, packet, x_sep, _ = plan_run(stack, 52.81, sigma_x=25.0, dx=0.5, dt=2.0,
                                       extra_time=1000.0)
     rec = evolve(stack, grid, packet, x_sep)
@@ -315,7 +315,7 @@ def test_packet_delay_guards_refuse_nan():
 
 
 def test_nan_state_fails_the_norm_check_at_its_first_step():
-    stack = representative_stack()
+    stack = representative_stack(5)
     grid = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=1.0, n_steps=20)
     packet = WavePacket(x0=-300.0, E0=58.5, sigma_x=25.0)
     psi0 = initial_state(grid, packet, stack.outside)
@@ -375,7 +375,7 @@ def test_spectral_average_guards_and_tail_warning():
 
 
 def test_stationary_delay_vanishes_for_free_stack():
-    free = free_reference(representative_stack())
+    free = free_reference(representative_stack(5))
     assert free.width == pytest.approx(47.5)
     assert all(l.potential == 0.0 for l in free.segments())
     packet = WavePacket(x0=-500.0, E0=58.5, sigma_x=60.0)
@@ -386,7 +386,7 @@ def test_stationary_delay_vanishes_for_free_stack():
 def test_stationary_delay_rejects_spectrum_reaching_zero():
     packet = WavePacket(x0=-300.0, E0=58.5, sigma_x=1.5)
     with pytest.raises(ValidationError):
-        stationary_packet_delay(representative_stack(), packet, 24.0, 264.0, 2400.0)
+        stationary_packet_delay(representative_stack(5), packet, 24.0, 264.0, 2400.0)
 
 
 def test_grid_and_packet_validation():
@@ -399,7 +399,7 @@ def test_grid_and_packet_validation():
     with pytest.raises(ValidationError):
         WavePacket(x0=0.0, E0=60.0, sigma_x=0.0)
     with pytest.raises(ValidationError):
-        WavePacket(x0=0.0, E0=-3.0).k0(LEAD)
+        WavePacket(x0=0.0, E0=-3.0, sigma_x=60.0).k0(LEAD)
 
 
 def test_evolve_validations():
@@ -408,7 +408,8 @@ def test_evolve_validations():
     with pytest.raises(ValidationError, match="separator"):
         evolve(stack, grid, WavePacket(x0=-100.0, E0=60.0, sigma_x=15.0), x_sep=500.0)
     with pytest.raises(ValidationError, match="launch"):
-        evolve(stack, grid, WavePacket(x0=-150.0, E0=60.0, sigma_x=15.0))
+        evolve(stack, grid, WavePacket(x0=-150.0, E0=60.0, sigma_x=15.0),
+               x_sep=0.5 * stack.width + grid.dx)
 
 
 def test_initial_state_normalized_and_centered():

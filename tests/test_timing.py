@@ -50,16 +50,16 @@ def _phase_fd(model, E, N, h=1e-3):
     return CONSTANTS.hbar * slope
 
 
-def test_phase_time_matches_phase_derivative_representative():
+def test_phase_time_matches_phase_derivative_representative(rep_band):
     model = as_model(representative_cell(), OUT)
     for E in (54.5, 57.0, 59.0, 61.5):  # off-resonance, smooth phase
-        tau = phase_time(model, None, 5, E)
+        tau = phase_time(model, None, 5, E, band=rep_band)
         assert tau == pytest.approx(_phase_fd(model, E, 5), rel=2e-6)
 
 
 @given(play_energies)
-def test_phase_time_matches_phase_derivative_play(E):
-    tau = phase_time(PLAY_MODEL, None, 9, E)
+def test_phase_time_matches_phase_derivative_play(play_band, E):
+    tau = phase_time(PLAY_MODEL, None, 9, E, band=play_band)
     oracle = _phase_fd(PLAY_MODEL, E, 9, h=2e-4)
     assert tau == pytest.approx(oracle, rel=2e-4, abs=1e-6)
 
@@ -84,8 +84,8 @@ def test_envelope_contact_at_antiresonances(rep_band):
 
 
 @given(play_energies, st.integers(1, 12))
-def test_envelope_geometric_mean(E, N):
-    env_max, env_min, bloch_total = envelopes(PLAY_MODEL, None, N, E)
+def test_envelope_geometric_mean(play_band, E, N):
+    env_max, env_min, bloch_total = envelopes(PLAY_MODEL, None, N, E, band=play_band)
     assert math.sqrt(env_max * env_min) == pytest.approx(bloch_total, rel=1e-12)
     assert env_max >= bloch_total >= env_min > 0.0
 
@@ -104,7 +104,8 @@ def test_free_cell_phase_time_is_classical_crossing():
     v = 2.0 * CONSTANTS.hbar2_over_2m0 * k / (CONSTANTS.hbar * 0.067)
     expect = N * 3.0 / v
     assert free_time(N * 3.0, E, lead) == pytest.approx(expect, rel=1e-12)
-    assert phase_time(cell, lead, N, E) == pytest.approx(expect, rel=1e-9)
+    band = band_structure(cell, lead, grid=EnergyGrid.linear(1.0, 300.0, 2))[0]
+    assert phase_time(cell, lead, N, E, band=band) == pytest.approx(expect, rel=1e-9)
 
 
 def test_free_time_needs_propagating_lead():
@@ -112,9 +113,16 @@ def test_free_time_needs_propagating_lead():
         free_time(10.0, -5.0, OUT)
 
 
-def test_phase_time_raises_in_gap():
+def test_phase_time_raises_in_gap(rep_band):
     with pytest.raises(NearBandEdgeError):
-        phase_time(representative_cell(), OUT, 5, 45.0)
+        phase_time(representative_cell(), OUT, 5, 45.0, band=rep_band)
+
+
+def test_phase_time_raises_at_a_band_edge(rep_band):
+    """An energy inside the band's closed range but classified as its edge,
+    where the angles have no derivative, is refused by the allowed-band check."""
+    with pytest.raises(NearBandEdgeError, match=r"^E = .* meV is not inside an allowed band$"):
+        phase_time(representative_cell(), OUT, 5, np.array([58.0, rep_band.upper]), band=rep_band)
 
 
 def test_transmission_sweep_envelope_nan_pattern(rep_band):
@@ -194,7 +202,7 @@ def test_sweep_gate_keeps_its_bound(monkeypatch, scale, passes):
 
 
 @pytest.mark.parametrize("scale, passes", [(0.99, True), (1.01, False), (math.nan, False)])
-def test_envelope_gate_keeps_its_bound(monkeypatch, scale, passes):
+def test_envelope_gate_keeps_its_bound(monkeypatch, rep_band, scale, passes):
     """The matrix form of env_min may miss the cosh form by up to 1e-8 of
     it: off by 0.99e-8 it passes, off by 1.01e-8 (or NaN) it fails, and the
     failure names the first such energy."""
@@ -209,10 +217,10 @@ def test_envelope_gate_keeps_its_bound(monkeypatch, scale, passes):
     monkeypatch.setattr(timing, "_kard_derivatives", shifted)
     cell = representative_cell()
     if passes:
-        envelopes(cell, OUT, 5, GATE_E)
+        envelopes(cell, OUT, 5, GATE_E, band=rep_band)
     else:
         with pytest.raises(NumericError, match=r"cross-check failed at E = 57\.0 meV"):
-            envelopes(cell, OUT, 5, GATE_E)
+            envelopes(cell, OUT, 5, GATE_E, band=rep_band)
 
 
 def _im_m11_scaled(derivatives):
@@ -261,7 +269,7 @@ def test_timing_refuses_fewer_than_one_cell(call, N, rep_band):
         call(N, rep_band)
 
 
-def test_bloch_time_names_the_first_failing_energy(monkeypatch):
+def test_bloch_time_names_the_first_failing_energy(monkeypatch, rep_band):
     real = timing._kard_derivatives
 
     def reversed_after_first(*args, **kwargs):
@@ -271,7 +279,7 @@ def test_bloch_time_names_the_first_failing_energy(monkeypatch):
     monkeypatch.setattr(timing, "_kard_derivatives", reversed_after_first)
     with pytest.raises(NumericError,
                        match=r"^nonpositive Bloch time at E = 57\.0 meV: phi' = -[^\[]*$"):
-        bloch_time(representative_cell(), OUT, GATE_E)
+        bloch_time(representative_cell(), OUT, GATE_E, band=rep_band)
 
 
 def test_free_time_names_the_first_failing_energy():
@@ -313,14 +321,14 @@ def test_refinement_window_count_ignores_the_last_bit_of_the_width():
             assert len(_refined_samples(base, [(52.81, w)], 40.0, 70.0)) == 3 + 240
 
 
-def test_argument_validation():
-    with pytest.raises(ValidationError):
+def test_argument_validation(play_band):
+    with pytest.raises(TypeError):
         timing_curve(PLAY_MODEL, None, 9)
-    with pytest.raises(ValidationError):
+    with pytest.raises(TypeError):
         transmission_sweep(PLAY_MODEL, None, 9)
     with pytest.raises(ValidationError):
         timing_curve(PLAY_MODEL, None, 9, EnergyGrid.linear(55.0, 70.0, 10),
-                     refine=[(62.5, -1.0)])
+                     band=play_band, refine=[(62.5, -1.0)])
 
 
 @given(st.integers(2, 9))

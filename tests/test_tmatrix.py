@@ -14,7 +14,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import asymmetric_cells, stacks, symmetric_cells
-from sltime.errors import NoTransmissionError
+from sltime.errors import NoTransmissionError, ValidationError
 from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, load_stack, representative_cell
 from sltime.tmatrix import (
     Amplitudes,
@@ -209,6 +209,22 @@ def test_cell_matrix_rejects_a_nan_energy():
     and names it instead of returning NaN entries."""
     with pytest.raises(NoTransmissionError, match=r"^E = nan meV is at or below"):
         cell_matrix(np.array([10.0, math.nan]), representative_cell(), OUT)
+
+
+def test_compose_refuses_matrices_at_different_energies():
+    """``@`` refuses to multiply matrices made at different energies, and
+    accepts equal energy arrays held in distinct objects."""
+    cell = representative_cell()
+    with pytest.raises(ValidationError, match="different energies: 55.0 vs 60.0"):
+        cell_matrix(55.0, cell, OUT) @ cell_matrix(60.0, cell, OUT)
+    E = np.linspace(55.0, 60.0, 4)
+    with pytest.raises(ValidationError, match="different energies"):
+        cell_matrix(E, cell, OUT) @ cell_matrix(E + 0.5, cell, OUT)
+    a, b = cell_matrix(E, cell, OUT), cell_matrix(E.copy(), cell, OUT)
+    assert a.ref_energy is not b.ref_energy
+    ab = a @ b
+    assert ab.ref_energy is a.ref_energy
+    assert np.array_equal(ab.m11, a.m11 * b.m11 + a.m21.conjugate() * b.m21)
 
 
 def test_amplitudes_reject_zero_energy_wave():
