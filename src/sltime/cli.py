@@ -74,25 +74,18 @@ def _config_header(args: argparse.Namespace) -> list[str]:
     return [f"# sltime {name} v{__version__}", f"# config: {blob}"]
 
 
-def _write_csv(
-    out: str | None,
-    header: list[str],
-    columns: Sequence[str],
-    rows: Iterable[Sequence],
-) -> None:
-    lines = list(header)
-    lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    text = "\n".join(lines) + "\n"
-    if out is None or out == "-":
-        sys.stdout.write(text)
-    else:
-        Path(out).write_text(text)
+def _write_csv(out: str | None, header: list[str], columns: Sequence[str],
+               rows: Iterable[Sequence]) -> None:
+    lines = [*header, ",".join(columns), *(",".join(_fmt(v) for v in row) for row in rows)]
+    _write(out, "\n".join(lines) + "\n")
 
 
 def _write_json(out: str | None, payload: dict) -> None:
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    _write(out, json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+
+def _write(out: str | None, text: str) -> None:
+    """``text`` to the file ``out``, or to stdout when ``out`` is None or "-"."""
     if out is None or out == "-":
         sys.stdout.write(text)
     else:
@@ -104,9 +97,7 @@ def _write_json(out: str | None, payload: dict) -> None:
 def _load_model(args) -> tuple[object, int]:
     """Resolve (cell model, N) from --stack/--play and, where the command
     takes it, --N."""
-    n = getattr(args, "N", None)
-    if n is not None and n < 1:
-        raise ValidationError(f"--N counts cells from 1, got N = {n}")
+    n = getattr(args, "N", None)  # N < 1 is refused by the library call that takes it
     if args.play:
         return PLAY_MODEL, 9 if n is None else n
     stack = load_stack(args.stack)
@@ -159,7 +150,7 @@ def _cmd_kard(args) -> None:
     model, _ = _load_model(args)
     grid = _sweep_grid(args, model, 1200)
     M = model.matrix(grid.samples)
-    p = decompose(M, continuous=True)
+    p = decompose(M)
     rows = zip(grid.samples, 0.5 * model.trace(grid.samples), p.phi, p.mu, p.chi, p.band)
     _write_csv(args.output, _config_header(args),
                ["E_meV", "cos_phi", "phi", "mu", "chi", "band"], rows)
@@ -178,11 +169,14 @@ def _cmd_phasetime(args) -> None:
     band = _pick_band(model, args.band)
     grid = _grid_from_args(args, model, band, default_count=800)
     curve = timing_curve(model, None, n, grid, band=band)
-    rows = zip(curve.energies, curve.t2, curve.tau_ph, curve.env_max,
-               curve.env_min, curve.tau_bloch_total)
-    _write_csv(args.output, _config_header(args),
-               ["E_meV", "T_N", "tau_ph_fs", "env_max_fs", "env_min_fs", "bloch_fs"],
-               rows)
+    _write_csv(args.output, _config_header(args), *_timing_table(curve))
+
+
+def _timing_table(curve) -> tuple:
+    """The columns and rows of `phasetime` and of figure 7."""
+    return (["E_meV", "T_N", "tau_ph_fs", "env_max_fs", "env_min_fs", "bloch_fs"],
+            zip(curve.energies, curve.t2, curve.tau_ph, curve.env_max, curve.env_min,
+                curve.tau_bloch_total))
 
 
 def _cmd_dwell(args) -> None:
@@ -410,10 +404,7 @@ def _cmd_reproduce(args) -> None:
         curve = timing_curve(model, None, n, grid, band=band,
                              refine=[(pk.E_m, pk.Gamma_m) for pk in peaks])
         if k == 7:
-            write("fig7.csv",
-                  ["E_meV", "T_N", "tau_ph_fs", "env_max_fs", "env_min_fs", "bloch_fs"],
-                  zip(curve.energies, curve.t2, curve.tau_ph, curve.env_max,
-                      curve.env_min, curve.tau_bloch_total))
+            write("fig7.csv", *_timing_table(curve))
         else:
             ap = approx_curves(model, None, n, band, EnergyGrid(curve.energies))
             write("fig8.csv", ["E_meV", "tau_ph_fs", "tau_approx_fs", "T_N", "T_approx"],

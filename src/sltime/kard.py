@@ -39,7 +39,7 @@ from typing import Protocol, Union
 
 import numpy as np
 
-from .errors import NearBandEdgeError, NumericError, require
+from .errors import NearBandEdgeError, NumericError, ValidationError, require
 from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
 from .numerics import bracket_roots
 from .tmatrix import TransferMatrix, _complex, _layer_entries, cell_matrix, energy_jet
@@ -94,15 +94,12 @@ class KardParams:
         return KardParams(n * self.phi, self.mu, self.chi)
 
 
-def decompose(M: TransferMatrix, *, continuous: bool = False) -> KardParams:
+def decompose(M: TransferMatrix) -> KardParams:
     """Angles and band classification of a cell matrix (or matrix array).
 
     In an allowed band phi is placed in (0, 2*pi): arccos of the half-trace
     gives (0, pi) and the sign of Im M11 = -sin(phi) cosh(mu) selects the
-    half-plane.  With ``continuous``, for a matrix array ordered in energy,
-    each allowed phi whose predecessor is allowed too is additionally
-    lifted by a multiple of 2*pi to the branch nearest the (lifted)
-    predecessor, so a sweep across many bands stays continuous.
+    half-plane.
     """
     if np.ndim(M.m11) == 0:
         return _decompose_one(complex(M.m11), complex(M.m21))
@@ -114,15 +111,6 @@ def decompose(M: TransferMatrix, *, continuous: bool = False) -> KardParams:
     with np.errstate(divide="ignore", invalid="ignore"):
         phi = np.arccos(c)
         phi = np.where(m11.imag > 0.0, 2.0 * math.pi - phi, phi)
-        if continuous and phi.ndim == 1 and phi.size > 1:
-            linked = allowed[1:] & allowed[:-1]
-            steps = np.where(linked, np.round((phi[:-1] - phi[1:]) / (2.0 * math.pi)), 0.0)
-            turns = np.concatenate([[0.0], np.cumsum(steps)])
-            # the lift restarts wherever the predecessor is not allowed
-            start = np.maximum.accumulate(
-                np.where(np.concatenate([[True], ~linked]), np.arange(phi.size), 0)
-            )
-            phi = phi + 2.0 * math.pi * (turns - turns[start])
         s = np.sin(phi)
         r = np.abs(m21)
         mu = np.arcsinh(r / np.abs(s))
@@ -295,7 +283,7 @@ def as_model(cell: Union[CellModel, CellSpec], outside: Layer | None) -> CellMod
     """Accept either a CellModel or a raw (CellSpec, outside) pair."""
     if isinstance(cell, CellSpec):
         if outside is None:
-            raise NumericError("a CellSpec needs its lead layer ('outside')")
+            raise ValidationError("a CellSpec needs its lead layer ('outside')")
         return PotentialCell(cell, outside)
     return cell
 
@@ -424,7 +412,7 @@ def _kard_derivatives(model: CellModel, E, band: Band, second: bool) -> tuple:
     phi, mu = params.phi, params.mu
     c = np.cos(phi)
     s = np.sin(phi)
-    g = np.abs(M.m21) ** 2
+    g = np.square(np.abs(M.m21))  # x * x for a scalar too, where ** 2 would call C pow
     phi_p = -c_p / s
     phi_pp = -(c_pp + c * phi_p * phi_p) / s
     sinh2mu = np.sinh(2.0 * mu)

@@ -223,7 +223,10 @@ def _cell_from_dict(d: dict) -> CellSpec:
     d = _entry(d, "cell entry", ("layers", "symmetric"))
     if "layers" not in d:
         raise ValidationError("cell entry missing 'layers'")
-    return CellSpec(tuple(_layer_from_dict(l) for l in d["layers"]), symmetric=bool(d.get("symmetric", False)))
+    symmetric = d.get("symmetric", False)
+    if not isinstance(symmetric, bool):
+        raise ValidationError(f"cell 'symmetric' must be true or false, got {symmetric!r}")
+    return CellSpec(tuple(_layer_from_dict(l) for l in d["layers"]), symmetric=symmetric)
 
 
 def stack_to_dict(stack: StackSpec) -> dict:

@@ -424,8 +424,8 @@ def packet_delay(
         raise ValidationError(
             f"detector {x_d} must lie beyond the separator {series.x_sep}"
         )
-    arrival = _centroid_crossing(series, x_d)
-    arrival_free = _centroid_crossing(free_reference, x_d)
+    arrival, arrival_free = (_arrival(r.times, r.centroid, r.beyond_prob, x_d)
+                             for r in (series, free_reference))
     return DelayResult(
         arrival_detected=arrival,
         arrival_free=arrival_free,
@@ -435,20 +435,21 @@ def packet_delay(
     )
 
 
-def _centroid_crossing(series: PacketRecord, x_d: float) -> float:
-    t, c, p = series.times, series.centroid, series.beyond_prob
-    floor = max(1e-9, 1e-4 * series.transmitted_fraction)
-    ok = np.isfinite(c) & (p > floor)
-    up = ok[:-1] & ok[1:] & (c[:-1] <= x_d) & (c[1:] > x_d)
-    hits = np.where(up)[0]
+def _arrival(times: np.ndarray, centroid: np.ndarray, prob: np.ndarray, x_d: float) -> float:
+    """First upward crossing of ``x_d`` by the transmitted centroid, linearly
+    interpolated between samples; a sample counts only if its transmitted
+    probability (or any multiple of it) exceeds 1e-4 of the last sample's."""
+    ok = np.isfinite(centroid) & (prob > 1e-4 * prob[-1])
+    up = ok[:-1] & ok[1:] & (centroid[:-1] <= x_d) & (centroid[1:] > x_d)
+    hits = np.flatnonzero(up)
     if hits.size == 0:
         raise NumericError(
-            f"transmitted centroid never crossed the detector at {x_d} nm; "
-            f"extend the run (final centroid {c[ok][-1] if ok.any() else math.nan:.1f} nm)"
+            f"transmitted centroid never crossed the detector at {x_d} nm; extend the run "
+            f"(final centroid {centroid[ok][-1] if ok.any() else math.nan:.1f} nm)"
         )
     i = int(hits[0])
-    frac = (x_d - c[i]) / (c[i + 1] - c[i])
-    return float(t[i] + frac * (t[i + 1] - t[i]))
+    frac = (x_d - centroid[i]) / (centroid[i + 1] - centroid[i])
+    return float(times[i] + frac * (times[i + 1] - times[i]))
 
 
 def plan_run(
@@ -514,16 +515,18 @@ def stationary_packet_delay(
     """Centroid-crossing delay predicted by the stationary amplitudes.
 
     Builds the transmitted packet as a superposition of plane waves weighted
-    by the packet spectrum and the origin-referenced t(E), tracks the same
-    transmitted-centroid observable ``packet_delay`` uses, and subtracts the
-    free-space (t = 1) crossing.  This is the fair stationary-theory
-    prediction for a TDSE run: at a narrow resonance the transmitted packet
-    is strongly stretched, and the centroid crossing legitimately sits below
-    the naive spectrum-averaged phase-time delay because density that is
-    still trapped when the centroid passes the detector cannot contribute.
-    A packet whose spectrum reaches k <= 0, where no right-moving lead wave
-    exists, is refused.
+    by the packet spectrum and the origin-referenced t(E), and subtracts the
+    free-space (t = 1) arrival, both read by ``packet_delay``'s arrival rule
+    (NumericError if a centroid has not crossed ``x_d`` by ``t_max``).  This
+    is the fair stationary-theory prediction for a TDSE run: at a narrow
+    resonance the transmitted packet is strongly stretched, and the centroid
+    crossing legitimately sits below the naive spectrum-averaged phase-time
+    delay because density that is still trapped when the centroid passes the
+    detector cannot contribute.  A t_max <= 0 is refused, and so is a packet
+    whose spectrum reaches k <= 0, where no right-moving lead wave exists.
     """
+    if not (0 < t_max < math.inf):
+        raise ValidationError(f"need 0 < t_max < inf, got {t_max}")
     k0 = packet.k0(stack.outside)
     sigma_k = 0.5 / packet.sigma_x
     k = np.linspace(k0 - 6.5 * sigma_k, k0 + 6.5 * sigma_k, _N_K)
@@ -540,29 +543,24 @@ def stationary_packet_delay(
     x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)
     phase_x = np.exp(1j * np.outer(k, x))  # (n_k, n_x)
     times = np.arange(0.0, t_max, _SAMPLE_DT)
-    phase_t = -1j * omega
-
-    def crossing(weights: np.ndarray) -> float:
-        # the samples in blocks of 32, one (32, n_k) @ (n_k, n_x) product a
-        # block, up to the block in which the centroid crosses x_d
-        prev_c, prev_t = None, None
-        for start in range(0, len(times), 32):
-            block = times[start:start + 32]
-            dens = np.abs((weights * np.exp(phase_t * block[:, None])) @ phase_x) ** 2
-            p = dens.sum(axis=1)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                centroid = np.where(p > 1e-30, (x * dens).sum(axis=1) / p, math.nan)
-            for t, c in zip(block, centroid):
-                if prev_c is not None and math.isfinite(prev_c) and math.isfinite(c):
-                    if prev_c <= x_d < c:
-                        frac = (x_d - prev_c) / (c - prev_c)
-                        return prev_t + frac * (t - prev_t)
-                prev_c, prev_t = c, t
-        raise NumericError(
-            f"stationary-theory centroid never crossed {x_d} nm within {t_max} fs"
-        )
-
-    return crossing(spec * t_amp) - crossing(spec)
+    weights = np.stack([spec * t_amp, spec])  # the stack, then free space (t = 1)
+    centroid, beyond = np.empty((2, times.size)), np.empty((2, times.size))
+    # both superpositions in one (64, n_k) @ (n_k, n_x) product a block of 32
+    # samples, up to the block in which both centroids have crossed x_d
+    for start in range(0, times.size, 32):
+        end = min(start + 32, times.size)
+        block = times[start:end]
+        amp = (weights[:, None, :] * np.exp(-1j * omega * block[:, None])).reshape(-1, k.size)
+        dens = (np.abs(amp @ phase_x) ** 2).reshape(2, block.size, x.size)
+        beyond[:, start:end] = p = dens.sum(axis=2)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            centroid[:, start:end] = (x * dens).sum(axis=2) / p
+        try:
+            return (_arrival(times[:end], centroid[0, :end], beyond[0, :end], x_d)
+                    - _arrival(times[:end], centroid[1, :end], beyond[1, :end], x_d))
+        except NumericError:
+            if end == times.size:
+                raise
 
 
 def spectral_average(

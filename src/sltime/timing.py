@@ -106,7 +106,7 @@ def _closed_forms(model: CellModel, N: int, E, band: Band) -> tuple:
             "envelope cross-check failed at E = {E} meV: "
             "{m_form} (matrix form) vs {env_min} (cosh form)",
             E=E, m_form=m_form, env_min=env_min)
-    den = 1.0 + np.sinh(mu) ** 2 * np.sin(N * phi) ** 2
+    den = 1.0 + np.square(np.sinh(mu)) * np.square(np.sin(N * phi))  # not ** 2: see kard
     # tanh(mu) mu' -> 0 whenever mu -> 0, so a transparent cell is safe here.
     ripple = np.sin(2.0 * N * phi) * np.tanh(mu) * d.mu_p / (2.0 * N * d.phi_p)
     return 1.0 / den, bloch * ch * (1.0 + ripple) / den, bloch * ch, env_min, bloch
@@ -170,7 +170,8 @@ def transmission_sweep(
 
     In-band samples use |t_N|^2 = [1 + sinh^2(mu) sin^2(N phi)]^(-1) and are
     verified against the explicit N-fold matrix product to 1e-10 relative;
-    out-of-band samples take the matrix-product value directly.  For an
+    out-of-band samples take the matrix-product value directly, which must be
+    finite (an opaque stack's product can overflow there).  For an
     opaque cell the product's own float64 rounding, amplified by up to
     cosh^2(mu), can exceed 1e-10; so for a layered cell each flagged sample
     is checked again against the 40-digit reference of ``precise``, and the
@@ -181,10 +182,10 @@ def transmission_sweep(
     model = as_model(cell, outside)
     E = grid.samples
     M = model.matrix(E)
-    direct = amplitudes(M.power(N)).T
     p = decompose(M)
     allowed = p.band == "allowed"
-    with np.errstate(invalid="ignore"):
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        direct = amplitudes(M.power(N)).T  # the finiteness check below reports an overflow
         closed = 1.0 / (1.0 + np.sinh(p.mu) ** 2 * np.sin(N * p.phi) ** 2)
     reference = direct
     ok = ~allowed | (np.abs(closed - reference) <= 1e-10 * np.maximum(closed, reference))
@@ -197,9 +198,12 @@ def transmission_sweep(
     require(ok, NumericError, "closed-form |t_N|^2 = {closed} disagrees with the reference "
             "{reference} (matrix product {direct}) at E = {E} meV",
             closed=closed, reference=reference, direct=direct, E=E)
+    t2 = np.where(allowed, closed, direct)
+    require(np.isfinite(t2), NumericError, "|t_N|^2 = {t2} at E = {E} meV: the {N}-cell "
+            "matrix product overflows", t2=t2, E=E, N=N)
     return TransmissionSweep(
         energies=E.copy(),
-        t2=np.where(allowed, closed, direct),
+        t2=t2,
         envelope=np.where(allowed, 1.0 / np.cosh(p.mu) ** 2, math.nan),
     )
 

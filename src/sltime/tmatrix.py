@@ -228,16 +228,10 @@ def _cos_and_sinc(ksq, w: float):
 _SINC_SERIES = tuple(((-1.0) ** (n + 1) * (n + 1) / math.factorial(2 * n + 3),
                       (-1.0) ** n * (n + 1) * (n + 2) / math.factorial(2 * n + 5))
                      for n in reversed(range(10)))
-_SINC_COLUMNS = np.array(_SINC_SERIES)[:, :, None]
 
 
 def _sinc_series(x):
-    """The two series at x, by Horner; an array runs both in one pass."""
-    if isinstance(x, np.ndarray):
-        total = 0.0
-        for pair in _SINC_COLUMNS:
-            total = total * x + pair
-        return total[0], total[1]
+    """The two series at x (a scalar or an array), by Horner."""
     s1 = s2 = 0.0
     for a1, a2 in _SINC_SERIES:
         s1, s2 = s1 * x + a1, s2 * x + a2

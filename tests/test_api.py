@@ -63,7 +63,6 @@ EARNED_DEFAULTS = {
     "TransferMatrix.ref_energy",  # kard.reconstruct
     "energy_jet.second",  # scattering._origin_jet
     "KardParams.band",  # kard.KardParams.scaled
-    "decompose.continuous",  # timing.transmission_sweep
     "band_structure.outside",  # cli._pick_band
     "timing_curve.refine",  # cli._cmd_phasetime
     "dwell_time.x_left",  # perfbench/workloads.py, the stationary workload

@@ -428,14 +428,28 @@ def _edit_rep5(path, edit):
     (lambda d: d["core"]["layers"][0].update(width_nm=math.inf), "width must be finite"),
     (lambda d: d["outside"].update(mass_ratio=math.inf), "mass_ratio must be finite"),
     (lambda d: d["core"]["layers"][0].update(width_nm="3nm"), "must be a number"),
+    (lambda d: d["core"].update(symmetric="no"), "must be true or false"),
 ], ids=["fractional-replicas", "boolean-replicas", "unknown-stack-key", "unknown-cell-key",
-        "unknown-layer-key", "infinite-width", "infinite-mass", "non-numeric-width"])
+        "unknown-layer-key", "infinite-width", "infinite-mass", "non-numeric-width",
+        "non-boolean-symmetric"])
 def test_malformed_stack_file_exits_3(edit, message, capsys, tmp_path):
     stack = _edit_rep5(tmp_path / "bad.json", edit)
     code = main(["transmission", "--stack", stack, "--count", "20",
                  "-o", str(tmp_path / "out.csv")])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+def test_transmission_refuses_an_overflowing_product(capsys, tmp_path):
+    """With rep5's barrier widened to 200 nm the five-cell product overflows
+    to inf - inf in the gaps; the sweep exits 4 at the first such energy and
+    writes no file instead of T_N = nan."""
+    stack = _edit_rep5(tmp_path / "opaque.json",
+                       lambda d: d["core"]["layers"][1].update(width_nm=200.0))
+    out = tmp_path / "out.csv"
+    assert main(["transmission", "--stack", stack, "-o", str(out)]) == 4
+    assert "|t_N|^2 = nan at E = 1.05 meV" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("k", range(1, 9))

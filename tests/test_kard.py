@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import play_energies
-from sltime.errors import NearBandEdgeError, NumericError
+from sltime.errors import NearBandEdgeError, NumericError, ValidationError
 from sltime.kard import (
     EDGE_TOL,
     KardParams,
@@ -25,6 +25,7 @@ from sltime.kard import (
 )
 from sltime.medium import CONSTANTS, CellSpec, EnergyGrid, Layer, representative_cell
 from sltime.playmodel import PLAY_MODEL, play_matrix
+from sltime.timing import phase_time
 from sltime.tmatrix import cell_matrix
 
 OUT = Layer(9.5, 0.0, 0.067)
@@ -238,6 +239,26 @@ def test_closed_gap_bands_share_their_edge():
     touch = (math.pi / 9.5) ** 2 * CONSTANTS.hbar2_over_2m0 / 0.067
     assert bands[0].upper == bands[1].lower == pytest.approx(touch, abs=1e-10)
     assert bands[1].upper == bands[2].lower == pytest.approx(4.0 * touch, abs=1e-9)
+
+
+def test_decompose_keeps_phi_in_its_range_across_closed_gaps():
+    """Over the default window of `sltime kard` a uniform lead-material cell
+    passes two closed gaps; every allowed phi stays in (0, 2 pi), out of
+    which a 2 pi lift to a continuous phase would move 206 of these samples."""
+    E = EnergyGrid.linear(1.05, 299.95, 1200).samples
+    p = decompose(cell_matrix(E, CellSpec((OUT,)), OUT))
+    phi = p.phi[p.band == "allowed"]
+    assert phi.size == 1200
+    assert np.all((0.0 < phi) & (phi < 2.0 * math.pi))
+
+
+def test_cell_without_its_lead_is_a_validation_error(rep_band):
+    """A CellSpec handed without its lead layer is a malformed input (exit 3),
+    not a numeric failure."""
+    with pytest.raises(ValidationError, match="needs its lead layer"):
+        phase_time(representative_cell(), None, 5, 58.0, band=rep_band)
+    with pytest.raises(ValidationError, match="needs its lead layer"):
+        band_structure(representative_cell(), grid=EnergyGrid.linear(1.0, 300.0, 2))
 
 
 def test_open_gap_at_a_dirichlet_eigenvalue_stays_open():

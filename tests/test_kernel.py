@@ -20,12 +20,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
 from conftest import stacks
 from sltime.kard import band_structure, kard_derivatives
 from sltime.medium import CellSpec, EnergyGrid, Layer, StackSpec, representative_cell, representative_stack
-from sltime.timing import bloch_time
+from sltime.timing import bloch_time, envelopes, phase_time
 from sltime.tmatrix import _cos_and_sinc, _sinc_slopes, cell_matrix, energy_jet, stack_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -77,7 +77,17 @@ def test_array_shape_is_kept():
     assert isinstance(one.m11, complex) and isinstance(one.m21, complex)
 
 
+#: A cell where squaring |M21| with ``** 2`` (C pow for a scalar, x * x for an
+#: array) puts mu' of the scalar and the array call 2.5e-13 relative apart.
+_POW_CASE = StackSpec(
+    core=CellSpec((Layer(7.8642103952844415, 0.02, 0.14492211420865111),) * 2),
+    replicas=1,
+    outside=Layer(2.0, 0.0, 0.08114346822400878),
+)
+
+
 @given(stacks(), st.lists(st.floats(0.02, 0.98), min_size=1, max_size=8))
+@example(_POW_CASE, [0.15153382382102337])
 def test_kard_derivatives_array_equals_scalar_calls(stack, fractions):
     bands = band_structure(stack.core, stack.outside, grid=EnergyGrid.linear(1.0, 380.0, 1500))
     bands = [b for b in bands if b.lower_is_edge and b.upper_is_edge]
@@ -97,6 +107,21 @@ def test_kard_derivatives_array_equals_scalar_calls(stack, fractions):
     tau = bloch_time(stack.core, stack.outside, energies, band=band)
     one = [bloch_time(stack.core, stack.outside, float(E), band=band) for E in energies]
     assert one == tau.tolist()
+
+
+def test_timing_array_equals_scalar_calls_on_rep5(rep_stack, rep_band):
+    """On 3000 rep5 energies across band 1, each scalar call equals its
+    element of the array call exactly."""
+    core, lead, n = rep_stack.core, rep_stack.outside, rep_stack.replicas
+    energies = np.linspace(*rep_band.interior(5e-3), 3000)
+    tau = phase_time(core, lead, n, energies, band=rep_band)
+    env = np.stack(envelopes(core, lead, n, energies, band=rep_band), axis=1)
+    d = kard_derivatives(core, lead, energies, band=rep_band)
+    for i, E in enumerate(energies.tolist()):
+        assert phase_time(core, lead, n, E, band=rep_band) == tau[i]
+        assert envelopes(core, lead, n, E, band=rep_band) == tuple(env[i])
+        one = kard_derivatives(core, lead, E, band=rep_band)
+        assert (one.phi_p, one.phi_pp, one.mu_p) == (d.phi_p[i], d.phi_pp[i], d.mu_p[i])
 
 
 def test_stationary_commands_never_load_scipy(tmp_path):

@@ -24,7 +24,7 @@ from sltime.errors import (
     NumericError,
     ValidationError,
 )
-from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, representative_stack
+from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, load_stack, representative_stack
 from sltime.tdse import (
     Grid1D,
     PacketRecord,
@@ -387,6 +387,32 @@ def test_stationary_delay_rejects_spectrum_reaching_zero():
     packet = WavePacket(x0=-300.0, E0=58.5, sigma_x=1.5)
     with pytest.raises(ValidationError):
         stationary_packet_delay(representative_stack(5), packet, 24.0, 264.0, 2400.0)
+    wide = WavePacket(x0=-300.0, E0=58.5, sigma_x=60.0)
+    with pytest.raises(ValidationError, match="t_max"):
+        stationary_packet_delay(representative_stack(5), wide, 24.0, 264.0, 0.0)
+
+
+def test_stationary_delay_reproduces_figure_9_predictions():
+    """Figure 9's plans (its dressed stack is stacks/rep5_arc.json) give its
+    packet_pred_fs column to the last digit."""
+    dressed = load_stack(ROOT / "stacks" / "rep5_arc.json")
+    lines = (ROOT / "figures" / "fig9_points.csv").read_text().splitlines()
+    columns, *rows = [line.split(",") for line in lines if not line.startswith("#")]
+    assert len(rows) == 3
+    for row in rows:
+        point = dict(zip(columns, map(float, row)))
+        grid, packet, x_sep, x_d = plan_run(dressed, point["E0_meV"], sigma_x=90.0)
+        delay = stationary_packet_delay(dressed, packet, x_sep, x_d, grid.t_final)
+        assert delay == point["packet_pred_fs"]
+
+
+def test_stationary_delay_fails_through_the_arrival_rule():
+    """A run too short for the centroid to reach the detector fails with the
+    message of ``packet_delay``'s arrival rule."""
+    stack = representative_stack(5)
+    grid, packet, x_sep, x_d = plan_run(stack, 58.5, sigma_x=60.0)
+    with pytest.raises(NumericError, match="never crossed the detector"):
+        stationary_packet_delay(stack, packet, x_sep, x_d, 0.2 * grid.t_final)
 
 
 def test_grid_and_packet_validation():
