@@ -345,7 +345,7 @@ def energy_at_phase(model: CellModel, band: Band, phi_local):
     """
     phi = np.asarray(phi_local, dtype=float)
     if not np.all((0.0 < phi) & (phi < math.pi)):
-        raise NumericError(f"phi_local must be in (0, pi), got {phi_local}")
+        raise ValidationError(f"phi_local must be in (0, pi), got {phi_local}")
     target = np.cos(phi) * band.parity
     f = lambda E: 0.5 * model.trace(E) - target
     ends = np.array([band.lower, band.upper])

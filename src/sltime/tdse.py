@@ -31,6 +31,14 @@ Numerics:
   and Re z*Sz = Re w*Aw >= |w|^2 >= |z|^2 for the w that extends z by the
   eliminated unknowns, so S's Hermitian part stays >= 1 too, every pivot of
   A has real part >= 1, and every pivot of A/2 >= 1/2.
+- A uniform medium (any stack of lead material, as ``free_reference``) is
+  solved exactly.  H = tridiag(o, d, o) has the eigenvectors sin(pi i m/(n+1))
+  and a step multiplies mode m by (1 - i u_m)/(1 + i u_m), u_m = dt eps_m/2hbar,
+  eps_m = d + 2o cos(pi m/(n+1)) (Numerical Recipes 3rd ed., 12.4, 20.2).  One
+  FFT (a DST-I) gives psi's modes above 1e-13 of the largest; a record's sum
+  of w_i |psi_i|^2 is a^H (T - K) a / 2, T and K the Toeplitz and Hankel
+  matrices of C(p) = sum w_i cos(pi i p/(n+1)), so each is a weighted sum over
+  one FFT of the modes.  A state that fills over 1/10 of the modes is stepped.
 - Hard walls, no absorbing boundaries.  The domain must be sized so that
   nothing meaningful reaches a wall during the run; density near the walls
   is monitored and a violation raises instead of quietly contaminating the
@@ -317,6 +325,64 @@ def initial_state(grid: Grid1D, packet: WavePacket, outside: Layer) -> np.ndarra
     return psi
 
 
+def _stepped_sums(diag, off, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndarray]:
+    """Steps ``psi`` in place; per record, |psi|^2 summed everywhere, beyond index ``j``,
+    its first moment there and over the heavier five-point wall strip; and the final psi."""
+    half_a = _CyclicReduction(0.5j * lam * off, 0.5 + 0.5j * lam * diag, 0.5j * lam * off)
+    sums = np.empty((4, n_rec))
+    for i in range(n_rec):
+        if i:
+            np.subtract(half_a.solve(psi), psi, out=psi)
+        dens = psi.real**2 + psi.imag**2
+        tail = dens[j:]
+        sums[:, i] = dens.sum(), tail.sum(), x[j:] @ tail, max(dens[:5].sum(), dens[-5:].sum())
+    return sums, psi
+
+
+#: modes under _MODE_FLOOR of the largest are dropped; over n/_MODE_COST kept, steps are cheaper
+_MODE_FLOOR, _MODE_COST = 1e-13, 10
+
+
+def _uniform_sums(d, o, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndarray] | None:
+    """``_stepped_sums`` of a uniform medium, H = tridiag(o, d, o), in its sine
+    modes (module notes); None where they would cost more than the steps."""
+    from numpy import fft
+
+    n = psi.size
+    odd = lambda v: fft.rfft(np.concatenate(([0.0], v, [0.0], -v[::-1]))).imag[1:n + 1]
+    dst = lambda v: -0.5 * (odd(v.real) + 1j * odd(v.imag))  # sum_i v_i sin(pi i m/(n+1))
+    coef = dst(psi)
+    kept = np.flatnonzero(~(np.abs(coef) <= _MODE_FLOOR * np.abs(coef).max()))  # NaN: steps
+    lo, size = int(kept[0]), int(kept[-1]) + 1 - int(kept[0])
+    if size * _MODE_COST > n:
+        return None
+    a, m = coef[lo:lo + size] * (2.0 / (n + 1)), np.arange(lo + 1, lo + size + 1)
+    phase = 2.0 * np.arctan(lam * (d + 2.0 * o * np.cos(math.pi / (n + 1) * m)))
+    # the FFT length: the least 2^k, 3 2^k or 5 2^k that holds T's and K's 2M - 1
+    span = min(f << (-(-(2 * size - 1) // f) - 1).bit_length() for f in (1, 3, 5))
+    r = np.arange(span)
+    p = np.concatenate((np.minimum(r, span - r), 2 * lo + 2 + r)) % (2 * n + 2)  # T, K
+    w = np.zeros((2, 2 * n + 2))  # the weights 1 and x on the tail, i = j+1 .. n
+    w[0, j + 1:n + 1], w[1, j + 1:n + 1] = 1.0, x[j:]
+    strips = np.cos(math.pi / (n + 1) * np.multiply.outer(np.r_[1:6, n - 4:n + 1], p))
+    c = np.concatenate((fft.rfft(w)[:, np.minimum(p, 2 * n + 2 - p)].real,  # C(2n+2-p) = C(p)
+                        strips.reshape(2, 5, -1).sum(axis=1)))
+    hats = fft.fft(c.reshape(4, 2, span))
+    t_hat, k_hat = hats[:, 0].real * (0.5 / span), np.ascontiguousarray(hats[:, 1] * (-0.5 / span))
+    block = max(1, 8192 // span)
+    advance = np.exp(-1j * np.outer(np.arange(block), phase))
+    sums = np.empty((5, n_rec))
+    sums[0] = 0.5 * (n + 1) * np.sum(a.real**2 + a.imag**2)
+    for k in range(0, n_rec, block):
+        f = fft.fft(advance[:n_rec - k] * (a * np.exp(-1j * k * phase)), span)
+        pair = f * np.roll(f[:, ::-1], 1, axis=1).conj()  # f(q) f(-q)*
+        sums[1:, k:k + len(f)] = (np.einsum("kq,wq->wk", f.real**2 + f.imag**2, t_hat)
+                                  + np.einsum("kq,wq->wk", pair.view(float), k_hat.view(float)))
+    coef[:] = 0.0
+    coef[lo:lo + size] = a * np.exp(-1j * (n_rec - 1) * phase)
+    return np.vstack((sums[:3], np.maximum(sums[3], sums[4]))), dst(coef)
+
+
 def evolve(
     stack: StackSpec,
     grid: Grid1D,
@@ -327,12 +393,12 @@ def evolve(
 ) -> PacketRecord:
     """Crank-Nicolson evolution of the packet across the stack.
 
-    The step loop only advances psi and records the norm, the probability
-    beyond ``x_sep`` (``plan_run`` places it), its first moment and the
-    density within five cells of either wall.  Then each check runs once
-    over its series, naming the first failing step: a norm jump above 1e-6
-    in one step (a NaN state fails at t = 0), then wall density above 1e-10
-    -- either means the run geometry, not the physics, produced the
+    The steps, or a uniform medium's sine modes, give each record's norm,
+    probability beyond ``x_sep`` (``plan_run`` places it), its first moment
+    and the density within five cells of either wall.  Then each check runs
+    once over its series, naming the first failing step: a norm jump above
+    1e-6 in one step (a NaN state fails at t = 0), then wall density above
+    1e-10 -- either means the run geometry, not the physics, produced the
     numbers.  So a failing run raises only after its last step;
     ``plan_run`` sizes domains so that only misconfigured runs do.
 
@@ -351,7 +417,6 @@ def evolve(
 
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 0.5 * grid.dt / CONSTANTS.hbar
-    half_a = _CyclicReduction(0.5j * lam * off, 0.5 + 0.5j * lam * diag, 0.5j * lam * off)
 
     if psi0 is None:
         psi = initial_state(grid, packet, stack.outside)
@@ -360,20 +425,13 @@ def evolve(
         psi /= math.sqrt(grid.dx * float(np.sum(np.abs(psi) ** 2)))
 
     j = int(np.searchsorted(x, x_sep, side="right"))  # first point beyond x_sep
-    x_beyond = x[j:]
     e_start = grid.dx * float(np.real(np.vdot(psi, _apply_h(diag, off, psi))))
 
     n_rec = grid.n_steps + 1
     times = grid.dt * np.arange(n_rec)
-    # per step, |psi|^2 summed: everywhere, beyond x_sep, its first moment
-    # there, and over the heavier of the two five-point wall strips
-    sums = np.empty((4, n_rec))
-    for i in range(n_rec):
-        if i:
-            np.subtract(half_a.solve(psi), psi, out=psi)
-        dens = psi.real**2 + psi.imag**2
-        tail = dens[j:]
-        sums[:, i] = dens.sum(), tail.sum(), x_beyond @ tail, max(dens[:5].sum(), dens[-5:].sum())
+    uniform = np.all(diag == diag[0]) and np.all(off == off[0])
+    produced = _uniform_sums(diag[0], off[0], lam, psi, x, j, n_rec) if uniform else None
+    sums, psi = produced or _stepped_sums(diag, off, lam, psi, x, j, n_rec)
     norm, beyond, moment, wall = grid.dx * sums
     jump = np.abs(np.diff(norm, prepend=1.0))
     require(jump <= 1e-6, NumericError,
@@ -541,7 +599,8 @@ def stationary_packet_delay(
 
     v0 = CONSTANTS.velocity(k0, stack.outside.mass_ratio)
     x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)
-    phase_x = np.exp(1j * np.outer(k, x))  # (n_k, n_x)
+    phase_x = np.outer(1j * k, x)  # (n_k, n_x)
+    np.exp(phase_x, out=phase_x)
     times = np.arange(0.0, t_max, _SAMPLE_DT)
     weights = np.stack([spec * t_amp, spec])  # the stack, then free space (t = 1)
     centroid, beyond = np.empty((2, times.size)), np.empty((2, times.size))

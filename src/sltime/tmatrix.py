@@ -36,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoTransmissionError, NumericError, ValidationError, require
+from .errors import NoTransmissionError, ValidationError, require
 from .medium import CONSTANTS, CellSpec, Layer, StackSpec
 
 __all__ = [
@@ -153,7 +153,7 @@ class TransferMatrix:
     def power(self, n: int) -> "TransferMatrix":
         """M^n by binary exponentiation (n >= 0)."""
         if n < 0:
-            raise NumericError(f"negative power {n}")
+            raise ValidationError(f"negative power {n}")
         result, base = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, self.ref_energy), self
         while n:
             if n & 1:

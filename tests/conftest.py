@@ -1,9 +1,12 @@
 """Shared fixtures, strategies, and the acceptance-report hook."""
 
+import contextlib
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
+import sltime.tdse
 from sltime.kard import band_structure
 from sltime.medium import CellSpec, EnergyGrid, Layer, StackSpec, representative_stack
 from sltime.playmodel import PLAY_MODEL
@@ -58,6 +61,16 @@ def stacks(draw, max_replicas: int = 4) -> StackSpec:
 #: Energies safely inside the closed-form model's band, 0.3 meV clear of
 #: both edges, where mu diverges.
 play_energies = st.floats(50.3, 74.7)
+
+
+@contextlib.contextmanager
+def stepping():
+    """``evolve`` by Crank-Nicolson steps on every stack: its exact
+    uniform-medium producer declines, as it does for a state with too many
+    sine modes."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sltime.tdse, "_uniform_sums", lambda *args: None)
+        yield
 
 
 # --- fixtures ----------------------------------------------------------------

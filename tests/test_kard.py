@@ -128,6 +128,14 @@ def test_energy_at_phase_inverts_band_phase(rep_band, phi_local):
     assert phase == pytest.approx(phi_local, abs=1e-9)
 
 
+def test_energy_at_phase_refuses_a_phase_outside_the_band_as_input(rep_band):
+    """A local phase outside (0, pi) is a malformed input (exit 3), not a
+    numerical failure."""
+    model = as_model(representative_cell(), OUT)
+    with pytest.raises(ValidationError, match=r"phi_local must be in \(0, pi\), got 4\.0"):
+        energy_at_phase(model, rep_band, 4.0)
+
+
 def test_derivatives_match_play_closed_forms(play_band):
     """The angle algebra of kard_derivatives, fed the model's c', c'' and
     g', against the model's own derivatives in angle space: to roundoff."""

@@ -11,13 +11,15 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import layers
+import sltime.tdse as tdse
+from conftest import layers, stepping
 
 from sltime.errors import (
     NoTransmissionError,
@@ -30,6 +32,7 @@ from sltime.tdse import (
     PacketRecord,
     WavePacket,
     _CyclicReduction,
+    _arrival,
     _hamiltonian_diagonals,
     _material_arrays,
     evolve,
@@ -79,14 +82,94 @@ def test_box_eigenstate_is_stationary():
     # one cell outside each end), third mode
     j = np.arange(n_pts)
     psi0 = np.sin(3 * math.pi * (j + 1) / (n_pts + 1)).astype(complex)
-    rec = evolve(stack, grid, WavePacket(x0=0.0, E0=50.0, sigma_x=60.0), x_sep=0.0,
-                 psi0=psi0, monitor_walls=False)
+    with stepping():  # in sine modes this one-mode state is stationary by construction
+        rec = evolve(stack, grid, WavePacket(x0=0.0, E0=50.0, sigma_x=60.0), x_sep=0.0,
+                     psi0=psi0, monitor_walls=False)
     want = np.abs(psi0) ** 2
     want /= want.sum() * grid.dx
     got = np.abs(rec.psi_final) ** 2
     assert np.abs(got - want).max() < 1e-8
     assert rec.norm_drift < 1e-10
     assert rec.energy_drift < 1e-10
+
+
+@pytest.mark.parametrize("name, E0, extra_time, beyond_tol", [
+    ("rep5_arc", 58.5, 0.0, 1e-12),
+    ("rep5", 58.5, 0.0, 1e-12),
+    # 6808 steps: the stepper's own rounding moves its norm by 1.3e-12 and
+    # its tail probability by 1.25e-12 from an 80-bit sine-mode solution
+    ("rep5", 55.857914341103672, 8000.0, 2e-12),
+])
+def test_uniform_medium_modes_match_the_stepper(monkeypatch, name, E0, extra_time, beyond_tol):
+    """The free references of the campaign's dressed and bare 58.5 meV plans
+    and of its long bare plan, solved in sine modes, against the same runs
+    stepped: arrival, tail probability, the centroid wherever the arrival
+    rule reads it, the final state and the norm."""
+    stack = load_stack(ROOT / "stacks" / f"{name}.json")
+    grid, packet, x_sep, x_d = plan_run(stack, E0, sigma_x=90.0, dx=0.5, dt=2.0,
+                                        extra_time=extra_time)
+    free = free_reference(stack)
+    steps = []
+    step = tdse._stepped_sums
+    monkeypatch.setattr(tdse, "_stepped_sums", lambda *args: steps.append(1) or step(*args))
+    exact = evolve(free, grid, packet, x_sep)
+    assert not steps
+    with stepping():
+        stepped = evolve(free, grid, packet, x_sep)
+    assert steps
+    arrivals = [_arrival(r.times, r.centroid, r.beyond_prob, x_d) for r in (exact, stepped)]
+    assert abs(arrivals[0] - arrivals[1]) < 1e-9
+    assert np.abs(exact.beyond_prob - stepped.beyond_prob).max() < beyond_tol
+    read = stepped.beyond_prob > 1e-4 * stepped.beyond_prob[-1]
+    assert np.abs(exact.centroid - stepped.centroid)[read].max() < 1e-6
+    assert np.abs(exact.psi_final - stepped.psi_final).max() < 1e-10
+    assert exact.norm_drift < 1e-12
+
+
+def test_uniform_medium_with_most_modes_is_stepped(monkeypatch):
+    """White noise fills nearly every sine mode, which would cost more than
+    steps: evolve steps it, and allocates no mode-by-mode array."""
+    stack = _uniform_stack(10.0)
+    grid = Grid1D(x_min=-500.0, x_max=500.0, dx=0.25, dt=1.0, n_steps=20)
+    n = grid.n_points
+    rng = np.random.default_rng(7)
+    psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
+    steps = []
+    step = tdse._stepped_sums
+    monkeypatch.setattr(tdse, "_stepped_sums", lambda *args: steps.append(1) or step(*args))
+    tracemalloc.start()
+    try:
+        rec = evolve(stack, grid, WavePacket(x0=0.0, E0=60.0, sigma_x=20.0), x_sep=0.0,
+                     psi0=psi0, monitor_walls=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert steps
+    assert rec.norm_drift < 1e-12
+    assert peak < 32 * 16 * n  # 19 complex n-vectors; an n x n mode array takes n / 32 times this
+
+
+def test_nan_state_on_a_uniform_medium_fails_at_its_first_step():
+    stack = _uniform_stack(10.0)
+    grid = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=1.0, n_steps=20)
+    packet = WavePacket(x0=-300.0, E0=58.5, sigma_x=25.0)
+    psi0 = initial_state(grid, packet, stack.outside)
+    psi0[100] = math.nan
+    with np.errstate(invalid="ignore"), pytest.raises(
+            NumericError, match=r"norm jumped by nan in one step at t = 0\.0 fs"):
+        evolve(stack, grid, packet, x_sep=100.0, psi0=psi0)
+
+
+def test_import_leaves_numpy_fft_unloaded():
+    """Only a uniform-medium run imports numpy.fft; the package and its CLI
+    load no module for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, sltime.cli; print('numpy.fft' in sys.modules)"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["False"]
 
 
 def test_norm_and_energy_conserved_through_stack():

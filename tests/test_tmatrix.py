@@ -148,6 +148,13 @@ def test_power_equals_repeated_compose(cell, E, n):
     assert P.m21 == pytest.approx(Q.m21, rel=1e-9, abs=1e-9)
 
 
+def test_negative_power_is_refused_as_input():
+    """M^-1 is not what ``power`` computes: a negative exponent is a
+    malformed input (exit 3), not a numerical failure."""
+    with pytest.raises(ValidationError, match="negative power -1"):
+        cell_matrix(58.0, representative_cell(), outside=OUT).power(-1)
+
+
 def _sequential_product(E, stack: StackSpec):
     """Every cell of the stack, left end cell first, multiplied on one at a
     time, and the product of the factors' norms |m11| + |m21| (with |d/dE|
