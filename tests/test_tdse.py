@@ -93,6 +93,15 @@ def test_box_eigenstate_is_stationary():
     assert rec.energy_drift < 1e-10
 
 
+@pytest.fixture
+def stepped_runs(monkeypatch):
+    """A list that grows by one for each ``evolve`` call that steps."""
+    calls = []
+    step = tdse._stepped_sums
+    monkeypatch.setattr(tdse, "_stepped_sums", lambda *args: calls.append(1) or step(*args))
+    return calls
+
+
 @pytest.mark.parametrize("name, E0, extra_time, beyond_tol", [
     ("rep5_arc", 58.5, 0.0, 1e-12),
     ("rep5", 58.5, 0.0, 1e-12),
@@ -100,7 +109,7 @@ def test_box_eigenstate_is_stationary():
     # its tail probability by 1.25e-12 from an 80-bit sine-mode solution
     ("rep5", 55.857914341103672, 8000.0, 2e-12),
 ])
-def test_uniform_medium_modes_match_the_stepper(monkeypatch, name, E0, extra_time, beyond_tol):
+def test_uniform_medium_modes_match_the_stepper(stepped_runs, name, E0, extra_time, beyond_tol):
     """The free references of the campaign's dressed and bare 58.5 meV plans
     and of its long bare plan, solved in sine modes, against the same runs
     stepped: arrival, tail probability, the centroid wherever the arrival
@@ -109,14 +118,11 @@ def test_uniform_medium_modes_match_the_stepper(monkeypatch, name, E0, extra_tim
     grid, packet, x_sep, x_d = plan_run(stack, E0, sigma_x=90.0, dx=0.5, dt=2.0,
                                         extra_time=extra_time)
     free = free_reference(stack)
-    steps = []
-    step = tdse._stepped_sums
-    monkeypatch.setattr(tdse, "_stepped_sums", lambda *args: steps.append(1) or step(*args))
     exact = evolve(free, grid, packet, x_sep)
-    assert not steps
+    assert not stepped_runs
     with stepping():
         stepped = evolve(free, grid, packet, x_sep)
-    assert steps
+    assert stepped_runs
     arrivals = [_arrival(r.times, r.centroid, r.beyond_prob, x_d) for r in (exact, stepped)]
     assert abs(arrivals[0] - arrivals[1]) < 1e-9
     assert np.abs(exact.beyond_prob - stepped.beyond_prob).max() < beyond_tol
@@ -126,7 +132,7 @@ def test_uniform_medium_modes_match_the_stepper(monkeypatch, name, E0, extra_tim
     assert exact.norm_drift < 1e-12
 
 
-def test_uniform_medium_with_most_modes_is_stepped(monkeypatch):
+def test_uniform_medium_with_most_modes_is_stepped(stepped_runs):
     """White noise fills nearly every sine mode, which would cost more than
     steps: evolve steps it, and allocates no mode-by-mode array."""
     stack = _uniform_stack(10.0)
@@ -134,9 +140,6 @@ def test_uniform_medium_with_most_modes_is_stepped(monkeypatch):
     n = grid.n_points
     rng = np.random.default_rng(7)
     psi0 = rng.normal(size=n) + 1j * rng.normal(size=n)
-    steps = []
-    step = tdse._stepped_sums
-    monkeypatch.setattr(tdse, "_stepped_sums", lambda *args: steps.append(1) or step(*args))
     tracemalloc.start()
     try:
         rec = evolve(stack, grid, WavePacket(x0=0.0, E0=60.0, sigma_x=20.0), x_sep=0.0,
@@ -144,9 +147,9 @@ def test_uniform_medium_with_most_modes_is_stepped(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert steps
+    assert stepped_runs
     assert rec.norm_drift < 1e-12
-    assert peak < 32 * 16 * n  # 19 complex n-vectors; an n x n mode array takes n / 32 times this
+    assert peak < 32 * 16 * n  # stepping peaks near 19 complex n-vectors; n x n is n/32 times this
 
 
 def test_nan_state_on_a_uniform_medium_fails_at_its_first_step():
