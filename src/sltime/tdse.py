@@ -34,8 +34,8 @@ Numerics:
 - A uniform medium (any stack of lead material, as ``free_reference``) is
   solved exactly.  H = tridiag(o, d, o) has the eigenvectors sin(pi i m/(n+1))
   and a step multiplies mode m by (1 - i u_m)/(1 + i u_m), u_m = dt eps_m/2hbar,
-  eps_m = d + 2o cos(pi m/(n+1)) (Numerical Recipes 3rd ed., 12.4, 20.2).  One
-  FFT (a DST-I) gives psi's modes above 1e-13 of the largest; a record's sum
+  eps_m = d + 2o cos(pi m/(n+1)) (Numerical Recipes 3rd ed., 12.4, 20.2).  Real
+  FFTs (a DST-I) give psi's modes above 1e-13 of the largest; a record's sum
   of w_i |psi_i|^2 is a^H (T - K) a / 2, T and K the Toeplitz and Hankel
   matrices of C(p) = sum w_i cos(pi i p/(n+1)), so each is a weighted sum over
   one FFT of the modes.  A state that fills over 1/10 of the modes is stepped.
