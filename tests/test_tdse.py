@@ -7,6 +7,7 @@ stepping error), so failures here indict the implementation, not the
 discretization.
 """
 
+import contextlib
 import math
 import os
 import subprocess
@@ -16,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import sltime.tdse as tdse
 from conftest import layers, stepping
@@ -130,6 +131,31 @@ def test_uniform_medium_modes_match_the_stepper(stepped_runs, name, E0, extra_ti
     assert np.abs(exact.centroid - stepped.centroid)[read].max() < 1e-6
     assert np.abs(exact.psi_final - stepped.psi_final).max() < 1e-10
     assert exact.norm_drift < 1e-12
+
+
+@settings(max_examples=25)
+@given(st.floats(0.04, 0.15), st.floats(-50.0, 50.0), st.floats(300.0, 900.0),
+       st.floats(0.2, 1.0), st.floats(0.2, 3.0), st.integers(1, 150), st.floats(10.0, 80.0),
+       st.floats(-0.6, 0.6), st.floats(1.0, 100.0), st.floats(0.0, 1.0))
+def test_uniform_medium_sums_equal_the_stepped_sums(mass, V, half, dx, dt, n_steps, sigma,
+                                                    launch, e_kin, sep):
+    """Both producers' raw per-record sums on random uniform media, packets
+    and separators: norm, tail probability, its first moment (relative to
+    the largest |x|) and the heavier wall strip."""
+    lead = Layer(5.0, V, mass)
+    stack = StackSpec(core=CellSpec((Layer(10.0, V, mass),)), replicas=1, outside=lead)
+    grid = Grid1D(x_min=-half, x_max=half, dx=dx, dt=dt, n_steps=n_steps)
+    psi = initial_state(grid, WavePacket(launch * half, V + e_kin, sigma), lead)
+    x = grid.x
+    j = 1 + round(sep * (x.size - 3))
+    diag, off = _hamiltonian_diagonals(stack, grid)
+    lam = 0.5 * dt / CONSTANTS.hbar
+    modes = tdse._uniform_sums(diag[0], off[0], lam, psi.copy(), x, j, n_steps + 1)
+    assume(modes is not None)
+    steps = tdse._stepped_sums(diag, off, lam, psi.copy(), x, j, n_steps + 1)
+    gap = grid.dx * np.abs(modes[0] - steps[0]).max(axis=1)
+    assert np.all(gap <= [1e-12, 1e-12, 1e-12 * half, 1e-14])  # the wall gate is 1e-10
+    assert np.abs(modes[1] - steps[1]).max() <= 1e-12
 
 
 def test_uniform_medium_with_most_modes_is_stepped(stepped_runs):
@@ -347,6 +373,21 @@ def test_wall_monitor_trips_on_undersized_domain():
     packet = WavePacket(x0=-20.0, E0=60.0, sigma_x=12.0)
     with pytest.raises(NumericError, match="wall"):
         evolve(stack, grid, packet, x_sep=10.0)
+
+
+def test_wall_monitor_trips_at_the_same_step_in_modes_and_in_steps(stepped_runs):
+    """The sine-mode wall strips trip the monitor where the steps do, with
+    the same density to the printed digits."""
+    stack = _uniform_stack(10.0)
+    grid = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=1.0, n_steps=800)
+    packet = WavePacket(x0=-150.0, E0=150.0, sigma_x=40.0)  # 104 of 2401 modes
+    messages = []
+    for producer in (contextlib.nullcontext(), stepping()):
+        with producer, pytest.raises(NumericError, match="reached a domain wall") as failure:
+            evolve(stack, grid, packet, x_sep=10.0)
+        messages.append(str(failure.value))
+    assert len(stepped_runs) == 1  # the first run was solved in modes
+    assert messages[0] == messages[1]
 
 
 def _synthetic_record(beyond, centroid, x_sep=25.0, n=50):
