@@ -352,7 +352,7 @@ def _uniform_sums(d, o, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndarray] 
     odd = lambda v: fft.rfft(np.concatenate(([0.0], v, [0.0], -v[::-1]))).imag[1:n + 1]
     dst = lambda v: -0.5 * (odd(v.real) + 1j * odd(v.imag))  # sum_i v_i sin(pi i m/(n+1))
     coef = dst(psi)
-    kept = np.flatnonzero(~(np.abs(coef) <= _MODE_FLOOR * np.abs(coef).max()))  # NaN: steps
+    kept = np.flatnonzero(~(np.abs(coef) <= _MODE_FLOOR * np.abs(coef).max()))  # NaN: all, so steps
     lo, size = int(kept[0]), int(kept[-1]) + 1 - int(kept[0])
     if size * _MODE_COST > n:
         return None
@@ -369,7 +369,7 @@ def _uniform_sums(d, o, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndarray] 
                         strips.reshape(2, 5, -1).sum(axis=1)))
     hats = fft.fft(c.reshape(4, 2, span))
     t_hat, k_hat = hats[:, 0].real * (0.5 / span), np.ascontiguousarray(hats[:, 1] * (-0.5 / span))
-    block = max(1, 8192 // span)
+    block = max(1, 8192 // span)  # records a pass: arrays of at most 8192 complex
     advance = np.exp(-1j * np.outer(np.arange(block), phase))
     sums = np.empty((5, n_rec))
     sums[0] = 0.5 * (n + 1) * np.sum(a.real**2 + a.imag**2)
