@@ -320,13 +320,21 @@ def _cmd_arc_evaluate(args) -> None:
 
 def _tdse_predictions(stack: StackSpec, band: Band, grid, packet, x_sep, x_d) -> dict:
     """The stationary predictions, made from the plan before the run, so that a
-    packet they refuse (its spectrum reaching k <= 0) never runs."""
+    packet they refuse (its spectrum reaching k <= 0) never runs.  The Bloch
+    average covers the band's interior only; ``bloch_spectral_weight`` is the
+    share of the packet's spectral weight that lies there."""
     packet_pred = stationary_packet_delay(stack, packet, x_sep, x_d, grid.t_final)
     lo, hi = band.interior(5e-3)
     curve = timing_curve(stack.core, stack.outside, stack.replicas,
                          EnergyGrid.linear(lo, hi, 1200), band=band)
     bloch = spectral_average(curve.energies, curve.tau_bloch_total, packet, stack.outside)
-    return {"bloch_spectral_fs": bloch, "stationary_packet_fs": packet_pred}
+    # the lead wavenumbers at the curve's ends and at E0, then the Gaussian's share between
+    k_lo, k0, k_hi = (dataclasses.replace(packet, E0=e).k0(stack.outside)
+                      for e in (curve.energies[0], packet.E0, curve.energies[-1]))
+    s = math.sqrt(2.0) * packet.sigma_x
+    weight = 0.5 * (math.erf(s * (k_hi - k0)) - math.erf(s * (k_lo - k0)))
+    return {"bloch_spectral_fs": bloch, "bloch_spectral_weight": weight,
+            "stationary_packet_fs": packet_pred}
 
 
 def _cmd_tdse(args) -> None:

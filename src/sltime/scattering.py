@@ -16,9 +16,10 @@ Every observable below starts from that call, and none accepts amplitudes
 from outside, so phases with the wrong reference cannot be handed in.  The
 S-matrix ((r, t), (t, r_bar)) and the Smith lifetime matrix
 Q = -i hbar S^dagger dS/dE are written out entry by entry, elementwise over
-an energy array.
+an energy array, for any stack, mirror-symmetric or not.
 
-The interior wavefunction is reconstructed by back-propagating the
+The interior wavefunction (``_WaveField``), whose density the dwell time's
+cross-check integrates, is reconstructed by back-propagating the
 transmitted plane wave through the layer sequence with the same
 (psi, psi'/m*) propagators used for the transfer matrix.  A position array
 is evaluated in one pass: each point's layer comes from one
@@ -53,13 +54,12 @@ for every energy at once.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericError, ValidationError, require
-from .medium import CONSTANTS, StackSpec, _layers_mirror_equal
+from .medium import CONSTANTS, StackSpec
 from .tmatrix import (
     _cos_and_sinc, _layer_entries, _sinc_slopes, amplitudes, energy_jet, stack_matrix,
 )
@@ -67,8 +67,6 @@ from .tmatrix import (
 __all__ = [
     "SmithMatrix",
     "smith_matrix",
-    "interior_wavefunction",
-    "probability_current",
     "DwellResult",
     "dwell_time",
 ]
@@ -127,15 +125,8 @@ def smith_matrix(stack: StackSpec, E) -> SmithMatrix:
     at every energy to 1e-3 of its largest entry there (or of 1 fs); a NaN
     defect fails, and the NumericError names the first failing energy.  For a
     mirror-symmetric stack tau11 = tau22 and tau12 is real up to roundoff;
-    asymmetric stacks go through the same algebra but are outside the
-    validated regime, so they are flagged with a warning.
+    an asymmetric stack's tau22 is its mirror image's tau11.
     """
-    if not _layers_mirror_equal(stack.segments()):
-        warnings.warn(
-            "Smith matrix for a spatially asymmetric stack: the general formula "
-            "is used but this regime has no independent cross-check here",
-            stacklevel=2,
-        )
     _, t, r, dt, dr, _, _ = _origin_jet(stack, E)
     require(t != 0, NumericError,
             "transmission amplitude underflowed to zero at E = {E} meV; cannot form S", E=E)
@@ -263,29 +254,6 @@ class _WaveField:
                              + sign * m * s * s * (u0 * u1.conjugate()).real
                              + m * m * (0.5 * width * s * s + c * ds) * np.abs(u1) ** 2)
         return total
-
-
-def interior_wavefunction(stack: StackSpec, E: float, x_grid: np.ndarray) -> np.ndarray:
-    """psi(x) on x_grid for a flux-normalized wave incident from the left.
-
-    The stack occupies [-W/2, +W/2]; the grid may extend into either lead.
-    Densities come out in units of inverse velocity, so a free stack gives
-    |psi|^2 = 1/v everywhere and resonant states show up as interior
-    density exceeding the lead value.
-    """
-    return _WaveField.at(stack, E).u(x_grid)[0]
-
-
-def probability_current(stack: StackSpec, E: float, x_grid: np.ndarray) -> np.ndarray:
-    """Probability current at each grid point, unit incident flux.
-
-    Stationarity makes this x-independent and equal to the transmission
-    probability; deviations measure reconstruction error.
-    """
-    field = _WaveField.at(stack, E)
-    psi, slope = field.u(x_grid)
-    # incident current of e^{ikx}/sqrt(v): k/(m v) in these units
-    return (psi.conjugate() * slope).imag * field.v[0] * field.mass_out / field.k[0]
 
 
 # ---------------------------------------------------------------------------

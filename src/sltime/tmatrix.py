@@ -12,7 +12,8 @@ the right ones to its right edge, i.e. psi = A e^{ik(x-a)} + B e^{-ik(x-a)}
 on the left of a cell spanning [a, b].  With this reference choice the
 matrix of n abutting cells is the ordered product M_1 ... M_n, and a free
 cell gives exactly diag(e^{-ikw}, e^{+ikw}).  A stack's matrix is that
-product in one form: left end cell, core^N (by squaring), right end cell.
+product in one form: left end cell, core^N (by the Chebyshev identity),
+right end cell.
 
 Because the interior propagator is real and the leads are identical, M
 always satisfies M22 = conj(M11), M12 = conj(M21), det M = 1 (equivalently
@@ -321,10 +322,17 @@ def cell_matrix(E, cell: CellSpec, outside: Layer) -> TransferMatrix:
 def stack_matrix(E, stack: StackSpec) -> TransferMatrix:
     """Total transfer matrix M_left (M_core)^N M_right of a stack.
 
-    The core is raised to its power by squaring; a stack without end cells
-    gives the bare array matrix.  A jet energy gives jet entries.
+    The core's power is Abeles' M^N = U_{N-1}(c) M - U_{N-2}(c) 1, with
+    c = Tr M / 2 and the Chebyshev U from their three-term recurrence;
+    squaring would round away an opaque cell's |t_N|^2.  A stack without
+    end cells gives the bare array matrix.  A jet energy gives jet entries.
     """
-    total = cell_matrix(E, stack.core, stack.outside).power(stack.replicas)
+    core = cell_matrix(E, stack.core, stack.outside)
+    c = 0.5 * (core.m11 + core.m11.conjugate())
+    u_prev, u = 0.0, 1.0  # U_{-1}, U_0
+    for _ in range(stack.replicas - 1):
+        u_prev, u = u, 2.0 * c * u - u_prev
+    total = TransferMatrix(u * core.m11 - u_prev, u * core.m21, core.ref_energy)
     if stack.left_arc is not None:
         total = cell_matrix(E, stack.left_arc, stack.outside) @ total
     if stack.right_arc is not None:

@@ -17,7 +17,6 @@ lines and in the decisions ledger.
 
 import math
 import time
-import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -78,11 +77,7 @@ def _run_pair(spec, E0, extra_time, curve, outside):
     )
     record = evolve(spec, grid, packet, x_sep)
     reference = evolve(free_reference(spec), grid, packet, x_sep)
-    with warnings.catch_warnings():
-        # packet tails extend into the gaps; averaging over the band only is
-        # the intended comparator, so the coverage warning is expected here
-        warnings.simplefilter("ignore")
-        pred = spectral_average(curve[0], curve[1], packet, outside)
+    pred = spectral_average(curve[0], curve[1], packet, outside)
     result = packet_delay(record, x_d, reference, bloch_time_prediction=pred)
     return SimpleNamespace(
         result=result, pred=pred, record=record, reference=reference,

@@ -13,7 +13,8 @@ import sltime
 MODULES = ["errors", "medium", "tmatrix", "kard", "timing", "resonance", "scattering",
            "playmodel", "arc", "tdse"]
 
-#: ``sltime.__all__`` as it was when the package kept a hand-written copy.
+#: ``sltime.__all__`` as it was when the package kept a hand-written copy,
+#: less ``interior_wavefunction``, a test-only oracle that left the API.
 HAND_KEPT = """
 SltimeError ValidationError NumericError NearBandEdgeError NoTransmissionError
 CONSTANTS Layer CellSpec StackSpec EnergyGrid load_stack save_stack
@@ -22,10 +23,10 @@ stack_matrix amplitudes KardParams KardDerivatives Band decompose reconstruct
 band_structure energy_at_phase kard_derivatives TimingCurve bloch_time phase_time
 envelopes timing_curve transmission_sweep PeakFit ValleyFit locate_extrema fit_peak
 fit_valley fit_extrema approx_curves DwellResult SmithMatrix smith_matrix
-interior_wavefunction dwell_time PlayModelSpec PLAY_MODEL play_kard play_matrix
-play_derivatives ArcDesign design_rule_of_thumb compose_with_arc
-band_average_transmission Grid1D WavePacket DelayResult evolve packet_delay plan_run
-spectral_average stationary_packet_delay __version__
+dwell_time PlayModelSpec PLAY_MODEL play_kard play_matrix play_derivatives
+ArcDesign design_rule_of_thumb compose_with_arc band_average_transmission Grid1D
+WavePacket DelayResult evolve packet_delay plan_run spectral_average
+stationary_packet_delay __version__
 """.split()
 
 
@@ -39,8 +40,17 @@ def test_public_api_is_declared_once_in_each_module():
     for module in modules:
         for name in module.__all__:
             assert getattr(sltime, name) is getattr(module, name), f"{module.__name__}.{name}"
-    assert len(HAND_KEPT) == 63
+    assert len(HAND_KEPT) == 62
     assert set(HAND_KEPT) <= set(sltime.__all__)
+
+
+def test_the_library_warns_nowhere():
+    """No module of ``sltime`` uses ``warnings``: what a caller should know
+    is returned or reported (``sltime tdse``'s ``bloch_spectral_weight``),
+    and a check that fails raises."""
+    sources = sorted(Path(sltime.__file__).parent.glob("*.py"))
+    assert len(sources) >= 10
+    assert [p.name for p in sources if "warnings" in p.read_text()] == []
 
 
 def test_benchmark_names_resolve_on_sltime():

@@ -5,11 +5,15 @@ dense linear system (2L + 2 coefficient unknowns), sharing no code with the
 back-propagation reconstruction it checks.  The dwell decomposition is
 validated against the density-integral column, whose only input is the
 reconstructed state, and that integral in turn against a dense composite
-Simpson rule over |psi|^2 sampled by ``interior_wavefunction``.
+Simpson rule over |psi|^2 sampled from ``_WaveField.u``.  The Smith matrix
+of asymmetric stacks is checked against its mirror image and against
+central differences of S built from plain (not jet) amplitudes.
 """
 
 import cmath
+import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,14 +27,21 @@ from sltime.medium import (
     CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec, load_stack, representative_stack,
     save_stack,
 )
-from sltime.scattering import (
-    _origin_jet,
-    dwell_time,
-    interior_wavefunction,
-    probability_current,
-    smith_matrix,
-)
+from sltime.scattering import _WaveField, _origin_jet, dwell_time, smith_matrix
 from sltime.tmatrix import Jet, amplitudes, stack_matrix
+
+
+def _psi(stack, E, xs):
+    """psi at the positions xs, flux-normalized, for left incidence."""
+    return _WaveField.at(stack, E).u(xs)[0]
+
+
+def _current(stack, E, xs):
+    """Probability current at the positions xs for unit incident flux: the
+    incident e^{ikx}/sqrt(v) carries k/(m v) in these units."""
+    field = _WaveField.at(stack, E)
+    psi, slope = field.u(xs)
+    return (psi.conjugate() * slope).imag * field.v[0] * field.mass_out / field.k[0]
 
 
 def brute_scattering_state(stack, E):
@@ -101,7 +112,7 @@ def test_wavefunction_against_global_solve(E):
     k = math.sqrt(E * 0.067 / CONSTANTS.hbar2_over_2m0)
     v = CONSTANTS.velocity(k, 0.067)
     xs = np.linspace(-0.5 * stack.width - 6.0, 0.5 * stack.width + 6.0, 67)
-    got = interior_wavefunction(stack, E, xs)
+    got = _psi(stack, E, xs)
     want = np.array([psi(float(x)) for x in xs]) / math.sqrt(v)
     scale = np.abs(want).max()
     assert np.abs(got - want).max() < 1e-9 * scale
@@ -152,7 +163,6 @@ def _assert_array_matches_scalars(stack, E):
             assert abs(got - want) <= tol
 
 
-@pytest.mark.filterwarnings("ignore:Smith matrix for a spatially asymmetric")
 @given(stacks(), st.lists(st.floats(20.0, 250.0), min_size=1, max_size=3))
 def test_scattering_array_calls_equal_scalar_calls(stack, energies):
     E = np.array(energies)
@@ -326,14 +336,59 @@ def test_narrow_band_smith_and_dwell_agree_with_their_checks(E):
     assert d.tau_dwell_delay == pytest.approx(q.tau11, rel=1e-7)
 
 
-def test_smith_asymmetric_stack_warns():
-    lopsided = StackSpec(
-        core=CellSpec((Layer(2.0, 150.0, 0.09), Layer(4.0, 0.0, 0.067))),
-        replicas=3,
-        outside=Layer(9.5, 0.0, 0.067),
-    )
-    with pytest.warns(UserWarning, match="asymmetric"):
-        smith_matrix(lopsided, 70.0)
+#: Three barrier/well cells: an asymmetric stack.
+LOPSIDED = StackSpec(
+    core=CellSpec((Layer(2.0, 150.0, 0.09), Layer(4.0, 0.0, 0.067))),
+    replicas=3,
+    outside=Layer(9.5, 0.0, 0.067),
+)
+
+
+def _mirror(stack):
+    """The stack reflected about the origin: end cells swapped, every layer
+    order reversed."""
+    flip = lambda cell: None if cell is None else CellSpec(cell.layers[::-1])
+    return StackSpec(core=flip(stack.core), replicas=stack.replicas, outside=stack.outside,
+                     left_arc=flip(stack.right_arc), right_arc=flip(stack.left_arc))
+
+
+def _s_matrix(stack, mirror, E):
+    """S = ((r, t'), (t, r')), shape (2, 2, energies), from plain stack-matrix
+    values re-referenced to the origin.  The right-incidence column is the
+    mirror image's left-incidence (t, r), with no unitarity or reciprocity
+    assumed."""
+    lead = stack.outside
+    k = np.sqrt((E - lead.potential) * lead.mass_ratio / CONSTANTS.hbar2_over_2m0)
+    shift = np.exp(-1j * k * stack.width)
+    left, right = (amplitudes(stack_matrix(E, s)) for s in (stack, mirror))
+    return np.array([[left.r, right.t], [left.t, right.r]]) * shift
+
+
+def test_smith_asymmetric_stack_matches_mirror_and_differences(tmp_path, capsys):
+    """On ``LOPSIDED`` over 20-250 meV and on rep5 with its designed ARC on
+    the left only over 52-65 meV: tau22 is the mirror image's tau11 (to
+    1e-11), and every entry of Q matches -i hbar S^dagger (S(E + h) -
+    S(E - h)) / 2h at h = 1e-4 meV to 1e-5 of max(|Q|, 1 fs).  No warning
+    is raised, and ``sltime dwell`` on ``LOPSIDED`` writes nothing to stderr."""
+    one_arc = dataclasses.replace(load_stack("stacks/rep5_arc.json"), right_arc=None)
+    h = 1e-4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for stack, E in [(LOPSIDED, np.linspace(20.0, 250.0, 47)),
+                         (one_arc, np.linspace(52.0, 65.0, 53))]:
+            mirror = _mirror(stack)
+            q, qm = smith_matrix(stack, E), smith_matrix(mirror, E)
+            assert (np.abs(q.tau22 - qm.tau11) <= 1e-11 * np.abs(q.tau22)).all()
+            s = _s_matrix(stack, mirror, E)
+            ds = (_s_matrix(stack, mirror, E + h) - _s_matrix(stack, mirror, E - h)) / (2 * h)
+            fd = -1j * CONSTANTS.hbar * np.einsum("jie,jke->ike", s.conj(), ds)
+            got = np.array([[q.tau11, q.tau12], [q.tau12.conjugate(), q.tau22]])
+            scale = np.maximum(np.abs(got).max(axis=(0, 1)), 1.0)
+            assert (np.abs(got - fd) <= 1e-5 * scale).all()
+        save_stack(LOPSIDED, tmp_path / "lopsided.json")
+        assert main(["dwell", "--stack", str(tmp_path / "lopsided.json"), "--emin", "20",
+                     "--emax", "250", "--count", "20", "-o", str(tmp_path / "dwell.csv")]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def test_free_stack_is_featureless():
@@ -346,9 +401,9 @@ def test_free_stack_is_featureless():
     k = math.sqrt(E * 0.067 / CONSTANTS.hbar2_over_2m0)
     v = CONSTANTS.velocity(k, 0.067)
     xs = np.linspace(-30.0, 30.0, 41)
-    psi = interior_wavefunction(free, E, xs)
+    psi = _psi(free, E, xs)
     assert np.abs(psi) ** 2 * v == pytest.approx(np.ones(len(xs)), rel=1e-12)
-    assert probability_current(free, E, xs) == pytest.approx(np.ones(len(xs)), rel=1e-12)
+    assert _current(free, E, xs) == pytest.approx(np.ones(len(xs)), rel=1e-12)
     d = dwell_time(free, E)
     assert d.oscillatory_term == pytest.approx(0.0, abs=1e-12)
     # the residual here is the roundoff of the exact derivatives
@@ -362,7 +417,7 @@ def test_current_is_flat_and_equals_transmission():
     E = 58.5
     T = amplitudes(stack_matrix(E, stack)).T
     xs = np.linspace(-35.0, 35.0, 71)
-    j = probability_current(stack, E, xs)
+    j = _current(stack, E, xs)
     assert j == pytest.approx(np.full(len(xs), T), rel=1e-9)
 
 
@@ -397,7 +452,7 @@ def _simpson_density(stack, E, x_left, x_right, per=400):
     knots = np.concatenate([[x_left], stack.interfaces(), [x_right]])
     total = 0.0
     for lo, hi in zip(knots[:-1], knots[1:]):
-        f = np.abs(interior_wavefunction(stack, E, np.linspace(lo, hi, 2 * per + 1))) ** 2
+        f = np.abs(_psi(stack, E, np.linspace(lo, hi, 2 * per + 1))) ** 2
         total += (hi - lo) / (6 * per) * (f[0] + 4 * f[1:-1:2].sum() + 2 * f[2:-1:2].sum() + f[-1])
     return total
 
@@ -480,11 +535,11 @@ def test_resonant_buildup_and_gap_suppression():
     k_res = math.sqrt(52.809940510590266 * 0.067 / CONSTANTS.hbar2_over_2m0)
     v_res = CONSTANTS.velocity(k_res, 0.067)
     xs = np.linspace(-0.5 * stack.width, 0.5 * stack.width, 401)
-    on = np.abs(interior_wavefunction(stack, 52.809940510590266, xs)) ** 2 * v_res
+    on = np.abs(_psi(stack, 52.809940510590266, xs)) ** 2 * v_res
     assert on.max() > 2.0  # coherent buildup at the sharpest resonance
 
-    gap = np.abs(interior_wavefunction(stack, 45.0, xs)) ** 2
-    left_lead = np.abs(interior_wavefunction(stack, 45.0, np.linspace(-40, -25, 31))) ** 2
+    gap = np.abs(_psi(stack, 45.0, xs)) ** 2
+    left_lead = np.abs(_psi(stack, 45.0, np.linspace(-40, -25, 31))) ** 2
     assert amplitudes(stack_matrix(45.0, stack)).T < 1e-4
     assert gap[-5:].max() < 1e-3 * left_lead.max()
 

@@ -14,8 +14,12 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from conftest import asymmetric_cells, stacks, symmetric_cells
+from sltime import precise
 from sltime.errors import NoTransmissionError, ValidationError
-from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, load_stack, representative_cell
+from sltime.kard import band_structure
+from sltime.medium import (
+    CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec, load_stack, representative_cell,
+)
 from sltime.tmatrix import (
     Amplitudes,
     Jet,
@@ -194,7 +198,7 @@ def dressed_stacks(draw):
 
 @given(dressed_stacks(), st.floats(5.0, 380.0))
 def test_stack_matrix_equals_sequential_cell_product(stack, E):
-    """End cell, core^N by squaring, end cell: the same matrix as the
+    """End cell, core^N by the Chebyshev identity, end cell: the same matrix as the
     left-to-right product of every cell, bare stacks and dressed alike."""
     Q, scale = _sequential_product(E, stack)
     _assert_products_agree(stack_matrix(E, stack), Q, scale)
@@ -209,6 +213,33 @@ def test_stack_matrix_equals_sequential_cell_product_on_arrays_and_jets(path):
     for energy in (E, energy_jet(E)):
         Q, scale = _sequential_product(energy, stack)
         _assert_products_agree(stack_matrix(energy, stack), Q, scale)
+
+
+#: An opaque 33-cell stack between rep5's leads: 9.25 and 5.91 nm wells
+#: around a 13.38 nm, 326.8 meV barrier.  Its band 1 is [16.22054, 16.22073]
+#: meV, and its core matrix has entries of about 1e5 there.
+_WELL = 0.07081466167376042
+OPAQUE_STACK = StackSpec(
+    core=CellSpec((Layer(9.249158978226824, 0.0, _WELL),
+                   Layer(13.3751383495897, 326.77803375159993, 0.0919),
+                   Layer(5.910330584053797, 0.0, _WELL))),
+    replicas=33,
+    outside=OUT,
+)
+
+
+def test_opaque_stack_matches_the_decimal_reference():
+    """|t_N|^2 of ``stack_matrix`` at 120 energies inside band 1 of the
+    opaque stack agrees with the 40-digit ``precise.transmission`` to 1e-6
+    relative (worst about 1.3e-7).  The core's power by squaring missed it
+    by up to 8.6e5 times the value, with no error raised."""
+    band = band_structure(OPAQUE_STACK.core, OUT, grid=EnergyGrid.linear(1.0, 100.0, 2))[0]
+    assert band.lower == pytest.approx(16.22054, abs=1e-5)
+    assert band.upper == pytest.approx(16.22073, abs=1e-5)
+    E = EnergyGrid.linear(*band.interior(1e-6), 120).samples
+    got = abs(amplitudes(stack_matrix(E, OPAQUE_STACK)).t) ** 2
+    want = np.array([precise.transmission(OPAQUE_STACK.core, OUT, 33, float(e)) for e in E])
+    assert np.all(np.abs(got - want) <= 1e-6 * want)
 
 
 def test_cell_matrix_rejects_a_nan_energy():
