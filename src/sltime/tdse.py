@@ -248,7 +248,8 @@ class _Level(NamedTuple):
 
 
 class _CyclicReduction:
-    """Odd-even reduction for one fixed tridiagonal matrix.
+    """Odd-even reduction for one fixed tridiagonal matrix, stepping the state
+    ``psi`` to chi - psi in place, where the matrix times chi is psi.
 
     Row i reads a_i x_i-1 + b_i x_i + c_i x_i+1 = d_i.  Row 2k plus alpha
     times row 2k-1 and gamma times row 2k+1 no longer holds x_2k+/-1, so the
@@ -256,8 +257,10 @@ class _CyclicReduction:
     ``_DENSE`` are left for a precomputed inverse; then each odd unknown is
     x_2k+1 = d_2k+1 / b_2k+1 + p x_2k + q x_2k+2.  Each level's vector sits
     between two pad zeros, so the neighbours of the even rows are plain
-    strided views with no end cases.  ``solve`` does no pivoting: the
-    pivots b_2k+1 must stay away from zero, as they do for ``evolve``'s A/2.
+    strided views with no end cases.  ``psi`` is level 0's vector, which its
+    forward pass only reads, so its back-substitution forms chi - psi where
+    psi lies.  ``step`` does no pivoting: the pivots b_2k+1 must stay away
+    from zero, as they do for ``evolve``'s A/2.
     """
 
     def __init__(self, lower: np.ndarray, diag: np.ndarray, upper: np.ndarray) -> None:
@@ -265,7 +268,7 @@ class _CyclicReduction:
         a, b, c = (np.zeros(n + 2, complex) for _ in range(3))
         a[2:n + 1], b[1:n + 1], c[1:n] = lower, diag, upper
         buf = np.zeros(n + 2, complex)
-        self._x = buf[1:n + 1]
+        self.psi = buf[1:n + 1]
         self.levels: list[_Level] = []
         while n > _DENSE:
             ne, no = (n + 1) // 2, n // 2
@@ -287,26 +290,44 @@ class _CyclicReduction:
         self._bottom_inverse = np.linalg.inv(
             np.diag(b[1:n + 1]) + np.diag(a[2:n + 1], -1) + np.diag(c[1:n], 1))
         self._bottom_tmp = np.empty(n, complex)
+        # each pass's operands in plain tuples, which unpack faster than fields read
+        self._down = [(lv.left, lv.alpha, lv.tmp, lv.even, lv.down, lv.right, lv.gamma)
+                      for lv in self.levels]
+        up = [(lv.odd, lv.inv_pivot, lv.below, lv.p, lv.tmp_odd, lv.above, lv.q, lv.even, lv.down)
+              for lv in self.levels]
+        self._up, self._top = up[:0:-1], up[0] if up else None  # levels 1 and on, level 0
+        self._chi_odd = np.empty_like(up[0][0]) if up else None
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for ``rhs``, in an array that the next solve overwrites."""
-        mul, add = np.multiply, np.add
-        np.copyto(self._x, rhs)
-        for lv in self.levels:
-            mul(lv.left, lv.alpha, out=lv.tmp)
-            add(lv.even, lv.tmp, out=lv.down)
-            mul(lv.right, lv.gamma, out=lv.tmp)
-            add(lv.down, lv.tmp, out=lv.down)
-        np.matmul(self._bottom_inverse, self._bottom, out=self._bottom_tmp)
+    def step(self) -> None:
+        """``psi`` <- chi - psi; level 0 writes chi's odd unknowns to a scratch
+        array and subtracts, and takes its even ones from level 1's vector."""
+        mul, add, sub = np.multiply, np.add, np.subtract
+        for left, alpha, tmp, even, down, right, gamma in self._down:
+            mul(left, alpha, tmp)
+            add(even, tmp, down)
+            mul(right, gamma, tmp)
+            add(down, tmp, down)
+        np.matmul(self._bottom_inverse, self._bottom, self._bottom_tmp)
+        if self._top is None:  # psi is the bottom vector
+            sub(self._bottom_tmp, self.psi, self.psi)
+            return
         np.copyto(self._bottom, self._bottom_tmp)
-        for lv in reversed(self.levels):
-            mul(lv.odd, lv.inv_pivot, out=lv.odd)
-            mul(lv.below, lv.p, out=lv.tmp_odd)
-            add(lv.odd, lv.tmp_odd, out=lv.odd)
-            mul(lv.above, lv.q, out=lv.tmp_odd)
-            add(lv.odd, lv.tmp_odd, out=lv.odd)
-            np.copyto(lv.even, lv.down)
-        return self._x
+        for odd, inv_pivot, below, p, tmp, above, q, even, down in self._up:
+            mul(odd, inv_pivot, odd)
+            mul(below, p, tmp)
+            add(odd, tmp, odd)
+            mul(above, q, tmp)
+            add(odd, tmp, odd)
+            np.copyto(even, down)
+        odd, inv_pivot, below, p, tmp, above, q, even, down = self._top
+        chi = self._chi_odd
+        mul(odd, inv_pivot, chi)
+        mul(below, p, tmp)
+        add(chi, tmp, chi)
+        mul(above, q, tmp)
+        add(chi, tmp, chi)
+        sub(chi, odd, odd)
+        sub(down, even, even)
 
 
 def initial_state(grid: Grid1D, packet: WavePacket, outside: Layer) -> np.ndarray:
@@ -327,14 +348,21 @@ def _stepped_sums(diag, off, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndar
     """Steps ``psi`` in place; per record, |psi|^2 summed everywhere, beyond index ``j``,
     its first moment there and over the heavier five-point wall strip; and the final psi."""
     half_a = _CyclicReduction(0.5j * lam * off, 0.5 + 0.5j * lam * diag, 0.5j * lam * off)
+    state = half_a.psi
+    np.copyto(state, psi)
+    re, im, dens, im2 = state.real, state.imag, np.empty(psi.size), np.empty(psi.size)
+    x_tail, tail, head, foot = x[j:], dens[j:], dens[:5], dens[-5:]
+    square, add, total = np.square, np.add, np.add.reduce
     sums = np.empty((4, n_rec))
     for i in range(n_rec):
         if i:
-            np.subtract(half_a.solve(psi), psi, out=psi)
-        dens = psi.real**2 + psi.imag**2
-        tail = dens[j:]
-        moment = np.einsum("i,i->", x[j:], tail)  # not BLAS, which threads long dots
-        sums[:, i] = dens.sum(), tail.sum(), moment, max(dens[:5].sum(), dens[-5:].sum())
+            half_a.step()
+        square(re, dens)
+        square(im, im2)
+        add(dens, im2, dens)
+        moment = np.einsum("i,i->", x_tail, tail)  # not BLAS, which threads long dots
+        sums[:, i] = total(dens), total(tail), moment, max(total(head), total(foot))
+    np.copyto(psi, state)
     return sums, psi
 
 

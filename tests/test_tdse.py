@@ -300,14 +300,16 @@ def test_evolve_loads_no_scipy_module():
 
 
 @st.composite
-def _cn_systems(draw):
+def _cn_systems(draw, points=None):
     """A Crank-Nicolson matrix 1 + i lam H of a random stack, with wells as
-    deep and barriers as high as 5 eV, and lam max|H_i,i+1| from 1e-2 to 1e2."""
+    deep and barriers as high as 5 eV, and lam max|H_i,i+1| from 1e-2 to 1e2;
+    ``points`` bounds the grid's point count, which is otherwise 40 or more."""
     cell = CellSpec(tuple(draw(st.lists(layers(-5000.0, 5000.0), min_size=1, max_size=4))))
     stack = StackSpec(core=cell, replicas=draw(st.integers(1, 3)),
                       outside=Layer(5.0, 0.0, draw(st.floats(0.04, 0.15))))
-    dx = draw(st.floats(0.1, 1.0))
     half = 0.5 * stack.width + draw(st.floats(20.0, 80.0))
+    dx = draw(st.floats(0.1, 1.0) if points is None
+              else st.integers(*points).map(lambda n: 2.0 * half / (n - 1)))
     grid = Grid1D(x_min=-half, x_max=half, dx=dx, dt=1.0, n_steps=1)
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 10.0 ** draw(st.floats(-2.0, 2.0)) / np.abs(off).max()
@@ -322,22 +324,39 @@ def _well_system():
     return 1j * lam * off, 1.0 + 1j * lam * diag
 
 
+def _assert_step_matches_a_dense_solve(off, diag, seed):
+    """One ``step`` of a random psi against chi - psi from a pivoted dense
+    solve of A chi = psi.  Subtracting psi, which is exact, adds at most one
+    rounding of chi - psi, so the 2-norm bound stays relative to chi's, as
+    for the solve alone (worst seen in 1000 examples each: 7.0e-15 with
+    reduction levels, 2.6e-15 without)."""
+    solver = _CyclicReduction(off, diag, off)
+    rng = np.random.default_rng(seed)
+    psi = rng.normal(size=diag.size) + 1j * rng.normal(size=diag.size)
+    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    chi = np.linalg.solve(dense, psi)
+    solver.psi[:] = psi
+    solver.step()
+    assert np.linalg.norm(solver.psi - (chi - psi)) <= 1e-12 * np.linalg.norm(chi)
+    return solver
+
+
 @given(st.one_of(_cn_systems(), st.just(_well_system())), st.integers(0, 2**32 - 1))
 def test_cyclic_reduction_needs_no_pivoting(system, seed):
     """A's Hermitian part is the identity, so every Schur complement keeps
-    one >= 1 and every reduction pivot has real part >= 1; the solve then
+    one >= 1 and every reduction pivot has real part >= 1; a step then
     matches a pivoted dense solve to roundoff."""
-    off, diag = system
-    solver = _CyclicReduction(off, diag, off)
+    solver = _assert_step_matches_a_dense_solve(*system, seed)
     assert solver.levels  # the system is big enough to be reduced
     pivots = np.concatenate([1.0 / level.inv_pivot for level in solver.levels])
     assert pivots.real.min() >= 1.0 - 1e-12
-    rng = np.random.default_rng(seed)
-    rhs = rng.normal(size=diag.size) + 1j * rng.normal(size=diag.size)
-    dense = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
-    expected = np.linalg.solve(dense, rhs)
-    got = solver.solve(rhs)
-    assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+@given(_cn_systems(points=(3, tdse._DENSE)), st.integers(0, 2**32 - 1))
+def test_cyclic_reduction_steps_systems_below_one_level(system, seed):
+    """3 to 32 points: no reduction level, only the dense bottom solve."""
+    solver = _assert_step_matches_a_dense_solve(*system, seed)
+    assert not solver.levels
 
 
 def test_plan_run_left_wall_follows_the_reflected_packet():
@@ -542,18 +561,36 @@ def test_stationary_delay_rejects_spectrum_reaching_zero():
         stationary_packet_delay(representative_stack(5), wide, 24.0, 264.0, 0.0)
 
 
-def test_stationary_delay_reproduces_figure_9_predictions():
-    """Figure 9's plans (its dressed stack is stacks/rep5_arc.json) give its
-    packet_pred_fs column to the last digit."""
-    dressed = load_stack(ROOT / "stacks" / "rep5_arc.json")
+def _fig9_points():
+    """figures/fig9_points.csv's rows as {column: value}; its dressed stack is
+    stacks/rep5_arc.json."""
     lines = (ROOT / "figures" / "fig9_points.csv").read_text().splitlines()
     columns, *rows = [line.split(",") for line in lines if not line.startswith("#")]
     assert len(rows) == 3
-    for row in rows:
-        point = dict(zip(columns, map(float, row)))
+    return [dict(zip(columns, map(float, row))) for row in rows]
+
+
+def test_stationary_delay_reproduces_figure_9_predictions():
+    """Figure 9's plans give its packet_pred_fs column to the last digit."""
+    dressed = load_stack(ROOT / "stacks" / "rep5_arc.json")
+    for point in _fig9_points():
         grid, packet, x_sep, x_d = plan_run(dressed, point["E0_meV"], sigma_x=90.0)
         delay = stationary_packet_delay(dressed, packet, x_sep, x_d, grid.t_final)
         assert delay == point["packet_pred_fs"]
+
+
+def test_figure_9_point_replays_bit_for_bit():
+    """Figure 9's 58.5 meV runs, stepped and in sine modes, give its delay_fs
+    and transmitted_fraction exactly, so any change to the stepper's
+    rounding shows here."""
+    dressed = load_stack(ROOT / "stacks" / "rep5_arc.json")
+    point, = (p for p in _fig9_points() if p["E0_meV"] == 58.5)
+    grid, packet, x_sep, x_d = plan_run(dressed, 58.5, sigma_x=90.0)
+    assert (grid.n_points, grid.n_steps) == (25673, 5529)
+    run = evolve(dressed, grid, packet, x_sep)
+    result = packet_delay(run, x_d, evolve(free_reference(dressed), grid, packet, x_sep))
+    assert result.delay == point["delay_fs"] == 499.24910979970673
+    assert result.transmitted_fraction == point["transmitted_fraction"]
 
 
 def test_stationary_delay_fails_through_the_arrival_rule():
