@@ -23,10 +23,13 @@ Numerics:
   each level eliminates every other unknown, halving the system down to a
   block of at most 32 that a precomputed inverse solves, and the odd
   unknowns follow back level by level.  A/2 is fixed for the run, so
-  ``_CyclicReduction`` makes every level's coefficients and buffers once,
-  and a step is ten in-place numpy passes a level: about five complex
-  multiplications and four additions per point in all, with nothing
-  allocated.  It needs no pivoting: H is real symmetric, so A's Hermitian
+  ``_CyclicReduction`` makes every level's coefficients and buffers once.
+  psi lives in level 0's vector, which the forward pass only reads, and
+  level 0's back-substitution forms chi - psi there, so a step copies no
+  state and allocates nothing: 10 numpy calls a level, one more at level 0
+  and 2 for the bottom block (93 at 12.8k points), each given its output
+  positionally, and about five complex multiplications and five additions
+  or subtractions per point in all.  It needs no pivoting: H is real symmetric, so A's Hermitian
   part is the identity.  Each level's matrix is a Schur complement S of A,
   and Re z*Sz = Re w*Aw >= |w|^2 >= |z|^2 for the w that extends z by the
   eliminated unknowns, so S's Hermitian part stays >= 1 too, every pivot of

@@ -326,10 +326,10 @@ def _well_system():
 
 def _assert_step_matches_a_dense_solve(off, diag, seed):
     """One ``step`` of a random psi against chi - psi from a pivoted dense
-    solve of A chi = psi.  Subtracting psi, which is exact, adds at most one
-    rounding of chi - psi, so the 2-norm bound stays relative to chi's, as
-    for the solve alone (worst seen in 1000 examples each: 7.0e-15 with
-    reduction levels, 2.6e-15 without)."""
+    solve of A chi = psi.  psi is the exact input, so subtracting it adds at
+    most one rounding of chi - psi, and the 2-norm bound stays relative to
+    chi's, as for the solve alone (worst seen in 1000 examples each: 7.0e-15
+    with reduction levels, 2.6e-15 without)."""
     solver = _CyclicReduction(off, diag, off)
     rng = np.random.default_rng(seed)
     psi = rng.normal(size=diag.size) + 1j * rng.normal(size=diag.size)
