@@ -376,6 +376,7 @@ def _cmd_tdse(args) -> None:
         "transmitted_fraction": result.transmitted_fraction,
         "norm_drift": run.norm_drift,
         "energy_drift_rel": run.energy_drift,
+        "left_outflow": run.left_outflow,
         "predictions": preds,
         "series": series_path,
     }

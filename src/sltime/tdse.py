@@ -12,8 +12,9 @@ Numerics:
 - Hamiltonian  H = -c2 d/dx (1/m*) d/dx + V  discretized with the mass
   sampled at nodes and 1/m* averaged to half points, which keeps the
   discrete flux (1/m*) psi' continuous across material interfaces.
-- Crank-Nicolson stepping.  The scheme is unconditionally stable and
-  exactly norm-preserving up to solver roundoff, so norm drift is a pure
+- Crank-Nicolson stepping.  The scheme is unconditionally stable and, in
+  a closed box, exactly norm-preserving up to solver roundoff, so norm
+  drift (of norm plus outflow, with the open end below) is a pure
   diagnostic of implementation errors, not of the method.  With
   A = 1 + i dt H / (2 hbar), a step A^-1 (2 - A) psi is chi - psi, where
   (A/2) chi = psi.  A's eigenvalues have modulus >= 1, so |chi| <= 2 |psi|
@@ -42,11 +43,35 @@ Numerics:
   of w_i |psi_i|^2 is a^H (T - K) a / 2, T and K the Toeplitz and Hankel
   matrices of C(p) = sum w_i cos(pi i p/(n+1)), so each is a weighted sum over
   one FFT of the modes.  A state that fills over 1/10 of the modes is stepped.
-- Hard walls, no absorbing boundaries.  The domain must be sized so that
-  nothing meaningful reaches a wall during the run; density near the walls
-  is monitored and a violation raises instead of quietly contaminating the
-  interior.  ``plan_run`` sizes the domain from the packet speed and the
-  run length so the monitor never trips for sane inputs.
+- An open left end, a hard right wall.  The reflected packet leaves
+  through a discrete transparent boundary, exact for Crank-Nicolson on a
+  uniform lattice (A. Arnold, VLSI Design 6 (1998) 313; M. Ehrhardt &
+  A. Arnold, Riv. Mat. Univ. Parma (6) 4 (2001) 57).  With chi = psi^n+1 +
+  psi^n, the stepper's chi, the ghost site left of the grid is
+  chi_-1^n = sum_k=0..n s_k chi_0^n-k, where nu(z) = sum_k s_k z^-k is the
+  root with |nu| < 1 of nu + 1/nu = (kappa - d)/o, kappa = (1 - z)/(i lam
+  (1 + z)), lam = dt/2hbar, and d and o the lead's diagonal and
+  off-diagonal of H: the Z-transform in time of the lead's decaying
+  solution.  So row 0 of A/2 gains i lam o s_0/2 once, and each step moves
+  psi_0 by delta = -i lam o sum_k>=1 s_k chi_0^n-k / 2 before the solve and
+  again after it.  s_0 = nu(infinity), where (kappa - d)/o = (i/lam - d)/o
+  has a negative imaginary part (o < 0), so Im s_0 > 0: the term only adds
+  -lam o Im s_0 > 0 to the Hermitian part of A, and the reduction still
+  needs no pivoting.  The sum over the history takes one einsum per 16
+  steps and Python numbers in between, about 3 % of a step.  With H the
+  grid's matrix without the ghost, a step gives exactly
+  |psi^n+1|^2 - |psi^n|^2 = lam o Im(conj(chi_0) chi_-1) and
+  E^n+1 - E^n = lam o Im(conj((H chi)_0) chi_-1) (times dx), so the
+  probability and energy that have left are summed, and the norm and
+  energy checks read norm plus outflow and energy plus outflow.  The grid
+  must start in the lead, and nothing must sit left of it at the start:
+  ``plan_run`` ends it eleven widths left of the launch point.  The right
+  wall keeps every transmitted particle on the grid for ``beyond_prob``;
+  the domain is sized so that nothing meaningful reaches it during the
+  run, density near it is monitored, and a violation raises instead of
+  quietly contaminating the interior.  ``monitor_walls=False`` runs and
+  sine-mode runs are closed boxes: hard walls at both ends, and a
+  monitored sine-mode run watches both.
 
 The delay observable is the crossing time of the *transmitted-portion
 centroid* (density restricted to beyond a separator on the far side of the
@@ -58,6 +83,7 @@ packet, where a peak-arrival reading would be ambiguous.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -143,7 +169,11 @@ class PacketRecord:
 
     ``beyond_prob`` is the probability beyond the separator ``x_sep`` and
     ``centroid`` the mean position of that transmitted portion (nan while
-    the portion is empty).  Drift numbers are maxima over the whole run.
+    the portion is empty).  ``left_outflow`` is the probability that has
+    left through an open left end by the end of the run (0 in a closed
+    box).  ``norm_drift`` is the largest departure of norm plus outflow from
+    1 over the run, and ``energy_drift`` that of the final energy plus the
+    energy that left from the initial energy, relative to the latter.
     """
 
     times: np.ndarray
@@ -152,6 +182,7 @@ class PacketRecord:
     x_sep: float
     norm_drift: float
     energy_drift: float
+    left_outflow: float
     psi_final: np.ndarray
 
     @property
@@ -217,6 +248,12 @@ def _hamiltonian_diagonals(stack: StackSpec, grid: Grid1D) -> tuple[np.ndarray, 
     diag[-1] = c * (half[-1] + inv_m[-1]) + V[-1]
     diag[1:-1] = c * (half[:-1] + half[1:]) + V[1:-1]
     return diag, off
+
+
+def _lead_diagonals(lead: Layer, dx: float) -> tuple[float, float]:
+    """(diagonal, off-diagonal) of H in the lead, rounded as ``_hamiltonian_diagonals``'."""
+    c, inv_m = CONSTANTS.hbar2_over_2m0 / dx**2, 1.0 / lead.mass_ratio
+    return c * (inv_m + inv_m) + lead.potential, -c * inv_m
 
 
 def _apply_h(diag: np.ndarray, off: np.ndarray, psi: np.ndarray) -> np.ndarray:
@@ -347,24 +384,96 @@ def initial_state(grid: Grid1D, packet: WavePacket, outside: Layer) -> np.ndarra
     return psi
 
 
-def _stepped_sums(diag, off, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndarray]:
+def _lead_nu(z: np.ndarray, d: float, o: float, lam: float) -> np.ndarray:
+    """nu(z), the root with |nu| < 1 of nu + 1/nu = (kappa - d)/o, where
+    kappa = (1 - z)/(i lam (1 + z)): the lead's decaying Z-transformed solution."""
+    w = (0.5 / o) * ((1.0 - z) / (1j * lam * (1.0 + z)) - d)
+    root = np.sqrt(w * w - 1.0)
+    return 1.0 / (w + np.where((w.conj() * root).real >= 0.0, root, -root))  # 1 / the larger root
+
+
+def _ghost_kernel(d: float, o: float, lam: float, n_steps: int) -> np.ndarray:
+    """s_0 .. s_n_steps, the coefficients of nu(z) = sum_k s_k z^-k (module notes).
+
+    One inverse FFT of nu on |z| = rho, with rho^-M = 1e-10, gives s_k rho^-k
+    for k < M, M a power of two >= 4 (n_steps + 1) and >= 1024, so aliasing
+    adds 1e-10 of a far smaller s_k+M and rounding grows by at most rho^(M/4).
+    Raises NumericError unless s_0 .. s_M/4-1 give nu back on |z| = 1.3 to
+    1e-12; those 256 or more terms leave a truncation below 1.3^-256."""
+    from numpy import fft
+
+    size = max(1024, 1 << (4 * n_steps + 3).bit_length())
+    rho, k = 1e10 ** (1.0 / size), np.arange(size // 4)
+    s = fft.ifft(_lead_nu(rho * np.exp(2j * math.pi / size * np.arange(size)), d, o, lam))
+    s = s[:k.size] * rho**k
+    gap = np.abs(fft.fft(s * 1.3**-k) - _lead_nu(1.3 * np.exp(2j * math.pi / k.size * k),
+                                                  d, o, lam)).max()
+    require(gap <= 1e-12, NumericError,
+            "the open boundary's kernel misses nu(z) on |z| = 1.3 by {gap:.2e}", gap=gap)
+    return s[:n_steps + 1]
+
+
+#: the open end's steps come in blocks: one einsum sums each block's ghost over
+#: the history before the block, and Python numbers the rest
+_BLOCK = 16
+
+
+def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None) -> tuple[np.ndarray, np.ndarray]:
     """Steps ``psi`` in place; per record, |psi|^2 summed everywhere, beyond index ``j``,
-    its first moment there and over the heavier five-point wall strip; and the final psi."""
-    half_a = _CyclicReduction(0.5j * lam * off, 0.5 + 0.5j * lam * diag, 0.5j * lam * off)
+    its first moment there and over the heavier five-point wall strip, and the
+    probability and energy (over dx) that have left through an open left end; and
+    the final psi.  ``lead`` = (o, s), the lead's off-diagonal and ``_ghost_kernel``,
+    opens the left end (module notes); then the strip is the right wall's alone."""
+    a_diag = 0.5 + 0.5j * lam * diag
+    if lead is not None:
+        o, s = lead
+        a_diag[0] += 0.5j * lam * o * s[0]
+        n, c, near = n_rec - 1, -0.5j * lam * o, s[1:_BLOCK].tolist()
+        past, recent = np.zeros(n, complex), []  # chi_0 of step m at past[n - 1 - m]; newest first
+        chi0, rests, edge = [], [], [psi[1]]  # per step: chi_0, the ghost's rest; psi_1 per record
+        # [b, u] = s_1+b+u, the weight of past[n - k + u] in the ghost of step k + b
+        hankel = np.lib.stride_tricks.sliding_window_view(
+            np.concatenate((s[1:], np.zeros(_BLOCK - 1))), n)
+    half_a = _CyclicReduction(0.5j * lam * off, a_diag, 0.5j * lam * off)
     state = half_a.psi
     np.copyto(state, psi)
     re, im, dens, im2 = state.real, state.imag, np.empty(psi.size), np.empty(psi.size)
-    x_tail, tail, head, foot = x[j:], dens[j:], dens[:5], dens[-5:]
-    square, add, total = np.square, np.add, np.add.reduce
-    sums = np.empty((4, n_rec))
+    x_tail, tail, head, foot = x[j:], dens[j:], dens[:5 if lead is None else 0], dens[-5:]
+    square, add, total, einsum, mul = np.square, np.add, np.add.reduce, np.einsum, operator.mul
+    sums = np.zeros((6, n_rec))
+    p0 = state.item(0)
     for i in range(n_rec):
-        if i:
+        if i and lead is None:
             half_a.step()
+        elif i:  # step k = i - 1: its ghost is s_0 chi_0 + rest, rest = sum_m<k s_k-m chi_0 of step m
+            k, b = i - 1, (i - 1) % _BLOCK
+            if not b:
+                past[n - k:n - k + len(recent)] = recent
+                older = einsum("bu,u->b", hankel[:, :k], past[n - k:]).tolist()  # not BLAS
+                recent = []
+            rest = sum(map(mul, near, recent), older[b])
+            delta = c * rest
+            state[0] = p0 + delta
+            half_a.step()
+            q0 = state.item(0) + delta
+            state[0] = q0
+            recent.insert(0, q0 + p0)
+            chi0.append(recent[0])
+            rests.append(rest)
+            edge.append(state.item(1))
+            p0 = q0
         square(re, dens)
         square(im, im2)
         add(dens, im2, dens)
-        moment = np.einsum("i,i->", x_tail, tail)  # not BLAS, which threads long dots
-        sums[:, i] = total(dens), total(tail), moment, max(total(head), total(foot))
+        moment = einsum("i,i->", x_tail, tail)  # not BLAS, which threads long dots
+        sums[:4, i] = total(dens), total(tail), moment, max(total(head), total(foot))
+    if lead is not None:  # the balances of the module notes, step by step
+        chi0, edge = np.array(chi0), np.array(edge)
+        ghost = s[0] * chi0 + np.array(rests)
+        h_chi0 = diag[0] * chi0 + off[0] * (edge[1:] + edge[:-1])
+        np.cumsum((chi0.conj() * ghost).imag, out=sums[4, 1:])
+        np.cumsum((h_chi0.conj() * ghost).imag, out=sums[5, 1:])
+        sums[4:] *= -lam * o
     np.copyto(psi, state)
     return sums, psi
 
@@ -375,7 +484,8 @@ _MODE_FLOOR, _MODE_COST = 1e-13, 10
 
 def _uniform_sums(d, o, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndarray] | None:
     """``_stepped_sums`` of a uniform medium, H = tridiag(o, d, o), in its sine
-    modes (module notes); None where they would cost more than the steps."""
+    modes (module notes), between two walls, so nothing flows out; None where
+    they would cost more than the steps."""
     from numpy import fft
 
     n = psi.size
@@ -410,7 +520,7 @@ def _uniform_sums(d, o, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndarray] 
                                   + np.einsum("kq,wq->wk", pair.view(float), k_hat.view(float)))
     coef[:] = 0.0
     coef[lo:lo + size] = a * np.exp(-1j * (n_rec - 1) * phase)
-    return np.vstack((sums[:3], np.maximum(sums[3], sums[4]))), dst(coef)
+    return np.vstack((sums[:3], np.maximum(sums[3], sums[4]), np.zeros((2, n_rec)))), dst(coef)
 
 
 def evolve(
@@ -425,17 +535,24 @@ def evolve(
 
     The steps, or a uniform medium's sine modes, give each record's norm,
     probability beyond ``x_sep`` (``plan_run`` places it), its first moment
-    and the density within five cells of either wall.  Then each check runs
-    once over its series, naming the first failing step: a norm jump above
-    1e-6 in one step (a NaN state fails at t = 0), then wall density above
-    1e-10 -- either means the run geometry, not the physics, produced the
-    numbers.  So a failing run raises only after its last step;
-    ``plan_run`` sizes domains so that only misconfigured runs do.
+    and the density within five cells of either wall.  A monitored stepped
+    run (``monitor_walls``, the default) has an open left end, the discrete
+    transparent boundary of the module notes, and records the probability
+    and energy that leave through it; its grid must start in the left lead,
+    left of -w/2 (else ValidationError before any step), and only its right
+    wall is a wall.  Sine-mode runs keep both walls.  Then each check runs
+    once over its series, naming the first failing step: a jump of norm plus
+    outflow above 1e-6 in one step (a NaN state fails at t = 0), then wall
+    density above 1e-10 -- either means the run geometry, not the physics,
+    produced the numbers.  So a failing run raises only after its last
+    step; ``plan_run`` sizes domains so that only misconfigured runs do.
+    ``norm_drift`` and ``energy_drift`` are drifts of the totals, inside
+    plus outflow.
 
     ``psi0`` overrides the initial state (used by the stationary-state
-    self-test); it is normalized on entry.  ``monitor_walls=False`` turns
-    the wall check off for closed-box problems whose states legitimately
-    live against the walls.
+    self-test); it is normalized on entry.  ``monitor_walls=False`` keeps
+    the closed box with two hard walls and turns the wall check off, for
+    closed-box problems whose states legitimately live against the walls.
     """
     x = grid.x
     if not (x[0] < x_sep < x[-1]):
@@ -461,9 +578,17 @@ def evolve(
     times = grid.dt * np.arange(n_rec)
     uniform = np.all(diag == diag[0]) and np.all(off == off[0])
     produced = _uniform_sums(diag[0], off[0], lam, psi, x, j, n_rec) if uniform else None
-    sums, psi = produced or _stepped_sums(diag, off, lam, psi, x, j, n_rec)
-    norm, beyond, moment, wall = grid.dx * sums
-    jump = np.abs(np.diff(norm, prepend=1.0))
+    lead = None
+    if produced is None and monitor_walls:
+        if not x[0] < -0.5 * stack.width:
+            raise ValidationError(f"the open left end at {x[0]} nm must lie in the lead, left "
+                                  f"of the stack's face at {-0.5 * stack.width} nm")
+        d, o = _lead_diagonals(stack.outside, grid.dx)
+        lead = o, _ghost_kernel(d, o, lam, grid.n_steps)
+    sums, psi = produced or _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead)
+    norm, beyond, moment, wall, out, e_out = grid.dx * sums
+    total = norm + out
+    jump = np.abs(np.diff(total, prepend=1.0))
     require(jump <= 1e-6, NumericError,
             "norm jumped by {jump:.2e} in one step at t = {t:.1f} fs", jump=jump, t=times)
     if monitor_walls:
@@ -474,14 +599,15 @@ def evolve(
         centroid = np.where(beyond > 1e-14, moment / beyond, math.nan)
 
     e_end = grid.dx * float(np.real(np.vdot(psi, _apply_h(diag, off, psi))))
-    energy_drift = abs(e_end - e_start) / max(abs(e_start), 1e-30)
+    energy_drift = abs(e_end + e_out[-1] - e_start) / max(abs(e_start), 1e-30)
     return PacketRecord(
         times=times,
         beyond_prob=beyond,
         centroid=centroid,
         x_sep=x_sep,
-        norm_drift=float(np.max(np.abs(norm - 1.0))),
+        norm_drift=float(np.max(np.abs(total - 1.0))),
         energy_drift=energy_drift,
+        left_outflow=float(out[-1]),
         psi_final=psi,
     )
 
@@ -551,14 +677,20 @@ def plan_run(
 
     Returns (grid, packet, x_sep, x_d).  The separator sits one grid cell
     past the stack's right face, the packet starts ten widths left of the
-    stack, the detector sits six widths past it, and the domain is
-    sized so that neither the transmitted packet nor the reflected one can
-    reach a wall within the run: the walls sit the run's reach plus ten
-    dispersed widths either side of x0, and since the reflected packet
-    turns back at the stack's face -w/2, the left one moves right by twice
-    -w/2 - x0, in whole cells so the lattice keeps its place against the
-    layer interfaces.  ``extra_time`` (fs, >= 0) only lengthens the run, for
-    slow, resonance-trapped transmission.
+    stack, and the detector sits six widths past it.  The right wall sits
+    the run's reach plus ten dispersed widths right of x0, so that the
+    transmitted packet cannot reach it within the run.  The left end is
+    open (``evolve``): the reflected packet leaves through it, and it sits
+    at the last lattice point at or left of x0 - 11 sigma.  There the launch
+    packet's amplitude, e^-121/4 = 7e-14 of its peak, is below the sine
+    modes' floor, so a uniform medium's run (``free_reference``) keeps the
+    few modes it has in a longer box; at ten widths (1.4e-11) it would fill
+    over a tenth of them and be stepped.  The lattice is the one the closed
+    box had, whose left wall sat where the right wall's mirror image about
+    x0 moved right by twice -w/2 - x0 in whole cells, so the sites keep
+    their place against the layer interfaces, and a closed run on that
+    longer lattice is the open run's reference.  ``extra_time`` (fs, >= 0)
+    only lengthens the run, for slow, resonance-trapped transmission.
     """
     if not (0 < dx < math.inf and 0 < dt < math.inf and 0 <= extra_time < math.inf):
         raise ValidationError(f"need 0 < dx, dt < inf and 0 <= extra_time < inf, got "
@@ -577,9 +709,9 @@ def plan_run(
     alpha = CONSTANTS.hbar2_over_2m0 / stack.outside.mass_ratio
     sigma_final = sigma_x * math.hypot(1.0, alpha * t_final / (CONSTANTS.hbar * sigma_x**2))
     pad = 10.0 * sigma_final
-    turn = dx * math.floor(2.0 * (-half_w - packet.x0) / dx)
+    closed = packet.x0 - reach - pad + dx * math.floor(2.0 * (-half_w - packet.x0) / dx)
     grid = Grid1D(
-        x_min=packet.x0 - reach - pad + turn,
+        x_min=closed + dx * math.floor((packet.x0 - 11.0 * sigma_x - closed) / dx),
         x_max=packet.x0 + reach + pad,
         dx=dx,
         dt=dt,

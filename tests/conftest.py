@@ -1,6 +1,7 @@
 """Shared fixtures, strategies, and the acceptance-report hook."""
 
 import contextlib
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ import sltime.tdse
 from sltime.kard import band_structure
 from sltime.medium import CellSpec, EnergyGrid, Layer, StackSpec, representative_stack
 from sltime.playmodel import PLAY_MODEL
+from sltime.tdse import Grid1D, WavePacket
 
 settings.register_profile(
     "research",
@@ -71,6 +73,15 @@ def stepping():
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(sltime.tdse, "_uniform_sums", lambda *args: None)
         yield
+
+
+def closed_grid(stack: StackSpec, grid: Grid1D, packet: WavePacket) -> Grid1D:
+    """The closed box an open ``plan_run`` grid is cut from: the left wall at
+    the right wall's mirror image about x0, moved right by twice -w/2 - x0
+    in whole cells, so that the reflected packet could not reach it."""
+    turn = grid.dx * math.floor(2.0 * (-0.5 * stack.width - packet.x0) / grid.dx)
+    return Grid1D(2.0 * packet.x0 - grid.x_max + turn, grid.x_max, grid.dx, grid.dt,
+                  grid.n_steps)
 
 
 # --- fixtures ----------------------------------------------------------------

@@ -22,7 +22,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from conftest import record_criterion, stepping
+from conftest import closed_grid, record_criterion, stepping
 from sltime.arc import band_average_transmission, design_rule_of_thumb, stack_phase_time
 from sltime.kard import decompose, reconstruct
 from sltime.medium import CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec
@@ -434,3 +434,33 @@ def test_transmitted_fraction_matches_spectral_mean(packet_runs, rep_stack):
     run = packet_runs.runs[("bare", 55.857914341103672)]
     pred = spectral_average(sweep.energies, sweep.t2, run.packet, rep_stack.outside)
     assert run.result.transmitted_fraction == pytest.approx(pred, rel=0.05)
+
+
+@pytest.mark.parametrize("key", [("arc", 58.5), ("bare", 58.5), ("bare", E_FIVE[0])])
+def test_open_left_end_matches_the_closed_full_length_run(packet_runs, rep_stack, dressed_stack,
+                                                          key):
+    """The campaign's dressed and bare 58.5 meV runs and its long bare
+    55.86 meV run, whose reflected packets leave through the open left end,
+    against closed runs (``monitor_walls=False``) on the full-length box the
+    open grids are cut from (12837, 12737 and 32243 points), where the
+    reflection stays inside: delay to 1e-9 fs, ``beyond_prob`` and the
+    transmitted fraction to 1e-12, the centroid wherever the arrival rule
+    reads it to 1e-6 nm.  Norm and energy, each plus what left, hold to
+    1e-12 in the open runs; the kernel's own check (1e-12) ran in each.
+    What left lies between 0 and 1 - T: 0.680 of the bare 58.5 meV run's
+    probability, with 0.320 inside at the end (T 0.167)."""
+    run = packet_runs.runs[key]
+    spec = dressed_stack if key[0] == "arc" else rep_stack
+    full = closed_grid(spec, run.grid, run.packet)
+    assert full.n_points == {"arc": 12837, "bare": 12737 if key[1] == 58.5 else 32243}[key[0]]
+    closed = evolve(spec, full, run.packet, run.x_sep, monitor_walls=False)
+    reference = evolve(free_reference(spec), full, run.packet, run.x_sep, monitor_walls=False)
+    delay = packet_delay(closed, run.x_d, reference).delay
+    assert abs(run.result.delay - delay) <= 1e-9
+    assert np.abs(run.record.beyond_prob - closed.beyond_prob).max() <= 1e-12
+    assert abs(run.record.transmitted_fraction - closed.transmitted_fraction) <= 1e-12
+    for open_run, closed_run in ((run.record, closed), (run.reference, reference)):
+        read = closed_run.beyond_prob > 1e-4 * closed_run.beyond_prob[-1]
+        assert np.abs(open_run.centroid - closed_run.centroid)[read].max() <= 1e-6
+    assert run.record.norm_drift <= 1e-12 and run.record.energy_drift <= 1e-12
+    assert 0.0 < run.record.left_outflow < 1.0 - run.record.transmitted_fraction

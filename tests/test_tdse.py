@@ -21,7 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 import sltime.tdse as tdse
-from conftest import layers, stepping
+from conftest import closed_grid, layers, stepping
 
 from sltime.cli import _pick_band, _tdse_predictions, build_parser
 from sltime.errors import (
@@ -144,7 +144,9 @@ def test_uniform_medium_sums_equal_the_stepped_sums(mass, V, half, dx, dt, n_ste
                                                     launch, e_kin, sep):
     """Both producers' raw per-record sums on random uniform media, packets
     and separators: norm, tail probability, its first moment (relative to
-    the largest |x|) and the heavier wall strip."""
+    the largest |x|), the heavier wall strip and the two outflows, which are
+    0 in both.  The sine modes solve the closed box, so the reference is the
+    closed stepper (no ``lead``)."""
     lead = Layer(5.0, V, mass)
     stack = StackSpec(core=CellSpec((Layer(10.0, V, mass),)), replicas=1, outside=lead)
     grid = Grid1D(x_min=-half, x_max=half, dx=dx, dt=dt, n_steps=n_steps)
@@ -157,7 +159,7 @@ def test_uniform_medium_sums_equal_the_stepped_sums(mass, V, half, dx, dt, n_ste
     assume(modes is not None)
     steps = tdse._stepped_sums(diag, off, lam, psi.copy(), x, j, n_steps + 1)
     gap = grid.dx * np.abs(modes[0] - steps[0]).max(axis=1)
-    assert np.all(gap <= [1e-12, 1e-12, 1e-12 * half, 1e-14])  # the wall gate is 1e-10
+    assert np.all(gap <= [1e-12, 1e-12, 1e-12 * half, 1e-14, 0.0, 0.0])  # the wall gate is 1e-10
     assert np.abs(modes[1] - steps[1]).max() <= 1e-12
 
 
@@ -205,12 +207,15 @@ def test_import_leaves_numpy_fft_unloaded():
 
 
 def test_norm_and_energy_conserved_through_stack():
+    """Norm and energy, inside plus what left through the open left end,
+    are conserved; the reflected packet has mostly left by the end."""
     stack = representative_stack(5)
     grid, packet, x_sep, x_d = plan_run(stack, 58.5, sigma_x=25.0, dx=0.5, dt=2.0)
     rec = evolve(stack, grid, packet, x_sep)
     assert rec.norm_drift < 1e-9
     assert rec.energy_drift < 1e-9
     assert 0.0 < rec.transmitted_fraction < 1.0
+    assert 0.0 < rec.left_outflow < 1.0 - rec.transmitted_fraction
     # transmitted probability is monotone once the packet has cleared the sep
     late = rec.beyond_prob[-200:]
     assert np.all(np.diff(late) > -1e-9)
@@ -223,7 +228,8 @@ def test_plan_run_geometry():
     assert packet.x0 == pytest.approx(-(half_w + 400.0))
     assert x_sep == pytest.approx(half_w + grid.dx)
     assert x_d == pytest.approx(half_w + 240.0)
-    assert grid.x_min < packet.x0 - 10.0 * packet.sigma_x
+    assert packet.x0 - 11.0 * packet.sigma_x - grid.dx < grid.x_min
+    assert grid.x_min <= packet.x0 - 11.0 * packet.sigma_x  # the open left end
     assert grid.x_max > x_d
     longer, *_ = plan_run(stack, 58.5, sigma_x=40.0, extra_time=3000.0)
     assert longer.n_steps > grid.n_steps
@@ -239,40 +245,53 @@ def _well_run():
 
 
 def test_step_matches_dense_crank_nicolson():
-    """Each step against numpy's dense solve of (1 + i lam H) psi' = (1 - i lam H) psi.
+    """Each step against numpy's dense solve of (1 + i lam H) psi' = (1 - i lam H) psi,
+    with the open left end, where H gains o s_0 at (0, 0) and the right side
+    -i lam o sum_k>=1 s_k chi_0 of step n-k at row 0 (the module notes), and
+    in the closed box (``monitor_walls=False``).
 
     Mass steps make the off-diagonal non-uniform, and the -4 eV well makes
     the factorization pivot (checked below), so a mis-wired factor or
     pivot, a shifted band, or a step other than 2 A^-1 psi - psi all show
-    up in psi_final.
+    up in psi_final.  In 50 fs the spreading sigma = 6 nm packet puts
+    density on the left end (the two runs' final states differ by 3.6e-9),
+    so the open end's kernel and its history sum are checked too.
     """
     from scipy.linalg.lapack import zgttrf
 
     stack, grid = _well_run()
     packet = WavePacket(x0=-35.0, E0=100.0, sigma_x=6.0)
-    rec = evolve(stack, grid, packet, 0.5 * stack.width + grid.dx)
-
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 0.5 * grid.dt / CONSTANTS.hbar
     *_, du2, ipiv, _ = zgttrf(1j * lam * off, 1.0 + 1j * lam * diag, 1j * lam * off)
     assert np.any(du2 != 0.0) and np.any(ipiv != np.arange(1, grid.n_points + 1))
-    lam_h = 1j * lam * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    d, o = tdse._lead_diagonals(LEAD, grid.dx)
     one = np.eye(grid.n_points)
     x = grid.x
-    beyond = x > rec.x_sep
-    psi = initial_state(grid, packet, LEAD)
-    probs, centroids = [], []
-    for i in range(grid.n_steps + 1):
-        if i:
-            psi = np.linalg.solve(one + lam_h, (one - lam_h) @ psi)
-        dens = np.abs(psi[beyond]) ** 2
-        probs.append(grid.dx * dens.sum())
-        centroids.append(np.sum(x[beyond] * dens) / dens.sum())
-    assert np.abs(rec.psi_final - psi).max() <= 1e-12
-    assert rec.transmitted_fraction > 1e-5  # the transmitted portion is really there
-    np.testing.assert_allclose(rec.beyond_prob, probs, rtol=1e-10, atol=1e-16)
-    np.testing.assert_allclose(rec.centroid, centroids, rtol=0.0, atol=1e-9)
-    assert rec.norm_drift < 1e-12
+    for open_left in (True, False):
+        rec = evolve(stack, grid, packet, 0.5 * stack.width + grid.dx, monitor_walls=open_left)
+        s = tdse._ghost_kernel(d, o, lam, grid.n_steps) if open_left else np.zeros(grid.n_steps + 1)
+        lam_h = 1j * lam * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+        lam_h[0, 0] += 1j * lam * o * s[0]
+        beyond = x > rec.x_sep
+        psi = initial_state(grid, packet, LEAD)
+        probs, centroids, chi0 = [], [], []
+        for i in range(grid.n_steps + 1):
+            if i:
+                rhs = (one - lam_h) @ psi
+                rhs[0] -= 1j * lam * o * np.dot(s[1:i], chi0[::-1])
+                new = np.linalg.solve(one + lam_h, rhs)
+                chi0.append(new[0] + psi[0])
+                psi = new
+            dens = np.abs(psi[beyond]) ** 2
+            probs.append(grid.dx * dens.sum())
+            centroids.append(np.sum(x[beyond] * dens) / dens.sum())
+        assert np.abs(rec.psi_final - psi).max() <= 1e-12
+        assert rec.transmitted_fraction > 1e-5  # the transmitted portion is really there
+        np.testing.assert_allclose(rec.beyond_prob, probs, rtol=1e-10, atol=1e-16)
+        np.testing.assert_allclose(rec.centroid, centroids, rtol=0.0, atol=1e-9)
+        assert rec.norm_drift < 1e-12
+        assert (rec.left_outflow > 0.0) == open_left  # 2.7e-17 open
 
 
 def test_evolve_loads_no_scipy_module():
@@ -302,7 +321,8 @@ def test_evolve_loads_no_scipy_module():
 @st.composite
 def _cn_systems(draw, points=None):
     """A Crank-Nicolson matrix 1 + i lam H of a random stack, with wells as
-    deep and barriers as high as 5 eV, and lam max|H_i,i+1| from 1e-2 to 1e2;
+    deep and barriers as high as 5 eV, and lam max|H_i,i+1| from 1e-2 to 1e2,
+    and in half the draws the open left end's i lam o s_0 on row 0;
     ``points`` bounds the grid's point count, which is otherwise 40 or more."""
     cell = CellSpec(tuple(draw(st.lists(layers(-5000.0, 5000.0), min_size=1, max_size=4))))
     stack = StackSpec(core=cell, replicas=draw(st.integers(1, 3)),
@@ -313,15 +333,26 @@ def _cn_systems(draw, points=None):
     grid = Grid1D(x_min=-half, x_max=half, dx=dx, dt=1.0, n_steps=1)
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 10.0 ** draw(st.floats(-2.0, 2.0)) / np.abs(off).max()
-    return 1j * lam * off, 1.0 + 1j * lam * diag
+    return 1j * lam * off, _open_row(1.0 + 1j * lam * diag, stack.outside, grid.dx, lam,
+                                     draw(st.booleans()))
+
+
+def _open_row(diag, lead, dx, lam, open_left=True):
+    """A's diagonal ``diag``, with the open left end's i lam o s_0 added to
+    row 0 as ``evolve`` adds it (to A/2, halved), if ``open_left``."""
+    if open_left:
+        d, o = tdse._lead_diagonals(lead, dx)
+        diag[0] += 1j * lam * o * tdse._ghost_kernel(d, o, lam, 1)[0]
+    return diag
 
 
 def _well_system():
-    """The Crank-Nicolson matrix of the -4 eV well run, where zgttrf pivots."""
+    """The Crank-Nicolson matrix of the -4 eV well run, where zgttrf pivots,
+    with the open left end."""
     stack, grid = _well_run()
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 0.5 * grid.dt / CONSTANTS.hbar
-    return 1j * lam * off, 1.0 + 1j * lam * diag
+    return 1j * lam * off, _open_row(1.0 + 1j * lam * diag, stack.outside, grid.dx, lam)
 
 
 def _assert_step_matches_a_dense_solve(off, diag, seed):
@@ -343,9 +374,14 @@ def _assert_step_matches_a_dense_solve(off, diag, seed):
 
 @given(st.one_of(_cn_systems(), st.just(_well_system())), st.integers(0, 2**32 - 1))
 def test_cyclic_reduction_needs_no_pivoting(system, seed):
-    """A's Hermitian part is the identity, so every Schur complement keeps
-    one >= 1 and every reduction pivot has real part >= 1; a step then
-    matches a pivoted dense solve to roundoff."""
+    """A's Hermitian part is the identity, plus -lam o Im s_0 > 0 at (0, 0)
+    with the open left end (o < 0, Im s_0 > 0; the smallest seen in the 840
+    open draws of 2000 examples was 1.3e-5, and the well run's is 0.50), so
+    every Schur complement keeps one >= 1 and every reduction pivot has real
+    part >= 1; a step then matches a pivoted dense solve to roundoff."""
+    off, diag = system
+    assert np.all(off.real == 0.0)  # so the Hermitian part is diag(Re A_ii)
+    assert diag.real.min() >= 1.0
     solver = _assert_step_matches_a_dense_solve(*system, seed)
     assert solver.levels  # the system is big enough to be reduced
     pivots = np.concatenate([1.0 / level.inv_pivot for level in solver.levels])
@@ -359,34 +395,72 @@ def test_cyclic_reduction_steps_systems_below_one_level(system, seed):
     assert not solver.levels
 
 
-def test_plan_run_left_wall_follows_the_reflected_packet():
-    """The left wall moves right by whole cells, from where it sat when it
-    was sized for a reflection starting at x0 (mirror image of the right
-    wall about x0), and keeps the lattice aligned with the interfaces."""
+def test_plan_run_left_end_sits_on_the_closed_lattice():
+    """The open left end is the closed box's lattice point at or just left
+    of x0 - 11 sigma, so every site keeps its place against the interfaces."""
     stack = representative_stack(5)
     for sigma_x, dx in ((40.0, 0.25), (90.0, 0.5), (25.0, 0.3)):
         grid, packet, *_ = plan_run(stack, 58.5, sigma_x=sigma_x, dx=dx)
-        untrimmed = Grid1D(2.0 * packet.x0 - grid.x_max, grid.x_max, dx, grid.dt, grid.n_steps)
-        cells = (grid.x_min - untrimmed.x_min) / dx
+        closed = closed_grid(stack, grid, packet)
+        cells = (grid.x_min - closed.x_min) / dx
         assert cells == pytest.approx(round(cells), abs=1e-9)
         cells = round(cells)
-        assert cells == math.floor(2.0 * (-0.5 * stack.width - packet.x0) / dx)
-        assert untrimmed.n_points - grid.n_points == cells
+        assert cells == math.floor((packet.x0 - 11.0 * sigma_x - closed.x_min) / dx + 1e-9)
+        assert closed.n_points - grid.n_points == cells
+        assert np.abs(grid.x - closed.x[cells:]).max() < 1e-9
         V, m = _material_arrays(stack, grid.x)
-        V_old, m_old = _material_arrays(stack, untrimmed.x[cells:])
+        V_old, m_old = _material_arrays(stack, closed.x[cells:])
         assert np.array_equal(V, V_old) and np.array_equal(m, m_old)
-        assert grid.x_min < packet.x0 - 5.0 * packet.sigma_x
+        assert grid.x_min < -0.5 * stack.width
 
 
 def test_trimmed_domain_holds_a_trapped_reflection():
-    """A run lengthened for resonance trapping keeps its reflected packet off
-    the left wall: the 1e-10 wall monitor stays quiet for the whole run."""
+    """A run lengthened for resonance trapping: what the stack traps stays on
+    the trimmed grid while the reflection leaves through the open left end,
+    norm plus outflow stays 1, and the right wall's 1e-10 monitor stays quiet."""
     stack = representative_stack(5)
     grid, packet, x_sep, _ = plan_run(stack, 52.81, sigma_x=25.0, dx=0.5, dt=2.0,
                                       extra_time=1000.0)
     rec = evolve(stack, grid, packet, x_sep)
     assert 0.0 < rec.transmitted_fraction < 1.0
+    assert 0.0 < rec.left_outflow < 1.0 - rec.transmitted_fraction
     assert rec.norm_drift < 1e-9
+
+
+@pytest.mark.parametrize("E0", [58.5, 150.0])
+def test_open_left_end_absorbs_a_left_moving_packet(stepped_runs, E0):
+    """A packet launched leftwards leaves through the open end: after 3000 fs
+    at most 1e-20 of it is left inside (7e-25 and 4e-25 seen), and norm and
+    energy, each plus what left, hold to 1e-12 (9.1e-14 at most seen)."""
+    stack = _uniform_stack(10.0)
+    grid = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=2.0, n_steps=1500)
+    packet = WavePacket(x0=-200.0, E0=E0, sigma_x=40.0)
+    psi0 = initial_state(grid, packet, stack.outside).conj()
+    with stepping():
+        rec = evolve(stack, grid, packet, x_sep=100.0, psi0=psi0)
+    assert stepped_runs
+    inside = grid.dx * float(np.sum(np.abs(rec.psi_final) ** 2))
+    assert inside <= 1e-20
+    assert rec.left_outflow == pytest.approx(1.0, abs=1e-12)
+    assert rec.norm_drift <= 1e-12
+    assert rec.energy_drift <= 1e-12
+
+
+def test_open_left_end_inside_the_stack_is_refused(stepped_runs):
+    """The boundary assumes lead material beyond the left end: a monitored
+    stepped run whose grid starts at or right of -w/2 is refused before any
+    step, and a closed-box run on the same grid is not."""
+    stack = representative_stack(5)
+    packet = WavePacket(x0=-100.0, E0=58.5, sigma_x=10.0)
+    for x_min in (-0.5 * stack.width, -0.5 * stack.width + 0.25):
+        grid = Grid1D(x_min=x_min, x_max=400.0, dx=0.25, dt=1.0, n_steps=5)
+        psi0 = initial_state(grid, WavePacket(x0=100.0, E0=58.5, sigma_x=10.0), stack.outside)
+        with pytest.raises(ValidationError, match="open left end"):
+            evolve(stack, grid, packet, x_sep=200.0, psi0=psi0)
+        assert not stepped_runs
+        evolve(stack, grid, packet, x_sep=200.0, psi0=psi0, monitor_walls=False)
+        assert stepped_runs
+        stepped_runs.clear()
 
 
 def test_wall_monitor_trips_on_undersized_domain():
@@ -421,6 +495,7 @@ def _synthetic_record(beyond, centroid, x_sep=25.0, n=50):
         x_sep=x_sep,
         norm_drift=0.0,
         energy_drift=0.0,
+        left_outflow=0.0,
         psi_final=np.zeros(4, dtype=complex),
     )
 
@@ -434,6 +509,7 @@ def _moving_record(speed=0.5, x_sep=25.0, n=50):
         x_sep=x_sep,
         norm_drift=0.0,
         energy_drift=0.0,
+        left_outflow=0.0,
         psi_final=np.zeros(4, dtype=complex),
     )
 
@@ -586,10 +662,10 @@ def test_figure_9_point_replays_bit_for_bit():
     dressed = load_stack(ROOT / "stacks" / "rep5_arc.json")
     point, = (p for p in _fig9_points() if p["E0_meV"] == 58.5)
     grid, packet, x_sep, x_d = plan_run(dressed, 58.5, sigma_x=90.0)
-    assert (grid.n_points, grid.n_steps) == (25673, 5529)
+    assert (grid.n_points, grid.n_steps) == (20398, 5529)
     run = evolve(dressed, grid, packet, x_sep)
     result = packet_delay(run, x_d, evolve(free_reference(dressed), grid, packet, x_sep))
-    assert result.delay == point["delay_fs"] == 499.24910979970673
+    assert result.delay == point["delay_fs"] == 499.24910979975266
     assert result.transmitted_fraction == point["transmitted_fraction"]
 
 
