@@ -58,7 +58,7 @@ Numerics:
   has a negative imaginary part (o < 0), so Im s_0 > 0: the term only adds
   -lam o Im s_0 > 0 to the Hermitian part of A, and the reduction still
   needs no pivoting.  The sum over the history takes one einsum per 16
-  steps and Python numbers in between, about 3 % of a step.  With H the
+  steps and Python numbers in between, 3-4 % of a run.  With H the
   grid's matrix without the ghost, a step gives exactly
   |psi^n+1|^2 - |psi^n|^2 = lam o Im(conj(chi_0) chi_-1) and
   E^n+1 - E^n = lam o Im(conj((H chi)_0) chi_-1) (times dx), so the
@@ -251,7 +251,7 @@ def _hamiltonian_diagonals(stack: StackSpec, grid: Grid1D) -> tuple[np.ndarray, 
 
 
 def _lead_diagonals(lead: Layer, dx: float) -> tuple[float, float]:
-    """(diagonal, off-diagonal) of H in the lead, rounded as ``_hamiltonian_diagonals``'."""
+    """(diagonal, off-diagonal) of H in the lead, as ``_hamiltonian_diagonals`` rounds them."""
     c, inv_m = CONSTANTS.hbar2_over_2m0 / dx**2, 1.0 / lead.mass_ratio
     return c * (inv_m + inv_m) + lead.potential, -c * inv_m
 
@@ -413,16 +413,16 @@ def _ghost_kernel(d: float, o: float, lam: float, n_steps: int) -> np.ndarray:
     return s[:n_steps + 1]
 
 
-#: the open end's steps come in blocks: one einsum sums each block's ghost over
-#: the history before the block, and Python numbers the rest
+#: the open end's history sum runs in blocks of steps: one einsum a block covers
+#: the steps before it, and Python numbers the steps within it
 _BLOCK = 16
 
 
 def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None) -> tuple[np.ndarray, np.ndarray]:
     """Steps ``psi`` in place; per record, |psi|^2 summed everywhere, beyond index ``j``,
     its first moment there and over the heavier five-point wall strip, and the
-    probability and energy (over dx) that have left through an open left end; and
-    the final psi.  ``lead`` = (o, s), the lead's off-diagonal and ``_ghost_kernel``,
+    probability and energy that have left through an open left end; and the
+    final psi.  ``lead`` = (o, s), the lead's off-diagonal and ``_ghost_kernel``,
     opens the left end (module notes); then the strip is the right wall's alone."""
     a_diag = 0.5 + 0.5j * lam * diag
     if lead is not None:
@@ -431,6 +431,7 @@ def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None) -> tuple[np.ndarr
         n, c, near = n_rec - 1, -0.5j * lam * o, s[1:_BLOCK].tolist()
         past, recent = np.zeros(n, complex), []  # chi_0 of step m at past[n - 1 - m]; newest first
         chi0, rests, edge = [], [], [psi[1]]  # per step: chi_0, the ghost's rest; psi_1 per record
+        p0 = psi.item(0)
         # [b, u] = s_1+b+u, the weight of past[n - k + u] in the ghost of step k + b
         hankel = np.lib.stride_tricks.sliding_window_view(
             np.concatenate((s[1:], np.zeros(_BLOCK - 1))), n)
@@ -441,11 +442,10 @@ def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None) -> tuple[np.ndarr
     x_tail, tail, head, foot = x[j:], dens[j:], dens[:5 if lead is None else 0], dens[-5:]
     square, add, total, einsum, mul = np.square, np.add, np.add.reduce, np.einsum, operator.mul
     sums = np.zeros((6, n_rec))
-    p0 = state.item(0)
     for i in range(n_rec):
         if i and lead is None:
             half_a.step()
-        elif i:  # step k = i - 1: its ghost is s_0 chi_0 + rest, rest = sum_m<k s_k-m chi_0 of step m
+        elif i:  # step k = i - 1, ghost s_0 chi_0 + rest, rest = sum_m<k s_k-m chi_0 of step m
             k, b = i - 1, (i - 1) % _BLOCK
             if not b:
                 past[n - k:n - k + len(recent)] = recent

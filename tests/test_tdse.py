@@ -451,14 +451,13 @@ def test_open_left_end_inside_the_stack_is_refused(stepped_runs):
     stepped run whose grid starts at or right of -w/2 is refused before any
     step, and a closed-box run on the same grid is not."""
     stack = representative_stack(5)
-    packet = WavePacket(x0=-100.0, E0=58.5, sigma_x=10.0)
+    packet = WavePacket(x0=100.0, E0=58.5, sigma_x=10.0)
     for x_min in (-0.5 * stack.width, -0.5 * stack.width + 0.25):
         grid = Grid1D(x_min=x_min, x_max=400.0, dx=0.25, dt=1.0, n_steps=5)
-        psi0 = initial_state(grid, WavePacket(x0=100.0, E0=58.5, sigma_x=10.0), stack.outside)
         with pytest.raises(ValidationError, match="open left end"):
-            evolve(stack, grid, packet, x_sep=200.0, psi0=psi0)
+            evolve(stack, grid, packet, x_sep=200.0)
         assert not stepped_runs
-        evolve(stack, grid, packet, x_sep=200.0, psi0=psi0, monitor_walls=False)
+        evolve(stack, grid, packet, x_sep=200.0, monitor_walls=False)
         assert stepped_runs
         stepped_runs.clear()
 
