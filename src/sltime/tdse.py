@@ -57,8 +57,8 @@ Numerics:
   again after it.  s_0 = nu(infinity), where (kappa - d)/o = (i/lam - d)/o
   has a negative imaginary part (o < 0), so Im s_0 > 0: the term only adds
   -lam o Im s_0 > 0 to the Hermitian part of A, and the reduction still
-  needs no pivoting.  The sum over the history takes one einsum per 16
-  steps and Python numbers in between, 3-4 % of a run.  With H the
+  needs no pivoting.  The sum over the history is one einsum a step, of
+  the reversed kernel with the chi_0 so far, about 3 % of a run.  With H the
   grid's matrix without the ghost, a step gives exactly
   |psi^n+1|^2 - |psi^n|^2 = lam o Im(conj(chi_0) chi_-1) and
   E^n+1 - E^n = lam o Im(conj((H chi)_0) chi_-1) (times dx), so the
@@ -71,7 +71,8 @@ Numerics:
   run, density near it is monitored, and a violation raises instead of
   quietly contaminating the interior.  ``monitor_walls=False`` runs and
   sine-mode runs are closed boxes: hard walls at both ends, and a
-  monitored sine-mode run watches both.
+  monitored sine-mode run watches both.  The stepper's closed box is the
+  open end with o = 0 and a zero kernel.
 
 The delay observable is the crossing time of the *transmitted-portion
 centroid* (density restricted to beyond a separator on the far side of the
@@ -83,7 +84,7 @@ packet, where a peak-arrival reading would be ambiguous.
 from __future__ import annotations
 
 import math
-import operator
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -122,6 +123,8 @@ class Grid1D:
             raise ValidationError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not (0 < self.dx < math.inf and 0 < self.dt < math.inf):
             raise ValidationError(f"need 0 < dx, dt < inf, got {self.dx}, {self.dt}")
+        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
+            raise ValidationError(f"n_steps must be an integer, got {self.n_steps!r}")
         if self.n_steps < 1:
             raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
 
@@ -168,8 +171,13 @@ class PacketRecord:
     """Time series recorded during one evolution.
 
     ``beyond_prob`` is the probability beyond the separator ``x_sep`` and
-    ``centroid`` the mean position of that transmitted portion (nan while
-    the portion is empty).  ``left_outflow`` is the probability that has
+    ``centroid`` the mean position of that transmitted portion, reported
+    wherever ``beyond_prob`` > 1e-14 (nan elsewhere).  A sine-mode run drops
+    modes under 1e-13 of the largest, so below a tail of about 1e-7 its
+    centroid is not resolved: in ``sltime tdse``'s series it moved by up to
+    12 nm when only the box's left end moved.  The arrival rule
+    (``packet_delay``) reads only samples above 1e-4 of the last.
+    ``left_outflow`` is the probability that has
     left through an open left end by the end of the run (0 in a closed
     box).  ``norm_drift`` is the largest departure of norm plus outflow from
     1 over the run, and ``energy_drift`` that of the final energy plus the
@@ -413,67 +421,51 @@ def _ghost_kernel(d: float, o: float, lam: float, n_steps: int) -> np.ndarray:
     return s[:n_steps + 1]
 
 
-#: the open end's history sum runs in blocks of steps: one einsum a block covers
-#: the steps before it, and Python numbers the steps within it
-_BLOCK = 16
-
-
 def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None) -> tuple[np.ndarray, np.ndarray]:
     """Steps ``psi`` in place; per record, |psi|^2 summed everywhere, beyond index ``j``,
     its first moment there and over the heavier five-point wall strip, and the
     probability and energy that have left through an open left end; and the
     final psi.  ``lead`` = (o, s), the lead's off-diagonal and ``_ghost_kernel``,
-    opens the left end (module notes); then the strip is the right wall's alone."""
+    opens the left end (module notes), and the strip is the right wall's alone;
+    without it o = 0 and s = 0, the closed box, whose strip covers both walls.
+    Step k's history sum_m<k s_k-m chi_0 of step m is one einsum of the
+    reversed kernel with the chi_0 so far, not BLAS, as the first moment is:
+    OpenBLAS runs a zdotu of over 10000 elements on two threads, whose
+    spinning cost an 11788-step run a quarter more CPU time."""
+    o, s = lead or (0.0, np.zeros(n_rec))
     a_diag = 0.5 + 0.5j * lam * diag
-    if lead is not None:
-        o, s = lead
-        a_diag[0] += 0.5j * lam * o * s[0]
-        n, c, near = n_rec - 1, -0.5j * lam * o, s[1:_BLOCK].tolist()
-        past, recent = np.zeros(n, complex), []  # chi_0 of step m at past[n - 1 - m]; newest first
-        chi0, rests, edge = [], [], [psi[1]]  # per step: chi_0, the ghost's rest; psi_1 per record
-        p0 = psi.item(0)
-        # [b, u] = s_1+b+u, the weight of past[n - k + u] in the ghost of step k + b
-        hankel = np.lib.stride_tricks.sliding_window_view(
-            np.concatenate((s[1:], np.zeros(_BLOCK - 1))), n)
+    a_diag[0] += 0.5j * lam * o * s[0]
     half_a = _CyclicReduction(0.5j * lam * off, a_diag, 0.5j * lam * off)
     state = half_a.psi
     np.copyto(state, psi)
+    n, c, back = n_rec - 1, 0.5j * lam * o, s[:0:-1]  # back[n - k:] = s_k .. s_1
+    chi0, rests, edge = np.zeros(n, complex), np.zeros(n, complex), np.empty(n_rec, complex)
+    edge[0] = psi[1]  # psi_1 per record
     re, im, dens, im2 = state.real, state.imag, np.empty(psi.size), np.empty(psi.size)
-    x_tail, tail, head, foot = x[j:], dens[j:], dens[:5 if lead is None else 0], dens[-5:]
-    square, add, total, einsum, mul = np.square, np.add, np.add.reduce, np.einsum, operator.mul
+    x_tail, tail, head, foot = x[j:], dens[j:], dens[:0 if lead else 5], dens[-5:]
+    square, add, total, einsum = np.square, np.add, np.add.reduce, np.einsum
     sums = np.zeros((6, n_rec))
     for i in range(n_rec):
-        if i and lead is None:
+        if i:  # step k: psi_0 moves by -c rest before the solve and again after it
+            k = i - 1
+            rest = einsum("i,i->", back[n - k:], chi0[:k])
+            p0, move = state.item(0), c * rest  # a closed box's move is +0, which changes no bit
+            state[0] = p0 - move
             half_a.step()
-        elif i:  # step k = i - 1, ghost s_0 chi_0 + rest, rest = sum_m<k s_k-m chi_0 of step m
-            k, b = i - 1, (i - 1) % _BLOCK
-            if not b:
-                past[n - k:n - k + len(recent)] = recent
-                older = einsum("bu,u->b", hankel[:, :k], past[n - k:]).tolist()  # not BLAS
-                recent = []
-            rest = sum(map(mul, near, recent), older[b])
-            delta = c * rest
-            state[0] = p0 + delta
-            half_a.step()
-            q0 = state.item(0) + delta
+            q0 = state.item(0) - move
             state[0] = q0
-            recent.insert(0, q0 + p0)
-            chi0.append(recent[0])
-            rests.append(rest)
-            edge.append(state.item(1))
-            p0 = q0
+            chi0[k], rests[k], edge[i] = q0 + p0, rest, state.item(1)
         square(re, dens)
         square(im, im2)
         add(dens, im2, dens)
         moment = einsum("i,i->", x_tail, tail)  # not BLAS, which threads long dots
         sums[:4, i] = total(dens), total(tail), moment, max(total(head), total(foot))
-    if lead is not None:  # the balances of the module notes, step by step
-        chi0, edge = np.array(chi0), np.array(edge)
-        ghost = s[0] * chi0 + np.array(rests)
-        h_chi0 = diag[0] * chi0 + off[0] * (edge[1:] + edge[:-1])
-        np.cumsum((chi0.conj() * ghost).imag, out=sums[4, 1:])
-        np.cumsum((h_chi0.conj() * ghost).imag, out=sums[5, 1:])
-        sums[4:] *= -lam * o
+    # the balances of the module notes, step by step, summed from +0 so a closed box reads +0
+    ghost = (s[0] * chi0 + rests).conj()
+    sums[4, 1:] = (chi0 * ghost).imag
+    sums[5, 1:] = ((diag[0] * chi0 + off[0] * (edge[1:] + edge[:-1])) * ghost).imag
+    np.cumsum(sums[4:], axis=1, out=sums[4:])
+    sums[4:] *= lam * o
     np.copyto(psi, state)
     return sums, psi
 
