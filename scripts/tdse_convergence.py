@@ -16,14 +16,12 @@ import time
 from sltime.arc import design_rule_of_thumb
 from sltime.kard import band_structure
 from sltime.medium import EnergyGrid, representative_stack
-from sltime.tdse import evolve, free_reference, packet_delay, plan_run
+from sltime.tdse import measure_delay, plan_run
 
 
 def measure(stack, E0: float, dx: float, dt: float, sigma_x: float) -> float:
-    grid, packet, x_sep, x_d = plan_run(stack, E0, sigma_x=sigma_x, dx=dx, dt=dt)
-    run = evolve(stack, grid, packet, x_sep)
-    free = evolve(free_reference(stack), grid, packet, x_sep)
-    return packet_delay(run, x_d, free).delay
+    result, *_ = measure_delay(stack, *plan_run(stack, E0, sigma_x=sigma_x, dx=dx, dt=dt))
+    return result.delay
 
 
 def main() -> None:

@@ -36,14 +36,7 @@ from .medium import (
 from .playmodel import PLAY_MODEL, play_eta, play_kard, play_matrix
 from .resonance import approx_curves, fit_extrema
 from .scattering import dwell_time, smith_matrix
-from .tdse import (
-    evolve,
-    free_reference,
-    packet_delay,
-    plan_run,
-    spectral_average,
-    stationary_packet_delay,
-)
+from .tdse import measure_delay, plan_run, spectral_average, stationary_packet_delay
 from .timing import bloch_time, free_time, timing_curve, transmission_sweep
 from .tmatrix import amplitudes, stack_matrix
 
@@ -353,9 +346,7 @@ def _cmd_tdse(args) -> None:
         x_d = args.x_detector
 
     preds = _tdse_predictions(stack, band, grid, packet, x_sep, x_d)
-    run = evolve(stack, grid, packet, x_sep=x_sep)
-    free = evolve(free_reference(stack), grid, packet, x_sep=x_sep)
-    result = packet_delay(run, x_d, free)
+    result, run, free = measure_delay(stack, grid, packet, x_sep, x_d)
 
     series_path = f"{args.output}_series.csv"
     rows = zip(run.times, run.beyond_prob, run.centroid,
@@ -435,10 +426,8 @@ def _cmd_reproduce(args) -> None:
               free_time(dressed.width, E, dressed.outside)))
 
     point_rows = []
-    for e0, (grid, packet, x_sep, x_d) in plans.items():
-        run = evolve(dressed, grid, packet, x_sep=x_sep)
-        free = evolve(free_reference(dressed), grid, packet, x_sep=x_sep)
-        result = packet_delay(run, x_d, free)
+    for e0, plan in plans.items():
+        result, *_ = measure_delay(dressed, *plan)
         point_rows.append((e0, result.delay, preds[e0]["bloch_spectral_fs"],
                            preds[e0]["stationary_packet_fs"], result.transmitted_fraction))
     write("fig9_points.csv",
@@ -562,6 +551,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
+    except OSError as exc:  # a file that cannot be read or written
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     return 0
 
 

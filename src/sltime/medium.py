@@ -259,7 +259,7 @@ def load_stack(path: str | Path) -> StackSpec:
         raise ValidationError(f"stack file not found: {path}")
     try:
         data = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValidationError(f"stack file {path} is not valid JSON: {exc}") from exc
     return stack_from_dict(data)
 

@@ -5,7 +5,8 @@ derivatives, just the time-dependent Schroedinger equation on a real-space
 grid.  A Gaussian packet launched in the left lead crosses the stack; the
 time at which the transmitted portion's centroid passes a detector,
 compared against an identical packet in free space, gives a packet delay
-that the stationary-phase times from ``timing`` must predict.
+that the stationary-phase times from ``timing`` must predict; ``measure_delay``
+makes both runs and reads it.
 
 Numerics:
 
@@ -50,8 +51,8 @@ Numerics:
   psi^n, the stepper's chi, the ghost site left of the grid is
   chi_-1^n = sum_k=0..n s_k chi_0^n-k, where nu(z) = sum_k s_k z^-k is the
   root with |nu| < 1 of nu + 1/nu = (kappa - d)/o, kappa = (1 - z)/(i lam
-  (1 + z)), lam = dt/2hbar, and d and o the lead's diagonal and
-  off-diagonal of H: the Z-transform in time of the lead's decaying
+  (1 + z)), lam = dt/2hbar, and d and o H's first row, diag[0] and off[0],
+  which are the lead's: the Z-transform in time of the lead's decaying
   solution.  So row 0 of A/2 gains i lam o s_0/2 once, and each step moves
   psi_0 by delta = -i lam o sum_k>=1 s_k chi_0^n-k / 2 before the solve and
   again after it.  s_0 = nu(infinity), where (kappa - d)/o = (i/lam - d)/o
@@ -63,8 +64,8 @@ Numerics:
   |psi^n+1|^2 - |psi^n|^2 = lam o Im(conj(chi_0) chi_-1) and
   E^n+1 - E^n = lam o Im(conj((H chi)_0) chi_-1) (times dx), so the
   probability and energy that have left are summed, and the norm and
-  energy checks read norm plus outflow and energy plus outflow.  The grid
-  must start in the lead, and nothing must sit left of it at the start:
+  energy checks read norm plus outflow and energy plus outflow.  The grid's
+  first two sites must lie in the lead, and nothing left of it at the start:
   ``plan_run`` ends it eleven widths left of the launch point.  The right
   wall keeps every transmitted particle on the grid for ``beyond_prob``;
   the domain is sized so that nothing meaningful reaches it during the
@@ -86,7 +87,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -99,7 +99,7 @@ __all__ = [
     "WavePacket",
     "PacketRecord",
     "DelayResult",
-    "free_reference",
+    "measure_delay",
     "plan_run",
     "evolve",
     "packet_delay",
@@ -258,12 +258,6 @@ def _hamiltonian_diagonals(stack: StackSpec, grid: Grid1D) -> tuple[np.ndarray, 
     return diag, off
 
 
-def _lead_diagonals(lead: Layer, dx: float) -> tuple[float, float]:
-    """(diagonal, off-diagonal) of H in the lead, as ``_hamiltonian_diagonals`` rounds them."""
-    c, inv_m = CONSTANTS.hbar2_over_2m0 / dx**2, 1.0 / lead.mass_ratio
-    return c * (inv_m + inv_m) + lead.potential, -c * inv_m
-
-
 def _apply_h(diag: np.ndarray, off: np.ndarray, psi: np.ndarray) -> np.ndarray:
     out = diag * psi
     out[:-1] += off * psi[1:]
@@ -273,26 +267,6 @@ def _apply_h(diag: np.ndarray, off: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 #: the size at which odd-even reduction stops and a dense inverse takes over
 _DENSE = 32
-
-
-class _Level(NamedTuple):
-    """One odd-even reduction level: views into its vector and the next's,
-    the fixed coefficients, and one scratch array."""
-
-    even: np.ndarray  # d_2k
-    left: np.ndarray  # d_2k-1 (a pad zero for k = 0)
-    right: np.ndarray  # d_2k+1 (a pad zero past the end)
-    odd: np.ndarray  # d_2k+1, then x_2k+1
-    down: np.ndarray  # the next level's vector over the even unknowns
-    below: np.ndarray  # x_2k, for each odd unknown
-    above: np.ndarray  # x_2k+2, for each odd unknown
-    alpha: np.ndarray  # -a_2k / b_2k-1
-    gamma: np.ndarray  # -c_2k / b_2k+1
-    inv_pivot: np.ndarray  # 1 / b_2k+1
-    p: np.ndarray  # -a_2k+1 / b_2k+1
-    q: np.ndarray  # -c_2k+1 / b_2k+1
-    tmp: np.ndarray
-    tmp_odd: np.ndarray
 
 
 class _CyclicReduction:
@@ -317,7 +291,7 @@ class _CyclicReduction:
         a[2:n + 1], b[1:n + 1], c[1:n] = lower, diag, upper
         buf = np.zeros(n + 2, complex)
         self.psi = buf[1:n + 1]
-        self.levels: list[_Level] = []
+        self._down, up = [], []  # each level's operands, in the order ``step`` unpacks them
         while n > _DENSE:
             ne, no = (n + 1) // 2, n // 2
             E, L, R = slice(1, 2 * ne, 2), slice(0, 2 * ne - 1, 2), slice(2, 2 * ne + 1, 2)
@@ -326,9 +300,12 @@ class _CyclicReduction:
             inv[O] = 1.0 / b[O]
             alpha, gamma, inv_odd = -a[E] * inv[L], -c[E] * inv[R], inv[O].copy()
             nxt, tmp = np.zeros(ne + 2, complex), np.empty(ne, complex)
-            self.levels.append(_Level(
-                buf[E], buf[L], buf[R], buf[O], nxt[1:ne + 1], nxt[1:no + 1], nxt[2:no + 2],
-                alpha, gamma, inv_odd, -a[O] * inv_odd, -c[O] * inv_odd, tmp, tmp[:no]))
+            even, low = buf[E], nxt[1:ne + 1]  # d_2k; the next level's vector
+            # down: d_2k-1, d_2k+1 (pad zeros at the ends), alpha = -a_2k/b_2k-1 and
+            # gamma = -c_2k/b_2k+1; up: x_2k+1 = d_2k+1/b_2k+1 + p x_2k + q x_2k+2
+            self._down.append((buf[L], alpha, tmp, even, low, buf[R], gamma))
+            up.append((buf[O], inv_odd, nxt[1:no + 1], -a[O] * inv_odd, tmp[:no], nxt[2:no + 2],
+                       -c[O] * inv_odd, even, low))
             a_n, b_n, c_n = (np.zeros(ne + 2, complex) for _ in range(3))
             a_n[1:ne + 1] = alpha * a[L]
             b_n[1:ne + 1] = b[E] + alpha * c[L] + gamma * a[R]
@@ -338,11 +315,6 @@ class _CyclicReduction:
         self._bottom_inverse = np.linalg.inv(
             np.diag(b[1:n + 1]) + np.diag(a[2:n + 1], -1) + np.diag(c[1:n], 1))
         self._bottom_tmp = np.empty(n, complex)
-        # each pass's operands in plain tuples, which unpack faster than fields read
-        self._down = [(lv.left, lv.alpha, lv.tmp, lv.even, lv.down, lv.right, lv.gamma)
-                      for lv in self.levels]
-        up = [(lv.odd, lv.inv_pivot, lv.below, lv.p, lv.tmp_odd, lv.above, lv.q, lv.even, lv.down)
-              for lv in self.levels]
         self._up, self._top = up[:0:-1], up[0] if up else None  # levels 1 and on, level 0
         self._chi_odd = np.empty_like(up[0][0]) if up else None
 
@@ -530,10 +502,11 @@ def evolve(
     and the density within five cells of either wall.  A monitored stepped
     run (``monitor_walls``, the default) has an open left end, the discrete
     transparent boundary of the module notes, and records the probability
-    and energy that leave through it; its grid must start in the left lead,
-    left of -w/2 (else ValidationError before any step), and only its right
-    wall is a wall.  Sine-mode runs keep both walls.  Then each check runs
-    once over its series, naming the first failing step: a jump of norm plus
+    and energy that leave through it; its grid's first two sites must lie in
+    the left lead, left of -w/2 (else ValidationError before any step), so
+    that H's first row is the lead's d and o, and only its right wall is a
+    wall.  Sine-mode runs keep both walls.  Then each check runs once over
+    its series, naming the first failing step: a jump of norm plus
     outflow above 1e-6 in one step (a NaN state fails at t = 0), then wall
     density above 1e-10 -- either means the run geometry, not the physics,
     produced the numbers.  So a failing run raises only after its last
@@ -572,11 +545,10 @@ def evolve(
     produced = _uniform_sums(diag[0], off[0], lam, psi, x, j, n_rec) if uniform else None
     lead = None
     if produced is None and monitor_walls:
-        if not x[0] < -0.5 * stack.width:
-            raise ValidationError(f"the open left end at {x[0]} nm must lie in the lead, left "
-                                  f"of the stack's face at {-0.5 * stack.width} nm")
-        d, o = _lead_diagonals(stack.outside, grid.dx)
-        lead = o, _ghost_kernel(d, o, lam, grid.n_steps)
+        if not x[1] < -0.5 * stack.width:  # so H's first row is the lead's
+            raise ValidationError(f"the open left end at {x[0]} nm and its next site must lie in "
+                                  f"the lead, left of the stack's face at {-0.5 * stack.width} nm")
+        lead = off[0], _ghost_kernel(diag[0], off[0], lam, grid.n_steps)
     sums, psi = produced or _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead)
     norm, beyond, moment, wall, out, e_out = grid.dx * sums
     total = norm + out
@@ -638,6 +610,16 @@ def packet_delay(
         transmitted_fraction=series.transmitted_fraction,
         bloch_time_prediction=bloch_time_prediction,
     )
+
+
+def measure_delay(stack: StackSpec, grid: Grid1D, packet: WavePacket, x_sep: float,
+                  x_d: float) -> tuple[DelayResult, PacketRecord, PacketRecord]:
+    """The packet delay on a plan (``plan_run``'s grid, packet, x_sep, x_d):
+    (``packet_delay`` of the two runs, the run on ``stack``, its free-space
+    control on ``free_reference(stack)``)."""
+    run = evolve(stack, grid, packet, x_sep)
+    free = evolve(free_reference(stack), grid, packet, x_sep)
+    return packet_delay(run, x_d, free), run, free
 
 
 def _arrival(times: np.ndarray, centroid: np.ndarray, prob: np.ndarray, x_d: float) -> float:

@@ -32,6 +32,7 @@ from sltime.scattering import dwell_time, smith_matrix
 from sltime.tdse import (
     evolve,
     free_reference,
+    measure_delay,
     packet_delay,
     plan_run,
     spectral_average,
@@ -72,13 +73,11 @@ def _bloch_curve(rep_stack, band):
 
 
 def _run_pair(spec, E0, extra_time, curve, outside):
-    grid, packet, x_sep, x_d = plan_run(
+    grid, packet, x_sep, x_d = plan = plan_run(
         spec, E0, sigma_x=SIGMA_X, dx=DX, dt=DT, extra_time=extra_time
     )
-    record = evolve(spec, grid, packet, x_sep)
-    reference = evolve(free_reference(spec), grid, packet, x_sep)
+    result, record, reference = measure_delay(spec, *plan)
     pred = spectral_average(curve[0], curve[1], packet, outside)
-    result = packet_delay(record, x_d, reference, bloch_time_prediction=pred)
     return SimpleNamespace(
         result=result, pred=pred, record=record, reference=reference,
         grid=grid, packet=packet, x_sep=x_sep, x_d=x_d,

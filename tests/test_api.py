@@ -80,7 +80,7 @@ EARNED_DEFAULTS = {
     "plan_run.dx",  # cli._cmd_reproduce, figure 9's runs
     "plan_run.dt",  # cli._cmd_reproduce, figure 9's runs
     "plan_run.extra_time",  # cli._cmd_reproduce, figure 9's runs
-    "packet_delay.bloch_time_prediction",  # cli._cmd_tdse
+    "packet_delay.bloch_time_prediction",  # tdse.measure_delay
     "evolve.psi0",  # test seam: the exact-eigenstate oracle of the propagator
     "evolve.monitor_walls",  # test seam: closed-box states live against the walls
 }

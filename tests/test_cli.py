@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sltime import cli
+from sltime import cli, tdse
 from sltime.cli import build_parser, main
 from sltime.kard import as_model, decompose
 from sltime.medium import (
@@ -405,7 +405,7 @@ def test_bad_packet_input_is_refused_before_any_run(argv, message, monkeypatch, 
     def no_run(*args, **kwargs):
         raise AssertionError("a packet ran")
 
-    monkeypatch.setattr(cli, "evolve", no_run)
+    monkeypatch.setattr(tdse, "evolve", no_run)
     assert main(shlex.split(argv.format(stack=STACK, out=tmp_path / "out"))) == 3
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err
@@ -438,6 +438,23 @@ def test_malformed_stack_file_exits_3(edit, message, capsys, tmp_path):
                  "-o", str(tmp_path / "out.csv")])
     assert code == 3
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    "kard --stack stacks -o {out}/k.csv",
+    "kard --stack {out}/latin1.json -o {out}/k.csv",
+    "kard --stack {stack} -o {out}/missing/k.csv",
+    "reproduce --figure 1 --outdir {out}/file",
+], ids=["stack-is-a-directory", "stack-not-utf8", "output-directory-missing",
+        "outdir-is-a-file"])
+def test_file_error_exits_3(argv, capsys, tmp_path):
+    """A file that cannot be read or written is bad input: exit 3 with one
+    ``error:`` line, not a traceback."""
+    (tmp_path / "latin1.json").write_bytes('{"core": "\u00e9"}'.encode("latin-1"))
+    (tmp_path / "file").write_text("")
+    assert main(shlex.split(argv.format(stack=STACK, out=tmp_path))) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 def test_transmission_refuses_an_overflowing_product(capsys, tmp_path):

@@ -42,6 +42,7 @@ from sltime.tdse import (
     evolve,
     free_reference,
     initial_state,
+    measure_delay,
     packet_delay,
     plan_run,
     spectral_average,
@@ -50,6 +51,13 @@ from sltime.tdse import (
 
 ROOT = Path(__file__).resolve().parent.parent
 LEAD = Layer(9.5, 0.0, 0.067)
+
+
+def _lead_row(lead, dx):
+    """(diagonal, off-diagonal) of H in a uniform lead: -c2/(m* dx^2) off the
+    diagonal and V + 2 c2/(m* dx^2) on it."""
+    c = CONSTANTS.hbar2_over_2m0 / (lead.mass_ratio * dx**2)
+    return 2.0 * c + lead.potential, -c
 
 
 def _uniform_stack(width=50.0):
@@ -265,7 +273,7 @@ def test_step_matches_dense_crank_nicolson():
     lam = 0.5 * grid.dt / CONSTANTS.hbar
     *_, du2, ipiv, _ = zgttrf(1j * lam * off, 1.0 + 1j * lam * diag, 1j * lam * off)
     assert np.any(du2 != 0.0) and np.any(ipiv != np.arange(1, grid.n_points + 1))
-    d, o = tdse._lead_diagonals(LEAD, grid.dx)
+    d, o = _lead_row(LEAD, grid.dx)
     one = np.eye(grid.n_points)
     x = grid.x
     for open_left in (True, False):
@@ -343,7 +351,7 @@ def _open_row(diag, lead, dx, lam, open_left=True):
     """A's diagonal ``diag``, with the open left end's i lam o s_0 added to
     row 0 as ``evolve`` adds it (to A/2, halved), if ``open_left``."""
     if open_left:
-        d, o = tdse._lead_diagonals(lead, dx)
+        d, o = _lead_row(lead, dx)
         diag[0] += 1j * lam * o * tdse._ghost_kernel(d, o, lam, 1)[0]
     return diag
 
@@ -385,8 +393,8 @@ def test_cyclic_reduction_needs_no_pivoting(system, seed):
     assert np.all(off.real == 0.0)  # so the Hermitian part is diag(Re A_ii)
     assert diag.real.min() >= 1.0
     solver = _assert_step_matches_a_dense_solve(*system, seed)
-    assert solver.levels  # the system is big enough to be reduced
-    pivots = np.concatenate([1.0 / level.inv_pivot for level in solver.levels])
+    assert solver._top is not None  # the system is big enough to be reduced
+    pivots = np.concatenate([1.0 / inv_pivot for _, inv_pivot, *_ in (solver._top, *solver._up)])
     assert pivots.real.min() >= 1.0 - 1e-12
 
 
@@ -394,7 +402,7 @@ def test_cyclic_reduction_needs_no_pivoting(system, seed):
 def test_cyclic_reduction_steps_systems_below_one_level(system, seed):
     """3 to 32 points: no reduction level, only the dense bottom solve."""
     solver = _assert_step_matches_a_dense_solve(*system, seed)
-    assert not solver.levels
+    assert solver._top is None and not solver._up
 
 
 def test_plan_run_left_end_sits_on_the_closed_lattice():
@@ -449,12 +457,13 @@ def test_open_left_end_absorbs_a_left_moving_packet(stepped_runs, E0):
 
 
 def test_open_left_end_inside_the_stack_is_refused(stepped_runs):
-    """The boundary assumes lead material beyond the left end: a monitored
-    stepped run whose grid starts at or right of -w/2 is refused before any
-    step, and a closed-box run on the same grid is not."""
+    """The boundary assumes lead material beyond the left end, and takes the
+    lead's row of H from the grid's first row: a monitored stepped run whose
+    second site lies at or right of -w/2 is refused before any step, and a
+    closed-box run on the same grid is not."""
     stack = representative_stack(5)
     packet = WavePacket(x0=100.0, E0=58.5, sigma_x=10.0)
-    for x_min in (-0.5 * stack.width, -0.5 * stack.width + 0.25):
+    for x_min in (-0.5 * stack.width - 0.125, -0.5 * stack.width, -0.5 * stack.width + 0.25):
         grid = Grid1D(x_min=x_min, x_max=400.0, dx=0.25, dt=1.0, n_steps=5)
         with pytest.raises(ValidationError, match="open left end"):
             evolve(stack, grid, packet, x_sep=200.0)
@@ -664,10 +673,23 @@ def test_figure_9_point_replays_bit_for_bit():
     point, = (p for p in _fig9_points() if p["E0_meV"] == 58.5)
     grid, packet, x_sep, x_d = plan_run(dressed, 58.5, sigma_x=90.0)
     assert (grid.n_points, grid.n_steps) == (20398, 5529)
-    run = evolve(dressed, grid, packet, x_sep)
-    result = packet_delay(run, x_d, evolve(free_reference(dressed), grid, packet, x_sep))
+    result, *_ = measure_delay(dressed, grid, packet, x_sep, x_d)
     assert result.delay == point["delay_fs"] == 499.24910979975175
     assert result.transmitted_fraction == point["transmitted_fraction"]
+
+
+def test_measure_delay_is_the_hand_written_sequence():
+    """``measure_delay`` on a short dressed plan gives, bit for bit, the delay
+    and both records of the sequence it owns: the run, its free-space control
+    on ``free_reference`` and ``packet_delay`` of the two."""
+    dressed = load_stack(ROOT / "stacks" / "rep5_arc.json")
+    grid, packet, x_sep, x_d = plan = plan_run(dressed, 58.5, sigma_x=25.0, dx=0.5, dt=2.0)
+    result, *records = measure_delay(dressed, *plan)
+    run, free = (evolve(s, grid, packet, x_sep) for s in (dressed, free_reference(dressed)))
+    assert repr(result) == repr(packet_delay(run, x_d, free))
+    as_bytes = lambda rec: [np.asarray(value).tobytes() for value in vars(rec).values()]
+    assert [as_bytes(rec) for rec in records] == [as_bytes(run), as_bytes(free)]
+    assert result.transmitted_fraction > 1e-4 and records[0].left_outflow > 0.0
 
 
 def test_stationary_delay_fails_through_the_arrival_rule():
