@@ -9,7 +9,7 @@ module below can be imported from ``sltime`` itself:
 - ``kard``       angle parameterization of a cell matrix; band structure
 - ``timing``     transmission and phase-time curves for N-cell arrays
 - ``resonance``  band-interior extrema and resonance lineshape fits
-- ``scattering`` Smith lifetime matrix, interior states, dwell times
+- ``scattering`` Smith lifetime matrix, dwell times
 - ``playmodel``  closed-form single-band toy cell
 - ``arc``        antireflection end cells and band-averaged transmission
 - ``tdse``       time-dependent wave-packet propagation cross-check

@@ -18,18 +18,6 @@ S-matrix ((r, t), (t, r_bar)) and the Smith lifetime matrix
 Q = -i hbar S^dagger dS/dE are written out entry by entry, elementwise over
 an energy array, for any stack, mirror-symmetric or not.
 
-The interior wavefunction (``_WaveField``), whose density the dwell time's
-cross-check integrates, is reconstructed by back-propagating the
-transmitted plane wave through the layer sequence with the same
-(psi, psi'/m*) propagators used for the transfer matrix.  A position array
-is evaluated in one pass: each point's layer comes from one
-``searchsorted`` over the interfaces, and each layer that holds points
-propagates all of them from its left interface in one array call.  Backward
-propagation through a barrier grows the evanescent component, which is the
-numerically stable direction (the forward problem would difference two
-growing exponentials); for the layer thicknesses and barrier heights this
-package targets the growth factors are modest anyway.
-
 The dwell time over a window [x_L, x_R] enclosing the stack splits into
 three named pieces:
 
@@ -44,12 +32,15 @@ three named pieces:
 
 Their sum is the integral of |psi|^2 over the window for the
 flux-normalized stationary state, which ``dwell_time`` also evaluates
-directly from the reconstructed state as an independent check.  Inside a
-layer psi is c(x) psi_0 + m* s(x) (psi'/m*)_0 with c = cos(kx) and
-s = sin(kx)/k, so the integral of |psi|^2 over each layer, and over each
-lead piece taken as a layer of lead material, is a closed form in the
-layer's (psi, psi'/m*) at one face; the backward pass already holds those
-for every energy at once.
+directly as an independent check (``_density_integral``).  One backward
+pass from the right face, for every energy at once, steps (psi, psi'/m*)
+across each layer with the same propagator the transfer matrix uses.
+Inside a layer psi is c(x) psi_0 + m* s(x) (psi'/m*)_0 with c = cos(kx)
+and s = sin(kx)/k, so the integral of |psi|^2 over each layer, and over
+each lead piece taken as a layer of lead material, is a closed form in the
+layer's (psi, psi'/m*) at one face.  Backward propagation through a
+barrier grows the evanescent component, which is the numerically stable
+direction (the forward problem would difference two growing exponentials).
 """
 
 from __future__ import annotations
@@ -60,9 +51,7 @@ import numpy as np
 
 from .errors import NumericError, ValidationError, require
 from .medium import CONSTANTS, StackSpec
-from .tmatrix import (
-    _cos_and_sinc, _layer_entries, _sinc_slopes, amplitudes, energy_jet, stack_matrix,
-)
+from .tmatrix import _cos_and_sinc, _sinc_slopes, amplitudes, energy_jet, stack_matrix
 
 __all__ = [
     "SmithMatrix",
@@ -154,106 +143,58 @@ def smith_matrix(stack: StackSpec, E) -> SmithMatrix:
 
 
 # ---------------------------------------------------------------------------
-# interior wavefunction
+# density integral
 
 
-class _WaveField:
-    """Flux-normalized stationary states for a unit wave incident from the
-    left, one for every energy of a 1-d array.
+def _density_integral(stack: StackSpec, E: np.ndarray, t: np.ndarray, k: np.ndarray,
+                      v: np.ndarray, x_left: float, x_right: float) -> np.ndarray:
+    """Integral of |psi|^2 over [x_left, x_right] (around the stack) for
+    the flux-normalized state of a unit wave incident from the left, at
+    every energy of the 1-d array E, exact up to rounding.
 
-    Built once per (stack, energies) from the cell-referenced amplitudes
-    t, r and the lead wavenumber k and velocity v, each an array over the
-    energies: one backward pass through the interfaces, on arrays, gives
-    (psi, psi'/m*) at every interface for every energy.  ``u`` evaluates a
-    position array with one partial propagation per layer that holds
-    points, each from the layer's left interface; ``density_integral``
-    integrates |psi|^2 over a window exactly, layer by layer.
+    t is the cell-referenced transmission amplitude and k, v the lead
+    wavenumber and velocity, each an array over E.  One backward pass from
+    the right face, where u = (psi, psi'/m*) = (t, i k t / m*) / sqrt(v),
+    steps u across each layer with the inverse of its propagator
+    ((C, m S), (-k^2 S / m, C)), C, S = cos(kL), sin(kL)/k, and integrates
+    the layer from its left face.  With psi = c u_0 + m s u_1 across a
+    width L of one material, the integral is |u_0|^2 (L + C S)/2
+    + m Re(u_0 conj u_1) S^2 + m^2 |u_1|^2 (L S^2/2 + C dS/dk^2), valid for
+    k^2 of either sign (``tmatrix._sinc_slopes`` carries dS/dk^2 through
+    k^2 L^2 -> 0).  The lead pieces are lead material: [b, x_right]
+    integrated forwards from the right face, and [x_left, a] backwards from
+    the left face, which flips the sign of the cross term.  Each distinct
+    layer's k^2, C, S and dS/dk^2 are evaluated once, and the pieces are
+    summed left to right.  These Gram forms lose about eps e^{2 kappa L} of
+    a barrier's integral to rounding (1e-7 of it at kappa L = 10), since
+    |psi|^2 there is small against the terms that cancel.
     """
+    lead = stack.outside
+    edges = stack.interfaces()
+    a, b = float(edges[0]), float(edges[-1])
 
-    def __init__(self, stack: StackSpec, E: np.ndarray, t: np.ndarray, r: np.ndarray,
-                 k: np.ndarray, v: np.ndarray):
-        self.E = E
-        self.t, self.r, self.k, self.v = t, r, k, v
-        self.norm = 1.0 / np.sqrt(v)
-        self.outside = stack.outside
-        self.mass_out = stack.outside.mass_ratio
-        self.layers = stack.segments()
-        self.edges = stack.interfaces()
-        self.a = float(self.edges[0])
-        self.b = float(self.edges[-1])
-        # u = (psi, psi'/m*) at the right face, then backward through every
-        # layer; det-1 inverses are written out to avoid a solve per layer.
-        t = t * self.norm
-        u = np.array([t, 1j * k * t / self.mass_out])
-        us = [u]
-        for layer in reversed(self.layers):
-            (p11, p12), (p21, p22) = _layer_entries(E, layer, layer.width)
-            u = np.array([p22 * u[0] - p12 * u[1], -p21 * u[0] + p11 * u[1]])
-            us.append(u)
-        us.reverse()
-        self.us = us  # u at every interface, left to right, shape (2, energies)
+    def material(layer, width):
+        ksq = (E - layer.potential) * layer.mass_ratio / CONSTANTS.hbar2_over_2m0
+        c, s = _cos_and_sinc(ksq, width)
+        ds, _ = _sinc_slopes(ksq, width, c, s)
+        return layer.mass_ratio, width, ksq, c, s, ds
 
-    @classmethod
-    def at(cls, stack: StackSpec, E) -> "_WaveField":
-        """The fields at the energies of E, a scalar or an array, flattened,
-        from one ``_origin_jet`` call."""
-        E = np.ravel(np.asarray(E, dtype=float))
-        jet, _, _, _, _, k, v = _origin_jet(stack, E)
-        return cls(stack, E, jet.t.v, jet.r.v, k, v)
+    def piece(m, width, ksq, c, s, ds, u0, u1, sign=1.0):
+        return (0.5 * (width + c * s) * np.abs(u0) ** 2
+                + sign * m * s * s * (u0 * u1.conjugate()).real
+                + m * m * (0.5 * width * s * s + c * ds) * np.abs(u1) ** 2)
 
-    def u(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(psi, psi'/m*) at every position of the array x, any region, for
-        a field of one energy."""
-        x = np.asarray(x, dtype=float)
-        psi = np.empty(x.shape, dtype=complex)
-        slope = np.empty(x.shape, dtype=complex)
-        left, right = x <= self.a, x >= self.b
-        ik = 1j * self.k
-        fwd = np.exp(ik * (x[left] - self.a))
-        bwd = self.r / fwd
-        psi[left] = (fwd + bwd) * self.norm
-        slope[left] = ik * (fwd - bwd) * self.norm / self.mass_out
-        psi[right] = self.t * np.exp(ik * (x[right] - self.b)) * self.norm
-        slope[right] = ik * psi[right] / self.mass_out
-        layer = np.searchsorted(self.edges, x, side="right") - 1
-        layer[left | right] = -1
-        for j in np.unique(layer[layer >= 0]):
-            at = layer == j
-            (p11, p12), (p21, p22) = _layer_entries(self.E, self.layers[j], x[at] - self.edges[j])
-            u0, u1 = self.us[j]
-            psi[at] = p11 * u0 + p12 * u1
-            slope[at] = p21 * u0 + p22 * u1
-        return psi, slope
-
-    def density_integral(self, x_left: float, x_right: float) -> np.ndarray:
-        """Integral of |psi|^2 over [x_left, x_right] (around the stack) for
-        every energy, exact up to rounding.
-
-        With psi = c u_0 + m s u_1 across a width L of one material, from
-        its face state u = (psi, psi'/m*), and C, S = cos(kL), sin(kL)/k
-        there, the integral is |u_0|^2 (L + C S)/2 + m Re(u_0 conj u_1) S^2
-        + m^2 |u_1|^2 (L S^2/2 + C dS/dk^2), valid for k^2 of either sign
-        (``tmatrix._sinc_slopes`` carries dS/dk^2 through k^2 L^2 -> 0).
-        Each layer is integrated from its left face; the lead pieces are
-        lead material, [x_left, a] integrated backwards from the left face,
-        which flips the sign of the cross term, and [b, x_right] forwards
-        from the right face.  These Gram forms lose about eps e^{2 kappa L}
-        of a barrier's integral to rounding (1e-7 of it at kappa L = 10),
-        since |psi|^2 there is small against the terms that cancel.
-        """
-        pieces = [(self.outside, self.a - x_left, self.us[0], -1.0),
-                  *((layer, layer.width, u, 1.0) for layer, u in zip(self.layers, self.us)),
-                  (self.outside, x_right - self.b, self.us[-1], 1.0)]
-        total = 0.0
-        for layer, width, (u0, u1), sign in pieces:
-            m = layer.mass_ratio
-            ksq = (self.E - layer.potential) * m / CONSTANTS.hbar2_over_2m0
-            c, s = _cos_and_sinc(ksq, width)
-            ds, _ = _sinc_slopes(ksq, width, c, s)
-            total = total + (0.5 * (width + c * s) * np.abs(u0) ** 2
-                             + sign * m * s * s * (u0 * u1.conjugate()).real
-                             + m * m * (0.5 * width * s * s + c * ds) * np.abs(u1) ** 2)
-        return total
+    layers = stack.segments()
+    inner = {layer: material(layer, layer.width) for layer in set(layers)}
+    u0 = t * (1.0 / np.sqrt(v))
+    u1 = 1j * k * u0 / lead.mass_ratio
+    pieces = [piece(*material(lead, x_right - b), u0, u1)]
+    for layer in reversed(layers):
+        m, width, ksq, c, s, ds = inner[layer]
+        u0, u1 = c * u0 - m * s * u1, ksq * s / m * u0 + c * u1
+        pieces.append(piece(m, width, ksq, c, s, ds, u0, u1))
+    pieces.append(piece(*material(lead, a - x_left), u0, u1, -1.0))
+    return sum(reversed(pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +211,7 @@ class DwellResult:
     Smith tau11.  ``oscillatory_term`` tracks the standing-wave fringe at
     the left window edge and ``free_passage`` the classical crossing times.
     The three sum to the density integral over the window, which
-    ``tau_numeric`` re-derives from the reconstructed state, integrating
+    ``tau_numeric`` re-derives from the stationary state, integrating
     |psi|^2 exactly layer by layer.
     All times in fs; each is a number, or an array shaped like the energies.
     """
@@ -310,8 +251,8 @@ def dwell_time(
     is undefined; t' and r' are exact (see ``smith_matrix``).  E must be
     above the lead band bottom.
 
-    The cross-check integrates |psi|^2 of the reconstructed state over the
-    window in closed form, layer by layer (``_WaveField.density_integral``),
+    The cross-check integrates |psi|^2 of the stationary state over the
+    window in closed form, layer by layer (``_density_integral``),
     for every energy at once, and returns it in ``tau_numeric``; a scalar E
     goes through the same arrays with one energy and gets the same value as
     in an array.  A gross mismatch with the closed form (more than 1e-2 of it
@@ -343,7 +284,7 @@ def dwell_time(
     uniform = (x_right - x_left) / v
 
     closed = smooth + oscillatory + free_passage
-    numeric = _WaveField(stack, e, jet.t.v, jet.r.v, k, v).density_integral(x_left, x_right)
+    numeric = _density_integral(stack, e, jet.t.v, k, v, x_left, x_right)
     require(np.abs(numeric - closed) <= np.maximum(1e-2 * np.abs(closed), 0.1), NumericError,
             "dwell-time closed form ({closed:.6f} fs) and density integral "
             "({numeric:.6f} fs) disagree at E = {E} meV", closed=closed, numeric=numeric, E=e)

@@ -29,7 +29,7 @@ Numerics:
   psi lives in level 0's vector, which the forward pass only reads, and
   level 0's back-substitution forms chi - psi there, so a step copies no
   state and allocates nothing: 10 numpy calls a level, one more at level 0
-  and 2 for the bottom block (93 at 12.8k points), each given its output
+  and 2 for the bottom block (93 at 10.1k-10.2k points), each given its output
   positionally, and about five complex multiplications and five additions
   or subtractions per point in all.  It needs no pivoting: H is real symmetric, so A's Hermitian
   part is the identity.  Each level's matrix is a Schur complement S of A,
@@ -563,7 +563,7 @@ def evolve(
         centroid = np.where(beyond > 1e-14, moment / beyond, math.nan)
 
     e_end = grid.dx * float(np.real(np.vdot(psi, _apply_h(diag, off, psi))))
-    energy_drift = abs(e_end + e_out[-1] - e_start) / max(abs(e_start), 1e-30)
+    energy_drift = float(abs(e_end + e_out[-1] - e_start) / max(abs(e_start), 1e-30))
     return PacketRecord(
         times=times,
         beyond_prob=beyond,
@@ -664,7 +664,8 @@ def plan_run(
     x0 moved right by twice -w/2 - x0 in whole cells, so the sites keep
     their place against the layer interfaces, and a closed run on that
     longer lattice is the open run's reference.  ``extra_time`` (fs, >= 0)
-    only lengthens the run, for slow, resonance-trapped transmission.
+    only lengthens the run, for slow, resonance-trapped transmission; dt
+    may be no longer than the run.
     """
     if not (0 < dx < math.inf and 0 < dt < math.inf and 0 <= extra_time < math.inf):
         raise ValidationError(f"need 0 < dx, dt < inf and 0 <= extra_time < inf, got "
@@ -676,6 +677,8 @@ def plan_run(
     x_d = half_w + 6.0 * sigma_x
     travel = (x_d - packet.x0 + 6.0 * sigma_x) / v0
     t_final = 1.5 * travel + extra_time
+    if not dt <= t_final:
+        raise ValidationError(f"need dt <= the planned run's {t_final:.6g} fs, got {dt}")
     n_steps = int(math.ceil(t_final / dt))
     reach = v0 * t_final
     # the packet broadens while it travels; pad with the dispersed width so

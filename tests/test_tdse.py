@@ -222,6 +222,7 @@ def test_norm_and_energy_conserved_through_stack():
     rec = evolve(stack, grid, packet, x_sep)
     assert rec.norm_drift < 1e-9
     assert rec.energy_drift < 1e-9
+    assert all(type(f) is float for f in (rec.norm_drift, rec.energy_drift, rec.left_outflow))
     assert 0.0 < rec.transmitted_fraction < 1.0
     assert 0.0 < rec.left_outflow < 1.0 - rec.transmitted_fraction
     # transmitted probability is monotone once the packet has cleared the sep
