@@ -338,10 +338,10 @@ def _cmd_tdse(args) -> None:
         extra_time=args.extra_time,
     )
     if args.x_detector is not None:
-        if not (x_sep < args.x_detector < grid.x_max):
+        if not (x_sep < args.x_detector <= x_d):  # the grid ends ten widths past x_d
             raise ValidationError(
                 f"detector at {args.x_detector} nm must sit between the stack separator "
-                f"at {x_sep} nm and the planned domain's right wall at {grid.x_max} nm"
+                f"at {x_sep} nm and the planned detector at {x_d} nm"
             )
         x_d = args.x_detector
 
@@ -368,6 +368,7 @@ def _cmd_tdse(args) -> None:
         "norm_drift": run.norm_drift,
         "energy_drift_rel": run.energy_drift,
         "left_outflow": run.left_outflow,
+        "right_outflow": run.right_outflow,
         "predictions": preds,
         "series": series_path,
     }

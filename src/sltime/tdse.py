@@ -15,7 +15,7 @@ Numerics:
   discrete flux (1/m*) psi' continuous across material interfaces.
 - Crank-Nicolson stepping.  The scheme is unconditionally stable and, in
   a closed box, exactly norm-preserving up to solver roundoff, so norm
-  drift (of norm plus outflow, with the open end below) is a pure
+  drift (of norm plus outflow, with the open ends below) is a pure
   diagnostic of implementation errors, not of the method.  With
   A = 1 + i dt H / (2 hbar), a step A^-1 (2 - A) psi is chi - psi, where
   (A/2) chi = psi.  A's eigenvalues have modulus >= 1, so |chi| <= 2 |psi|
@@ -29,7 +29,7 @@ Numerics:
   psi lives in level 0's vector, which the forward pass only reads, and
   level 0's back-substitution forms chi - psi there, so a step copies no
   state and allocates nothing: 10 numpy calls a level, one more at level 0
-  and 2 for the bottom block (93 at 10.1k-10.2k points), each given its output
+  and 2 for the bottom block (83 at 7.0k-7.1k points), each given its output
   positionally, and about five complex multiplications and five additions
   or subtractions per point in all.  It needs no pivoting: H is real symmetric, so A's Hermitian
   part is the identity.  Each level's matrix is a Schur complement S of A,
@@ -44,36 +44,44 @@ Numerics:
   of w_i |psi_i|^2 is a^H (T - K) a / 2, T and K the Toeplitz and Hankel
   matrices of C(p) = sum w_i cos(pi i p/(n+1)), so each is a weighted sum over
   one FFT of the modes.  A state that fills over 1/10 of the modes is stepped.
-- An open left end, a hard right wall.  The reflected packet leaves
-  through a discrete transparent boundary, exact for Crank-Nicolson on a
-  uniform lattice (A. Arnold, VLSI Design 6 (1998) 313; M. Ehrhardt &
-  A. Arnold, Riv. Mat. Univ. Parma (6) 4 (2001) 57).  With chi = psi^n+1 +
-  psi^n, the stepper's chi, the ghost site left of the grid is
-  chi_-1^n = sum_k=0..n s_k chi_0^n-k, where nu(z) = sum_k s_k z^-k is the
-  root with |nu| < 1 of nu + 1/nu = (kappa - d)/o, kappa = (1 - z)/(i lam
-  (1 + z)), lam = dt/2hbar, and d and o H's first row, diag[0] and off[0],
-  which are the lead's: the Z-transform in time of the lead's decaying
-  solution.  So row 0 of A/2 gains i lam o s_0/2 once, and each step moves
-  psi_0 by delta = -i lam o sum_k>=1 s_k chi_0^n-k / 2 before the solve and
-  again after it.  s_0 = nu(infinity), where (kappa - d)/o = (i/lam - d)/o
-  has a negative imaginary part (o < 0), so Im s_0 > 0: the term only adds
-  -lam o Im s_0 > 0 to the Hermitian part of A, and the reduction still
-  needs no pivoting.  The sum over the history is one einsum a step, of
-  the reversed kernel with the chi_0 so far, about 3 % of a run.  With H the
-  grid's matrix without the ghost, a step gives exactly
-  |psi^n+1|^2 - |psi^n|^2 = lam o Im(conj(chi_0) chi_-1) and
-  E^n+1 - E^n = lam o Im(conj((H chi)_0) chi_-1) (times dx), so the
-  probability and energy that have left are summed, and the norm and
-  energy checks read norm plus outflow and energy plus outflow.  The grid's
-  first two sites must lie in the lead, and nothing left of it at the start:
-  ``plan_run`` ends it eleven widths left of the launch point.  The right
-  wall keeps every transmitted particle on the grid for ``beyond_prob``;
-  the domain is sized so that nothing meaningful reaches it during the
-  run, density near it is monitored, and a violation raises instead of
-  quietly contaminating the interior.  ``monitor_walls=False`` runs and
-  sine-mode runs are closed boxes: hard walls at both ends, and a
-  monitored sine-mode run watches both.  The stepper's closed box is the
-  open end with o = 0 and a zero kernel.
+- Both ends open.  The reflected packet leaves on the left and the
+  transmitted one on the right through discrete transparent boundaries,
+  exact for Crank-Nicolson on a uniform lattice (A. Arnold, VLSI Design 6
+  (1998) 313; M. Ehrhardt & A. Arnold, Riv. Mat. Univ. Parma (6) 4 (2001)
+  57).  With chi = psi^n+1 + psi^n, the stepper's chi, the ghost site left
+  of the grid is chi_-1^n = sum_k=0..n s_k chi_0^n-k, where
+  nu(z) = sum_k s_k z^-k is the root with |nu| < 1 of nu + 1/nu =
+  (kappa - d)/o, kappa = (1 - z)/(i lam (1 + z)), lam = dt/2hbar, and d
+  and o H's first row, diag[0] and off[0], which are the lead's: the
+  Z-transform in time of the lead's decaying solution.  Both leads are the
+  stack's ``outside``, so the ghost site right of the grid is the same sum
+  over the last site's chi.  So rows 0 and n-1 of A/2 gain i lam o s_0/2
+  once, and each step moves psi_0 by
+  delta = -i lam o sum_k>=1 s_k chi_0^n-k / 2, and psi_n-1 by its own
+  history, before the solve and again after it.  s_0 = nu(infinity), where
+  (kappa - d)/o = (i/lam - d)/o has a negative imaginary part (o < 0), so
+  Im s_0 > 0: the term only adds -lam o Im s_0 > 0 to the Hermitian part of
+  A, and the reduction still needs no pivoting.  Both ends' sums over the
+  history are one einsum a step, of the reversed kernel with the (2, k) end
+  values so far.  With H the grid's matrix without the ghosts, a step gives
+  exactly |psi^n+1|^2 - |psi^n|^2 = lam o Im(conj(chi_0) chi_-1) and
+  E^n+1 - E^n = lam o Im(conj((H chi)_0) chi_-1) (times dx) at the left
+  end, and the mirror image at the right, so the probability and energy
+  that have left are summed, and the norm and energy checks read norm plus
+  outflow and energy plus outflow.  The grid's first two and last two
+  sites must lie in the leads; ``plan_run`` ends the grid eleven widths
+  left of the launch point, where nothing is at the start, and ten widths
+  right of the detector, where nearly nothing is by the time the centroid
+  crosses it.  ``beyond_prob`` counts what left on the right, so it is the
+  infinite lattice's; the centroid, of the part on the grid, is reported
+  only while that outflow is small (``PacketRecord``).
+- ``monitor_walls=False`` runs and sine-mode runs are closed boxes, hard
+  walls at both ends; the stepper's closed box is the open ends with o = 0
+  and a zero kernel.  A monitored sine-mode run's box reaches right to where
+  the free packet could get in the run (``_reach``), and on to a size its
+  FFTs take fast (``_smooth_size``); the probability past the grid counts
+  as right outflow, and the density near both of its walls is monitored: a
+  violation raises instead of quietly contaminating the interior.
 
 The delay observable is the crossing time of the *transmitted-portion
 centroid* (density restricted to beyond a separator on the far side of the
@@ -170,18 +178,21 @@ class WavePacket:
 class PacketRecord:
     """Time series recorded during one evolution.
 
-    ``beyond_prob`` is the probability beyond the separator ``x_sep`` and
-    ``centroid`` the mean position of that transmitted portion, reported
-    wherever ``beyond_prob`` > 1e-14 (nan elsewhere).  A sine-mode run drops
-    modes under 1e-13 of the largest, so below a tail of about 1e-7 its
-    centroid is not resolved: in ``sltime tdse``'s series it moved by up to
-    12 nm when only the box's left end moved.  The arrival rule
-    (``packet_delay``) reads only samples above 1e-4 of the last.
-    ``left_outflow`` is the probability that has
-    left through an open left end by the end of the run (0 in a closed
-    box).  ``norm_drift`` is the largest departure of norm plus outflow from
-    1 over the run, and ``energy_drift`` that of the final energy plus the
-    energy that left from the initial energy, relative to the latter.
+    ``beyond_prob`` is the probability beyond the separator ``x_sep``: on
+    the grid, plus what has left on the right so far, the infinite
+    lattice's value.  ``centroid`` is the mean position of the transmitted
+    portion on the grid, reported (nan elsewhere) where the arrival rule
+    (``packet_delay``) reads it, at samples whose ``beyond_prob`` exceeds
+    1e-4 of the last, and only while the right outflow, which it leaves
+    out, is below ``_RIGHT_FLOOR`` (1e-12).  Both producers keep this rule;
+    a sine-mode run, which drops modes under 1e-13 of the largest, could
+    not resolve the centroid of a tail below about 1e-7.  ``left_outflow``
+    and ``right_outflow`` are the probabilities that have left through the
+    open ends by the end of the run (0 in a closed box; what lies past the
+    grid in a sine-mode box).  ``norm_drift`` is the largest departure of
+    norm plus outflow from 1 over the run, and ``energy_drift`` that of the
+    final energy plus the energy that left from the initial energy,
+    relative to the latter.
     """
 
     times: np.ndarray
@@ -191,6 +202,7 @@ class PacketRecord:
     norm_drift: float
     energy_drift: float
     left_outflow: float
+    right_outflow: float
     psi_final: np.ndarray
 
     @property
@@ -364,12 +376,33 @@ def initial_state(grid: Grid1D, packet: WavePacket, outside: Layer) -> np.ndarra
     return psi
 
 
+def _circle(radius: float, size: int) -> np.ndarray:
+    """``size`` points radius e^(2 pi i m/size), m = 0 .. size - 1, in one array."""
+    z = np.arange(size, dtype=complex)
+    z *= 2j * math.pi / size
+    np.exp(z, out=z)
+    z *= radius
+    return z
+
+
 def _lead_nu(z: np.ndarray, d: float, o: float, lam: float) -> np.ndarray:
     """nu(z), the root with |nu| < 1 of nu + 1/nu = (kappa - d)/o, where
-    kappa = (1 - z)/(i lam (1 + z)): the lead's decaying Z-transformed solution."""
-    w = (0.5 / o) * ((1.0 - z) / (1j * lam * (1.0 + z)) - d)
-    root = np.sqrt(w * w - 1.0)
-    return 1.0 / (w + np.where((w.conj() * root).real >= 0.0, root, -root))  # 1 / the larger root
+    kappa = (1 - z)/(i lam (1 + z)): the lead's decaying Z-transformed solution.
+    Overwrites ``z`` with nu(z) and allocates one more array of its size."""
+    root = 1.0 + z
+    root *= 1j * lam
+    np.subtract(1.0, z, out=z)
+    z /= root
+    z -= d
+    z *= 0.5 / o  # w = (kappa - d)/2o
+    np.multiply(z, z, out=root)
+    root -= 1.0
+    np.sqrt(root, out=root)
+    flip = z.real * root.real
+    flip += z.imag * root.imag  # Re(conj(w) root): the larger root is w + root where >= 0
+    np.negative(root, out=root, where=flip < 0.0)
+    z += root
+    return np.divide(1.0, z, out=z)  # 1 / the larger root
 
 
 def _ghost_kernel(d: float, o: float, lam: float, n_steps: int) -> np.ndarray:
@@ -379,112 +412,142 @@ def _ghost_kernel(d: float, o: float, lam: float, n_steps: int) -> np.ndarray:
     for k < M, M a power of two >= 4 (n_steps + 1) and >= 1024, so aliasing
     adds 1e-10 of a far smaller s_k+M and rounding grows by at most rho^(M/4).
     Raises NumericError unless s_0 .. s_M/4-1 give nu back on |z| = 1.3 to
-    1e-12; those 256 or more terms leave a truncation below 1.3^-256."""
+    1e-12; those 256 or more terms leave a truncation below 1.3^-256.  nu is
+    evaluated in place, so a call holds about three arrays of M complex at once."""
     from numpy import fft
 
     size = max(1024, 1 << (4 * n_steps + 3).bit_length())
     rho, k = 1e10 ** (1.0 / size), np.arange(size // 4)
-    s = fft.ifft(_lead_nu(rho * np.exp(2j * math.pi / size * np.arange(size)), d, o, lam))
-    s = s[:k.size] * rho**k
-    gap = np.abs(fft.fft(s * 1.3**-k) - _lead_nu(1.3 * np.exp(2j * math.pi / k.size * k),
-                                                  d, o, lam)).max()
+    s = fft.ifft(_lead_nu(_circle(rho, size), d, o, lam))[:k.size] * rho**k
+    gap = np.abs(fft.fft(s * 1.3**-k) - _lead_nu(_circle(1.3, k.size), d, o, lam)).max()
     require(gap <= 1e-12, NumericError,
             "the open boundary's kernel misses nu(z) on |z| = 1.3 by {gap:.2e}", gap=gap)
     return s[:n_steps + 1]
 
 
-def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None) -> tuple[np.ndarray, np.ndarray]:
-    """Steps ``psi`` in place; per record, |psi|^2 summed everywhere, beyond index ``j``,
-    its first moment there and over the heavier five-point wall strip, and the
-    probability and energy that have left through an open left end; and the
-    final psi.  ``lead`` = (o, s), the lead's off-diagonal and ``_ghost_kernel``,
-    opens the left end (module notes), and the strip is the right wall's alone;
-    without it o = 0 and s = 0, the closed box, whose strip covers both walls.
-    Step k's history sum_m<k s_k-m chi_0 of step m is one einsum of the
-    reversed kernel with the chi_0 so far, not BLAS, as the first moment is:
-    OpenBLAS runs a zdotu of over 10000 elements on two threads, whose
-    spinning cost an 11788-step run a quarter more CPU time."""
+def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None):
+    """Steps ``psi`` in place.  Returns, per record, |psi|^2 summed everywhere and
+    beyond index ``j``, its first moment there and the probability that has left
+    through the open left and right ends; the final psi; its energy plus the
+    energy that left; and None, as no wall is watched.  ``lead`` = (o, s), the
+    lead's off-diagonal and ``_ghost_kernel``, opens both ends (module notes);
+    without it o = 0 and s = 0, the closed box.  Step k's histories
+    sum_m<k s_k-m chi of step m, at the first and the last site, are one einsum
+    of the reversed kernel with the (2, k) end values so far, not BLAS, as the
+    first moment is: OpenBLAS runs a zdotu of over 10000 elements on two
+    threads, whose spinning cost an 11788-step run a quarter more CPU time."""
     o, s = lead or (0.0, np.zeros(n_rec))
     a_diag = 0.5 + 0.5j * lam * diag
-    a_diag[0] += 0.5j * lam * o * s[0]
+    a_diag[[0, -1]] += 0.5j * lam * o * s[0]
     half_a = _CyclicReduction(0.5j * lam * off, a_diag, 0.5j * lam * off)
     state = half_a.psi
     np.copyto(state, psi)
-    n, c, back = n_rec - 1, 0.5j * lam * o, s[:0:-1]  # back[n - k:] = s_k .. s_1
-    chi0, rests, edge = np.zeros(n, complex), np.zeros(n, complex), np.empty(n_rec, complex)
-    edge[0] = psi[1]  # psi_1 per record
+    n, c, back, last = n_rec - 1, 0.5j * lam * o, s[:0:-1], psi.size - 1  # back[n-k:]: s_k .. s_1
+    chi, rests = np.zeros((2, n), complex), np.zeros((2, n), complex)  # at sites 0 and last
+    edge = np.empty((2, n_rec), complex)  # psi at the sites next to them, per record
+    edge[:, 0] = psi[1], psi[last - 1]
     re, im, dens, im2 = state.real, state.imag, np.empty(psi.size), np.empty(psi.size)
-    x_tail, tail, head, foot = x[j:], dens[j:], dens[:0 if lead else 5], dens[-5:]
+    x_tail, tail = x[j:], dens[j:]
     square, add, total, einsum = np.square, np.add, np.add.reduce, np.einsum
-    sums = np.zeros((6, n_rec))
+    sums = np.zeros((5, n_rec))
     for i in range(n_rec):
-        if i:  # step k: psi_0 moves by -c rest before the solve and again after it
+        if i:  # step k: each end moves by -c rest before the solve and again after it
             k = i - 1
-            rest = einsum("i,i->", back[n - k:], chi0[:k])
-            p0, move = state.item(0), c * rest  # a closed box's move is +0, which changes no bit
-            state[0] = p0 - move
+            einsum("i,ji->j", back[n - k:], chi[:, :k], out=rests[:, k])
+            left, right = c * rests.item(k), c * rests.item(n + k)  # a closed box's are +0
+            p0, p1 = state.item(0), state.item(last)
+            state[0], state[last] = p0 - left, p1 - right
             half_a.step()
-            q0 = state.item(0) - move
-            state[0] = q0
-            chi0[k], rests[k], edge[i] = q0 + p0, rest, state.item(1)
+            q0, q1 = state.item(0) - left, state.item(last) - right
+            state[0], state[last] = q0, q1
+            chi[0, k], chi[1, k] = q0 + p0, q1 + p1
+            edge[0, i], edge[1, i] = state.item(1), state.item(last - 1)
         square(re, dens)
         square(im, im2)
         add(dens, im2, dens)
         moment = einsum("i,i->", x_tail, tail)  # not BLAS, which threads long dots
-        sums[:4, i] = total(dens), total(tail), moment, max(total(head), total(foot))
+        sums[:3, i] = total(dens), total(tail), moment
     # the balances of the module notes, step by step, summed from +0 so a closed box reads +0
-    ghost = (s[0] * chi0 + rests).conj()
-    sums[4, 1:] = (chi0 * ghost).imag
-    sums[5, 1:] = ((diag[0] * chi0 + off[0] * (edge[1:] + edge[:-1])) * ghost).imag
-    np.cumsum(sums[4:], axis=1, out=sums[4:])
-    sums[4:] *= lam * o
+    ghost = (s[0] * chi + rests).conj()
+    sums[3:, 1:] = (chi * ghost).imag
+    np.cumsum(sums[3:], axis=1, out=sums[3:])
+    sums[3:] *= lam * o
+    h_chi = diag[[0, -1], None] * chi + off[[0, -1], None] * (edge[:, 1:] + edge[:, :-1])
+    energy = (np.vdot(state, _apply_h(diag, off, state)).real
+              + lam * o * np.sum((h_chi * ghost).imag))
     np.copyto(psi, state)
-    return sums, psi
+    return sums, psi, energy, None
 
+
+#: a centroid is reported only while the right outflow is below this (``PacketRecord``)
+_RIGHT_FLOOR = 1e-12
 
 #: modes under _MODE_FLOOR of the largest are dropped; over n/_MODE_COST kept, steps are cheaper
 _MODE_FLOOR, _MODE_COST = 1e-13, 10
 
 
-def _uniform_sums(d, o, lam, psi, x, j, n_rec) -> tuple[np.ndarray, np.ndarray] | None:
+def _smooth_size(n: int) -> int:
+    """The least m >= n for which m + 1 has no prime factor above 5.  The sine
+    modes' real FFTs have length 2m + 2, and numpy's FFT takes a length with a
+    large prime factor (a 10150-site box has m + 1 = 10151, a prime) through
+    Bluestein's algorithm, at twice the time and a few MB more memory."""
+    m = n - 1
+    while True:
+        m += 1
+        k = m + 1
+        for p in (2, 3, 5):
+            while k % p == 0:
+                k //= p
+        if k == 1:
+            return m
+
+
+def _uniform_sums(d, o, lam, psi, x, j, n_rec, m):
     """``_stepped_sums`` of a uniform medium, H = tridiag(o, d, o), in its sine
-    modes (module notes), between two walls, so nothing flows out; None where
-    they would cost more than the steps."""
+    modes (module notes) on a closed box of m >= psi.size sites: the grid's,
+    then m - psi.size more of its lattice right of it, where psi starts at 0.
+    Nothing leaves through the left wall, and the probability on the sites
+    past the grid counts as right outflow.  Its fourth item is the density
+    within five cells of the box's two walls, per record; None where the
+    modes would cost more than the steps."""
     from numpy import fft
 
     n = psi.size
-    odd = lambda v: fft.rfft(np.concatenate(([0.0], v, [0.0], -v[::-1]))).imag[1:n + 1]
+    odd = lambda v: fft.rfft(np.concatenate(([0.0], v, [0.0], -v[::-1]))).imag[1:m + 1]
     dst = lambda v: -0.5 * (odd(v.real) + 1j * odd(v.imag))  # sum_i v_i sin(pi i m/(n+1))
-    coef = dst(psi)
+    coef = dst(np.concatenate((psi, np.zeros(m - n))))
     kept = np.flatnonzero(~(np.abs(coef) <= _MODE_FLOOR * np.abs(coef).max()))  # NaN: all, so steps
     lo, size = int(kept[0]), int(kept[-1]) + 1 - int(kept[0])
-    if size * _MODE_COST > n:
+    if size * _MODE_COST > m:
         return None
-    a, m = coef[lo:lo + size] * (2.0 / (n + 1)), np.arange(lo + 1, lo + size + 1)
-    phase = 2.0 * np.arctan(lam * (d + 2.0 * o * np.cos(math.pi / (n + 1) * m)))
+    a, k = coef[lo:lo + size] * (2.0 / (m + 1)), np.arange(lo + 1, lo + size + 1)
+    phase = 2.0 * np.arctan(lam * (d + 2.0 * o * np.cos(math.pi / (m + 1) * k)))
     # the FFT length: the least 2^k, 3 2^k or 5 2^k that holds T's and K's 2M - 1
     span = min(f << (-(-(2 * size - 1) // f) - 1).bit_length() for f in (1, 3, 5))
     r = np.arange(span)
-    p = np.concatenate((np.minimum(r, span - r), 2 * lo + 2 + r)) % (2 * n + 2)  # T, K
-    w = np.zeros((2, 2 * n + 2))  # the weights 1 and x on the tail, i = j+1 .. n
-    w[0, j + 1:n + 1], w[1, j + 1:n + 1] = 1.0, x[j:]
-    strips = np.cos(math.pi / (n + 1) * np.multiply.outer(np.r_[1:6, n - 4:n + 1], p))
-    c = np.concatenate((fft.rfft(w)[:, np.minimum(p, 2 * n + 2 - p)].real,  # C(2n+2-p) = C(p)
-                        strips.reshape(2, 5, -1).sum(axis=1)))
+    p = np.concatenate((np.minimum(r, span - r), 2 * lo + 2 + r)) % (2 * m + 2)  # T, K
+    w = np.zeros((3, 2 * m + 2))  # the weights 1 and x on the tail, i = j+1 .. n, and 1 past it
+    w[0, j + 1:n + 1], w[1, j + 1:n + 1], w[2, n + 1:m + 1] = 1.0, x[j:], 1.0
+    walls = np.cos(math.pi / (m + 1) * np.multiply.outer(np.r_[1:6, m - 4:m + 1], p)).sum(axis=0)
+    c = np.vstack((fft.rfft(w)[:, np.minimum(p, 2 * m + 2 - p)].real, walls))  # C(2m+2-p) = C(p)
     hats = fft.fft(c.reshape(4, 2, span))
     t_hat, k_hat = hats[:, 0].real * (0.5 / span), np.ascontiguousarray(hats[:, 1] * (-0.5 / span))
     block = max(1, 8192 // span)  # records a pass: arrays of at most 8192 complex
     advance = np.exp(-1j * np.outer(np.arange(block), phase))
     sums = np.empty((5, n_rec))
-    sums[0] = 0.5 * (n + 1) * np.sum(a.real**2 + a.imag**2)
-    for k in range(0, n_rec, block):
-        f = fft.fft(advance[:n_rec - k] * (a * np.exp(-1j * k * phase)), span)
+    sums[0] = 0.5 * (m + 1) * np.sum(a.real**2 + a.imag**2)
+    for i in range(0, n_rec, block):
+        f = fft.fft(advance[:n_rec - i] * (a * np.exp(-1j * i * phase)), span)
         pair = f * np.roll(f[:, ::-1], 1, axis=1).conj()  # f(q) f(-q)*
-        sums[1:, k:k + len(f)] = (np.einsum("kq,wq->wk", f.real**2 + f.imag**2, t_hat)
+        sums[1:, i:i + len(f)] = (np.einsum("kq,wq->wk", f.real**2 + f.imag**2, t_hat)
                                   + np.einsum("kq,wq->wk", pair.view(float), k_hat.view(float)))
     coef[:] = 0.0
     coef[lo:lo + size] = a * np.exp(-1j * (n_rec - 1) * phase)
-    return np.vstack((sums[:3], np.maximum(sums[3], sums[4]), np.zeros((2, n_rec)))), dst(coef)
+    box = dst(coef)
+    energy = np.vdot(box, _apply_h(np.full(m, d), np.full(m - 1, o), box)).real
+    past = sums[3]
+    return (np.vstack((sums[0] - past, sums[1:3], np.zeros(n_rec), past)), box[:n], energy,
+            sums[4])
 
 
 def evolve(
@@ -499,25 +562,28 @@ def evolve(
 
     The steps, or a uniform medium's sine modes, give each record's norm,
     probability beyond ``x_sep`` (``plan_run`` places it), its first moment
-    and the density within five cells of either wall.  A monitored stepped
-    run (``monitor_walls``, the default) has an open left end, the discrete
-    transparent boundary of the module notes, and records the probability
-    and energy that leave through it; its grid's first two sites must lie in
-    the left lead, left of -w/2 (else ValidationError before any step), so
-    that H's first row is the lead's d and o, and only its right wall is a
-    wall.  Sine-mode runs keep both walls.  Then each check runs once over
-    its series, naming the first failing step: a jump of norm plus
-    outflow above 1e-6 in one step (a NaN state fails at t = 0), then wall
-    density above 1e-10 -- either means the run geometry, not the physics,
-    produced the numbers.  So a failing run raises only after its last
-    step; ``plan_run`` sizes domains so that only misconfigured runs do.
+    and the probability that has left through either end.  A monitored
+    stepped run (``monitor_walls``, the default) has both ends open, the
+    discrete transparent boundaries of the module notes, and records the
+    probability and energy that leave through them; its grid's first two
+    sites must lie in the left lead, left of -w/2, and its last two in the
+    right lead, right of w/2 (else ValidationError before any step), so that
+    H's first and last rows are the lead's d and o.  A monitored sine-mode
+    run keeps a closed box that reaches right to ``_reach`` of the run, or
+    to the grid's end if that lies further (module notes), and watches the
+    density within five cells of its walls.  Then each check runs once over
+    its series, naming the first failing step: a jump of norm plus outflow
+    above 1e-6 in one step (a NaN state fails at t = 0), then wall density
+    above 1e-10 -- either means the run geometry, not the physics, produced
+    the numbers.  So a failing run raises only after its last step.
     ``norm_drift`` and ``energy_drift`` are drifts of the totals, inside
     plus outflow.
 
     ``psi0`` overrides the initial state (used by the stationary-state
     self-test); it is normalized on entry.  ``monitor_walls=False`` keeps
-    the closed box with two hard walls and turns the wall check off, for
-    closed-box problems whose states legitimately live against the walls.
+    the closed box of the grid with two hard walls and turns the wall check
+    off, for closed-box problems whose states legitimately live against the
+    walls.
     """
     x = grid.x
     if not (x[0] < x_sep < x[-1]):
@@ -541,37 +607,47 @@ def evolve(
 
     n_rec = grid.n_steps + 1
     times = grid.dt * np.arange(n_rec)
-    uniform = np.all(diag == diag[0]) and np.all(off == off[0])
-    produced = _uniform_sums(diag[0], off[0], lam, psi, x, j, n_rec) if uniform else None
+    produced = None
+    if np.all(diag == diag[0]) and np.all(off == off[0]):  # a uniform medium
+        box = x.size
+        if monitor_walls:
+            end = _reach(packet, stack.outside, grid.t_final)
+            box = _smooth_size(max(box, math.ceil((end - x[0]) / grid.dx) + 1))
+        produced = _uniform_sums(diag[0], off[0], lam, psi, x, j, n_rec, box)
     lead = None
     if produced is None and monitor_walls:
-        if not x[1] < -0.5 * stack.width:  # so H's first row is the lead's
+        face = 0.5 * stack.width
+        if not x[1] < -face:  # so H's first row is the lead's
             raise ValidationError(f"the open left end at {x[0]} nm and its next site must lie in "
-                                  f"the lead, left of the stack's face at {-0.5 * stack.width} nm")
+                                  f"the lead, left of the stack's face at {-face} nm")
+        if not x[-2] > face:  # and its last row
+            raise ValidationError(f"the open right end at {x[-1]} nm and its previous site must "
+                                  f"lie in the lead, right of the stack's face at {face} nm")
         lead = off[0], _ghost_kernel(diag[0], off[0], lam, grid.n_steps)
-    sums, psi = produced or _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead)
-    norm, beyond, moment, wall, out, e_out = grid.dx * sums
-    total = norm + out
+    sums, psi, energy, wall = produced or _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead)
+    norm, beyond, moment, left, right = grid.dx * sums
+    total = norm + left + right
     jump = np.abs(np.diff(total, prepend=1.0))
     require(jump <= 1e-6, NumericError,
             "norm jumped by {jump:.2e} in one step at t = {t:.1f} fs", jump=jump, t=times)
-    if monitor_walls:
-        require(wall <= 1e-10, NumericError,
+    if monitor_walls and wall is not None:
+        require(grid.dx * wall <= 1e-10, NumericError,
                 "density {wall:.2e} reached a domain wall at t = {t:.1f} fs; "
-                "enlarge the domain or shorten the run", wall=wall, t=times)
+                "enlarge the domain or shorten the run", wall=grid.dx * wall, t=times)
+    beyond_prob = beyond + right
     with np.errstate(divide="ignore", invalid="ignore"):
-        centroid = np.where(beyond > 1e-14, moment / beyond, math.nan)
+        shown = (beyond_prob > 1e-4 * beyond_prob[-1]) & (right < _RIGHT_FLOOR)
+        centroid = np.where(shown, moment / beyond, math.nan)
 
-    e_end = grid.dx * float(np.real(np.vdot(psi, _apply_h(diag, off, psi))))
-    energy_drift = float(abs(e_end + e_out[-1] - e_start) / max(abs(e_start), 1e-30))
     return PacketRecord(
         times=times,
-        beyond_prob=beyond,
+        beyond_prob=beyond_prob,
         centroid=centroid,
         x_sep=x_sep,
         norm_drift=float(np.max(np.abs(total - 1.0))),
-        energy_drift=energy_drift,
-        left_outflow=float(out[-1]),
+        energy_drift=float(abs(grid.dx * energy - e_start) / max(abs(e_start), 1e-30)),
+        left_outflow=float(left[-1]),
+        right_outflow=float(right[-1]),
         psi_final=psi,
     )
 
@@ -639,6 +715,24 @@ def _arrival(times: np.ndarray, centroid: np.ndarray, prob: np.ndarray, x_d: flo
     return float(times[i] + frac * (times[i + 1] - times[i]))
 
 
+def _free_width(sigma_x: float, outside: Layer, t: float) -> float:
+    """The width of a free Gaussian packet of initial width ``sigma_x`` after ``t`` fs."""
+    alpha = CONSTANTS.hbar2_over_2m0 / outside.mass_ratio
+    return sigma_x * math.hypot(1.0, alpha * t / (CONSTANTS.hbar * sigma_x**2))
+
+
+def _reach(packet: WavePacket, outside: Layer, t_final: float) -> float:
+    """Where a closed box's right wall sits for a run of ``t_final`` fs: the free
+    packet's centre at the end, plus ten of its dispersed widths then, so that a
+    1e-10 wall monitor keeps a 10-sigma margin."""
+    v0 = CONSTANTS.velocity(packet.k0(outside), outside.mass_ratio)
+    return packet.x0 + v0 * t_final + 10.0 * _free_width(packet.sigma_x, outside, t_final)
+
+
+#: the open right end sits this many free widths past the detector (``plan_run``)
+_RIGHT_WIDTHS = 10.0
+
+
 def plan_run(
     stack: StackSpec,
     E0: float,
@@ -651,19 +745,21 @@ def plan_run(
 
     Returns (grid, packet, x_sep, x_d).  The separator sits one grid cell
     past the stack's right face, the packet starts ten widths left of the
-    stack, and the detector sits six widths past it.  The right wall sits
-    the run's reach plus ten dispersed widths right of x0, so that the
-    transmitted packet cannot reach it within the run.  The left end is
-    open (``evolve``): the reflected packet leaves through it, and it sits
-    at the last lattice point at or left of x0 - 11 sigma.  There the launch
+    stack, and the detector sits six widths past it.  The run lasts 1.5
+    free travel times to 6 widths past the detector.  Both ends are open
+    (``evolve``).  The reflected packet leaves through the left end, the
+    last lattice point at or left of x0 - 11 sigma.  There the launch
     packet's amplitude, e^-121/4 = 7e-14 of its peak, is below the sine
     modes' floor, so a uniform medium's run (``free_reference``) keeps the
-    few modes it has in a longer box; at ten widths (1.4e-11) it would fill
-    over a tenth of them and be stepped.  The lattice is the one the closed
-    box had, whose left wall sat where the right wall's mirror image about
+    few modes it has; at ten widths (1.4e-11) it would fill over a tenth of
+    them and be stepped.  The transmitted packet leaves through the right
+    end, the first lattice point at or right of x_d + 10 sigma_f, with
+    sigma_f the free packet's width after that travel time; the centroid is
+    needed only up to its crossing of x_d, when nearly nothing has reached
+    it.  The lattice is the one the closed box had, whose right wall sat at
+    ``_reach`` of the run and whose left wall sat at its mirror image about
     x0 moved right by twice -w/2 - x0 in whole cells, so the sites keep
-    their place against the layer interfaces, and a closed run on that
-    longer lattice is the open run's reference.  ``extra_time`` (fs, >= 0)
+    their place against the layer interfaces.  ``extra_time`` (fs, >= 0)
     only lengthens the run, for slow, resonance-trapped transmission; dt
     may be no longer than the run.
     """
@@ -672,27 +768,22 @@ def plan_run(
                               f"{dx}, {dt}, {extra_time}")
     half_w = 0.5 * stack.width
     packet = WavePacket(x0=-(half_w + 10.0 * sigma_x), E0=E0, sigma_x=sigma_x)
-    k0 = packet.k0(stack.outside)
-    v0 = CONSTANTS.velocity(k0, stack.outside.mass_ratio)
+    v0 = CONSTANTS.velocity(packet.k0(stack.outside), stack.outside.mass_ratio)
     x_d = half_w + 6.0 * sigma_x
     travel = (x_d - packet.x0 + 6.0 * sigma_x) / v0
     t_final = 1.5 * travel + extra_time
     if not dt <= t_final:
         raise ValidationError(f"need dt <= the planned run's {t_final:.6g} fs, got {dt}")
-    n_steps = int(math.ceil(t_final / dt))
-    reach = v0 * t_final
-    # the packet broadens while it travels; pad with the dispersed width so
-    # the 1e-10 wall monitor keeps a 10-sigma margin at the end of the run
-    alpha = CONSTANTS.hbar2_over_2m0 / stack.outside.mass_ratio
-    sigma_final = sigma_x * math.hypot(1.0, alpha * t_final / (CONSTANTS.hbar * sigma_x**2))
-    pad = 10.0 * sigma_final
-    closed = packet.x0 - reach - pad + dx * math.floor(2.0 * (-half_w - packet.x0) / dx)
+    closed = (2.0 * packet.x0 - _reach(packet, stack.outside, t_final)
+              + dx * math.floor(2.0 * (-half_w - packet.x0) / dx))
+    x_min = closed + dx * math.floor((packet.x0 - 11.0 * sigma_x - closed) / dx)
+    x_right = x_d + _RIGHT_WIDTHS * _free_width(sigma_x, stack.outside, 1.5 * travel)
     grid = Grid1D(
-        x_min=closed + dx * math.floor((packet.x0 - 11.0 * sigma_x - closed) / dx),
-        x_max=packet.x0 + reach + pad,
+        x_min=x_min,
+        x_max=x_min + dx * math.ceil((x_right - x_min) / dx),
         dx=dx,
         dt=dt,
-        n_steps=n_steps,
+        n_steps=int(math.ceil(t_final / dt)),
     )
     return grid, packet, half_w + dx, x_d
 

@@ -76,12 +76,16 @@ def stepping():
 
 
 def closed_grid(stack: StackSpec, grid: Grid1D, packet: WavePacket) -> Grid1D:
-    """The closed box an open ``plan_run`` grid is cut from: the left wall at
-    the right wall's mirror image about x0, moved right by twice -w/2 - x0
-    in whole cells, so that the reflected packet could not reach it."""
-    turn = grid.dx * math.floor(2.0 * (-0.5 * stack.width - packet.x0) / grid.dx)
-    return Grid1D(2.0 * packet.x0 - grid.x_max + turn, grid.x_max, grid.dx, grid.dt,
-                  grid.n_steps)
+    """The closed box an open ``plan_run`` grid is cut from, on its lattice: the
+    right wall at the first point at or right of ``tdse._reach`` of the run,
+    where a uniform medium's sine-mode box ends too, and the left wall nearest
+    that wall's mirror image about x0, moved right by twice -w/2 - x0, so that
+    neither the transmitted nor the reflected packet could reach a wall."""
+    right = sltime.tdse._reach(packet, stack.outside, grid.t_final)
+    mirror = 2.0 * packet.x0 - right + 2.0 * (-0.5 * stack.width - packet.x0)
+    return Grid1D(grid.x_min - grid.dx * round((grid.x_min - mirror) / grid.dx),
+                  grid.x_min + grid.dx * math.ceil((right - grid.x_min) / grid.dx),
+                  grid.dx, grid.dt, grid.n_steps)
 
 
 # --- fixtures ----------------------------------------------------------------

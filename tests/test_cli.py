@@ -392,16 +392,19 @@ def test_non_finite_flag_exits_3_before_anything_is_written(argv, capsys, tmp_pa
 @pytest.mark.parametrize("argv, message", [
     ("tdse --stack {stack} --E0 58.5 --extra-time -1000 -o {out}", "0 <= extra_time"),
     ("tdse --stack {stack} --E0 58.5 --extra-time -2500 -o {out}", "0 <= extra_time"),
-    ("tdse --stack {stack} --E0 58.5 --x-detector 1e6 -o {out}", "right wall"),
+    ("tdse --stack {stack} --E0 58.5 --x-detector 1e6 -o {out}", "planned detector"),
+    ("tdse --stack {stack} --E0 58.5 --x-detector 384 -o {out}", "planned detector at 383.75"),
     ("tdse --stack {stack} --E0 58.5 --sigma-x 1.5 -o {out}", "use a wider packet"),
     ("reproduce --figure 9 --sigma-x 1.5 --outdir {out}", "use a wider packet"),
     ("tdse --stack {stack} --E0 58.5 --sigma-x 30 --dx 1 --dt 30000 -o {out}", "need dt <="),
 ], ids=["extra-time-negative", "extra-time-very-negative", "detector-outside-domain",
-        "spectrum-reaches-k0", "fig9-spectrum-reaches-k0", "dt-longer-than-run"])
+        "detector-beyond-plan", "spectrum-reaches-k0", "fig9-spectrum-reaches-k0",
+        "dt-longer-than-run"])
 def test_bad_packet_input_is_refused_before_any_run(argv, message, monkeypatch, capsys,
                                                     tmp_path):
-    """A negative --extra-time, a detector past the planned domain's right
-    wall, a packet whose spectrum reaches k <= 0 and a time step longer than
+    """A negative --extra-time, a detector past the planned one (the grid
+    ends ten widths beyond it, so a centroid further right could not be
+    read), a packet whose spectrum reaches k <= 0 and a time step longer than
     the planned run are bad input: refused while planning, before a packet
     runs or a file is written."""
     def no_run(*args, **kwargs):

@@ -123,9 +123,10 @@ def stepped_runs(monkeypatch):
 ])
 def test_uniform_medium_modes_match_the_stepper(stepped_runs, name, E0, extra_time, beyond_tol):
     """The free references of the campaign's dressed and bare 58.5 meV plans
-    and of its long bare plan, solved in sine modes, against the same runs
-    stepped: arrival, tail probability, the centroid wherever the arrival
-    rule reads it, the final state and the norm."""
+    and of its long bare plan, solved in sine modes on the closed box that
+    reaches past the grid, against the same runs stepped with both ends open:
+    arrival, tail probability, the samples where a centroid is reported and
+    its value there, the final state, the norm and what left on the right."""
     stack = load_stack(ROOT / "stacks" / f"{name}.json")
     grid, packet, x_sep, x_d = plan_run(stack, E0, sigma_x=90.0, dx=0.5, dt=2.0,
                                         extra_time=extra_time)
@@ -138,37 +139,98 @@ def test_uniform_medium_modes_match_the_stepper(stepped_runs, name, E0, extra_ti
     arrivals = [_arrival(r.times, r.centroid, r.beyond_prob, x_d) for r in (exact, stepped)]
     assert abs(arrivals[0] - arrivals[1]) < 1e-9
     assert np.abs(exact.beyond_prob - stepped.beyond_prob).max() < beyond_tol
-    read = stepped.beyond_prob > 1e-4 * stepped.beyond_prob[-1]
-    assert np.abs(exact.centroid - stepped.centroid)[read].max() < 1e-6
+    shown = np.isfinite(stepped.centroid)
+    assert np.array_equal(np.isfinite(exact.centroid), shown)
+    assert np.abs(exact.centroid - stepped.centroid)[shown].max() < 1e-6
     assert np.abs(exact.psi_final - stepped.psi_final).max() < 1e-10
     assert exact.norm_drift < 1e-12
+    assert abs(exact.right_outflow - stepped.right_outflow) < beyond_tol
+    assert exact.right_outflow > 0.99  # the free packet has left the grid by the end
+
+
+@pytest.mark.parametrize("name, E0, extra_time, sigma_x, dx, dt", [
+    ("rep5_arc", 58.5, 0.0, 90.0, 0.5, 2.0),
+    ("rep5", 55.857914341103672, 8000.0, 90.0, 0.5, 2.0),
+    ("rep5", 58.5, 0.0, 60.0, 0.25, 1.0),  # ``sltime tdse``'s default plan
+])
+def test_free_reference_on_the_plan_grid_matches_the_full_closed_box(stepped_runs, name, E0,
+                                                                     extra_time, sigma_x, dx, dt):
+    """The free reference on ``plan_run``'s grid, whose right end lies ten
+    widths past the detector, is solved in sine modes on a closed box that
+    reaches to ``tdse._reach``, as the full closed box (``closed_grid``) does:
+    the two agree on the arrival to 1e-9 fs, on ``beyond_prob`` (inside plus
+    what left the grid) to 1e-12 and on the final state on the grid to
+    1e-10, and wherever the plan's run reports a centroid, on it to 1e-6 nm.
+    It reports one at every sample the full box does up to the crossing,
+    and none once more than 1e-12 has left the grid."""
+    stack = load_stack(ROOT / "stacks" / f"{name}.json")
+    grid, packet, x_sep, x_d = plan_run(stack, E0, sigma_x=sigma_x, dx=dx, dt=dt,
+                                        extra_time=extra_time)
+    free = free_reference(stack)
+    full = closed_grid(stack, grid, packet)
+    cut, whole = evolve(free, grid, packet, x_sep), evolve(free, full, packet, x_sep,
+                                                           monitor_walls=False)
+    assert not stepped_runs
+    arrivals = [_arrival(r.times, r.centroid, r.beyond_prob, x_d) for r in (cut, whole)]
+    assert abs(arrivals[0] - arrivals[1]) <= 1e-9
+    assert np.abs(cut.beyond_prob - whole.beyond_prob).max() <= 1e-12
+    cells = round((grid.x_min - full.x_min) / dx)
+    assert np.abs(cut.psi_final - whole.psi_final[cells:cells + grid.n_points]).max() <= 1e-10
+    shown = np.isfinite(cut.centroid)
+    crossed = np.flatnonzero(whole.centroid > x_d)[0]
+    assert np.array_equal(shown[:crossed + 2], np.isfinite(whole.centroid[:crossed + 2]))
+    assert np.abs(cut.centroid - whole.centroid)[shown].max() <= 1e-6
+    assert not shown[-1] and cut.right_outflow > 0.99 and cut.left_outflow == 0.0
+    assert cut.norm_drift <= 1e-12 and cut.energy_drift <= 1e-12
 
 
 @settings(max_examples=25)
 @given(st.floats(0.04, 0.15), st.floats(-50.0, 50.0), st.floats(300.0, 900.0),
        st.floats(0.2, 1.0), st.floats(0.2, 3.0), st.integers(1, 150), st.floats(10.0, 80.0),
-       st.floats(-0.6, 0.6), st.floats(1.0, 100.0), st.floats(0.0, 1.0))
+       st.floats(-0.6, 0.6), st.floats(1.0, 100.0), st.floats(0.0, 1.0), st.integers(0, 400))
 def test_uniform_medium_sums_equal_the_stepped_sums(mass, V, half, dx, dt, n_steps, sigma,
-                                                    launch, e_kin, sep):
+                                                    launch, e_kin, sep, past):
     """Both producers' raw per-record sums on random uniform media, packets
     and separators: norm, tail probability, its first moment (relative to
-    the largest |x|), the heavier wall strip and the two outflows, which are
-    0 in both.  The sine modes solve the closed box, so the reference is the
-    closed stepper (no ``lead``)."""
+    the largest |x|), the two outflows, which are 0 in both, and the density
+    within five cells of the walls, and the final state and energy.  The
+    sine modes solve the closed box, so the reference is the closed stepper
+    (no ``lead``), whose tails beyond the wall strips give their density.
+    On a box ``past`` sites longer than the grid, what the modes count as
+    right outflow is the closed stepper's share of the longer box past the
+    grid."""
     lead = Layer(5.0, V, mass)
     stack = StackSpec(core=CellSpec((Layer(10.0, V, mass),)), replicas=1, outside=lead)
     grid = Grid1D(x_min=-half, x_max=half, dx=dx, dt=dt, n_steps=n_steps)
     psi = initial_state(grid, WavePacket(launch * half, V + e_kin, sigma), lead)
     x = grid.x
-    j = 1 + round(sep * (x.size - 3))
+    n = x.size
+    j = 1 + round(sep * (n - 3))
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 0.5 * dt / CONSTANTS.hbar
-    modes = tdse._uniform_sums(diag[0], off[0], lam, psi.copy(), x, j, n_steps + 1)
+    modes = tdse._uniform_sums(diag[0], off[0], lam, psi.copy(), x, j, n_steps + 1, n)
     assume(modes is not None)
     steps = tdse._stepped_sums(diag, off, lam, psi.copy(), x, j, n_steps + 1)
     gap = grid.dx * np.abs(modes[0] - steps[0]).max(axis=1)
-    assert np.all(gap <= [1e-12, 1e-12, 1e-12 * half, 1e-14, 0.0, 0.0])  # the wall gate is 1e-10
+    assert np.all(gap <= [1e-12, 1e-12, 1e-12 * half, 0.0, 0.0])
     assert np.abs(modes[1] - steps[1]).max() <= 1e-12
+    assert abs(modes[2] - steps[2]) <= 1e-12 * max(abs(steps[2]), 1e-30)
+    walls = [tdse._stepped_sums(diag, off, lam, psi.copy(), x, i, n_steps + 1)[0][:2]
+             for i in (5, n - 5)]  # the tails beyond site 4 and beyond site n-6
+    walls = walls[0][0] - walls[0][1] + walls[1][1]  # the five sites at either end
+    assert grid.dx * np.abs(modes[3] - walls).max() <= 1e-14  # the wall gate is 1e-10
+    # the same run on a box that reaches past the grid
+    box = n + past
+    longer = tdse._uniform_sums(diag[0], off[0], lam, psi.copy(), x, j, n_steps + 1, box)
+    assume(longer is not None)
+    wide = np.full(box, diag[0]), np.full(box - 1, off[0])
+    steps = tdse._stepped_sums(*wide, lam, np.r_[psi, np.zeros(past)],
+                               x[0] + grid.dx * np.arange(box), j, n_steps + 1)
+    norm, beyond, _, left, right = grid.dx * longer[0]
+    assert np.abs(norm + right - grid.dx * steps[0][0]).max() <= 1e-12
+    assert np.abs(beyond + right - grid.dx * steps[0][1]).max() <= 1e-12
+    assert not left.any() and (past or not right.any())
+    assert np.abs(longer[1] - steps[1][:n]).max() <= 1e-12
 
 
 def test_uniform_medium_with_most_modes_is_stepped(stepped_runs):
@@ -215,16 +277,19 @@ def test_import_leaves_numpy_fft_unloaded():
 
 
 def test_norm_and_energy_conserved_through_stack():
-    """Norm and energy, inside plus what left through the open left end,
-    are conserved; the reflected packet has mostly left by the end."""
+    """Norm and energy, inside plus what left through the open ends, are
+    conserved; the reflected packet has mostly left by the end, and part of
+    the transmitted one."""
     stack = representative_stack(5)
     grid, packet, x_sep, x_d = plan_run(stack, 58.5, sigma_x=25.0, dx=0.5, dt=2.0)
     rec = evolve(stack, grid, packet, x_sep)
     assert rec.norm_drift < 1e-9
     assert rec.energy_drift < 1e-9
-    assert all(type(f) is float for f in (rec.norm_drift, rec.energy_drift, rec.left_outflow))
+    assert all(type(f) is float for f in (rec.norm_drift, rec.energy_drift, rec.left_outflow,
+                                          rec.right_outflow))
     assert 0.0 < rec.transmitted_fraction < 1.0
     assert 0.0 < rec.left_outflow < 1.0 - rec.transmitted_fraction
+    assert 0.0 < rec.right_outflow < rec.transmitted_fraction
     # transmitted probability is monotone once the packet has cleared the sep
     late = rec.beyond_prob[-200:]
     assert np.all(np.diff(late) > -1e-9)
@@ -239,10 +304,21 @@ def test_plan_run_geometry():
     assert x_d == pytest.approx(half_w + 240.0)
     assert packet.x0 - 11.0 * packet.sigma_x - grid.dx < grid.x_min
     assert grid.x_min <= packet.x0 - 11.0 * packet.sigma_x  # the open left end
-    assert grid.x_max > x_d
+    # the open right end: ten free widths past the detector, the width at the
+    # end of the run without extra time, 1.5 travel times to 6 widths past it
+    v0 = CONSTANTS.velocity(packet.k0(LEAD), LEAD.mass_ratio)
+    t_final = 1.5 * (x_d - packet.x0 + 6.0 * packet.sigma_x) / v0
+    alpha = CONSTANTS.hbar2_over_2m0 / LEAD.mass_ratio
+    x_right = x_d + 10.0 * packet.sigma_x * math.hypot(1.0, alpha * t_final
+                                                      / (CONSTANTS.hbar * packet.sigma_x**2))
+    assert grid.t_final == pytest.approx(t_final, abs=grid.dt)
+    assert x_right <= grid.x_max < x_right + grid.dx
+    assert grid.x[-1] == pytest.approx(grid.x_max, abs=1e-9)
     longer, *_ = plan_run(stack, 58.5, sigma_x=40.0, extra_time=3000.0)
     assert longer.n_steps > grid.n_steps
     assert longer.t_final >= grid.t_final + 3000.0 - 1.0
+    assert (longer.x_min, longer.x_max) != (grid.x_min, grid.x_max)  # the lattice moved
+    assert longer.n_points == pytest.approx(grid.n_points, abs=1)  # the ends did not
 
 
 def _well_run():
@@ -255,16 +331,18 @@ def _well_run():
 
 def test_step_matches_dense_crank_nicolson():
     """Each step against numpy's dense solve of (1 + i lam H) psi' = (1 - i lam H) psi,
-    with the open left end, where H gains o s_0 at (0, 0) and the right side
-    -i lam o sum_k>=1 s_k chi_0 of step n-k at row 0 (the module notes), and
-    in the closed box (``monitor_walls=False``).
+    with both ends open, where H gains o s_0 at (0, 0) and (n-1, n-1) and the
+    right side -i lam o sum_k>=1 s_k chi of step n-k at rows 0 and n-1, chi
+    at that row (the module notes), and in the closed box
+    (``monitor_walls=False``).
 
     Mass steps make the off-diagonal non-uniform, and the -4 eV well makes
     the factorization pivot (checked below), so a mis-wired factor or
     pivot, a shifted band, or a step other than 2 A^-1 psi - psi all show
     up in psi_final.  In 50 fs the spreading sigma = 6 nm packet puts
-    density on the left end (the two runs' final states differ by 3.6e-9),
-    so the open end's kernel and its history sum are checked too.
+    density on the left end (the open and closed runs' final states differ
+    by 3.6e-9), and its mirror image, launched leftwards from +35 nm, on the
+    right end, so each end's kernel and history sum are checked too.
     """
     from scipy.linalg.lapack import zgttrf
 
@@ -277,32 +355,44 @@ def test_step_matches_dense_crank_nicolson():
     d, o = _lead_row(LEAD, grid.dx)
     one = np.eye(grid.n_points)
     x = grid.x
-    for open_left in (True, False):
-        rec = evolve(stack, grid, packet, 0.5 * stack.width + grid.dx, monitor_walls=open_left)
-        s = tdse._ghost_kernel(d, o, lam, grid.n_steps) if open_left else np.zeros(grid.n_steps + 1)
+    launch = initial_state(grid, packet, LEAD)
+    outflows = {}
+    for open_ends, mirrored in ((True, False), (True, True), (False, False)):
+        start = launch[::-1] if mirrored else launch
+        rec = evolve(stack, grid, packet, 0.5 * stack.width + grid.dx, psi0=start,
+                     monitor_walls=open_ends)
+        s = tdse._ghost_kernel(d, o, lam, grid.n_steps) if open_ends else np.zeros(grid.n_steps + 1)
         lam_h = 1j * lam * (np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
-        lam_h[0, 0] += 1j * lam * o * s[0]
+        lam_h[[0, -1], [0, -1]] += 1j * lam * o * s[0]
         beyond = x > rec.x_sep
-        psi = initial_state(grid, packet, LEAD)
-        probs, centroids, chi0 = [], [], []
+        psi = start.copy()
+        probs, moments, chi = [], [], []
         for i in range(grid.n_steps + 1):
             if i:
                 rhs = (one - lam_h) @ psi
-                rhs[0] -= 1j * lam * o * np.dot(s[1:i], chi0[::-1])
+                rhs[[0, -1]] -= 1j * lam * o * (s[1:i] @ np.array(chi[::-1]).reshape(-1, 2))
                 new = np.linalg.solve(one + lam_h, rhs)
-                chi0.append(new[0] + psi[0])
+                chi.append(new[[0, -1]] + psi[[0, -1]])
                 psi = new
             dens = np.abs(psi[beyond]) ** 2
             probs.append(grid.dx * dens.sum())
-            centroids.append(np.sum(x[beyond] * dens) / dens.sum())
+            moments.append(grid.dx * np.sum(x[beyond] * dens))
+        probs, centroids = np.array(probs), np.array(moments) / probs
         assert np.abs(rec.psi_final - psi).max() <= 1e-12
-        assert rec.transmitted_fraction > 1e-5  # the transmitted portion is really there
+        assert rec.transmitted_fraction > 1e-5  # the portion beyond x_sep is really there
         np.testing.assert_allclose(rec.beyond_prob, probs, rtol=1e-10, atol=1e-16)
-        np.testing.assert_allclose(rec.centroid, centroids, rtol=0.0, atol=1e-9)
+        shown = probs > 1e-4 * probs[-1]  # the right outflow stays below 1e-12 here
+        assert np.array_equal(np.isfinite(rec.centroid), shown)
+        np.testing.assert_allclose(rec.centroid[shown], centroids[shown], rtol=0.0, atol=1e-9)
         assert rec.norm_drift < 1e-12
-        assert (rec.left_outflow > 0.0) == open_left  # 2.7e-17 open
-        if not open_left:  # a closed box reports +0.0, not -0.0
-            assert math.copysign(1.0, rec.left_outflow) == 1.0
+        outflows[open_ends, mirrored] = rec.left_outflow, rec.right_outflow
+        if not open_ends:  # a closed box reports +0.0, not -0.0
+            assert [math.copysign(1.0, f) for f in (rec.left_outflow, rec.right_outflow)] == [1, 1]
+    left, right = outflows[True, False]  # 2.7e-17 and 3.1e-20
+    assert left > 100.0 * right > 0.0
+    left, right = outflows[True, True]
+    assert right > 100.0 * left > 0.0
+    assert outflows[False, False] == (0.0, 0.0)
 
 
 def test_evolve_loads_no_scipy_module():
@@ -333,7 +423,7 @@ def test_evolve_loads_no_scipy_module():
 def _cn_systems(draw, points=None):
     """A Crank-Nicolson matrix 1 + i lam H of a random stack, with wells as
     deep and barriers as high as 5 eV, and lam max|H_i,i+1| from 1e-2 to 1e2,
-    and in half the draws the open left end's i lam o s_0 on row 0;
+    and in half the draws the open ends' i lam o s_0 on rows 0 and n-1;
     ``points`` bounds the grid's point count, which is otherwise 40 or more."""
     cell = CellSpec(tuple(draw(st.lists(layers(-5000.0, 5000.0), min_size=1, max_size=4))))
     stack = StackSpec(core=cell, replicas=draw(st.integers(1, 3)),
@@ -348,18 +438,18 @@ def _cn_systems(draw, points=None):
                                      draw(st.booleans()))
 
 
-def _open_row(diag, lead, dx, lam, open_left=True):
-    """A's diagonal ``diag``, with the open left end's i lam o s_0 added to
-    row 0 as ``evolve`` adds it (to A/2, halved), if ``open_left``."""
-    if open_left:
+def _open_row(diag, lead, dx, lam, open_ends=True):
+    """A's diagonal ``diag``, with the open ends' i lam o s_0 added to rows 0
+    and n-1 as ``evolve`` adds it (to A/2, halved), if ``open_ends``."""
+    if open_ends:
         d, o = _lead_row(lead, dx)
-        diag[0] += 1j * lam * o * tdse._ghost_kernel(d, o, lam, 1)[0]
+        diag[[0, -1]] += 1j * lam * o * tdse._ghost_kernel(d, o, lam, 1)[0]
     return diag
 
 
 def _well_system():
     """The Crank-Nicolson matrix of the -4 eV well run, where zgttrf pivots,
-    with the open left end."""
+    with both ends open."""
     stack, grid = _well_run()
     diag, off = _hamiltonian_diagonals(stack, grid)
     lam = 0.5 * grid.dt / CONSTANTS.hbar
@@ -383,10 +473,51 @@ def _assert_step_matches_a_dense_solve(off, diag, seed):
     return solver
 
 
+def _kernel_by_temporaries(d, o, lam, n_steps):
+    """``tdse._ghost_kernel`` as the plain expression: nu(z) on the circle
+    through one full-length temporary per operation."""
+    def nu(z):
+        w = (0.5 / o) * ((1.0 - z) / (1j * lam * (1.0 + z)) - d)
+        root = np.sqrt(w * w - 1.0)
+        return 1.0 / (w + np.where((w.conj() * root).real >= 0.0, root, -root))
+
+    size = max(1024, 1 << (4 * n_steps + 3).bit_length())
+    rho, k = 1e10 ** (1.0 / size), np.arange(size // 4)
+    s = np.fft.ifft(nu(rho * np.exp(2j * math.pi / size * np.arange(size))))
+    return (s[:k.size] * rho**k)[:n_steps + 1]
+
+
+def test_ghost_kernel_works_in_place():
+    """The kernel evaluates nu(z) in place, bit for bit the plain expression,
+    for the campaign's bare 58.5 meV plan (2744 steps: one call peaked at
+    1.36 MB of traced memory through the temporaries, and peaks at 0.82 MB)
+    and for short and long runs, fine and coarse lattices and time steps."""
+    stack = load_stack(ROOT / "stacks" / "rep5.json")
+    grid, *_ = plan_run(stack, 58.5, sigma_x=90.0, dx=0.5, dt=2.0)
+    assert grid.n_steps == 2744
+    lam = 0.5 * grid.dt / CONSTANTS.hbar
+    d, o = _lead_row(stack.outside, grid.dx)
+    tdse._ghost_kernel(d, o, lam, grid.n_steps)  # numpy.fft's plans and caches
+    tracemalloc.start()
+    try:
+        kernel = tdse._ghost_kernel(d, o, lam, grid.n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
+    assert kernel.tobytes() == _kernel_by_temporaries(d, o, lam, grid.n_steps).tobytes()
+    for n in (1, 300, 6808):
+        for dx in (0.25, 1.0):
+            for dt in (0.1, 30.0):
+                case = *_lead_row(LEAD, dx), 0.5 * dt / CONSTANTS.hbar, n
+                want = _kernel_by_temporaries(*case)
+                assert tdse._ghost_kernel(*case).tobytes() == want.tobytes()
+
+
 @given(st.one_of(_cn_systems(), st.just(_well_system())), st.integers(0, 2**32 - 1))
 def test_cyclic_reduction_needs_no_pivoting(system, seed):
     """A's Hermitian part is the identity, plus -lam o Im s_0 > 0 at (0, 0)
-    with the open left end (o < 0, Im s_0 > 0; the smallest seen in the 840
+    and (n-1, n-1) with open ends (o < 0, Im s_0 > 0; the smallest seen in the 840
     open draws of 2000 examples was 1.3e-5, and the well run's is 0.50), so
     every Schur complement keeps one >= 1 and every reduction pivot has real
     part >= 1; a step then matches a pivoted dense solve to roundoff."""
@@ -407,34 +538,43 @@ def test_cyclic_reduction_steps_systems_below_one_level(system, seed):
 
 
 def test_plan_run_left_end_sits_on_the_closed_lattice():
-    """The open left end is the closed box's lattice point at or just left
-    of x0 - 11 sigma, so every site keeps its place against the interfaces."""
+    """The open left end is the lattice point at or just left of x0 - 11 sigma
+    of the closed box that the parent plan stepped, whose left wall sat at
+    the mirror image of ``tdse._reach`` of the planned run about x0, moved
+    right by twice -w/2 - x0 in whole cells, so every site keeps its place
+    against the interfaces; ``closed_grid`` extends the grid on that lattice."""
     stack = representative_stack(5)
     for sigma_x, dx in ((40.0, 0.25), (90.0, 0.5), (25.0, 0.3)):
-        grid, packet, *_ = plan_run(stack, 58.5, sigma_x=sigma_x, dx=dx)
-        closed = closed_grid(stack, grid, packet)
-        cells = (grid.x_min - closed.x_min) / dx
+        grid, packet, _, x_d = plan_run(stack, 58.5, sigma_x=sigma_x, dx=dx)
+        v0 = CONSTANTS.velocity(packet.k0(LEAD), LEAD.mass_ratio)
+        t_final = 1.5 * (x_d - packet.x0 + 6.0 * sigma_x) / v0
+        wall = (2.0 * packet.x0 - tdse._reach(packet, LEAD, t_final)
+                + dx * math.floor(2.0 * (-0.5 * stack.width - packet.x0) / dx))
+        cells = (grid.x_min - wall) / dx
         assert cells == pytest.approx(round(cells), abs=1e-9)
-        cells = round(cells)
-        assert cells == math.floor((packet.x0 - 11.0 * sigma_x - closed.x_min) / dx + 1e-9)
-        assert closed.n_points - grid.n_points == cells
-        assert np.abs(grid.x - closed.x[cells:]).max() < 1e-9
+        assert round(cells) == math.floor((packet.x0 - 11.0 * sigma_x - wall) / dx + 1e-9)
+        closed = closed_grid(stack, grid, packet)
+        cells = round((grid.x_min - closed.x_min) / dx)
+        assert cells > 0 and closed.n_points - grid.n_points > cells
+        assert np.abs(grid.x - closed.x[cells:cells + grid.n_points]).max() < 1e-9
         V, m = _material_arrays(stack, grid.x)
-        V_old, m_old = _material_arrays(stack, closed.x[cells:])
+        V_old, m_old = _material_arrays(stack, closed.x[cells:cells + grid.n_points])
         assert np.array_equal(V, V_old) and np.array_equal(m, m_old)
         assert grid.x_min < -0.5 * stack.width
 
 
 def test_trimmed_domain_holds_a_trapped_reflection():
     """A run lengthened for resonance trapping: what the stack traps stays on
-    the trimmed grid while the reflection leaves through the open left end,
-    norm plus outflow stays 1, and the right wall's 1e-10 monitor stays quiet."""
+    the trimmed grid while the reflection leaves through the open left end
+    and the transmitted packet through the open right end, and norm plus
+    outflow stays 1."""
     stack = representative_stack(5)
     grid, packet, x_sep, _ = plan_run(stack, 52.81, sigma_x=25.0, dx=0.5, dt=2.0,
                                       extra_time=1000.0)
     rec = evolve(stack, grid, packet, x_sep)
     assert 0.0 < rec.transmitted_fraction < 1.0
     assert 0.0 < rec.left_outflow < 1.0 - rec.transmitted_fraction
+    assert 0.0 < rec.right_outflow < rec.transmitted_fraction
     assert rec.norm_drift < 1e-9
 
 
@@ -457,6 +597,27 @@ def test_open_left_end_absorbs_a_left_moving_packet(stepped_runs, E0):
     assert rec.energy_drift <= 1e-12
 
 
+@pytest.mark.parametrize("E0", [58.5, 150.0])
+def test_open_right_end_absorbs_a_right_moving_packet(stepped_runs, E0):
+    """The mirror image: a packet launched rightwards from +200 nm leaves
+    through the open right end, with the same bounds; it all crossed x_sep,
+    so ``beyond_prob`` ends at 1, and with nothing left on the grid no
+    centroid is reported at the end."""
+    stack = _uniform_stack(10.0)
+    grid = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=2.0, n_steps=1500)
+    packet = WavePacket(x0=200.0, E0=E0, sigma_x=40.0)
+    with stepping():
+        rec = evolve(stack, grid, packet, x_sep=-100.0)
+    assert stepped_runs
+    inside = grid.dx * float(np.sum(np.abs(rec.psi_final) ** 2))
+    assert inside <= 1e-20
+    assert rec.right_outflow == pytest.approx(1.0, abs=1e-12)
+    assert rec.transmitted_fraction == pytest.approx(1.0, abs=1e-12)
+    assert np.isnan(rec.centroid[-1]) and np.isfinite(rec.centroid[0])
+    assert rec.norm_drift <= 1e-12
+    assert rec.energy_drift <= 1e-12
+
+
 def test_open_left_end_inside_the_stack_is_refused(stepped_runs):
     """The boundary assumes lead material beyond the left end, and takes the
     lead's row of H from the grid's first row: a monitored stepped run whose
@@ -474,27 +635,69 @@ def test_open_left_end_inside_the_stack_is_refused(stepped_runs):
         stepped_runs.clear()
 
 
-def test_wall_monitor_trips_on_undersized_domain():
+def test_open_right_end_inside_the_stack_is_refused(stepped_runs):
+    """The mirror image: a monitored stepped run whose last but one site lies
+    at or left of w/2 is refused before any step, and a closed-box run on the
+    same grid is not."""
+    stack = representative_stack(5)
+    packet = WavePacket(x0=-100.0, E0=58.5, sigma_x=10.0)
+    for x_max in (0.5 * stack.width + 0.125, 0.5 * stack.width, 0.5 * stack.width - 0.25):
+        grid = Grid1D(x_min=-400.0, x_max=x_max, dx=0.25, dt=1.0, n_steps=5)
+        with pytest.raises(ValidationError, match="open right end"):
+            evolve(stack, grid, packet, x_sep=-200.0)
+        assert not stepped_runs
+        evolve(stack, grid, packet, x_sep=-200.0, monitor_walls=False)
+        assert stepped_runs
+        stepped_runs.clear()
+
+
+def test_wall_monitor_trips_on_undersized_domain(stepped_runs):
+    """A uniform medium's sine-mode box keeps hard walls, and its monitor
+    watches both: a packet launched leftwards 350 nm from the left one
+    reaches it within the run."""
     stack = _uniform_stack(10.0)
-    grid = Grid1D(x_min=-100.0, x_max=100.0, dx=0.5, dt=1.0, n_steps=400)
-    packet = WavePacket(x0=-20.0, E0=60.0, sigma_x=12.0)
+    grid = Grid1D(x_min=-100.0, x_max=600.0, dx=0.5, dt=1.0, n_steps=400)
+    packet = WavePacket(x0=250.0, E0=60.0, sigma_x=30.0)
+    psi0 = initial_state(grid, packet, stack.outside).conj()
     with pytest.raises(NumericError, match="wall"):
-        evolve(stack, grid, packet, x_sep=10.0)
+        evolve(stack, grid, packet, x_sep=10.0, psi0=psi0)
+    assert not stepped_runs
 
 
 def test_wall_monitor_trips_at_the_same_step_in_modes_and_in_steps(stepped_runs):
-    """The sine-mode wall strips trip the monitor where the steps do, with
-    the same density to the printed digits."""
+    """A monitored sine-mode run's box reaches right past its grid, to
+    ``tdse._reach`` and on to a size its FFTs take fast: on a grid cut
+    shorter it trips the wall monitor as on the grid of the whole box, and
+    both where the closed stepper's state on that box first puts more than
+    1e-10 within five cells of its walls, with the same density to the
+    printed digits."""
     stack = _uniform_stack(10.0)
-    grid = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=1.0, n_steps=800)
-    packet = WavePacket(x0=-150.0, E0=150.0, sigma_x=40.0)  # 104 of 2401 modes
+    packet = WavePacket(x0=150.0, E0=150.0, sigma_x=40.0)  # 182 of 3217 modes
+    cut = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=1.0, n_steps=800)
+    end = tdse._reach(packet, stack.outside, cut.t_final)
+    sites = tdse._smooth_size(math.ceil((end - cut.x_min) / cut.dx) + 1)
+    box = Grid1D(cut.x_min, cut.x_min + cut.dx * (sites - 1), cut.dx, cut.dt, cut.n_steps)
+    assert box.n_points > cut.n_points
+    start = initial_state(box, packet, stack.outside).conj()  # launched leftwards
     messages = []
-    for producer in (contextlib.nullcontext(), stepping()):
-        with producer, pytest.raises(NumericError, match="reached a domain wall") as failure:
-            evolve(stack, grid, packet, x_sep=10.0)
+    for grid in (cut, box):
+        with pytest.raises(NumericError, match="reached a domain wall") as failure:
+            evolve(stack, grid, packet, x_sep=10.0, psi0=start[:grid.n_points])
         messages.append(str(failure.value))
-    assert len(stepped_runs) == 1  # the first run was solved in modes
+    assert not stepped_runs  # both solved in modes
     assert messages[0] == messages[1]
+    t = float(messages[0].split("at t = ")[1].split(" fs")[0])
+    walls = np.r_[:5, box.n_points - 5:box.n_points]
+    densities = []
+    for n_steps in (round(t / box.dt) - 1, round(t / box.dt)):
+        with stepping():
+            closed = evolve(stack, Grid1D(box.x_min, box.x_max, box.dx, box.dt, n_steps),
+                            packet, x_sep=10.0, psi0=start, monitor_walls=False)
+        densities.append(box.dx * float(np.sum(np.abs(closed.psi_final[walls]) ** 2)))
+    assert stepped_runs
+    assert densities[0] <= 1e-10 < densities[1]
+    assert messages[0].startswith(f"density {densities[1]:.2e} reached a domain wall "
+                                  f"at t = {t:.1f} fs")
 
 
 def _synthetic_record(beyond, centroid, x_sep=25.0, n=50):
@@ -507,6 +710,7 @@ def _synthetic_record(beyond, centroid, x_sep=25.0, n=50):
         norm_drift=0.0,
         energy_drift=0.0,
         left_outflow=0.0,
+        right_outflow=0.0,
         psi_final=np.zeros(4, dtype=complex),
     )
 
@@ -521,6 +725,7 @@ def _moving_record(speed=0.5, x_sep=25.0, n=50):
         norm_drift=0.0,
         energy_drift=0.0,
         left_outflow=0.0,
+        right_outflow=0.0,
         psi_final=np.zeros(4, dtype=complex),
     )
 
@@ -673,9 +878,9 @@ def test_figure_9_point_replays_bit_for_bit():
     dressed = load_stack(ROOT / "stacks" / "rep5_arc.json")
     point, = (p for p in _fig9_points() if p["E0_meV"] == 58.5)
     grid, packet, x_sep, x_d = plan_run(dressed, 58.5, sigma_x=90.0)
-    assert (grid.n_points, grid.n_steps) == (20398, 5529)
+    assert (grid.n_points, grid.n_steps) == (14153, 5529)
     result, *_ = measure_delay(dressed, grid, packet, x_sep, x_d)
-    assert result.delay == point["delay_fs"] == 499.24910979975175
+    assert result.delay == point["delay_fs"] == 499.24910979979222
     assert result.transmitted_fraction == point["transmitted_fraction"]
 
 
