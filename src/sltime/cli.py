@@ -337,14 +337,6 @@ def _cmd_tdse(args) -> None:
         stack, args.E0, sigma_x=args.sigma_x, dx=args.dx, dt=args.dt,
         extra_time=args.extra_time,
     )
-    if args.x_detector is not None:
-        if not (x_sep < args.x_detector <= x_d):  # the grid ends ten widths past x_d
-            raise ValidationError(
-                f"detector at {args.x_detector} nm must sit between the stack separator "
-                f"at {x_sep} nm and the planned detector at {x_d} nm"
-            )
-        x_d = args.x_detector
-
     preds = _tdse_predictions(stack, band, grid, packet, x_sep, x_d)
     result, run, free = measure_delay(stack, grid, packet, x_sep, x_d)
 
@@ -522,8 +514,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sigma-x", type=float, default=60.0, help="packet width (nm)")
     p.add_argument("--dx", type=float, default=0.25, help="grid spacing (nm)")
     p.add_argument("--dt", type=float, default=1.0, help="time step (fs)")
-    p.add_argument("--x-detector", type=float, default=None,
-                   help="centroid detector position (nm; default from planner)")
     p.add_argument("--extra-time", type=float, default=0.0,
                    help="extend the run window (fs); needed at narrow resonances")
     p.add_argument("-o", "--output", default="tdse_run",

@@ -87,12 +87,6 @@ class KardParams:
     chi: float | np.ndarray
     band: str | np.ndarray = "allowed"
 
-    def scaled(self, n: int) -> "KardParams":
-        """Angles of the n-cell matrix M^n (allowed band only)."""
-        require(self.band == "allowed", NearBandEdgeError,
-                "no n-cell angle scaling in a {band} region", band=self.band)
-        return KardParams(n * self.phi, self.mu, self.chi)
-
 
 def decompose(M: TransferMatrix) -> KardParams:
     """Angles and band classification of a cell matrix (or matrix array).

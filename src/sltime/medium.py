@@ -271,8 +271,7 @@ def save_stack(stack: StackSpec, path: str | Path) -> None:
 # --- representative structure ----------------------------------------------
 
 #: Lead layer used by the representative stack: GaAs, energy zero at its
-#: conduction-band bottom.  The width only sets a default cell-scale margin
-#: for dwell integrals; leads are semi-infinite.
+#: conduction-band bottom.  Leads are semi-infinite: nothing reads the width.
 GAAS_MASS = 0.067
 ALGAAS_MASS = 0.0919
 ALGAAS_OFFSET_MEV = 290.0

@@ -8,9 +8,9 @@ elementary laws on its band [50, 75] meV:
 
 Everything else follows: sin(phi) sinh(mu) = |m21| = sqrt(t2_strength / E),
 so mu comes for free, and chi = 0 by symmetry.  Because phi(E) and mu(E)
-are elementary, their energy derivatives are available in closed form in
-angle space (``play_derivatives``), the gold standard for validating
-kard.kard_derivatives, which is fed c' = -lam, c'' = 0 and
+are elementary, their energy derivatives have closed forms in angle space;
+the tests keep those as the oracle for kard.kard_derivatives, which
+``PlayModelSpec.derivatives`` feeds c' = -lam, c'' = 0 and
 |m21|^2' = -t2_strength / E^2 straight from the two laws.
 
 The model satisfies the CellModel protocol (trace is the linear law above,
@@ -24,13 +24,12 @@ take a layered stack and there is none here.
 
 from __future__ import annotations
 
-import math
 from dataclasses import replace
 
 import numpy as np
 
 from .errors import NearBandEdgeError, require
-from .kard import KardDerivatives, KardParams, reconstruct
+from .kard import KardParams, reconstruct
 from .tmatrix import TransferMatrix
 
 __all__ = [
@@ -39,7 +38,6 @@ __all__ = [
     "play_kard",
     "play_matrix",
     "play_eta",
-    "play_derivatives",
 ]
 
 
@@ -118,25 +116,3 @@ def play_eta(E):
     t_abs = 1.0 / np.sqrt(1.0 + PLAY_MODEL.t2_strength / E)
     eta = np.arccos(t_abs * cos_phi)
     return float(eta) if eta.ndim == 0 else eta
-
-
-def play_derivatives(E: float) -> KardDerivatives:
-    """Closed-form energy derivatives of the angles.
-
-    Differentiating cos(phi) = lam (E_bragg - E):
-
-        phi'  = lam / sin(phi)
-        phi'' = -lam^2 cos(phi) / sin^3(phi)
-
-    and sinh(mu) = sqrt(t2_strength/E)/sin(phi) gives, after dividing by
-    cosh(mu),
-
-        mu' = -tanh(mu) [ 1/(2E) + lam cos(phi)/sin^2(phi) ].
-    """
-    params = play_kard(E)
-    s = math.sin(params.phi)
-    c = math.cos(params.phi)
-    phi_p = PLAY_MODEL.lam / s
-    phi_pp = -PLAY_MODEL.lam * PLAY_MODEL.lam * c / (s * s * s)
-    mu_p = -math.tanh(params.mu) * (0.5 / E + PLAY_MODEL.lam * c / (s * s))
-    return KardDerivatives(params=params, phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p)

@@ -219,7 +219,6 @@ class DwellResult:
     tau_dwell_delay: float | np.ndarray
     oscillatory_term: float | np.ndarray
     free_passage: float | np.ndarray
-    uniform_passage: float | np.ndarray
     tau_numeric: float | np.ndarray
     x_left: float
     x_right: float
@@ -228,11 +227,6 @@ class DwellResult:
     def dwell_time(self) -> float | np.ndarray:
         """Closed-form integral of |psi|^2 over the window."""
         return self.tau_dwell_delay + self.oscillatory_term + self.free_passage
-
-    @property
-    def delay(self) -> float | np.ndarray:
-        """Excess of the dwell time over uniform free passage of the window."""
-        return self.dwell_time - self.uniform_passage
 
 
 def dwell_time(
@@ -281,14 +275,13 @@ def dwell_time(
     oscillatory = np.where(r_abs == 0.0, 0.0, fringe)
 
     free_passage = (x_right - x_left) * np.abs(t) ** 2 / v - 2.0 * x_left * r_abs**2 / v
-    uniform = (x_right - x_left) / v
 
     closed = smooth + oscillatory + free_passage
     numeric = _density_integral(stack, e, jet.t.v, k, v, x_left, x_right)
     require(np.abs(numeric - closed) <= np.maximum(1e-2 * np.abs(closed), 0.1), NumericError,
             "dwell-time closed form ({closed:.6f} fs) and density integral "
             "({numeric:.6f} fs) disagree at E = {E} meV", closed=closed, numeric=numeric, E=e)
-    parts = (smooth, oscillatory, free_passage, uniform, numeric)
+    parts = (smooth, oscillatory, free_passage, numeric)
     if np.ndim(E) == 0:
         parts = tuple(float(p[0]) for p in parts)
     else:

@@ -270,11 +270,13 @@ def _hamiltonian_diagonals(stack: StackSpec, grid: Grid1D) -> tuple[np.ndarray, 
     return diag, off
 
 
-def _apply_h(diag: np.ndarray, off: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    out = diag * psi
-    out[:-1] += off * psi[1:]
-    out[1:] += off * psi[:-1]
-    return out
+def _energy(diag: np.ndarray, off: np.ndarray, psi: np.ndarray) -> float:
+    """psi^H H psi = sum (d_i + o_i-1 + o_i) |psi_i|^2 - sum o_i |psi_i+1 - psi_i|^2: inside
+    the grid d_i + o_i-1 + o_i is V_i, so nothing of d's size cancels on a fine lattice; in
+    numpy's pairwise sums, not a BLAS dot, which OpenBLAS threads above 10000 elements."""
+    site, jump = diag + np.r_[off, 0.0] + np.r_[0.0, off], np.diff(psi)
+    return float(np.sum(site * (psi.real**2 + psi.imag**2))
+                 - np.sum(off * (jump.real**2 + jump.imag**2)))
 
 
 #: the size at which odd-even reduction stops and a dense inverse takes over
@@ -473,8 +475,7 @@ def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None):
     np.cumsum(sums[3:], axis=1, out=sums[3:])
     sums[3:] *= lam * o
     h_chi = diag[[0, -1], None] * chi + off[[0, -1], None] * (edge[:, 1:] + edge[:, :-1])
-    energy = (np.vdot(state, _apply_h(diag, off, state)).real
-              + lam * o * np.sum((h_chi * ghost).imag))
+    energy = _energy(diag, off, state) + lam * o * np.sum((h_chi * ghost).imag)
     np.copyto(psi, state)
     return sums, psi, energy, None
 
@@ -507,7 +508,9 @@ def _uniform_sums(d, o, lam, psi, x, j, n_rec, m):
     modes (module notes) on a closed box of m >= psi.size sites: the grid's,
     then m - psi.size more of its lattice right of it, where psi starts at 0.
     Nothing leaves through the left wall, and the probability on the sites
-    past the grid counts as right outflow.  Its fourth item is the density
+    past the grid counts as right outflow.  The energy is the kept modes'
+    (m + 1)/2 sum |a_k|^2 eps_k, eps_k = d + 2o cos(pi k/(m+1)) in a form that
+    does not cancel where d is near -2o.  Its fourth item is the density
     within five cells of the box's two walls, per record; None where the
     modes would cost more than the steps."""
     from numpy import fft
@@ -535,7 +538,8 @@ def _uniform_sums(d, o, lam, psi, x, j, n_rec, m):
     block = max(1, 8192 // span)  # records a pass: arrays of at most 8192 complex
     advance = np.exp(-1j * np.outer(np.arange(block), phase))
     sums = np.empty((5, n_rec))
-    sums[0] = 0.5 * (m + 1) * np.sum(a.real**2 + a.imag**2)
+    power = a.real**2 + a.imag**2
+    sums[0] = 0.5 * (m + 1) * np.sum(power)
     for i in range(0, n_rec, block):
         f = fft.fft(advance[:n_rec - i] * (a * np.exp(-1j * i * phase)), span)
         pair = f * np.roll(f[:, ::-1], 1, axis=1).conj()  # f(q) f(-q)*
@@ -544,10 +548,10 @@ def _uniform_sums(d, o, lam, psi, x, j, n_rec, m):
     coef[:] = 0.0
     coef[lo:lo + size] = a * np.exp(-1j * (n_rec - 1) * phase)
     box = dst(coef)
-    energy = np.vdot(box, _apply_h(np.full(m, d), np.full(m - 1, o), box)).real
+    eps = (d + 2.0 * o) - 4.0 * o * np.sin(0.5 * math.pi / (m + 1) * k) ** 2
     past = sums[3]
-    return (np.vstack((sums[0] - past, sums[1:3], np.zeros(n_rec), past)), box[:n], energy,
-            sums[4])
+    return (np.vstack((sums[0] - past, sums[1:3], np.zeros(n_rec), past)), box[:n],
+            0.5 * (m + 1) * float(np.sum(power * eps)), sums[4])
 
 
 def evolve(
@@ -603,7 +607,7 @@ def evolve(
         psi /= math.sqrt(grid.dx * float(np.sum(np.abs(psi) ** 2)))
 
     j = int(np.searchsorted(x, x_sep, side="right"))  # first point beyond x_sep
-    e_start = grid.dx * float(np.real(np.vdot(psi, _apply_h(diag, off, psi))))
+    e_start = grid.dx * _energy(diag, off, psi)
 
     n_rec = grid.n_steps + 1
     times = grid.dt * np.arange(n_rec)
@@ -788,8 +792,9 @@ def plan_run(
     return grid, packet, half_w + dx, x_d
 
 
-#: ``stationary_packet_delay``'s centroid sampling step (fs) and plane-wave count.
-_SAMPLE_DT, _N_K = 20.0, 800
+#: ``stationary_packet_delay``'s sampling step (fs), plane waves, positions per table block
+#: and density bytes per product
+_SAMPLE_DT, _N_K, _X_BLOCK, _DENS_BYTES = 20.0, 800, 512, 8 << 20
 
 
 def stationary_packet_delay(
@@ -828,27 +833,34 @@ def stationary_packet_delay(
 
     v0 = CONSTANTS.velocity(k0, stack.outside.mass_ratio)
     x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)
-    phase_x = np.outer(1j * k, x)  # (n_k, n_x)
-    np.exp(phase_x, out=phase_x)
+    ik = 1j * k[:, None]
     times = np.arange(0.0, t_max, _SAMPLE_DT)
     weights = np.stack([spec * t_amp, spec])  # the stack, then free space (t = 1)
     centroid, beyond = np.empty((2, times.size)), np.empty((2, times.size))
-    # both superpositions in one (64, n_k) @ (n_k, n_x) product a block of 32
-    # samples, up to the block in which both centroids have crossed x_d
-    for start in range(0, times.size, 32):
-        end = min(start + 32, times.size)
-        block = times[start:end]
-        amp = (weights[:, None, :] * np.exp(-1j * omega * block[:, None])).reshape(-1, k.size)
-        dens = (np.abs(amp @ phase_x) ** 2).reshape(2, block.size, x.size)
-        beyond[:, start:end] = p = dens.sum(axis=2)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            centroid[:, start:end] = (x * dens).sum(axis=2) / p
-        try:
-            return (_arrival(times[:end], centroid[0, :end], beyond[0, :end], x_d)
-                    - _arrival(times[:end], centroid[1, :end], beyond[1, :end], x_d))
-        except NumericError:
-            if end == times.size:
-                raise
+    table = np.empty((k.size, _X_BLOCK), complex)
+    # both superpositions in one (2 n_t, n_k) @ (n_k, n_x) product for as many samples as
+    # _DENS_BYTES of density hold, exp(ikx) formed _X_BLOCK positions at a time; arrivals are
+    # read 32 samples at a time, up to the block in which both centroids have crossed x_d
+    group = 32 * max(1, _DENS_BYTES // (512 * x.size))
+    for first in range(0, times.size, group):
+        some = times[first:first + group]
+        amp = (weights[:, None, :] * np.exp(-1j * omega * some[:, None])).reshape(-1, k.size)
+        dens = np.empty((amp.shape[0], x.size))
+        for lo in range(0, x.size, _X_BLOCK):
+            part = np.multiply(ik, x[lo:lo + _X_BLOCK], out=table[:, :x.size - lo])
+            dens[:, lo:lo + _X_BLOCK] = np.abs(amp @ np.exp(part, out=part)) ** 2
+        dens = dens.reshape(2, some.size, x.size)
+        for start in range(first, first + some.size, 32):
+            end, rows = min(start + 32, times.size), dens[:, start - first:start - first + 32]
+            beyond[:, start:end] = p = rows.sum(axis=2)
+            with np.errstate(divide="ignore", invalid="ignore"):  # moments row by row
+                centroid[:, start:end] = [[np.sum(x * r) for r in side] for side in rows] / p
+            try:
+                return (_arrival(times[:end], centroid[0, :end], beyond[0, :end], x_d)
+                        - _arrival(times[:end], centroid[1, :end], beyond[1, :end], x_d))
+            except NumericError:
+                if end == times.size:
+                    raise
 
 
 def spectral_average(

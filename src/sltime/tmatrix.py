@@ -180,10 +180,6 @@ class Amplitudes:
     def T(self) -> float:
         return abs(self.t) ** 2
 
-    @property
-    def R(self) -> float:
-        return abs(self.r) ** 2
-
 
 def _cos_and_sinc(ksq, w: float):
     """cos(kw) and sin(kw)/k as functions of k^2, valid for either sign.

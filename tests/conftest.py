@@ -1,4 +1,5 @@
-"""Shared fixtures, strategies, and the acceptance-report hook."""
+"""Shared fixtures, strategies, the closed-form model's derivative oracle,
+and the acceptance-report hook."""
 
 import contextlib
 import math
@@ -8,9 +9,9 @@ import pytest
 from hypothesis import HealthCheck, settings, strategies as st
 
 import sltime.tdse
-from sltime.kard import band_structure
+from sltime.kard import KardDerivatives, band_structure
 from sltime.medium import CellSpec, EnergyGrid, Layer, StackSpec, representative_stack
-from sltime.playmodel import PLAY_MODEL
+from sltime.playmodel import PLAY_MODEL, play_kard
 from sltime.tdse import Grid1D, WavePacket
 
 settings.register_profile(
@@ -63,6 +64,31 @@ def stacks(draw, max_replicas: int = 4) -> StackSpec:
 #: Energies safely inside the closed-form model's band, 0.3 meV clear of
 #: both edges, where mu diverges.
 play_energies = st.floats(50.3, 74.7)
+
+
+# --- oracles -----------------------------------------------------------------
+
+def play_derivatives(E: float) -> KardDerivatives:
+    """Closed-form energy derivatives of the closed-form model's angles, the
+    oracle for ``kard_derivatives``.
+
+    Differentiating cos(phi) = lam (E_bragg - E):
+
+        phi'  = lam / sin(phi)
+        phi'' = -lam^2 cos(phi) / sin^3(phi)
+
+    and sinh(mu) = sqrt(t2_strength/E)/sin(phi) gives, after dividing by
+    cosh(mu),
+
+        mu' = -tanh(mu) [ 1/(2E) + lam cos(phi)/sin^2(phi) ].
+    """
+    params = play_kard(E)
+    s = math.sin(params.phi)
+    c = math.cos(params.phi)
+    phi_p = PLAY_MODEL.lam / s
+    phi_pp = -PLAY_MODEL.lam * PLAY_MODEL.lam * c / (s * s * s)
+    mu_p = -math.tanh(params.mu) * (0.5 / E + PLAY_MODEL.lam * c / (s * s))
+    return KardDerivatives(params=params, phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p)
 
 
 @contextlib.contextmanager

@@ -1,6 +1,7 @@
 """The public API: each module's ``__all__`` is its one declaration,
-``sltime`` re-exports every one of those names, each default of it is
-earned by a caller, and the benchmark's calls bind to it."""
+``sltime`` re-exports every one of those names, each name and each default
+of it is earned by a caller outside the tests, and the benchmark's calls
+bind to it."""
 
 import ast
 import importlib
@@ -14,7 +15,8 @@ MODULES = ["errors", "medium", "tmatrix", "kard", "timing", "resonance", "scatte
            "playmodel", "arc", "tdse"]
 
 #: ``sltime.__all__`` as it was when the package kept a hand-written copy,
-#: less ``interior_wavefunction``, a test-only oracle that left the API.
+#: less ``interior_wavefunction`` and ``play_derivatives``, test-only oracles
+#: that left the API.
 HAND_KEPT = """
 SltimeError ValidationError NumericError NearBandEdgeError NoTransmissionError
 CONSTANTS Layer CellSpec StackSpec EnergyGrid load_stack save_stack
@@ -23,7 +25,7 @@ stack_matrix amplitudes KardParams KardDerivatives Band decompose reconstruct
 band_structure energy_at_phase kard_derivatives TimingCurve bloch_time phase_time
 envelopes timing_curve transmission_sweep PeakFit ValleyFit locate_extrema fit_peak
 fit_valley fit_extrema approx_curves DwellResult SmithMatrix smith_matrix
-dwell_time PlayModelSpec PLAY_MODEL play_kard play_matrix play_derivatives
+dwell_time PlayModelSpec PLAY_MODEL play_kard play_matrix
 ArcDesign design_rule_of_thumb compose_with_arc band_average_transmission Grid1D
 WavePacket DelayResult evolve packet_delay plan_run spectral_average
 stationary_packet_delay __version__
@@ -40,7 +42,7 @@ def test_public_api_is_declared_once_in_each_module():
     for module in modules:
         for name in module.__all__:
             assert getattr(sltime, name) is getattr(module, name), f"{module.__name__}.{name}"
-    assert len(HAND_KEPT) == 62
+    assert len(HAND_KEPT) == 61
     assert set(HAND_KEPT) <= set(sltime.__all__)
 
 
@@ -62,6 +64,68 @@ def test_benchmark_names_resolve_on_sltime():
     assert not [name for name in sorted(names) if not hasattr(sltime, name)]
 
 
+def _references(path: Path):
+    """(identifier, is a bare name, enclosing definitions) for every name
+    loaded, attribute read and identifier-shaped string in one source file,
+    the strings of an ``__all__`` declaration left out.  A string counts
+    because a caller can name a function, as perfbench's tracer tables do."""
+    found = []
+
+    def visit(node, chain):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            chain = chain + (node.name,)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            return
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.append((node.id, True, chain))
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            found.append((node.attr, False, chain))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            found.append((node.value, False, chain))
+        for child in ast.iter_child_nodes(node):
+            visit(child, chain)
+
+    visit(ast.parse(path.read_text()), ())
+    return found
+
+
+def test_public_names_have_callers():
+    """Every public name, and every public method and property of a public
+    class, is used in ``src/sltime/``, ``scripts/`` or ``perfbench/`` outside
+    its own definition: code that only the tests call belongs in the tests.
+    A method is matched by the attribute name alone, never by a bare name,
+    so one that shares its name with another class's attribute is not seen."""
+    root = Path(sltime.__file__).parent
+    sources = sorted(root.glob("*.py")) + sorted(Path("scripts").glob("*.py")) \
+        + sorted(Path("perfbench").glob("*.py"))
+    assert len(sources) >= 18
+    uses = [(path.resolve(), *reference) for path in sources
+            for reference in _references(path)]
+
+    def used(name, home, own):
+        return any(n == name and not (bare and len(own) > 1)
+                   and not (path == home and chain[:len(own)] == own)
+                   for path, n, bare, chain in uses)
+
+    unused = []
+    for name in sltime.__all__:
+        obj = getattr(sltime, name)
+        defined = inspect.isclass(obj) or inspect.isfunction(obj)
+        home = Path(inspect.getsourcefile(obj)).resolve() if defined else None
+        if not used(name, home, (name,)):
+            unused.append(name)
+        if inspect.isclass(obj):
+            for attr, value in vars(obj).items():
+                value = getattr(value, "__func__", value)
+                if not attr.startswith("_") and (inspect.isfunction(value)
+                                                 or isinstance(value, property)) \
+                        and not used(attr, home, (name, attr)):
+                    unused.append(f"{name}.{attr}")
+    assert unused == []
+
+
 #: Every defaulted parameter of the public API, each with a caller outside
 #: the tests that omits it; a new default needs a deliberate entry here.
 EARNED_DEFAULTS = {
@@ -72,7 +136,7 @@ EARNED_DEFAULTS = {
     "EnergyGrid.linear.band_bottom",  # cli._play_figure
     "TransferMatrix.ref_energy",  # kard.reconstruct
     "energy_jet.second",  # scattering._origin_jet
-    "KardParams.band",  # kard.KardParams.scaled
+    "KardParams.band",  # kard._decompose_one
     "band_structure.outside",  # cli._pick_band
     "timing_curve.refine",  # cli._cmd_phasetime
     "dwell_time.x_left",  # perfbench/workloads.py, the stationary workload

@@ -373,13 +373,11 @@ def test_refused_reproduce_leaves_no_outdir(flags, capsys, tmp_path):
     "tdse --stack {stack} --E0 58.5 --sigma-x inf -o {out}",
     "tdse --stack {stack} --E0 58.5 --extra-time nan -o {out}",
     "tdse --stack {stack} --E0 nan -o {out}",
-    "tdse --stack {stack} --E0 58.5 --x-detector nan -o {out}",
-    "tdse --stack {stack} --E0 58.5 --x-detector inf -o {out}",
     "reproduce --figure 9 --sigma-x nan --outdir {out}",
     "dwell --stack {stack} --xr inf -o {out}",
     "dwell --stack {stack} --xl=-inf -o {out}",
 ], ids=["dx-nan", "dt-nan", "sigma-nan", "sigma-inf", "extra-time-nan", "E0-nan",
-        "detector-nan", "detector-inf", "fig9-sigma-nan", "dwell-xr-inf", "dwell-xl-inf"])
+        "fig9-sigma-nan", "dwell-xr-inf", "dwell-xl-inf"])
 def test_non_finite_flag_exits_3_before_anything_is_written(argv, capsys, tmp_path):
     """A NaN or infinite run parameter is bad input: every check states its
     passing condition, so it fails where the value is first used, before a
@@ -392,21 +390,16 @@ def test_non_finite_flag_exits_3_before_anything_is_written(argv, capsys, tmp_pa
 @pytest.mark.parametrize("argv, message", [
     ("tdse --stack {stack} --E0 58.5 --extra-time -1000 -o {out}", "0 <= extra_time"),
     ("tdse --stack {stack} --E0 58.5 --extra-time -2500 -o {out}", "0 <= extra_time"),
-    ("tdse --stack {stack} --E0 58.5 --x-detector 1e6 -o {out}", "planned detector"),
-    ("tdse --stack {stack} --E0 58.5 --x-detector 384 -o {out}", "planned detector at 383.75"),
     ("tdse --stack {stack} --E0 58.5 --sigma-x 1.5 -o {out}", "use a wider packet"),
     ("reproduce --figure 9 --sigma-x 1.5 --outdir {out}", "use a wider packet"),
     ("tdse --stack {stack} --E0 58.5 --sigma-x 30 --dx 1 --dt 30000 -o {out}", "need dt <="),
-], ids=["extra-time-negative", "extra-time-very-negative", "detector-outside-domain",
-        "detector-beyond-plan", "spectrum-reaches-k0", "fig9-spectrum-reaches-k0",
-        "dt-longer-than-run"])
+], ids=["extra-time-negative", "extra-time-very-negative", "spectrum-reaches-k0",
+        "fig9-spectrum-reaches-k0", "dt-longer-than-run"])
 def test_bad_packet_input_is_refused_before_any_run(argv, message, monkeypatch, capsys,
                                                     tmp_path):
-    """A negative --extra-time, a detector past the planned one (the grid
-    ends ten widths beyond it, so a centroid further right could not be
-    read), a packet whose spectrum reaches k <= 0 and a time step longer than
-    the planned run are bad input: refused while planning, before a packet
-    runs or a file is written."""
+    """A negative --extra-time, a packet whose spectrum reaches k <= 0 and a
+    time step longer than the planned run are bad input: refused while
+    planning, before a packet runs or a file is written."""
     def no_run(*args, **kwargs):
         raise AssertionError("a packet ran")
 

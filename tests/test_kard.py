@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from conftest import play_energies
+from conftest import play_derivatives, play_energies
 from sltime.errors import NearBandEdgeError, NumericError, ValidationError
 from sltime.kard import (
     EDGE_TOL,
@@ -80,7 +80,7 @@ def test_power_reconstruction(E, n):
     M = play_matrix(E)
     p = decompose(M)
     P = M.power(n)
-    R = reconstruct(p.scaled(n))
+    R = reconstruct(KardParams(n * p.phi, p.mu, p.chi))
     err = max(abs(P.m11 - R.m11), abs(P.m21 - R.m21))
     assert err < 1e-10 * max(1.0, abs(P.m11))
 
@@ -139,8 +139,6 @@ def test_energy_at_phase_refuses_a_phase_outside_the_band_as_input(rep_band):
 def test_derivatives_match_play_closed_forms(play_band):
     """The angle algebra of kard_derivatives, fed the model's c', c'' and
     g', against the model's own derivatives in angle space: to roundoff."""
-    from sltime.playmodel import play_derivatives
-
     for E in np.linspace(52.0, 73.0, 41):
         d = kard_derivatives(PLAY_MODEL, None, float(E), band=play_band)
         an = play_derivatives(float(E))
@@ -152,8 +150,6 @@ def test_derivatives_match_play_closed_forms(play_band):
 def test_derivatives_next_to_a_band_edge_and_outside_the_band(play_band, rep_band):
     """No stencil to fit in: 1e-4 meV inside an edge is as good as the
     middle, and an energy outside the band named is refused."""
-    from sltime.playmodel import play_derivatives
-
     E = play_band.lower + 1e-4
     d = kard_derivatives(PLAY_MODEL, None, E, band=play_band)
     an = play_derivatives(E)

@@ -8,16 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from conftest import play_energies
+from conftest import play_derivatives, play_energies
 from sltime.errors import NearBandEdgeError
 from sltime.kard import decompose
-from sltime.playmodel import (
-    PLAY_MODEL,
-    play_derivatives,
-    play_eta,
-    play_kard,
-    play_matrix,
-)
+from sltime.playmodel import PLAY_MODEL, play_eta, play_kard, play_matrix
 
 
 def test_band_center_exact_values():

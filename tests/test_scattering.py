@@ -170,7 +170,6 @@ def _assert_array_matches_scalars(stack, E):
                           (d.tau_dwell_delay[i], ds.tau_dwell_delay),
                           (d.oscillatory_term[i], ds.oscillatory_term),
                           (d.free_passage[i], ds.free_passage),
-                          (d.uniform_passage[i], ds.uniform_passage),
                           (d.tau_numeric[i], ds.tau_numeric)]:
             assert abs(got - want) <= tol
 
@@ -420,8 +419,9 @@ def test_free_stack_is_featureless():
     assert d.oscillatory_term == pytest.approx(0.0, abs=1e-12)
     # the residual here is the roundoff of the exact derivatives
     assert d.tau_dwell_delay == pytest.approx(0.0, abs=1e-8)
-    assert d.dwell_time == pytest.approx(d.uniform_passage, rel=1e-10)
-    assert d.delay == pytest.approx(0.0, abs=1e-8)
+    # nothing to delay: the window is crossed at the lead's group velocity
+    assert d.dwell_time == pytest.approx((d.x_right - d.x_left) / v, rel=1e-10)
+    assert d.dwell_time - (d.x_right - d.x_left) / v == pytest.approx(0.0, abs=1e-8)
 
 
 def test_current_is_flat_and_equals_transmission():

@@ -253,6 +253,24 @@ def test_uniform_medium_with_most_modes_is_stepped(stepped_runs):
     assert peak < 32 * 16 * n  # stepping peaks near 19 complex n-vectors; n x n is n/32 times this
 
 
+
+@pytest.mark.parametrize("stepped", [False, True], ids=["in_modes", "stepped"])
+def test_long_grids_form_energies_without_a_blas_dot(stepped, stepped_runs, monkeypatch):
+    """OpenBLAS runs a dot of over 10000 elements on two threads and leaves
+    a worker spinning on the other CPU, so ``evolve`` forms its energies
+    without ``numpy.vdot``: a free reference in sine modes and a rep5 run
+    stepped, each on a grid of 12001 points."""
+    def no_vdot(*args):
+        raise AssertionError("numpy.vdot called")
+
+    monkeypatch.setattr(np, "vdot", no_vdot)
+    stack = representative_stack(5)
+    grid = Grid1D(x_min=-1500.0, x_max=1500.0, dx=0.25, dt=1.0, n_steps=20)
+    packet = WavePacket(x0=-600.0, E0=58.5, sigma_x=60.0)
+    rec = evolve(stack if stepped else free_reference(stack), grid, packet, x_sep=100.0)
+    assert grid.n_points > 10000 and len(stepped_runs) == stepped
+    assert rec.energy_drift <= 1e-12
+
 def test_nan_state_on_a_uniform_medium_fails_at_its_first_step():
     stack = _uniform_stack(10.0)
     grid = Grid1D(x_min=-600.0, x_max=600.0, dx=0.5, dt=1.0, n_steps=20)
@@ -852,6 +870,31 @@ def test_stationary_delay_rejects_spectrum_reaching_zero():
     with pytest.raises(ValidationError, match="t_max"):
         stationary_packet_delay(representative_stack(5), wide, 24.0, 264.0, 0.0)
 
+
+
+def test_stationary_delay_memory_does_not_grow_with_the_run():
+    """The plane waves exp(ikx) are formed a block of positions at a time, and
+    the density for as many samples as a fixed budget holds: with 8000 fs
+    more run, and so 4434 more positions, the call's tracemalloc peak stays
+    within 10 % of the +0 fs peak, and under half of one (800, n_x) table.
+    The delay is bit for bit the whole table's, ``sltime tdse``'s default."""
+    stack = load_stack(ROOT / "stacks" / "rep5.json")
+    peaks, sizes, delays = [], [], []
+    for extra_time in (0.0, 8000.0):
+        grid, packet, x_sep, x_d = plan_run(stack, 58.5, sigma_x=60.0, dx=0.25, dt=1.0,
+                                            extra_time=extra_time)
+        v0 = CONSTANTS.velocity(packet.k0(stack.outside), stack.outside.mass_ratio)
+        sizes.append(math.ceil(packet.x0 + v0 * grid.t_final + 10.0 * packet.sigma_x - x_sep))
+        tracemalloc.start()
+        try:
+            delays.append(stationary_packet_delay(stack, packet, x_sep, x_d, grid.t_final))
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert sizes == [2004, 6438]
+    assert delays[0] == 441.40768943081366
+    assert peaks[1] <= 1.1 * peaks[0]
+    assert peaks[1] < 0.5 * 16 * 800 * sizes[1]
 
 def _fig9_points():
     """figures/fig9_points.csv's rows as {column: value}; its dressed stack is
