@@ -192,7 +192,7 @@ class PacketRecord:
     grid in a sine-mode box).  ``norm_drift`` is the largest departure of
     norm plus outflow from 1 over the run, and ``energy_drift`` that of the
     final energy plus the energy that left from the initial energy,
-    relative to the latter.
+    relative to the latter, all measured from the lead's band bottom.
     """
 
     times: np.ndarray
@@ -228,7 +228,7 @@ class DelayResult:
 
 
 def free_reference(stack: StackSpec) -> StackSpec:
-    """A stack of pure lead material: V = 0 everywhere, lead mass.
+    """A stack of pure lead material: the lead's potential and mass everywhere.
 
     Same total width as the original so run geometry can be shared; the
     packet sees uniform medium.
@@ -271,9 +271,9 @@ def _hamiltonian_diagonals(stack: StackSpec, grid: Grid1D) -> tuple[np.ndarray, 
 
 
 def _energy(diag: np.ndarray, off: np.ndarray, psi: np.ndarray) -> float:
-    """psi^H H psi = sum (d_i + o_i-1 + o_i) |psi_i|^2 - sum o_i |psi_i+1 - psi_i|^2: inside
-    the grid d_i + o_i-1 + o_i is V_i, so nothing of d's size cancels on a fine lattice; in
-    numpy's pairwise sums, not a BLAS dot, which OpenBLAS threads above 10000 elements."""
+    """psi^H H psi = sum (d_i + o_i-1 + o_i) |psi_i|^2 - sum o_i |psi_i+1 - psi_i|^2, in numpy's
+    pairwise sums, not a BLAS dot, which OpenBLAS threads above 10000 elements.  ``evolve``
+    passes d less the lead's band bottom d_0 + 2 o_0, so a uniform medium's inner sites add 0."""
     site, jump = diag + np.r_[off, 0.0] + np.r_[0.0, off], np.diff(psi)
     return float(np.sum(site * (psi.real**2 + psi.imag**2))
                  - np.sum(off * (jump.real**2 + jump.imag**2)))
@@ -439,6 +439,7 @@ def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None):
     first moment is: OpenBLAS runs a zdotu of over 10000 elements on two
     threads, whose spinning cost an 11788-step run a quarter more CPU time."""
     o, s = lead or (0.0, np.zeros(n_rec))
+    shifted = diag - (diag[0] + 2.0 * off[0])  # energies from the lead's band bottom (``evolve``)
     a_diag = 0.5 + 0.5j * lam * diag
     a_diag[[0, -1]] += 0.5j * lam * o * s[0]
     half_a = _CyclicReduction(0.5j * lam * off, a_diag, 0.5j * lam * off)
@@ -474,8 +475,8 @@ def _stepped_sums(diag, off, lam, psi, x, j, n_rec, lead=None):
     sums[3:, 1:] = (chi * ghost).imag
     np.cumsum(sums[3:], axis=1, out=sums[3:])
     sums[3:] *= lam * o
-    h_chi = diag[[0, -1], None] * chi + off[[0, -1], None] * (edge[:, 1:] + edge[:, :-1])
-    energy = _energy(diag, off, state) + lam * o * np.sum((h_chi * ghost).imag)
+    h_chi = shifted[[0, -1], None] * chi + off[[0, -1], None] * (edge[:, 1:] + edge[:, :-1])
+    energy = _energy(shifted, off, state) + lam * o * np.sum((h_chi * ghost).imag)
     np.copyto(psi, state)
     return sums, psi, energy, None
 
@@ -508,9 +509,9 @@ def _uniform_sums(d, o, lam, psi, x, j, n_rec, m):
     modes (module notes) on a closed box of m >= psi.size sites: the grid's,
     then m - psi.size more of its lattice right of it, where psi starts at 0.
     Nothing leaves through the left wall, and the probability on the sites
-    past the grid counts as right outflow.  The energy is the kept modes'
-    (m + 1)/2 sum |a_k|^2 eps_k, eps_k = d + 2o cos(pi k/(m+1)) in a form that
-    does not cancel where d is near -2o.  Its fourth item is the density
+    past the grid counts as right outflow.  The energy, from the band bottom
+    d + 2o, is the kept modes' (m + 1)/2 sum |a_k|^2 (eps_k - d - 2o), with
+    eps_k - d - 2o = -4o sin^2(pi k/2(m+1)).  Its fourth item is the density
     within five cells of the box's two walls, per record; None where the
     modes would cost more than the steps."""
     from numpy import fft
@@ -548,7 +549,7 @@ def _uniform_sums(d, o, lam, psi, x, j, n_rec, m):
     coef[:] = 0.0
     coef[lo:lo + size] = a * np.exp(-1j * (n_rec - 1) * phase)
     box = dst(coef)
-    eps = (d + 2.0 * o) - 4.0 * o * np.sin(0.5 * math.pi / (m + 1) * k) ** 2
+    eps = -4.0 * o * np.sin(0.5 * math.pi / (m + 1) * k) ** 2  # less the band bottom d + 2o
     past = sums[3]
     return (np.vstack((sums[0] - past, sums[1:3], np.zeros(n_rec), past)), box[:n],
             0.5 * (m + 1) * float(np.sum(power * eps)), sums[4])
@@ -581,7 +582,7 @@ def evolve(
     above 1e-10 -- either means the run geometry, not the physics, produced
     the numbers.  So a failing run raises only after its last step.
     ``norm_drift`` and ``energy_drift`` are drifts of the totals, inside
-    plus outflow.
+    plus outflow, energies from the lead's band bottom (``_energy``).
 
     ``psi0`` overrides the initial state (used by the stationary-state
     self-test); it is normalized on entry.  ``monitor_walls=False`` keeps
@@ -607,7 +608,7 @@ def evolve(
         psi /= math.sqrt(grid.dx * float(np.sum(np.abs(psi) ** 2)))
 
     j = int(np.searchsorted(x, x_sep, side="right"))  # first point beyond x_sep
-    e_start = grid.dx * _energy(diag, off, psi)
+    e_start = grid.dx * _energy(diag - (diag[0] + 2.0 * off[0]), off, psi)
 
     n_rec = grid.n_steps + 1
     times = grid.dt * np.arange(n_rec)
@@ -792,9 +793,8 @@ def plan_run(
     return grid, packet, half_w + dx, x_d
 
 
-#: ``stationary_packet_delay``'s sampling step (fs), plane waves, positions per table block
-#: and density bytes per product
-_SAMPLE_DT, _N_K, _X_BLOCK, _DENS_BYTES = 20.0, 800, 512, 8 << 20
+#: ``stationary_packet_delay``'s sampling step (fs), plane waves and samples per FFT
+_SAMPLE_DT, _N_K, _CHUNK = 20.0, 800, 64
 
 
 def stationary_packet_delay(
@@ -816,7 +816,17 @@ def stationary_packet_delay(
     delay because density that is still trapped when the centroid passes the
     detector cannot contribute.  A t_max <= 0 is refused, and so is a packet
     whose spectrum reaches k <= 0, where no right-moving lead wave exists.
+
+    The density is summed over x_j = x_sep + j nm, j < n, out to the free
+    packet's reach.  On the k grid k_0 + m dk, it and its first moment are sums
+    over the lag d of R(d) = sum_m a_m+d conj(a_m), the inverse FFT of |A|^2
+    (A the amplitudes' zero-padded FFT), times S0(d) = sum_j e^(i d dk x_j) =
+    e^(2iuc) D and S1(d) = sum_j x_j e^(i d dk x_j) = e^(2iuc) (c D - i D'/2),
+    u = d dk/2, c the middle x_j, D = sin(nu)/sin(u): each is |A|^2 times its
+    kernel's inverse FFT, so no plane wave is formed and n costs nothing.
     """
+    from numpy import fft
+
     if not (0 < t_max < math.inf):
         raise ValidationError(f"need 0 < t_max < inf, got {t_max}")
     k0 = packet.k0(stack.outside)
@@ -832,35 +842,23 @@ def stationary_packet_delay(
     _, t_amp, *_ = _origin_jet(stack, E)
 
     v0 = CONSTANTS.velocity(k0, stack.outside.mass_ratio)
-    x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)
-    ik = 1j * k[:, None]
+    n = max(0, math.ceil(packet.x0 + v0 * t_max + 10.0 * packet.sigma_x - x_sep))
+    c, size = x_sep + 0.5 * (n - 1), 1 << (2 * _N_K - 1).bit_length()
+    u = 0.5 * (k[-1] - k[0]) / (_N_K - 1) * np.arange(1, _N_K)  # the lags d >= 1
+    D, turn = np.sin(n * u) / np.sin(u), np.exp(2j * c * u)
+    dD = (n * np.cos(n * u) - D * np.cos(u)) / np.sin(u)
+    # S0 and S1 from d = 0 on; S(-d) = conj S(d), so each kernel's inverse FFT is real
+    kernels = fft.irfft([np.r_[n, turn * D], np.r_[n * c, turn * (c * D - 0.5j * dD)]], size)
     times = np.arange(0.0, t_max, _SAMPLE_DT)
     weights = np.stack([spec * t_amp, spec])  # the stack, then free space (t = 1)
-    centroid, beyond = np.empty((2, times.size)), np.empty((2, times.size))
-    table = np.empty((k.size, _X_BLOCK), complex)
-    # both superpositions in one (2 n_t, n_k) @ (n_k, n_x) product for as many samples as
-    # _DENS_BYTES of density hold, exp(ikx) formed _X_BLOCK positions at a time; arrivals are
-    # read 32 samples at a time, up to the block in which both centroids have crossed x_d
-    group = 32 * max(1, _DENS_BYTES // (512 * x.size))
-    for first in range(0, times.size, group):
-        some = times[first:first + group]
-        amp = (weights[:, None, :] * np.exp(-1j * omega * some[:, None])).reshape(-1, k.size)
-        dens = np.empty((amp.shape[0], x.size))
-        for lo in range(0, x.size, _X_BLOCK):
-            part = np.multiply(ik, x[lo:lo + _X_BLOCK], out=table[:, :x.size - lo])
-            dens[:, lo:lo + _X_BLOCK] = np.abs(amp @ np.exp(part, out=part)) ** 2
-        dens = dens.reshape(2, some.size, x.size)
-        for start in range(first, first + some.size, 32):
-            end, rows = min(start + 32, times.size), dens[:, start - first:start - first + 32]
-            beyond[:, start:end] = p = rows.sum(axis=2)
-            with np.errstate(divide="ignore", invalid="ignore"):  # moments row by row
-                centroid[:, start:end] = [[np.sum(x * r) for r in side] for side in rows] / p
-            try:
-                return (_arrival(times[:end], centroid[0, :end], beyond[0, :end], x_d)
-                        - _arrival(times[:end], centroid[1, :end], beyond[1, :end], x_d))
-            except NumericError:
-                if end == times.size:
-                    raise
+    sums = np.empty((2, 2, times.size))  # (stack, free) x (sum, first moment) x sample
+    for first in range(0, times.size, _CHUNK):
+        some = times[first:first + _CHUNK]
+        f = fft.fft(weights[:, None, :] * np.exp(-1j * omega * some[:, None]), size)
+        sums[..., first:first + some.size] = kernels @ (f.real**2 + f.imag**2).swapaxes(1, 2)
+    with np.errstate(divide="ignore", invalid="ignore"):  # no positions: 0/0
+        arrival, arrival_free = (_arrival(times, moment / p, p, x_d) for p, moment in sums)
+    return arrival - arrival_free
 
 
 def spectral_average(

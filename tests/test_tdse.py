@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import sltime.tdse as tdse
 from conftest import closed_grid, layers, stepping
@@ -31,6 +31,7 @@ from sltime.errors import (
 )
 from sltime.kard import as_model
 from sltime.medium import CONSTANTS, CellSpec, Layer, StackSpec, load_stack, representative_stack
+from sltime.scattering import _origin_jet
 from sltime.tdse import (
     Grid1D,
     PacketRecord,
@@ -188,6 +189,7 @@ def test_free_reference_on_the_plan_grid_matches_the_full_closed_box(stepped_run
 @given(st.floats(0.04, 0.15), st.floats(-50.0, 50.0), st.floats(300.0, 900.0),
        st.floats(0.2, 1.0), st.floats(0.2, 3.0), st.integers(1, 150), st.floats(10.0, 80.0),
        st.floats(-0.6, 0.6), st.floats(1.0, 100.0), st.floats(0.0, 1.0), st.integers(0, 400))
+@example(0.0546875, -23.140625, 647.0, 0.75, 1.0, 2, 49.0, 0.0, 23.109375, 0.0, 0)
 def test_uniform_medium_sums_equal_the_stepped_sums(mass, V, half, dx, dt, n_steps, sigma,
                                                     launch, e_kin, sep, past):
     """Both producers' raw per-record sums on random uniform media, packets
@@ -873,11 +875,12 @@ def test_stationary_delay_rejects_spectrum_reaching_zero():
 
 
 def test_stationary_delay_memory_does_not_grow_with_the_run():
-    """The plane waves exp(ikx) are formed a block of positions at a time, and
-    the density for as many samples as a fixed budget holds: with 8000 fs
-    more run, and so 4434 more positions, the call's tracemalloc peak stays
-    within 10 % of the +0 fs peak, and under half of one (800, n_x) table.
-    The delay is bit for bit the whole table's, ``sltime tdse``'s default."""
+    """The positions enter the sums over them only through their number n, in
+    the closed-form kernels, and the samples are transformed a fixed chunk at
+    a time: with 8000 fs more run, and so 4434 more positions, the call's
+    tracemalloc peak stays within 10 % of the +0 fs peak, and under half of
+    one (800, n_x) plane-wave table.  The +0 fs delay is ``sltime tdse``'s
+    default plan's."""
     stack = load_stack(ROOT / "stacks" / "rep5.json")
     peaks, sizes, delays = [], [], []
     for extra_time in (0.0, 8000.0):
@@ -895,6 +898,42 @@ def test_stationary_delay_memory_does_not_grow_with_the_run():
     assert delays[0] == 441.40768943081366
     assert peaks[1] <= 1.1 * peaks[0]
     assert peaks[1] < 0.5 * 16 * 800 * sizes[1]
+
+
+def _superposed_delay(stack, packet, x_sep, x_d, t_max):
+    """``stationary_packet_delay`` as the direct superposition: the plane waves
+    on its k grid at every position x_sep + j nm at once, their density at
+    each sample, its sum and first moment, and the arrival rule."""
+    k0, sigma_k = packet.k0(stack.outside), 0.5 / packet.sigma_x
+    k = np.linspace(k0 - 6.5 * sigma_k, k0 + 6.5 * sigma_k, tdse._N_K)
+    spec = np.exp(-(packet.sigma_x**2) * (k - k0) ** 2 - 1j * (k - k0) * packet.x0)
+    E = CONSTANTS.hbar2_over_2m0 / stack.outside.mass_ratio * k**2 + stack.outside.potential
+    _, t_amp, *_ = _origin_jet(stack, E)
+    v0 = CONSTANTS.velocity(k0, stack.outside.mass_ratio)
+    x = np.arange(x_sep, packet.x0 + v0 * t_max + 10.0 * packet.sigma_x, 1.0)
+    times = np.arange(0.0, t_max, tdse._SAMPLE_DT)
+    waves = np.exp(1j * np.outer(k, x))
+    arrivals = []
+    for weights in (spec * t_amp, spec):
+        amp = weights * np.exp(-1j / CONSTANTS.hbar * np.outer(times, E))
+        dens = np.abs(amp @ waves) ** 2
+        beyond = dens.sum(axis=1)
+        arrivals.append(_arrival(times, (dens * x).sum(axis=1) / beyond, beyond, x_d))
+    return arrivals[0] - arrivals[1]
+
+
+def test_stationary_delay_equals_its_direct_superposition():
+    """The lag sums with closed-form kernels give the direct superposition's
+    delay to 1e-9 fs on figure 9's three plans, ``sltime tdse``'s default plan
+    and a 25 nm dressed plan."""
+    bare, dressed = (load_stack(ROOT / "stacks" / name) for name in ("rep5.json", "rep5_arc.json"))
+    plans = [(dressed, plan_run(dressed, e0, sigma_x=90.0)) for e0 in (57.0, 58.5, 60.0)]
+    plans += [(bare, plan_run(bare, 58.5, sigma_x=60.0)),
+              (dressed, plan_run(dressed, 58.5, sigma_x=25.0, dx=0.5, dt=2.0))]
+    for stack, (grid, packet, x_sep, x_d) in plans:
+        delay = stationary_packet_delay(stack, packet, x_sep, x_d, grid.t_final)
+        assert abs(delay - _superposed_delay(stack, packet, x_sep, x_d, grid.t_final)) <= 1e-9
+
 
 def _fig9_points():
     """figures/fig9_points.csv's rows as {column: value}; its dressed stack is
