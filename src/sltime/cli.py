@@ -7,6 +7,10 @@ byte-identical files.
 
 Exit codes: 0 success, 2 usage, 3 bad input (files, ranges, stack schema),
 4 numeric failure (band edges, divergences, lost packets).
+
+The parser needs only the standard library.  The layers are bound as modules,
+which the package loads on first attribute access, so `--help`, `--version`
+and a usage error load no numpy, and a command runs only the layers it calls.
 """
 
 from __future__ import annotations
@@ -19,26 +23,8 @@ import sys
 from pathlib import Path
 from typing import Iterable, Sequence
 
-import numpy as np
-
-from . import __version__
-from .arc import band_average_transmission, design_rule_of_thumb, stack_phase_time
-from .errors import NumericError, ValidationError
-from .kard import Band, as_model, band_structure, decompose
-from .medium import (
-    EnergyGrid,
-    StackSpec,
-    load_stack,
-    representative_stack,
-    save_stack,
-    stack_to_dict,
-)
-from .playmodel import PLAY_MODEL, play_eta, play_kard, play_matrix
-from .resonance import approx_curves, fit_extrema
-from .scattering import dwell_time, smith_matrix
-from .tdse import measure_delay, plan_run, spectral_average, stationary_packet_delay
-from .timing import bloch_time, free_time, timing_curve, transmission_sweep
-from .tmatrix import amplitudes, stack_matrix
+from . import (__version__, arc, errors, kard, medium, playmodel, resonance, scattering,
+               tdse, timing, tmatrix)
 
 #: Band window (meV) wide enough to hold the first few minibands of any
 #: stack this tool targets; every band in it is found, its edges polished to
@@ -47,6 +33,8 @@ _WINDOW = (1.0, 300.0)
 
 
 def _fmt(v) -> str:
+    import numpy as np
+
     if isinstance(v, (float, np.floating)):
         return f"{float(v):.17g}"
     if isinstance(v, (bool, np.bool_)):
@@ -92,9 +80,9 @@ def _load_model(args) -> tuple[object, int]:
     takes it, --N."""
     n = getattr(args, "N", None)  # N < 1 is refused by the library call that takes it
     if args.play:
-        return PLAY_MODEL, 9 if n is None else n
-    stack = load_stack(args.stack)
-    return as_model(stack.core, stack.outside), stack.replicas if n is None else n
+        return playmodel.PLAY_MODEL, 9 if n is None else n
+    stack = medium.load_stack(args.stack)
+    return kard.as_model(stack.core, stack.outside), stack.replicas if n is None else n
 
 
 def _lead_bottom(model) -> float:
@@ -103,14 +91,14 @@ def _lead_bottom(model) -> float:
     return 0.0 if lead is None else lead.potential
 
 
-def _pick_band(model, index: int) -> Band:
+def _pick_band(model, index: int) -> kard.Band:
     if index < 1:
-        raise ValidationError(f"--band counts from 1, got {index}")
+        raise errors.ValidationError(f"--band counts from 1, got {index}")
     lo = _WINDOW[0] + _lead_bottom(model)
-    bands = band_structure(model, grid=EnergyGrid.linear(lo, _WINDOW[1], 2))
+    bands = kard.band_structure(model, grid=medium.EnergyGrid.linear(lo, _WINDOW[1], 2))
     if len(bands) < index:
-        raise NumericError(f"only {len(bands)} allowed band(s) in the {lo}-{_WINDOW[1]} meV "
-                           f"window, band {index} requested")
+        raise errors.NumericError(f"only {len(bands)} allowed band(s) in the "
+                                  f"{lo}-{_WINDOW[1]} meV window, band {index} requested")
     return bands[index - 1]
 
 
@@ -120,21 +108,23 @@ def _count(args, default: int) -> int:
     return default if args.count is None else args.count
 
 
-def _grid_from_args(args, model, band: Band, default_count: int) -> EnergyGrid:
+def _grid_from_args(args, model, band: kard.Band, default_count: int) -> medium.EnergyGrid:
     lo, hi = band.interior(5e-3)
     e_min = lo if args.emin is None else args.emin
     e_max = hi if args.emax is None else args.emax
-    return EnergyGrid.linear(e_min, e_max, _count(args, default_count), _lead_bottom(model))
+    return medium.EnergyGrid.linear(e_min, e_max, _count(args, default_count),
+                                    _lead_bottom(model))
 
 
-def _sweep_grid(args, model, default_count: int) -> EnergyGrid:
+def _sweep_grid(args, model, default_count: int) -> medium.EnergyGrid:
     """`kard`/`transmission` grid; by default the play band or band window less 0.05 meV."""
     if args.emin is None or args.emax is None:
-        lo, hi = PLAY_MODEL.band if args.play else (_WINDOW[0] + _lead_bottom(model), _WINDOW[1])
+        lo, hi = (playmodel.PLAY_MODEL.band if args.play
+                  else (_WINDOW[0] + _lead_bottom(model), _WINDOW[1]))
         args.emin = lo + 0.05 if args.emin is None else args.emin
         args.emax = hi - 0.05 if args.emax is None else args.emax
-    return EnergyGrid.linear(args.emin, args.emax, _count(args, default_count),
-                             _lead_bottom(model))
+    return medium.EnergyGrid.linear(args.emin, args.emax, _count(args, default_count),
+                                    _lead_bottom(model))
 
 
 # --- subcommands -------------------------------------------------------------
@@ -143,7 +133,7 @@ def _cmd_kard(args) -> None:
     model, _ = _load_model(args)
     grid = _sweep_grid(args, model, 1200)
     M = model.matrix(grid.samples)
-    p = decompose(M)
+    p = kard.decompose(M)
     rows = zip(grid.samples, 0.5 * model.trace(grid.samples), p.phi, p.mu, p.chi, p.band)
     _write_csv(args.output, _config_header(args),
                ["E_meV", "cos_phi", "phi", "mu", "chi", "band"], rows)
@@ -152,7 +142,7 @@ def _cmd_kard(args) -> None:
 def _cmd_transmission(args) -> None:
     model, n = _load_model(args)
     grid = _sweep_grid(args, model, 2400)
-    sw = transmission_sweep(model, None, n, grid)
+    sw = timing.transmission_sweep(model, None, n, grid)
     rows = zip(sw.energies, sw.t2, sw.envelope)
     _write_csv(args.output, _config_header(args), ["E_meV", "T_N", "env_min"], rows)
 
@@ -161,7 +151,7 @@ def _cmd_phasetime(args) -> None:
     model, n = _load_model(args)
     band = _pick_band(model, args.band)
     grid = _grid_from_args(args, model, band, default_count=800)
-    curve = timing_curve(model, None, n, grid, band=band)
+    curve = timing.timing_curve(model, None, n, grid, band=band)
     _write_csv(args.output, _config_header(args), *_timing_table(curve))
 
 
@@ -173,13 +163,13 @@ def _timing_table(curve) -> tuple:
 
 
 def _cmd_dwell(args) -> None:
-    stack = load_stack(args.stack)
-    model = as_model(stack.core, stack.outside)
+    stack = medium.load_stack(args.stack)
+    model = kard.as_model(stack.core, stack.outside)
     band = _pick_band(model, args.band)
     grid = _grid_from_args(args, model, band, default_count=160)
     E = grid.samples
-    d = dwell_time(stack, E, x_left=args.xl, x_right=args.xr)
-    q = smith_matrix(stack, E)
+    d = scattering.dwell_time(stack, E, x_left=args.xl, x_right=args.xr)
+    q = scattering.smith_matrix(stack, E)
     _write_csv(args.output, _config_header(args),
                ["E_meV", "tau_dwell_fs", "tau_osc_fs", "tau_numeric_fs", "tau11_fs"],
                zip(E, d.dwell_time, d.oscillatory_term, d.tau_numeric, q.tau11))
@@ -188,14 +178,15 @@ def _cmd_dwell(args) -> None:
 def _cmd_resonances(args) -> None:
     flags = [f"--{k}" for k in ("emin", "emax", "count") if getattr(args, k) is not None]
     if flags and not args.curves:
-        raise ValidationError(f"{' and '.join(flags)} shape only the --curves sweep")
+        raise errors.ValidationError(f"{' and '.join(flags)} shape only the --curves sweep")
     model, n = _load_model(args)
     band = _pick_band(model, args.band)
     if args.curves:  # before anything is written, so that a bad grid leaves no file
-        ap = approx_curves(model, None, n, band, _grid_from_args(args, model, band, 1600))
+        ap = resonance.approx_curves(model, None, n, band,
+                                     _grid_from_args(args, model, band, 1600))
         peaks, valleys = ap.peaks, ap.valleys
     else:
-        peaks, valleys = fit_extrema(model, None, n, band)
+        peaks, valleys = resonance.fit_extrema(model, None, n, band)
     rows = []
     for pk in peaks:
         rows.append(("peak", pk.m, pk.E_m, pk.Gamma_m, pk.b_m, math.nan, pk.tau_peak, False))
@@ -213,56 +204,61 @@ def _cmd_resonances(args) -> None:
 
 # --- play-model figure sweeps ------------------------------------------------
 
-def _eta_n(grid: np.ndarray, n: int) -> np.ndarray:
-    """Unwrapped N-cell transmission phase, anchored to N pi/2 at band center."""
-    eta = np.unwrap(np.angle(amplitudes(play_matrix(grid).power(n)).t))
-    i0 = int(np.argmin(np.abs(grid - PLAY_MODEL.e_bragg)))
+def _eta_n(grid, n: int):
+    """Unwrapped N-cell transmission phase on the energy array ``grid``,
+    anchored to N pi/2 at band center."""
+    import numpy as np
+
+    eta = np.unwrap(np.angle(tmatrix.amplitudes(playmodel.play_matrix(grid).power(n)).t))
+    i0 = int(np.argmin(np.abs(grid - playmodel.PLAY_MODEL.e_bragg)))
     eta += 2.0 * math.pi * round((0.5 * n * math.pi - eta[i0]) / (2.0 * math.pi))
     return eta
 
 
 def _play_figure(figure: int, count: int):
-    band = _pick_band(PLAY_MODEL, 1)
+    import numpy as np
+
+    band = _pick_band(playmodel.PLAY_MODEL, 1)
     # Samples keep 5e-3 of the band width (0.125 meV) clear of each edge,
     # where mu and the phase time diverge.
     lo, hi = band.interior(5e-3)
     n = 9
     if figure == 1:
-        grid = EnergyGrid.linear(lo, hi, count).samples
-        p = play_kard(grid)
+        grid = medium.EnergyGrid.linear(lo, hi, count).samples
+        p = playmodel.play_kard(grid)
         return (["E_meV", "cos_phi", "phi_halfpi", "eta_halfpi"],
                 zip(grid, np.cos(p.phi), p.phi / (0.5 * math.pi),
-                    play_eta(grid) / (0.5 * math.pi)))
+                    playmodel.play_eta(grid) / (0.5 * math.pi)))
     if figure == 2:
-        grid = EnergyGrid.linear(lo, hi, count)
-        one = transmission_sweep(PLAY_MODEL, None, 1, grid)
-        nine = transmission_sweep(PLAY_MODEL, None, n, grid)
+        grid = medium.EnergyGrid.linear(lo, hi, count)
+        one = timing.transmission_sweep(playmodel.PLAY_MODEL, None, 1, grid)
+        nine = timing.transmission_sweep(playmodel.PLAY_MODEL, None, n, grid)
         return (["E_meV", "T_1", "T_9", "env_min"],
                 zip(grid.samples, one.t2, nine.t2, nine.envelope))
     if figure == 3:
-        grid = EnergyGrid.linear(lo, hi, count)
-        curve = timing_curve(PLAY_MODEL, None, n, grid, band=band)
+        grid = medium.EnergyGrid.linear(lo, hi, count)
+        curve = timing.timing_curve(playmodel.PLAY_MODEL, None, n, grid, band=band)
         return (["E_meV", "tau_ph_fs", "env_max_fs", "env_min_fs", "T9"],
                 zip(curve.energies, curve.tau_ph, curve.env_max, curve.env_min,
                     curve.t2))
     if figure == 4:
-        grid = EnergyGrid.linear(lo, PLAY_MODEL.e_bragg, count).samples
-        p = play_kard(grid)
+        grid = medium.EnergyGrid.linear(lo, playmodel.PLAY_MODEL.e_bragg, count).samples
+        p = playmodel.play_kard(grid)
         return (["E_meV", "Nphi_over_pi", "eta9_over_pi"],
                 zip(grid, n * p.phi / math.pi, _eta_n(grid, n) / math.pi))
     if figure == 5:
-        grid = EnergyGrid.linear(lo, hi, count)
-        nine = transmission_sweep(PLAY_MODEL, None, n, grid)
-        ap = approx_curves(PLAY_MODEL, None, n, band, grid)
+        grid = medium.EnergyGrid.linear(lo, hi, count)
+        nine = timing.transmission_sweep(playmodel.PLAY_MODEL, None, n, grid)
+        ap = resonance.approx_curves(playmodel.PLAY_MODEL, None, n, band, grid)
         return (["E_meV", "T_9", "T_approx"],
                 zip(grid.samples, nine.t2, ap.t2))
     if figure == 6:
-        grid = EnergyGrid.linear(lo, hi, count)
-        curve = timing_curve(PLAY_MODEL, None, n, grid, band=band)
-        ap = approx_curves(PLAY_MODEL, None, n, band, grid)
+        grid = medium.EnergyGrid.linear(lo, hi, count)
+        curve = timing.timing_curve(playmodel.PLAY_MODEL, None, n, grid, band=band)
+        ap = resonance.approx_curves(playmodel.PLAY_MODEL, None, n, band, grid)
         return (["E_meV", "tau_ph_fs", "tau_approx_fs", "env_max_fs"],
                 zip(curve.energies, curve.tau_ph, ap.tau_ph, curve.env_max))
-    raise ValidationError(f"playmodel has figures 1-6, got {figure}")
+    raise errors.ValidationError(f"playmodel has figures 1-6, got {figure}")
 
 
 def _cmd_playmodel(args) -> None:
@@ -273,54 +269,55 @@ def _cmd_playmodel(args) -> None:
 # --- arc ----------------------------------------------------------------------
 
 def _cmd_arc_design(args) -> None:
-    stack = load_stack(args.stack)
+    stack = medium.load_stack(args.stack)
     if stack.left_arc is not None or stack.right_arc is not None:
-        raise ValidationError("stack already carries end cells; design from the bare core")
-    band = _pick_band(as_model(stack.core, stack.outside), args.band)
-    design = design_rule_of_thumb(stack.core, stack.outside, band)
+        raise errors.ValidationError("stack already carries end cells; design from the bare core")
+    band = _pick_band(kard.as_model(stack.core, stack.outside), args.band)
+    design = arc.design_rule_of_thumb(stack.core, stack.outside, band)
     dressed = dataclasses.replace(stack, left_arc=design.arc_cell, right_arc=design.arc_cell)
-    save_stack(dressed, args.output)
+    medium.save_stack(dressed, args.output)
     _write_json("-", {
         "written": str(args.output),
         "target_energy_meV": design.target_energy,
         "achieved_phi_a": design.achieved_phi_a,
         "achieved_mu_a": design.achieved_mu_a,
-        "arc_cell": stack_to_dict(dressed)["left_arc"],
+        "arc_cell": medium.stack_to_dict(dressed)["left_arc"],
     })
 
 
 def _cmd_arc_evaluate(args) -> None:
-    stack = load_stack(args.stack)
-    band = _pick_band(as_model(stack.core, stack.outside), args.band)
+    stack = medium.load_stack(args.stack)
+    band = _pick_band(kard.as_model(stack.core, stack.outside), args.band)
     bare = dataclasses.replace(stack, left_arc=None, right_arc=None)
-    grid = EnergyGrid.linear(*band.interior(1e-6), _count(args, 2048))
+    grid = medium.EnergyGrid.linear(*band.interior(1e-6), _count(args, 2048))
     summary = {
         "band_lower_meV": band.lower,
         "band_upper_meV": band.upper,
-        "avg_T": band_average_transmission(stack, band, grid),
-        "avg_T_core_only": band_average_transmission(bare, band, grid),
+        "avg_T": arc.band_average_transmission(stack, band, grid),
+        "avg_T_core_only": arc.band_average_transmission(bare, band, grid),
         "has_arcs": stack.left_arc is not None,
     }
     _write_json(args.output, summary)
     if args.csv:
-        t_bare = abs(amplitudes(stack_matrix(grid.samples, bare)).t) ** 2
-        t_full = abs(amplitudes(stack_matrix(grid.samples, stack)).t) ** 2
+        t_bare = abs(tmatrix.amplitudes(tmatrix.stack_matrix(grid.samples, bare)).t) ** 2
+        t_full = abs(tmatrix.amplitudes(tmatrix.stack_matrix(grid.samples, stack)).t) ** 2
         _write_csv(args.csv, _config_header(args), ["E_meV", "T_core", "T_stack"],
                    zip(grid.samples, t_bare, t_full))
 
 
 # --- tdse ----------------------------------------------------------------------
 
-def _tdse_predictions(stack: StackSpec, band: Band, grid, packet, x_sep, x_d) -> dict:
+def _tdse_predictions(stack: medium.StackSpec, band: kard.Band, grid, packet, x_sep,
+                      x_d) -> dict:
     """The stationary predictions, made from the plan before the run, so that a
     packet they refuse (its spectrum reaching k <= 0) never runs.  The Bloch
     average covers the band's interior only; ``bloch_spectral_weight`` is the
     share of the packet's spectral weight that lies there."""
-    packet_pred = stationary_packet_delay(stack, packet, x_sep, x_d, grid.t_final)
+    packet_pred = tdse.stationary_packet_delay(stack, packet, x_sep, x_d, grid.t_final)
     lo, hi = band.interior(5e-3)
-    curve = timing_curve(stack.core, stack.outside, stack.replicas,
-                         EnergyGrid.linear(lo, hi, 1200), band=band)
-    bloch = spectral_average(curve.energies, curve.tau_bloch_total, packet, stack.outside)
+    curve = timing.timing_curve(stack.core, stack.outside, stack.replicas,
+                                medium.EnergyGrid.linear(lo, hi, 1200), band=band)
+    bloch = tdse.spectral_average(curve.energies, curve.tau_bloch_total, packet, stack.outside)
     # the lead wavenumbers at the curve's ends and at E0, then the Gaussian's share between
     k_lo, k0, k_hi = (dataclasses.replace(packet, E0=e).k0(stack.outside)
                       for e in (curve.energies[0], packet.E0, curve.energies[-1]))
@@ -331,14 +328,14 @@ def _tdse_predictions(stack: StackSpec, band: Band, grid, packet, x_sep, x_d) ->
 
 
 def _cmd_tdse(args) -> None:
-    stack = load_stack(args.stack)
-    band = _pick_band(as_model(stack.core, stack.outside), 1)
-    grid, packet, x_sep, x_d = plan_run(
+    stack = medium.load_stack(args.stack)
+    band = _pick_band(kard.as_model(stack.core, stack.outside), 1)
+    grid, packet, x_sep, x_d = tdse.plan_run(
         stack, args.E0, sigma_x=args.sigma_x, dx=args.dx, dt=args.dt,
         extra_time=args.extra_time,
     )
     preds = _tdse_predictions(stack, band, grid, packet, x_sep, x_d)
-    result, run, free = measure_delay(stack, grid, packet, x_sep, x_d)
+    result, run, free = tdse.measure_delay(stack, grid, packet, x_sep, x_d)
 
     series_path = f"{args.output}_series.csv"
     rows = zip(run.times, run.beyond_prob, run.centroid,
@@ -373,7 +370,7 @@ def _cmd_tdse(args) -> None:
 def _cmd_reproduce(args) -> None:
     k = args.figure
     if k != 9 and args.sigma_x is not None:
-        raise ValidationError("--sigma-x shapes only figure 9's packets")
+        raise errors.ValidationError("--sigma-x shapes only figure 9's packets")
     if args.sigma_x is None:
         args.sigma_x = 90.0  # echoed in every figure's header
     outdir, header = Path(args.outdir), _config_header(args)
@@ -387,19 +384,20 @@ def _cmd_reproduce(args) -> None:
         write(f"fig{k}.csv", columns, rows)
         return
 
-    stack = representative_stack(5)
-    model = as_model(stack.core, stack.outside)
+    stack = medium.representative_stack(5)
+    model = kard.as_model(stack.core, stack.outside)
     band = _pick_band(model, 1)
     n = stack.replicas
     if k in (7, 8):
-        peaks, _ = fit_extrema(model, None, n, band)
-        grid = EnergyGrid.linear(*band.interior(5e-3), _count(args, 1600))
-        curve = timing_curve(model, None, n, grid, band=band,
-                             refine=[(pk.E_m, pk.Gamma_m) for pk in peaks])
+        peaks, _ = resonance.fit_extrema(model, None, n, band)
+        grid = medium.EnergyGrid.linear(*band.interior(5e-3), _count(args, 1600))
+        curve = timing.timing_curve(model, None, n, grid, band=band,
+                                    refine=[(pk.E_m, pk.Gamma_m) for pk in peaks])
         if k == 7:
             write("fig7.csv", *_timing_table(curve))
         else:
-            ap = approx_curves(model, None, n, band, EnergyGrid(curve.energies))
+            ap = resonance.approx_curves(model, None, n, band,
+                                         medium.EnergyGrid(curve.energies))
             write("fig8.csv", ["E_meV", "tau_ph_fs", "tau_approx_fs", "T_N", "T_approx"],
                   zip(curve.energies, curve.tau_ph, ap.tau_ph, curve.t2, ap.t2))
         return
@@ -407,20 +405,21 @@ def _cmd_reproduce(args) -> None:
     # Figure 9: the wave-packet experiment on the ARC-terminated array, its
     # runs planned and predicted (which validates --sigma-x) before any file
     # is written or packet runs.
-    E = EnergyGrid.linear(*band.interior(5e-3), _count(args, 400)).samples
-    design = design_rule_of_thumb(stack.core, stack.outside, band)
+    E = medium.EnergyGrid.linear(*band.interior(5e-3), _count(args, 400)).samples
+    design = arc.design_rule_of_thumb(stack.core, stack.outside, band)
     dressed = dataclasses.replace(stack, left_arc=design.arc_cell,
                                   right_arc=design.arc_cell)
-    plans = {e0: plan_run(dressed, e0, sigma_x=args.sigma_x) for e0 in (57.0, 58.5, 60.0)}
+    plans = {e0: tdse.plan_run(dressed, e0, sigma_x=args.sigma_x) for e0 in (57.0, 58.5, 60.0)}
     preds = {e0: _tdse_predictions(dressed, band, *plan) for e0, plan in plans.items()}
     write("fig9_curve.csv", ["E_meV", "T_stack", "tau_ph_fs", "bloch_fs", "free_fs"],
-          zip(E, abs(amplitudes(stack_matrix(E, dressed)).t) ** 2,
-              stack_phase_time(dressed, E), n * bloch_time(model, None, E, band=band),
-              free_time(dressed.width, E, dressed.outside)))
+          zip(E, abs(tmatrix.amplitudes(tmatrix.stack_matrix(E, dressed)).t) ** 2,
+              arc.stack_phase_time(dressed, E),
+              n * timing.bloch_time(model, None, E, band=band),
+              timing.free_time(dressed.width, E, dressed.outside)))
 
     point_rows = []
     for e0, plan in plans.items():
-        result, *_ = measure_delay(dressed, *plan)
+        result, *_ = tdse.measure_delay(dressed, *plan)
         point_rows.append((e0, result.delay, preds[e0]["bloch_spectral_fs"],
                            preds[e0]["stationary_packet_fs"], result.transmitted_fraction))
     write("fig9_points.csv",
@@ -536,10 +535,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.func(args)
-    except ValidationError as exc:
+    # an except clause is evaluated only when an exception reaches it, so
+    # `errors` (and numpy) loads no earlier than the command's own first layer
+    except errors.ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except NumericError as exc:
+    except errors.NumericError as exc:
         print(f"numeric error: {exc}", file=sys.stderr)
         return 4
     except OSError as exc:  # a file that cannot be read or written

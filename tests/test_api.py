@@ -6,8 +6,14 @@ bind to it."""
 import ast
 import importlib
 import inspect
+import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import sltime
 
@@ -44,6 +50,38 @@ def test_public_api_is_declared_once_in_each_module():
             assert getattr(sltime, name) is getattr(module, name), f"{module.__name__}.{name}"
     assert len(HAND_KEPT) == 61
     assert set(HAND_KEPT) <= set(sltime.__all__)
+
+
+def test_all_dir_and_star_import_give_the_same_names():
+    namespace = {}
+    exec("from sltime import *", namespace)
+    assert dir(sltime) == sorted(sltime.__all__)
+    assert set(namespace) - {"__builtins__"} == set(sltime.__all__)
+
+
+def test_bare_import_runs_no_layer():
+    """``import sltime`` registers every layer without running it, and
+    ``__version__`` needs none; a public name runs the layers up to its own."""
+    probe = ("import json, sys, types, sltime\n"
+             "ran = lambda: [n for n in sltime._LAYERS\n"
+             "               if type(sys.modules['sltime.' + n]) is types.ModuleType]\n"
+             "steps = [ran(), 'numpy' in sys.modules, sltime.__version__, ran()]\n"
+             "sltime.load_stack\n"
+             "print(json.dumps(steps + [ran()]))")
+    src = str(Path(sltime.__file__).parent.parent)
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=60, env=dict(os.environ, PYTHONPATH=src))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout) == [[], False, "0.1.0", [], ["errors", "medium"]]
+
+
+def test_unknown_name_raises_attribute_error():
+    """So that ``hasattr`` in test_benchmark_names_resolve_on_sltime means
+    something."""
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        sltime.no_such_name
+    assert not hasattr(sltime, "no_such_name")
+    assert "no_such_name" not in vars(sltime)
 
 
 def test_the_library_warns_nowhere():
