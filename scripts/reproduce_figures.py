@@ -2,8 +2,8 @@
 """Emit the CSVs behind all nine figures into figures/.
 
 Thin loop over the `sltime reproduce` subcommand so one invocation rebuilds
-everything.  Figure 9 runs the wave-packet experiment and takes a minute or
-two; skip it with --fast while iterating on the stationary curves.
+everything.  Figure 9 runs the wave-packet experiment and takes about 5 s on
+a 2-CPU Xeon host; skip it with --fast while iterating on the stationary curves.
 """
 
 import argparse

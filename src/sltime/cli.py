@@ -78,7 +78,7 @@ def _write(out: str | None, text: str) -> None:
 def _load_model(args) -> tuple[object, int]:
     """Resolve (cell model, N) from --stack/--play and, where the command
     takes it, --N."""
-    n = getattr(args, "N", None)  # N < 1 is refused by the library call that takes it
+    n = getattr(args, "N", None)  # the library call that takes N checks it
     if args.play:
         return playmodel.PLAY_MODEL, 9 if n is None else n
     stack = medium.load_stack(args.stack)

@@ -264,7 +264,7 @@ class PotentialCell:
         """
         psi, p, theta = 0.0, 1.0, 0.0
         for layer in self.cell.layers:
-            (a, b), (c, d) = _layer_entries(E, layer, layer.width)
+            (a, b), (c, d) = _layer_entries(E, layer)
             ksq = (E - layer.potential) * layer.mass_ratio / CONSTANTS.hbar2_over_2m0
             kw = np.sqrt(np.maximum(ksq, 0.0)) * layer.width
             psi, p, psi0, p0 = a * psi + b * p, c * psi + d * p, psi, p
@@ -287,16 +287,14 @@ class Band:
     """One allowed band (or its part inside the window), ``index`` counted in
     the window.  parity is the sign s in Tr M / 2 = s * cos(phi_local), where
     phi_local runs 0 -> pi across the band as E increases; odd-numbered bands
-    of the spectrum have s = +1.  ``lower_is_edge``/``upper_is_edge``
-    distinguish true band edges from window truncation.
+    of the spectrum have s = +1.  A band cut by the window ends at the
+    window's end.
     """
 
     index: int
     lower: float
     upper: float
     parity: int
-    lower_is_edge: bool
-    upper_is_edge: bool
 
     @property
     def width(self) -> float:
@@ -320,13 +318,11 @@ def band_structure(
     bands of the window, and for a potential cell that list is certified by
     the Dirichlet count (see ``PotentialCell.bands``), so no sample spacing
     can hide a band, however narrow.  Edges are polished to ``EDGE_XTOL``.
-    Bands cut by the window are included with the corresponding
-    ``*_is_edge`` flag cleared.
+    Bands cut by the window are included, ending at the window's end.
     """
     model = as_model(cell, outside)
     e_lo, e_hi = float(grid.samples[0]), float(grid.samples[-1])
-    return [Band(index=i, lower=lower, upper=upper, parity=parity,
-                 lower_is_edge=lower != e_lo, upper_is_edge=upper != e_hi)
+    return [Band(index=i, lower=lower, upper=upper, parity=parity)
             for i, (lower, upper, parity) in enumerate(model.bands(e_lo, e_hi), start=1)]
 
 

@@ -108,6 +108,19 @@ class CellSpec:
         return sum(l.width for l in self.layers)
 
 
+def _integer(value, name: str, least: int, most: float = math.inf) -> int:
+    """``value`` as an int, if it is an integer in least..most; a count or
+    an index such as N, m or p.  A bool or a float, even 5.0, is refused:
+    the N-cell closed forms hold only for whole numbers of cells."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValidationError(f"{name} must be >= {least}, got {name} = {value}")
+    if value > most:
+        raise ValidationError(f"{name} must be <= {most}, got {name} = {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class StackSpec:
     """A finite superlattice: N core replicas, optional end cells, uniform leads.
@@ -124,10 +137,7 @@ class StackSpec:
     right_arc: CellSpec | None = None
 
     def __post_init__(self) -> None:
-        if isinstance(self.replicas, bool) or not isinstance(self.replicas, numbers.Integral):
-            raise ValidationError(f"replicas must be an integer, got {self.replicas!r}")
-        if self.replicas < 1:
-            raise ValidationError(f"replicas must be >= 1, got {self.replicas}")
+        object.__setattr__(self, "replicas", _integer(self.replicas, "replicas", 1))
 
     @property
     def width(self) -> float:
@@ -175,9 +185,7 @@ class EnergyGrid:
                band_bottom: float = 0.0) -> "EnergyGrid":
         if not e_min < e_max:
             raise ValidationError(f"need e_min < e_max, got [{e_min}, {e_max}]")
-        if count < 2:
-            raise ValidationError(f"count must be >= 2, got {count}")
-        return cls(np.linspace(e_min, e_max, count), band_bottom)
+        return cls(np.linspace(e_min, e_max, _integer(count, "count", 2)), band_bottom)
 
     @property
     def count(self) -> int:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from decimal import Decimal, localcontext
 
-from .medium import CONSTANTS, CellSpec, Layer
+from .medium import CONSTANTS, CellSpec, Layer, _integer
 
 __all__ = ["transmission"]
 
@@ -82,7 +82,7 @@ def transmission(cell: CellSpec, outside: Layer, N: int, E: float) -> float:
         e, h2m = Decimal(E), Decimal(CONSTANTS.hbar2_over_2m0)
         steps = {layer: _propagator(e, layer, h2m) for layer in set(cell.layers)}
         (p11, p21), (p12, p22) = (Decimal(1), Decimal(0)), (Decimal(0), Decimal(1))
-        for _ in range(N):
+        for _ in range(_integer(N, "N", 1)):
             for layer in cell.layers:
                 a, b, c, d = steps[layer]
                 p11, p21 = a * p11 + b * p21, c * p11 + d * p21

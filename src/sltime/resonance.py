@@ -33,9 +33,9 @@ from typing import Union
 
 import numpy as np
 
-from .errors import NumericError, ValidationError, require
+from .errors import NumericError, require
 from .kard import Band, CellModel, _require_in_band, as_model, energy_at_phase, kard_derivatives
-from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
+from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, _integer
 
 __all__ = [
     "PeakFit",
@@ -106,8 +106,7 @@ def locate_extrema(
     returned, of which only p = 1 .. N-2 are interior -- the outermost two
     hug the band edges and are flagged when fitted.
     """
-    if N < 2:
-        raise ValidationError(f"extrema need at least 2 cells, got N = {N}")
+    N = _integer(N, "N", 2)
     model = as_model(cell, outside)
     phases = np.concatenate([np.arange(1, N), np.arange(N) + 0.5]) * math.pi / N
     energies = energy_at_phase(model, band, phases).tolist()
@@ -145,8 +144,8 @@ def fit_peak(
     band: Band,
 ) -> PeakFit:
     """Analytic lineshape parameters at the m-th peak (m = 1 .. N-1)."""
-    if not 1 <= m <= N - 1:
-        raise ValidationError(f"peak index m = {m} outside 1..{N - 1}")
+    N = _integer(N, "N", 2)
+    m = _integer(m, "m", 1, N - 1)
     model = as_model(cell, outside)
     E_m = energy_at_phase(model, band, m * math.pi / N)
     return _fit(model, N, band, {m: E_m}, {})[0][0]
@@ -161,8 +160,8 @@ def fit_valley(
     band: Band,
 ) -> ValleyFit:
     """Analytic lineshape parameters at the p-th minimum (p = 0 .. N-1)."""
-    if not 0 <= p <= N - 1:
-        raise ValidationError(f"valley index p = {p} outside 0..{N - 1}")
+    N = _integer(N, "N", 1)
+    p = _integer(p, "p", 0, N - 1)
     model = as_model(cell, outside)
     E_p = energy_at_phase(model, band, (p + 0.5) * math.pi / N)
     return _fit(model, N, band, {}, {p: E_p})[1][0]

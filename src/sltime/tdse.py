@@ -93,13 +93,12 @@ packet, where a peak-arrival reading would be ambiguous.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NoTransmissionError, NumericError, ValidationError, require
-from .medium import CONSTANTS, CellSpec, Layer, StackSpec
+from .medium import CONSTANTS, CellSpec, Layer, StackSpec, _integer
 from .scattering import _origin_jet
 
 __all__ = [
@@ -131,10 +130,7 @@ class Grid1D:
             raise ValidationError(f"need x_min < x_max, got [{self.x_min}, {self.x_max}]")
         if not (0 < self.dx < math.inf and 0 < self.dt < math.inf):
             raise ValidationError(f"need 0 < dx, dt < inf, got {self.dx}, {self.dt}")
-        if isinstance(self.n_steps, bool) or not isinstance(self.n_steps, numbers.Integral):
-            raise ValidationError(f"n_steps must be an integer, got {self.n_steps!r}")
-        if self.n_steps < 1:
-            raise ValidationError(f"n_steps must be >= 1, got {self.n_steps}")
+        object.__setattr__(self, "n_steps", _integer(self.n_steps, "n_steps", 1))
 
     @property
     def n_points(self) -> int:

@@ -53,7 +53,7 @@ from .kard import (
     as_model,
     decompose,
 )
-from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer
+from .medium import CONSTANTS, CellSpec, EnergyGrid, Layer, _integer
 from .tmatrix import amplitudes
 
 __all__ = [
@@ -79,9 +79,8 @@ def free_time(width: float, E, outside: Layer):
 
 def _bloch(model: CellModel, N: int, E, band: Band) -> tuple:
     """(derivatives, cell matrix, N tau_Bl) at E, from one derivative call;
-    the N >= 1 and N tau_Bl > 0 checks of every timing function."""
-    if not N >= 1:
-        raise ValidationError(f"need at least one cell, got N = {N}")
+    the count check on N and the N tau_Bl > 0 check of every timing function."""
+    N = _integer(N, "N", 1)
     d, M = _kard_derivatives(model, E, band, second=False)
     bloch = N * CONSTANTS.hbar * d.phi_p
     require(bloch > 0.0, NumericError, "nonpositive Bloch time at E = {E} meV: phi' = {phi_p}",
@@ -177,8 +176,7 @@ def transmission_sweep(
     is checked again against the 40-digit reference of ``precise``, and the
     sweep raises only if that disagrees by more than 1e-10 too.
     """
-    if N < 1:
-        raise ValidationError(f"need at least one cell, got N = {N}")
+    N = _integer(N, "N", 1)
     model = as_model(cell, outside)
     E = grid.samples
     M = model.matrix(E)

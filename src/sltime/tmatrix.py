@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NoTransmissionError, ValidationError, require
-from .medium import CONSTANTS, CellSpec, Layer, StackSpec
+from .medium import CONSTANTS, CellSpec, Layer, StackSpec, _integer
 
 __all__ = [
     "TransferMatrix",
@@ -153,8 +153,7 @@ class TransferMatrix:
 
     def power(self, n: int) -> "TransferMatrix":
         """M^n by binary exponentiation (n >= 0)."""
-        if n < 0:
-            raise ValidationError(f"negative power {n}")
+        n = _integer(n, "n", 0)
         result, base = TransferMatrix(1.0 + 0.0j, 0.0 + 0.0j, self.ref_energy), self
         while n:
             if n & 1:
@@ -252,11 +251,11 @@ def _sinc_slopes(ksq, w: float, c, s):
     return s1, s2
 
 
-def _layer_entries(E, layer: Layer, width: float) -> tuple:
-    """((P11, P12), (P21, P22)) of the propagator across ``width`` of the
-    layer's material, each shaped like E (jets for a jet E)."""
+def _layer_entries(E, layer: Layer) -> tuple:
+    """((P11, P12), (P21, P22)) of the propagator across the layer, each
+    shaped like E (jets for a jet E)."""
     ksq = (E - layer.potential) * layer.mass_ratio / CONSTANTS.hbar2_over_2m0
-    c, s = _cos_and_sinc(ksq, width)
+    c, s = _cos_and_sinc(ksq, layer.width)
     m = layer.mass_ratio
     return (c, m * s), (-ksq * s / m, c)
 
@@ -266,7 +265,7 @@ def _interior_propagator(E, cell: CellSpec) -> tuple:
 
     Each distinct layer is evaluated once (a symmetric cell repeats its
     outer layers)."""
-    entries = {layer: _layer_entries(E, layer, layer.width) for layer in set(cell.layers)}
+    entries = {layer: _layer_entries(E, layer) for layer in set(cell.layers)}
     first, *rest = cell.layers
     (t11, t12), (t21, t22) = entries[first]
     for layer in rest:

@@ -8,6 +8,7 @@ where the closed form predicts exact contact.
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -257,15 +258,19 @@ def test_phasetime_command_exits_4_when_the_envelope_check_fails(monkeypatch, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize("N", [0, -3])
+@pytest.mark.parametrize("N", [0, -3, 2.5, 5.0, True, pytest.param(np.True_, id="np.True_")])
 @pytest.mark.parametrize("call", [
     lambda N, band: envelopes(representative_cell(), OUT, N, 58.5, band=band),
     lambda N, band: phase_time(representative_cell(), OUT, N, 58.5, band=band),
     lambda N, band: timing_curve(representative_cell(), OUT, N, EnergyGrid(GATE_E), band=band),
 ], ids=["envelopes", "phase_time", "timing_curve"])
 def test_timing_refuses_fewer_than_one_cell(call, N, rep_band):
-    """N < 1 is bad input, not zero or negative times."""
-    with pytest.raises(ValidationError, match=f"need at least one cell, got N = {N}"):
+    """N below 1 is bad input, not zero or negative times; so is an N that is
+    not an integer (a float, even 5.0, or a bool), since the N-cell closed
+    forms hold only for whole numbers of cells."""
+    message = (f"N must be >= 1, got N = {N}" if type(N) is int
+               else f"N must be an integer, got {N!r}")
+    with pytest.raises(ValidationError, match=re.escape(message)):
         call(N, rep_band)
 
 

@@ -8,6 +8,8 @@ throughout so in-gap (evanescent) energies exercise the same path.
 
 import cmath
 import math
+import pickle
+import re
 
 import numpy as np
 import pytest
@@ -17,6 +19,8 @@ from conftest import asymmetric_cells, stacks, symmetric_cells
 from sltime import precise
 from sltime.errors import NoTransmissionError, ValidationError
 from sltime.kard import band_structure
+from sltime.resonance import approx_curves, fit_peak, fit_valley, locate_extrema
+from sltime.timing import phase_time, transmission_sweep
 from sltime.medium import (
     CONSTANTS, CellSpec, EnergyGrid, Layer, StackSpec, load_stack, representative_cell,
 )
@@ -155,8 +159,44 @@ def test_power_equals_repeated_compose(cell, E, n):
 def test_negative_power_is_refused_as_input():
     """M^-1 is not what ``power`` computes: a negative exponent is a
     malformed input (exit 3), not a numerical failure."""
-    with pytest.raises(ValidationError, match="negative power -1"):
+    with pytest.raises(ValidationError, match="n must be >= 0, got n = -1"):
         cell_matrix(58.0, representative_cell(), outside=OUT).power(-1)
+
+
+def _in_band(band):
+    return EnergyGrid.linear(band.lower + 0.05 * band.width, band.upper - 0.05 * band.width, 40)
+
+
+#: Every public call that takes a count or an index, with that argument as
+#: its first parameter, and a whole value it accepts.
+_COUNTED = {
+    "locate_extrema": (lambda N, band: locate_extrema(representative_cell(), OUT, N, band), 5),
+    "approx_curves": (lambda N, band: approx_curves(representative_cell(), OUT, N, band,
+                                                    _in_band(band)), 5),
+    "fit_peak-N": (lambda N, band: fit_peak(representative_cell(), OUT, N, 1, band=band), 5),
+    "fit_peak-m": (lambda m, band: fit_peak(representative_cell(), OUT, 5, m, band=band), 2),
+    "fit_valley-N": (lambda N, band: fit_valley(representative_cell(), OUT, N, 0, band=band), 5),
+    "fit_valley-p": (lambda p, band: fit_valley(representative_cell(), OUT, 5, p, band=band), 2),
+    "transmission_sweep": (lambda N, band: transmission_sweep(representative_cell(), OUT, N,
+                                                              _in_band(band)), 5),
+    "phase_time": (lambda N, band: phase_time(representative_cell(), OUT, N, 58.5, band=band), 5),
+    "precise": (lambda N, band: precise.transmission(representative_cell(), OUT, N, 58.5), 5),
+    "power": (lambda n, band: cell_matrix(58.0, representative_cell(), outside=OUT).power(n), 5),
+    "linear": (lambda count, band: EnergyGrid.linear(50.0, 60.0, count), 5),
+}
+
+
+@pytest.mark.parametrize("name", _COUNTED)
+def test_a_count_that_is_not_an_integer_is_refused_as_input(name, rep_band):
+    """The N-cell closed forms hold only for a whole number of cells, so a
+    fractional N (and m = 1.5 or p = 0.5) is malformed input, not a value to
+    answer for; so is a float 5.0 or a bool.  A numpy integer is a count,
+    and gives the very bits the Python int gives."""
+    call, good = _COUNTED[name]
+    for bad in (0.5, 1.5, 2.5, 5.0, True, np.True_):
+        with pytest.raises(ValidationError, match=f"must be an integer, got {re.escape(repr(bad))}"):
+            call(bad, rep_band)
+    assert pickle.dumps(call(np.int64(good), rep_band)) == pickle.dumps(call(good, rep_band))
 
 
 def _sequential_product(E, stack: StackSpec):
