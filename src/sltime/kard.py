@@ -24,7 +24,7 @@ exact: a potential cell propagates them through its layer product
 (``tmatrix.Jet``), the closed-form model differentiates its two laws.
 
 Matrices, angles and derivatives may hold one energy or an array of them;
-array inputs give array fields, scalar inputs plain floats.
+array inputs give array fields, scalar inputs Python floats.
 
 Bands are counted, not sampled: each gap holds one Dirichlet eigenvalue of
 the cell (Magnus & Winkler, *Hill's Equation*, ch. 2), the n-th where the
@@ -373,10 +373,10 @@ def kard_derivatives(
         phi'' = -(c'' + cos(phi) phi'^2) / sin(phi)
         mu'   = [g' (1 - c^2) + 2 c c' g] / [(1 - c^2)^2 sinh(2 mu)]
 
-    E may be an array, evaluated in one call; a scalar stays a Python
-    scalar throughout.  Every E must be inside ``band`` and classified
-    allowed there; the first that is not (a NaN never is) raises
-    NearBandEdgeError.
+    E may be an array, evaluated in one call; a scalar stays a Python float
+    throughout, rounded as numpy rounds the array element.  Every E must be
+    inside ``band`` and classified allowed there; the first that is not (a
+    NaN never is) raises NearBandEdgeError.
     """
     return _kard_derivatives(as_model(cell, outside), E, band, second=True)[0]
 
@@ -400,22 +400,25 @@ def _kard_derivatives(model: CellModel, E, band: Band, second: bool) -> tuple:
     require(params.band == "allowed", NearBandEdgeError,
             "E = {E} meV is not inside an allowed band", E=E)
     phi, mu = params.phi, params.mu
-    c = np.cos(phi)
-    s = np.sin(phi)
-    g = np.square(np.abs(M.m21))  # x * x for a scalar too, where ** 2 would call C pow
+    scalar = not isinstance(phi, np.ndarray)
+    values = np.cos(phi), np.sin(phi), np.abs(M.m21), np.sinh(2.0 * mu)
+    c, s, r, sinh2mu = map(float, values) if scalar else values
+    g = r * r  # not ** 2, which would call C pow for a scalar
     phi_p = -c_p / s
     phi_pp = -(c_pp + c * phi_p * phi_p) / s
-    sinh2mu = np.sinh(2.0 * mu)
     one_m_c2 = 1.0 - c * c
+    num, den = g_p * one_m_c2 + 2.0 * c * c_p * g, one_m_c2 * one_m_c2 * sinh2mu
     # mu = 0 means |M21| = 0 exactly.  For a cell with no reflection at any
     # energy (a free cell) mu' = 0; for a cell transparent at an isolated
     # energy, mu has a kink and only the combination tanh(mu) mu' -> 0 is
     # meaningful, so 0 is the right limit either way.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        mu_p = (g_p * one_m_c2 + 2.0 * c * c_p * g) / (one_m_c2 * one_m_c2 * sinh2mu)
-    mu_p = np.where(sinh2mu == 0.0, 0.0, mu_p)
+    if scalar:
+        mu_p = 0.0 if sinh2mu == 0.0 else num / den
+    else:
+        with np.errstate(divide="ignore", invalid="ignore"):
+            mu_p = np.where(sinh2mu == 0.0, 0.0, num / den)
     out = (phi, mu, params.chi, phi_p, phi_pp, mu_p)
-    if np.ndim(E) == 0:
+    if scalar:  # a closed-form model may answer a numpy scalar E in numpy scalars
         out = tuple(float(x) for x in out)
     phi, mu, chi, phi_p, phi_pp, mu_p = out
     return KardDerivatives(KardParams(phi, mu, chi), phi_p=phi_p, phi_pp=phi_pp, mu_p=mu_p), M

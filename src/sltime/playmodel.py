@@ -60,7 +60,8 @@ class PlayModelSpec:
 
     def trace(self, E):
         """2 cos(phi), extended by the same linear law at every energy."""
-        return 2.0 * self.lam * (self.e_bragg - np.asarray(E, dtype=float))
+        c2 = 2.0 * self.lam * (self.e_bragg - np.asarray(E, dtype=float))
+        return c2 if isinstance(c2, np.ndarray) else float(c2)
 
     def matrix(self, E) -> TransferMatrix:
         return play_matrix(E)

@@ -21,8 +21,8 @@ to a transmission valley escapes cosh(mu) times faster.
 Everything here is closed-form in the angles; numerical differentiation of
 the N-cell transmission phase is relegated to the test suite (phase
 unwrapping across sharp resonances is exactly the fragility this module
-exists to avoid).  Energies may be scalars or arrays throughout; sweeps and
-curves evaluate their whole grid in one call of the cell model.
+exists to avoid).  An energy may be a scalar, answered in Python floats, or
+an array; sweeps and curves evaluate their grid in one call of the cell model.
 
 ``bloch_time``, ``phase_time``, ``envelopes`` and ``timing_curve`` share one
 evaluation inside the ``Band`` they are handed: ``_bloch`` checks N >= 1,
@@ -74,18 +74,19 @@ def free_time(width: float, E, outside: Layer):
     require(np.isfinite(e_kin), ValidationError, "non-finite energy E = {E} meV", E=E)
     require(e_kin > 0.0, NumericError, "no propagating lead wave at E = {E} meV", E=E)
     k = np.sqrt(e_kin * outside.mass_ratio / CONSTANTS.hbar2_over_2m0)
-    return width / CONSTANTS.velocity(k, outside.mass_ratio)
+    t = width / CONSTANTS.velocity(k, outside.mass_ratio)
+    return t if isinstance(t, np.ndarray) else float(t)
 
 
 def _bloch(model: CellModel, N: int, E, band: Band) -> tuple:
-    """(derivatives, cell matrix, N tau_Bl) at E, from one derivative call;
+    """(derivatives, cell matrix, N tau_Bl, int N) at E, from one derivative call;
     the count check on N and the N tau_Bl > 0 check of every timing function."""
     N = _integer(N, "N", 1)
     d, M = _kard_derivatives(model, E, band, second=False)
     bloch = N * CONSTANTS.hbar * d.phi_p
     require(bloch > 0.0, NumericError, "nonpositive Bloch time at E = {E} meV: phi' = {phi_p}",
             E=E, phi_p=d.phi_p)
-    return d, M, bloch
+    return d, M, bloch, N
 
 
 def _closed_forms(model: CellModel, N: int, E, band: Band) -> tuple:
@@ -96,18 +97,20 @@ def _closed_forms(model: CellModel, N: int, E, band: Band) -> tuple:
     because Im M11 = -sin(phi) cosh(mu); disagreement beyond 1e-8 relative
     means the decomposition and the matrix have drifted apart.
     """
-    d, M, bloch = _bloch(model, N, E, band)
+    d, M, bloch, N = _bloch(model, N, E, band)
     phi, mu = d.params.phi, d.params.mu
-    ch = np.cosh(mu)
+    values = (np.cosh(mu), np.sin(phi), np.sinh(mu), np.sin(N * phi),
+              np.sin(2.0 * N * phi), np.tanh(mu))
+    ch, s, sh, s_n, s_2n, th = values if isinstance(phi, np.ndarray) else map(float, values)
     env_min = bloch / ch
-    m_form = N * CONSTANTS.hbar * (-d.phi_p * np.sin(phi)) / M.m11.imag
-    require(np.abs(m_form - env_min) <= 1e-8 * np.abs(env_min), NumericError,
+    m_form = N * CONSTANTS.hbar * (-d.phi_p * s) / M.m11.imag
+    require(abs(m_form - env_min) <= 1e-8 * abs(env_min), NumericError,
             "envelope cross-check failed at E = {E} meV: "
             "{m_form} (matrix form) vs {env_min} (cosh form)",
             E=E, m_form=m_form, env_min=env_min)
-    den = 1.0 + np.square(np.sinh(mu)) * np.square(np.sin(N * phi))  # not ** 2: see kard
+    den = 1.0 + (sh * sh) * (s_n * s_n)  # not ** 2: see kard
     # tanh(mu) mu' -> 0 whenever mu -> 0, so a transparent cell is safe here.
-    ripple = np.sin(2.0 * N * phi) * np.tanh(mu) * d.mu_p / (2.0 * N * d.phi_p)
+    ripple = s_2n * th * d.mu_p / (2.0 * N * d.phi_p)
     return 1.0 / den, bloch * ch * (1.0 + ripple) / den, bloch * ch, env_min, bloch
 
 
@@ -228,7 +231,8 @@ def _refined_samples(
 
     Each (center, width) pair contributes 240 samples, center + width k/40
     for k in [-120, 120), so center +- width are exact samples; the windows
-    are clipped to (lo, hi) and duplicates are dropped.  The base grid is
+    are clipped to (lo, hi), and of equal sorted neighbours one is kept
+    (as ``np.unique`` would, which imports ``numpy.ma``).  The base grid is
     kept whole, so that a sample outside the band reaches the band check.
     """
     pieces = [np.asarray(grid.samples, dtype=float)]
@@ -237,7 +241,8 @@ def _refined_samples(
             raise ValidationError(f"nonpositive refinement width {width}")
         local = center + width * (np.arange(-120, 120) / 40.0)
         pieces.append(local[(local > lo) & (local < hi)])
-    return np.unique(np.concatenate(pieces))
+    samples = np.sort(np.concatenate(pieces))
+    return samples[np.concatenate(([True], samples[1:] != samples[:-1]))]
 
 
 def timing_curve(

@@ -24,7 +24,7 @@ For left incidence (D = 0) the cell-referenced amplitudes are t = 1/M11 and
 r = M21/M11; |t|^2 + |r|^2 = 1 follows from det M = 1.
 
 Every function takes a scalar energy or an energy array, evaluated in one
-pass of numpy arithmetic; a scalar energy gives plain complex entries.
+pass of numpy arithmetic; a scalar energy gives Python complex entries.
 Handed the energy as a ``Jet`` (``energy_jet``), the same layer loop and
 products return every entry together with its exact first, and on request
 second, energy derivatives (forward-mode differentiation).
@@ -111,7 +111,7 @@ class Jet:
                    None if self.d2 is None else self.d2.conjugate())
 
     def sqrt(self) -> "Jet":
-        r = np.sqrt(self.v)
+        r = math.sqrt(self.v) if isinstance(self.v, float) else np.sqrt(self.v)
         return self.chain(r, 0.5 / r, -0.25 / (r * self.v))
 
 
@@ -186,9 +186,9 @@ def _cos_and_sinc(ksq, w: float):
     For k^2 < 0 these are cosh(|k|w) and sinh(|k|w)/|k|.  Near k^2 = 0 a
     series in k^2 w^2 avoids the 0/0.  Elementwise over an array of k^2.
     A scalar k^2 branches in Python rather than masking arrays, which is
-    several times faster for one number; it calls numpy's elementary
-    functions all the same, since the math module's round differently.
-    A jet k^2 gives jets.
+    several times faster for one number, and gives Python floats rounded as
+    numpy rounds the array element: numpy's elementary functions, since the
+    math module's round differently.  A jet k^2 gives jets.
     """
     if isinstance(ksq, Jet):
         c, s = _cos_and_sinc(ksq.v, w)
@@ -201,9 +201,9 @@ def _cos_and_sinc(ksq, w: float):
             return 1.0 - x / 2.0 + x * x / 24.0, w * (1.0 - x / 6.0 + x * x / 120.0)
         if ksq > 0.0:
             k = math.sqrt(ksq)
-            return np.cos(k * w), np.sin(k * w) / k
+            return float(np.cos(k * w)), float(np.sin(k * w)) / k
         kappa = math.sqrt(-ksq)
-        return np.cosh(kappa * w), np.sinh(kappa * w) / kappa
+        return float(np.cosh(kappa * w)), float(np.sinh(kappa * w)) / kappa
     x = ksq * w * w
     k = np.sqrt(np.abs(ksq))
     kw = k * w
@@ -238,8 +238,11 @@ def _sinc_slopes(ksq, w: float, c, s):
     """First and second derivatives of s = sin(kw)/k with respect to k^2,
     given c = cos(kw) and s: (w c - s)/(2k^2), and (-w^2 s/2 - 3 s')/(2k^2)."""
     x = ksq * w * w
-    series = np.abs(x) < 1.0
-    if series.all():
+    if not (isinstance(x, np.ndarray) or abs(x) < 1.0):  # a scalar past the series: k^2 != 0
+        s1 = (w * c - s) / (2.0 * ksq)
+        return s1, (-0.5 * w * w * s - 3.0 * s1) / (2.0 * ksq)
+    series = abs(x) < 1.0
+    if series is True or series.all():
         s1, s2 = _sinc_series(x)
         return w**3 * s1, w**5 * s2
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -281,7 +284,7 @@ def _complex(re, im):
     if isinstance(re, Jet):
         return Jet(_complex(re.v, im.v), _complex(re.d1, im.d1),
                    None if re.d2 is None else _complex(re.d2, im.d2))
-    if np.ndim(re) == 0:
+    if not isinstance(re, np.ndarray):
         return complex(re, im)
     z = np.empty(np.shape(re), dtype=complex)
     z.real, z.imag = re, im
@@ -295,16 +298,18 @@ def cell_matrix(E, cell: CellSpec, outside: Layer) -> TransferMatrix:
     A jet energy gives jet entries.
     """
     jet = isinstance(E, Jet)
-    energies = np.asarray(E.v if jet else E, dtype=float)
+    energies = E.v if jet else E
+    if type(energies) is not float:  # a scalar jet's value is one already
+        energies = np.asarray(energies, dtype=float)
+        energies = float(energies) if energies.ndim == 0 else energies
     require(energies > outside.potential, NoTransmissionError,
             "E = {E} meV is at or below the lead band bottom ({V} meV)",
             E=energies, V=outside.potential)
     if jet:
         energies = E
-    elif energies.ndim == 0:
-        energies = float(energies)
     ksq = (energies - outside.potential) * outside.mass_ratio / CONSTANTS.hbar2_over_2m0
-    q = (ksq.sqrt() if jet else np.sqrt(ksq)) / outside.mass_ratio
+    q = (ksq.sqrt() if jet else math.sqrt(ksq) if type(ksq) is float
+         else np.sqrt(ksq)) / outside.mass_ratio
     t11, t12, t21, t22 = _interior_propagator(energies, cell)
     # M = W^{-1} T^{-1} W with W = [[1, 1], [iq, -iq]]; written out, with
     # T^{-1} = [[T22, -T12], [-T21, T11]] (det T = 1), this is:

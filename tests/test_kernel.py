@@ -11,6 +11,7 @@ finite differences of the values, also where k^2 w^2 of a layer crosses
 zero and where its series gives way to the closed form.
 """
 
+import math
 import os
 import subprocess
 import sys
@@ -25,7 +26,7 @@ from hypothesis import assume, example, given, strategies as st
 from conftest import stacks
 from sltime.kard import band_structure, kard_derivatives
 from sltime.medium import CellSpec, EnergyGrid, Layer, StackSpec, representative_cell, representative_stack
-from sltime.timing import bloch_time, envelopes, phase_time
+from sltime.timing import bloch_time, envelopes, free_time, phase_time
 from sltime.tmatrix import _cos_and_sinc, _sinc_slopes, cell_matrix, energy_jet, stack_matrix
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -111,24 +112,53 @@ def test_kard_derivatives_array_equals_scalar_calls(stack, fractions):
 
 def test_timing_array_equals_scalar_calls_on_rep5(rep_stack, rep_band):
     """On 3000 rep5 energies across band 1, each scalar call equals its
-    element of the array call exactly."""
+    element of the array call exactly, and is a Python float."""
     core, lead, n = rep_stack.core, rep_stack.outside, rep_stack.replicas
     energies = np.linspace(*rep_band.interior(5e-3), 3000)
     tau = phase_time(core, lead, n, energies, band=rep_band)
     env = np.stack(envelopes(core, lead, n, energies, band=rep_band), axis=1)
     d = kard_derivatives(core, lead, energies, band=rep_band)
+    free = free_time(rep_stack.width, energies, lead)
     for i, E in enumerate(energies.tolist()):
-        assert phase_time(core, lead, n, E, band=rep_band) == tau[i]
-        assert envelopes(core, lead, n, E, band=rep_band) == tuple(env[i])
+        one_tau = phase_time(core, lead, n, E, band=rep_band)
+        assert type(one_tau) is float and one_tau == tau[i]
+        one_env = envelopes(core, lead, n, E, band=rep_band)
+        assert [type(x) for x in one_env] == [float] * 3 and one_env == tuple(env[i])
         one = kard_derivatives(core, lead, E, band=rep_band)
         assert (one.phi_p, one.phi_pp, one.mu_p) == (d.phi_p[i], d.phi_pp[i], d.mu_p[i])
+        assert {type(x) for x in (one.phi_p, one.phi_pp, one.mu_p)} == {float}
+        one_free = free_time(rep_stack.width, E, lead)
+        assert type(one_free) is float and one_free == free[i]
+
+
+def test_transparent_cell_array_equals_scalar_calls_at_mu_zero():
+    """A 5 nm cell of rep5's lead material has M21 exactly 0 at 50.06 meV
+    (as at about a third of a fine band-1 grid), so mu = 0 and sinh(2 mu) = 0
+    there.  The scalar call takes mu' = 0, its limit, without a 0/0, and
+    equals the array call bit for bit; the phase time is finite."""
+    lead = representative_stack(5).outside
+    cell = CellSpec((Layer(5.0, lead.potential, lead.mass_ratio),))
+    band = band_structure(cell, lead, grid=EnergyGrid.linear(1.0, 300.0, 600))[0]
+    E = 50.06
+    assert cell_matrix(E, cell, lead).m21 == 0.0
+    one = kard_derivatives(cell, lead, E, band=band)
+    d = kard_derivatives(cell, lead, np.array([E]), band=band)
+    assert (one.params.mu, one.mu_p) == (0.0, 0.0)
+    for field in ("phi_p", "phi_pp", "mu_p"):
+        assert type(getattr(one, field)) is float
+        assert getattr(one, field) == getattr(d, field)[0]
+    for field in ("phi", "mu", "chi"):
+        assert getattr(one.params, field) == getattr(d.params, field)[0]
+    tau = phase_time(cell, lead, 5, E, band=band)
+    assert math.isfinite(tau) and tau == phase_time(cell, lead, 5, np.array([E]), band=band)[0]
 
 
 def test_stationary_commands_never_load_scipy(tmp_path):
     """`python -X importtime` lists every module the process imported
     through the import statement.
 
-    The wave-packet command, on a coarse grid, loads no scipy module either.
+    The wave-packet command, on a coarse grid, loads no scipy module either,
+    and no command loads ``numpy.ma`` (which ``np.unique`` would import).
     ``decimal`` is not loaded: only a sample that the |t_N|^2 check flags
     asks for its 40-digit reference, and none is flagged here.  The layers
     themselves no longer appear in the listing: ``import sltime`` registers
@@ -157,6 +187,7 @@ def test_stationary_commands_never_load_scipy(tmp_path):
         if argv != ["--version"]:  # imported by a lazily loaded layer
             assert "numpy" in imported, argv
         assert not [m for m in imported if m.split(".")[0] == "scipy"], argv
+        assert not [m for m in imported if m.split(".")[:2] == ["numpy", "ma"]], argv
         assert not {"decimal", "_decimal", "_pydecimal"} & set(imported), argv
 
 
